@@ -68,12 +68,15 @@ def named_function(name: str):
     """Resolve a built-in: a known name, `constant:<c>`, or `poly:c0,c1,...`."""
     if name in BUILTIN_FUNCTIONS:
         return BUILTIN_FUNCTIONS[name]
-    if name.startswith("constant:"):
-        c = float(name.split(":", 1)[1])
-        return lambda x: c
-    if name.startswith("poly:"):
-        coeffs = [float(v) for v in name.split(":", 1)[1].split(",")]
-        return polynomial(coeffs)
+    kind, _, arg = name.partition(":")
+    try:
+        if kind == "constant":
+            c = float(arg)
+            return lambda x: c
+        if kind == "poly":
+            return polynomial([float(v) for v in arg.split(",")])
+    except ValueError:
+        raise FormatError(f"{name!r} needs comma-separated numbers after the colon") from None
     raise FormatError(f"unknown function {name!r}")
 
 

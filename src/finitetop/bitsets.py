@@ -1,6 +1,6 @@
 """Subsets of a small carrier as int bitmasks (bit i = i-th carrier point)."""
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -9,13 +9,6 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def mask_of(indices: Iterable[int]) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
 
 
 def subsets(full: int) -> Iterator[int]:

@@ -40,6 +40,13 @@ def _labels_arg(space, text):
     return space.mask(text.split())
 
 
+def _numbers_arg(text, what):
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise FormatError(f"{what} must be comma-separated numbers") from None
+
+
 def _emit(out, text):
     out.write(text)
     if not text.endswith("\n"):
@@ -266,12 +273,10 @@ def cmd_locale(args, out):
         rep.add("filter_count", len(hm.filters))
         rep.add("saturated_compact_count", len(hm.saturated_compacts))
         rep.add("bijection_holds", hm.bijection_holds)
-        rows = []
-        for f in hm.filters:
-            inter = space.full
-            for u in f.members():
-                inter &= u
-            rows.append((_set_str(space, f.kernel_open), _set_str(space, inter)))
+        rows = [
+            (_set_str(space, f.kernel_open), _set_str(space, inter))
+            for f, inter in zip(hm.filters, hm.intersections)
+        ]
         rep.table("correspondence", ("filter generator", "intersection"), rows)
     rep.print(out)
     return 0
@@ -351,7 +356,7 @@ def cmd_solve(args, out):
     if args.what == "fixpoint":
         if args.func not in _FIXPOINT_FUNCTIONS:
             raise FormatError(f"unknown function {args.func!r}; have {sorted(_FIXPOINT_FUNCTIONS)}")
-        x0 = [float(v) for v in args.x0.split(",")]
+        x0 = _numbers_arg(args.x0, "x0")
         res = pmetric.banach_fixed_point(
             _FIXPOINT_FUNCTIONS[args.func], x0, metric=args.metric, tol=args.tol, max_iter=args.max_iter
         )
@@ -370,24 +375,17 @@ def cmd_solve(args, out):
 # -- approx -----------------------------------------------------------------
 
 
-def _grid_arg(text):
-    try:
-        return [float(v) for v in text.split(",")]
-    except ValueError:
-        raise FormatError("grid must be comma-separated numbers") from None
-
-
 def cmd_approx(args, out):
     rep = _Report(args.json)
     if args.what == "sqrt":
-        gf = approx.sqrt_iteration(args.n, _grid_arg(args.grid))
+        gf = approx.sqrt_iteration(args.n, _numbers_arg(args.grid, "grid"))
         rep.table(
             "values", ("t", f"f_{args.n}(t)"), [(f"{t:.12g}", f"{v:.12g}") for t, v in zip(gf.grid, gf.values)]
         )
     elif args.what == "weierstrass":
         f = approx.named_function(args.func)
         ev = approx.weierstrass_polynomial(f, args.n, panels=args.panels)
-        rows = [(f"{x:.12g}", f"{ev(x):.12g}", f"{f(x):.12g}") for x in _grid_arg(args.grid)]
+        rows = [(f"{x:.12g}", f"{ev(x):.12g}", f"{f(x):.12g}") for x in _numbers_arg(args.grid, "grid")]
         rep.table("values", ("x", f"P_{args.n}(x)", "f(x)"), rows)
     else:  # kernel-ratio
         r = approx.kernel_ratio(args.n, args.delta, panels=args.panels)

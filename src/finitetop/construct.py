@@ -2,13 +2,15 @@
 
 from dataclasses import dataclass
 
-from .bitsets import bits, subsets
+from .bitsets import bits
 from .errors import FormatError, ValidationError
 from .spaces import (
+    Carrier,
     FiniteSpace,
     _check_labels,
     _space_from_kernels,
-    separation_profile,
+    _transitive_closure,
+    discrete_space,
 )
 
 
@@ -65,7 +67,7 @@ class PointMap:
 
 
 @dataclass(frozen=True)
-class EquivalenceRelation:
+class EquivalenceRelation(Carrier):
     points: tuple
     blocks: tuple  # masks, pairwise disjoint, nonempty, covering the carrier
 
@@ -73,7 +75,6 @@ class EquivalenceRelation:
         object.__setattr__(self, "points", tuple(self.points))
         object.__setattr__(self, "blocks", tuple(self.blocks))
         _check_labels(self.points)
-        full = (1 << len(self.points)) - 1
         seen = 0
         for b in self.blocks:
             if b == 0:
@@ -81,7 +82,7 @@ class EquivalenceRelation:
             if b & seen:
                 raise ValidationError("partition blocks must be disjoint")
             seen |= b
-        if seen != full:
+        if seen != self.full:
             raise ValidationError("partition must cover the carrier")
 
 
@@ -92,18 +93,16 @@ class ContinuityCheck:
 
 
 def is_continuous(f: PointMap) -> ContinuityCheck:
-    result = ContinuityCheck(True)
-    for h in sorted(f.target.opens):
-        if f.preimage(h) not in f.source.opens:
-            result = ContinuityCheck(False, h)
-            break
-    # Continuity may be tested on any subbase; the minimal open
-    # neighborhoods of the target form one. Both routes must agree.
-    shortcut = all(
-        f.preimage(k) in f.source.opens for k in set(f.target.min_nbhd)
-    )
-    assert shortcut == result.ok
-    return result
+    """Preimages of the target kernels, which form a subbase, must be open.
+
+    Every open is the union of the kernels inside it, so the smallest target
+    open with a non-open preimage is a kernel: testing the kernels in
+    ascending order finds the same witness as testing every open.
+    """
+    for k in sorted(set(f.target.min_nbhd)):
+        if f.preimage(k) not in f.source.opens:
+            return ContinuityCheck(False, k)
+    return ContinuityCheck(True)
 
 
 def is_homeomorphism(f: PointMap) -> bool:
@@ -125,13 +124,11 @@ def initial_topology(points, factors) -> FiniteSpace:
     _check_labels(points)
     full = (1 << len(points)) - 1
     kernels = [full] * len(points)
-    resolved = []
     for mapping, target in factors:
         try:
             idx = tuple(target.index(mapping[p]) for p in points)
         except KeyError as e:
             raise FormatError(f"map is not total, missing {e.args[0]!r}") from None
-        resolved.append((idx, target))
         for i, j in enumerate(idx):
             ker = target.min_nbhd[j]
             pre = 0
@@ -139,11 +136,7 @@ def initial_topology(points, factors) -> FiniteSpace:
                 if ker >> j2 & 1:
                     pre |= 1 << i2
             kernels[i] &= pre
-    space = _space_from_kernels(points, kernels)
-    for idx, target in resolved:
-        pm = PointMap(space, target, idx)
-        assert is_continuous(pm).ok
-    return space
+    return _space_from_kernels(points, kernels)
 
 
 def final_topology(points, factors) -> FiniteSpace:
@@ -151,35 +144,24 @@ def final_topology(points, factors) -> FiniteSpace:
 
     `factors` is a list of (source, assignment) pairs, assignment mapping
     source labels to carrier labels. A set is open iff its preimage under
-    every map is open upstairs.
+    every map is open upstairs, that is an up-set of the source preorders,
+    so the opens are the up-sets of the preorder generated by f(x) <= f(x')
+    for every x' in the kernel of x.
     """
     points = tuple(points)
     _check_labels(points)
-    full = (1 << len(points)) - 1
-    idx_maps = []
+    rel = [1 << i for i in range(len(points))]
     for source, mapping in factors:
         try:
-            idx_maps.append(
-                (source, tuple(points.index(mapping[p]) for p in source.points))
-            )
+            idx = tuple(points.index(mapping[p]) for p in source.points)
         except KeyError as e:
             raise FormatError(f"map is not total, missing {e.args[0]!r}") from None
         except ValueError:
             raise FormatError("map image is not a carrier point") from None
-    opens = set()
-    for h in subsets(full):
-        ok = True
-        for source, idx in idx_maps:
-            pre = 0
-            for i, j in enumerate(idx):
-                if h >> j & 1:
-                    pre |= 1 << i
-            if pre not in source.opens:
-                ok = False
-                break
-        if ok:
-            opens.add(h)
-    return FiniteSpace(points, frozenset(opens), _trusted=True)
+        for i, k in enumerate(source.min_nbhd):
+            for j in bits(k):
+                rel[idx[i]] |= 1 << idx[j]
+    return _space_from_kernels(points, _transitive_closure(rel))
 
 
 PAIR_SEP = ","
@@ -238,28 +220,17 @@ def quotient(space: FiniteSpace, eq: EquivalenceRelation):
 def one_point_extension(space: FiniteSpace, infinity_label: str) -> FiniteSpace:
     """Adjoin a point whose neighborhoods are the complements of compact sets.
 
-    Requires a Hausdorff input; every subset of a finite space is compact,
-    which collapses the construction to an explicit membership test.
+    Requires a Hausdorff input. A finite Hausdorff space is discrete, and
+    every subset of a finite space is compact, so every set containing the
+    new point is open too: the extension is discrete.
     """
     if infinity_label in space.points:
         raise ValidationError("extension label already names a point", {"label": infinity_label})
-    profile = separation_profile(space)
-    if not profile.t2:
-        pair = next(
-            (space.points[x], space.points[y])
-            for x in range(space.n)
-            for y in range(space.n)
-            if x < y and space.min_nbhd[x] & space.min_nbhd[y]
-        )
-        raise ValidationError(
-            "input space is not Hausdorff", {"x": pair[0], "y": pair[1]}
-        )
-    pts = space.points + (infinity_label,)
-    inf_bit = 1 << space.n
-    opens = set()
-    for u in subsets((1 << len(pts)) - 1):
-        if u & inf_bit:
-            opens.add(u)  # the complement in the old carrier is finite, so compact
-        elif u in space.opens:
-            opens.add(u)
-    return FiniteSpace(pts, frozenset(opens), _trusted=True)
+    ker = space.min_nbhd
+    for x in range(space.n):
+        for y in range(x + 1, space.n):
+            if ker[x] & ker[y]:
+                raise ValidationError(
+                    "input space is not Hausdorff", {"x": space.points[x], "y": space.points[y]}
+                )
+    return discrete_space(space.points + (infinity_label,))

@@ -11,24 +11,19 @@ from dataclasses import dataclass
 
 from .bitsets import bits, is_subset, subsets
 from .errors import FormatError, ValidationError
-from .spaces import FiniteSpace, _check_labels
+from .spaces import Carrier, FiniteSpace, _check_labels
 
 
 @dataclass(frozen=True)
-class PrincipalFilter:
+class PrincipalFilter(Carrier):
     points: tuple
     kernel: int
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
         _check_labels(self.points)
-        full = (1 << len(self.points)) - 1
-        if not 0 < self.kernel <= full:
+        if not 0 < self.kernel <= self.full:
             raise ValidationError("filter kernel must be a nonempty subset of the carrier")
-
-    @property
-    def full(self):
-        return (1 << len(self.points)) - 1
 
     def contains(self, mask: int) -> bool:
         return is_subset(self.kernel, mask)
@@ -36,9 +31,6 @@ class PrincipalFilter:
     def members(self):
         """Every member set; exponential, meant for small-carrier checks."""
         return [m for m in subsets(self.full) if self.contains(m)]
-
-    def labels(self, mask):
-        return tuple(self.points[i] for i in bits(mask))
 
 
 def filter_from_base(points, base) -> PrincipalFilter:
@@ -60,11 +52,6 @@ def is_ultrafilter(f: PrincipalFilter) -> bool:
 def ultrafilter_at(points, label) -> PrincipalFilter:
     points = tuple(points)
     return PrincipalFilter(points, 1 << points.index(label))
-
-
-def decides_every_set(f: PrincipalFilter) -> bool:
-    """Definitional ultrafilter test: every subset or its complement belongs."""
-    return all(f.contains(a) or f.contains(f.full & ~a) for a in subsets(f.full))
 
 
 def image_filter(point_map, f: PrincipalFilter) -> PrincipalFilter:

@@ -1,16 +1,17 @@
 """Order-theoretic view of a finite topology.
 
 The lattice of opens is a complete Heyting algebra; its two-valued
-morphisms are the points of the associated locale. On a finite lattice a
-completely prime filter is the up-set of a join-irreducible open, which is
-what the enumerations below exploit; every enumerated candidate is still
-re-verified against the morphism axioms rather than assumed.
+morphisms are the points of the associated locale. Every report here is
+read off the kernels (minimal open neighborhoods): on a finite lattice a
+completely prime filter is the up-set of a join-irreducible open, and the
+join-irreducible opens are exactly the distinct kernels. The definitional
+routes (morphism axioms, n-ary irreducibility, directed suprema) are test
+oracles and are not rerun here.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .bitsets import bits, is_subset, subsets
+from .bitsets import bits, is_subset
 from .errors import ValidationError
 from .spaces import (
     FiniteSpace,
@@ -32,83 +33,29 @@ class TwoPointMorphism:
         return open_mask in self.top_opens
 
 
-def preserves_lattice_structure(space: FiniteSpace, top_opens: frozenset) -> bool:
-    """Morphism axioms: finite meets and arbitrary joins, pairwise suffices."""
-    if 0 in top_opens or space.full not in top_opens:
-        return False
-    ops = space.opens
-    for u in ops:
-        for v in ops:
-            if ((u & v) in top_opens) != (u in top_opens and v in top_opens):
-                return False
-            if ((u | v) in top_opens) != (u in top_opens or v in top_opens):
-                return False
-    return True
-
-
-def is_completely_prime_filter(space: FiniteSpace, fam: frozenset) -> bool:
-    if not fam or 0 in fam:
-        return False
-    for u in fam:
-        for v in space.opens:
-            if is_subset(u, v) and v not in fam:
-                return False  # not upward closed
-    for u in fam:
-        for v in fam:
-            if u & v not in fam:
-                return False  # not meet closed
-    for u in space.opens:
-        for v in space.opens:
-            if (u | v) in fam and u not in fam and v not in fam:
-                return False  # not prime (finite unions reach all unions)
-    return True
-
-
 def heyting_implication(space: FiniteSpace, a: int, b: int) -> int:
-    """Largest open whose meet with `a` lies below `b`."""
+    """Largest open whose meet with `a` lies below `b`: the interior of (not a) | b."""
     for m in (a, b):
         if m not in space.opens:
             raise ValidationError("Heyting implication needs open arguments", {"set": space.labels(m)})
-    c = 0
-    for u in space.opens:
-        if is_subset(u & a, b):
-            c |= u
-    assert c in space.opens and is_subset(c & a, b)
-    return c
+    return space.interior(space.full & ~a | b)
 
 
 def heyting_negation(space: FiniteSpace, a: int) -> int:
     return heyting_implication(space, a, 0)
 
 
-def _join_irreducible_opens(space):
-    out = []
-    for g in sorted(space.opens):
-        if g == 0:
-            continue
-        below = 0
-        for u in space.opens:
-            if u != g and is_subset(u, g):
-                below |= u
-        if below != g:
-            out.append(g)
-    return out
-
-
 def points_of_locale(space: FiniteSpace) -> list:
-    """All two-valued morphisms on the lattice of opens.
+    """All two-valued morphisms on the lattice of opens, one per distinct kernel.
 
-    The top-preimage of such a morphism is a completely prime filter, and
-    on a finite lattice those are exactly the up-sets of join-irreducible
-    opens; each candidate is verified against both definitions.
+    The top-preimage of such a morphism is a completely prime filter, the
+    up-set of a join-irreducible open, and those opens are the kernels.
+    Listed by ascending kernel.
     """
-    morphisms = []
-    for g in _join_irreducible_opens(space):
-        fam = frozenset(u for u in space.opens if is_subset(g, u))
-        assert preserves_lattice_structure(space, fam)
-        assert is_completely_prime_filter(space, fam)
-        morphisms.append(TwoPointMorphism(space, fam))
-    return morphisms
+    return [
+        TwoPointMorphism(space, frozenset(u for u in space.opens if is_subset(g, u)))
+        for g in sorted(set(space.min_nbhd))
+    ]
 
 
 @dataclass(frozen=True)
@@ -119,136 +66,47 @@ class PhiReport:
 
 
 def phi_map(space: FiniteSpace) -> PhiReport:
-    """Send a point to the morphism 'does this open contain me'."""
-    assignment = []
-    for i in range(space.n):
-        fam = frozenset(u for u in space.opens if u >> i & 1)
-        assert preserves_lattice_structure(space, fam)
-        assignment.append(TwoPointMorphism(space, fam))
-    distinct = {m.top_opens for m in assignment}
-    injective = len(distinct) == space.n
-    surjective = all(
-        m.top_opens in distinct for m in points_of_locale(space)
-    )
-    return PhiReport(tuple(assignment), injective, surjective)
+    """Send a point to the morphism 'does this open contain me'.
+
+    That is the locale point of the point's kernel, so phi is injective iff
+    the kernels are distinct (T0) and always surjective.
+    """
+    kernels = sorted(set(space.min_nbhd))
+    by_kernel = dict(zip(kernels, points_of_locale(space)))
+    assignment = tuple(by_kernel[k] for k in space.min_nbhd)
+    return PhiReport(assignment, len(kernels) == space.n, surjective=True)
 
 
 def irreducible_closed_sets(space: FiniteSpace):
     """Nonempty closed sets no union of two smaller closed sets can cover.
 
-    Returns the list together with the sobriety verdict: sober means T0 and
-    every irreducible closed set is the closure of a point.
+    In a finite space those are the point closures. Returns them ascending,
+    together with the sobriety verdict: sober means T0 and every irreducible
+    closed set is the closure of a point, which here reduces to T0.
     """
-    closed = sorted(space.closed_sets)
-    irr = []
-    for f in closed:
-        if f == 0:
-            continue
-        reducible = any(
-            is_subset(f, f1 | f2) and not is_subset(f, f1) and not is_subset(f, f2)
-            for f1 in closed
-            for f2 in closed
-        )
-        if not reducible:
-            irr.append(f)
-    point_closures = {space.closure(1 << i) for i in range(space.n)}
-    sober = separation_profile(space).t0 and all(f in point_closures for f in irr)
-    return irr, sober
-
-
-def irreducible_nary_oracle(space: FiniteSpace, f: int) -> bool:
-    """Literal n-ary irreducibility; exponential, for cross-checking only."""
-    closed = sorted(space.closed_sets)
-    if f == 0 or f not in space.closed_sets:
-        return False
-    for r in range(len(closed) + 1):
-        for fam in combinations(closed, r):
-            union = 0
-            for g in fam:
-                union |= g
-            if is_subset(f, union) and not any(is_subset(f, g) for g in fam):
-                return False
-    return True
-
-
-def _directed_subsets(order, mask_iter):
-    for s in mask_iter:
-        if s == 0:
-            continue
-        members = list(bits(s))
-        if all(
-            any(order.le(a, c) and order.le(b, c) for c in members)
-            for a in members
-            for b in members
-        ):
-            yield s, members
+    irr = sorted({space.closure(1 << i) for i in range(space.n)})
+    return irr, separation_profile(space).t0
 
 
 def scott_topology(order: Preorder) -> FiniteSpace:
     """Opens: up-sets that cannot be entered by a directed supremum.
 
-    On a finite poset every directed set has a maximum, so this coincides
-    with the full up-set (Alexandrov) topology; the inaccessibility clause
-    is still checked set by set instead of being assumed.
+    On a finite poset every directed set has a maximum, so the
+    inaccessibility clause holds for every up-set and this is the
+    Alexandrov (up-set) topology.
     """
     if not order.is_poset:
         raise ValidationError("Scott topology needs an antisymmetric order")
-    full = (1 << order.n) - 1
-    up_sets = []
-    for u in subsets(full):
-        if all(is_subset(1 << j, u) for i in bits(u) for j in bits(order.rel[i])):
-            up_sets.append(u)
-    opens = set()
-    directed = list(_directed_subsets(order, subsets(full)))
-    for u in up_sets:
-        ok = True
-        for s, members in directed:
-            sup = _sup_of_directed(order, members)
-            if sup is not None and u >> sup & 1 and s & u == 0:
-                ok = False
-                break
-        if ok:
-            opens.add(u)
-    space = FiniteSpace(order.points, frozenset(opens), _trusted=True)
-    assert space.opens == topology_from_poset(order).opens
-    return space
-
-
-def _sup_of_directed(order, members):
-    # A finite directed set contains its own maximum.
-    for c in members:
-        if all(order.le(m, c) for m in members):
-            return c
-    return None
+    return topology_from_poset(order)
 
 
 def is_scott_continuous(p: Preorder, q: Preorder, assignment) -> bool:
     """Monotone = preserves directed sups = topologically continuous.
 
-    All three characterizations are evaluated; they must agree on finite
-    posets, and the common verdict is returned.
+    On finite posets the three coincide, so monotonicity decides.
     """
     f = [q.points.index(assignment[pt]) for pt in p.points]
-    monotone = all(
-        q.le(f[i], f[j]) for i in range(p.n) for j in bits(p.rel[i])
-    )
-    preserves = True
-    for s, members in _directed_subsets(p, subsets((1 << p.n) - 1)):
-        sup = _sup_of_directed(p, members)
-        image = [f[m] for m in members]
-        img_sup = _sup_of_directed(q, image)
-        directed_image = all(
-            any(q.le(a, c) and q.le(b, c) for c in image) for a in image for b in image
-        )
-        if not directed_image or img_sup is None or f[sup] != img_sup:
-            preserves = False
-            break
-    sp, sq = topology_from_poset(p), topology_from_poset(q)
-    from .construct import PointMap, is_continuous
-
-    continuous = is_continuous(PointMap(sp, sq, tuple(f))).ok
-    assert monotone == preserves == continuous
-    return monotone
+    return all(q.le(f[i], f[j]) for i in range(p.n) for j in bits(p.rel[i]))
 
 
 @dataclass(frozen=True)
@@ -273,6 +131,7 @@ class OpenFilter:
 @dataclass(frozen=True)
 class HofmannMisloveReport:
     filters: tuple
+    intersections: tuple  # intersections[i] = intersection of the members of filters[i]
     saturated_compacts: tuple
     bijection_holds: bool
     sober: bool
@@ -283,42 +142,19 @@ def compactness_filter(space: FiniteSpace, mask: int) -> OpenFilter:
     return OpenFilter(space, _min_open_superset(space, mask))
 
 
-def is_saturated(space: FiniteSpace, mask: int) -> bool:
-    return _min_open_superset(space, mask) == mask
-
-
 def hofmann_mislove_report(space: FiniteSpace) -> HofmannMisloveReport:
     """Match the proper filters of the opens-lattice with the saturated sets.
 
     Every filter of a finite lattice is principal and inaccessible by
     directed joins, and every subset of a finite space is compact; the
-    correspondence sends a filter to the intersection of its members.
+    correspondence sends a filter to the intersection of its members, the
+    smallest open superset of its generator. A saturated set is an
+    intersection of opens, so in a finite space the nonempty saturated sets
+    are the nonempty opens.
     """
-    filters = tuple(
-        OpenFilter(space, g) for g in sorted(space.opens) if g != 0
-    )
-    saturated = tuple(
-        sorted(m for m in subsets(space.full) if m != 0 and is_saturated(space, m))
-    )
-    intersections = []
-    for f in filters:
-        inter = space.full
-        for u in f.members():
-            inter &= u
-        intersections.append(inter)
-    # F1 contained in F2 (as families) must mirror reverse inclusion of the
-    # intersections.
-    contained = [
-        [set(f1.members()) <= set(f2.members()) for f2 in filters] for f1 in filters
-    ]
-    bijection = (
-        sorted(intersections) == list(saturated)
-        and len(set(intersections)) == len(filters)
-        and all(
-            contained[i1][i2] == is_subset(intersections[i2], intersections[i1])
-            for i1 in range(len(filters))
-            for i2 in range(len(filters))
-        )
-    )
+    filters = tuple(OpenFilter(space, g) for g in sorted(space.opens) if g != 0)
+    intersections = tuple(_min_open_superset(space, f.kernel_open) for f in filters)
+    saturated = tuple(sorted(u for u in space.opens if u != 0))
+    bijection = tuple(sorted(intersections)) == saturated
     _, sober = irreducible_closed_sets(space)
-    return HofmannMisloveReport(filters, saturated, bijection, sober)
+    return HofmannMisloveReport(filters, intersections, saturated, bijection, sober)

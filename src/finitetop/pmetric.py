@@ -13,13 +13,13 @@ import numpy as np
 
 from .bitsets import bits, subsets
 from .errors import FormatError, ValidationError
-from .spaces import FiniteSpace, SetFamily, _check_labels, generate_topology
+from .spaces import Carrier, FiniteSpace, SetFamily, _check_labels, generate_topology
 
 _EPS = 1e-9
 
 
 @dataclass(frozen=True)
-class PMetricSpace:
+class PMetricSpace(Carrier):
     points: tuple
     dist: tuple  # tuple of row tuples
 
@@ -66,9 +66,6 @@ class PMetricSpace:
 
     def d(self, a, b):
         return self.dist[self.points.index(a)][self.points.index(b)]
-
-    def labels(self, mask):
-        return tuple(self.points[i] for i in bits(mask))
 
 
 def pmetric_from_matrix(points, matrix) -> PMetricSpace:
@@ -161,8 +158,7 @@ def epsilon_net(sp: PMetricSpace, eps: float):
         raise ValidationError("net radius must be positive")
     covered = 0
     centers = []
-    full = (1 << sp.n) - 1
-    while covered != full:
+    while covered != sp.full:
         c = next(i for i in range(sp.n) if not covered >> i & 1)
         centers.append(sp.points[c])
         covered |= open_ball(sp, c, eps)

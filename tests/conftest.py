@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from finitetop import FiniteSpace, Preorder, all_topologies, topology_from_poset
@@ -44,3 +46,15 @@ def spaces_up_to_4():
     for n in range(5):
         out.extend(all_topologies(n))
     return out
+
+
+@pytest.fixture(scope="session")
+def spaces_on_5():
+    """All 6942 topologies on five points."""
+    return all_topologies(5)
+
+
+@pytest.fixture(scope="session")
+def five_point_sample(spaces_on_5):
+    """A fixed seeded sample of the five-point topologies."""
+    return random.Random(5).sample(spaces_on_5, 100)

@@ -1,0 +1,268 @@
+"""Definitional oracles for the kernel derivations in `finitetop`.
+
+Each function follows a textbook definition by sweeping subsets, pairs of
+opens or families of opens, and shares no shortcut with the library code
+it is compared against: none of them reads `min_nbhd`. They are
+exponential and meant for carriers of up to 5 points.
+"""
+
+from itertools import combinations
+
+from finitetop.bitsets import bits, is_subset, subsets
+
+
+def _union(masks):
+    out = 0
+    for m in masks:
+        out |= m
+    return out
+
+
+def smallest_open_superset(space, mask):
+    """Intersection of every open containing the set."""
+    out = space.full
+    for u in space.opens:
+        if is_subset(mask, u):
+            out &= u
+    return out
+
+
+# -- spaces --------------------------------------------------------------------
+
+
+def is_topology(n, family):
+    """Contains the empty set and the carrier, and is closed under pairwise union and intersection."""
+    fam = set(family)
+    return {0, (1 << n) - 1} <= fam and all(a | b in fam and a & b in fam for a in fam for b in fam)
+
+
+def all_topologies_by_families(n):
+    """The open-set families of every topology on n points, by testing every family."""
+    full = (1 << n) - 1
+    mids = list(range(1, full))
+    families = (
+        {0, full} | {m for i, m in enumerate(mids) if pick >> i & 1} for pick in range(1 << len(mids))
+    )
+    return [frozenset(fam) for fam in families if is_topology(n, fam)]
+
+
+def separation_by_closed_sets(space):
+    """(t0, t1, t2, t3, t4) by sweeping points and pairs of closed sets.
+
+    The disjoint-neighbourhood quantifiers are decided on the smallest open
+    supersets, which only helps to separate.
+    """
+    pts = range(space.n)
+    ops = space.opens
+    closed = space.closed_sets
+    mos = {f: smallest_open_superset(space, f) for f in closed}
+    t0 = all(any((u >> x & 1) != (u >> y & 1) for u in ops) for x in pts for y in pts if x < y)
+    t1 = all(any(u >> x & 1 and not u >> y & 1 for u in ops) for x in pts for y in pts if x != y)
+    t2 = all(
+        smallest_open_superset(space, 1 << x) & smallest_open_superset(space, 1 << y) == 0
+        for x in pts
+        for y in pts
+        if x < y
+    )
+    t3 = all(
+        smallest_open_superset(space, 1 << x) & mos[f] == 0
+        for x in pts
+        for f in closed
+        if not f >> x & 1
+    )
+    t4 = all(mos[f] & mos[g] == 0 for f in closed for g in closed if f & g == 0)
+    return t0, t1, t2, t3, t4
+
+
+def opens_from_kernels_by_subsets(n, kernels):
+    """Every set that contains the given kernel of each of its points."""
+    return frozenset(
+        u for u in subsets((1 << n) - 1) if all(is_subset(kernels[i], u) for i in bits(u))
+    )
+
+
+def closure_axioms_hold(table):
+    """The Kuratowski axioms, additivity checked on every pair of subsets."""
+    t, full = table.table, table.full
+    if t[0] != 0 or t[full] != full:
+        return False
+    if any(not is_subset(a, t[a]) or t[t[a]] != t[a] for a in subsets(full)):
+        return False
+    return all(t[a | b] == t[a] | t[b] for a in subsets(full) for b in subsets(full))
+
+
+# -- construct -----------------------------------------------------------------
+
+
+def continuity_witness_by_opens(f):
+    """Smallest target open whose preimage is not open, or None."""
+    for h in sorted(f.target.opens):
+        if f.preimage(h) not in f.source.opens:
+            return h
+    return None
+
+
+def final_opens_by_subsets(points, factors):
+    """Sets whose preimage under every (source, assignment) factor is open upstairs."""
+    idx_maps = [
+        (source, tuple(points.index(mapping[p]) for p in source.points))
+        for source, mapping in factors
+    ]
+    opens = set()
+    for h in subsets((1 << len(points)) - 1):
+        if all(
+            sum(1 << i for i, j in enumerate(idx) if h >> j & 1) in source.opens
+            for source, idx in idx_maps
+        ):
+            opens.add(h)
+    return frozenset(opens)
+
+
+# -- filters -------------------------------------------------------------------
+
+
+def decides_every_set(f):
+    """Definitional ultrafilter test: every subset or its complement belongs."""
+    return all(f.contains(a) or f.contains(f.full & ~a) for a in subsets(f.full))
+
+
+# -- locales -------------------------------------------------------------------
+
+
+def preserves_lattice_structure(space, top_opens):
+    """Morphism axioms: finite meets and arbitrary joins, pairwise suffices."""
+    if 0 in top_opens or space.full not in top_opens:
+        return False
+    ops = space.opens
+    for u in ops:
+        for v in ops:
+            if ((u & v) in top_opens) != (u in top_opens and v in top_opens):
+                return False
+            if ((u | v) in top_opens) != (u in top_opens or v in top_opens):
+                return False
+    return True
+
+
+def is_completely_prime_filter(space, fam):
+    if not fam or 0 in fam:
+        return False
+    for u in fam:
+        for v in space.opens:
+            if is_subset(u, v) and v not in fam:
+                return False  # not upward closed
+    for u in fam:
+        for v in fam:
+            if u & v not in fam:
+                return False  # not meet closed
+    for u in space.opens:
+        for v in space.opens:
+            if (u | v) in fam and u not in fam and v not in fam:
+                return False  # not prime (finite unions reach all unions)
+    return True
+
+
+def join_irreducible_opens(space):
+    """Nonempty opens that are not the union of the opens strictly below them."""
+    out = []
+    for g in sorted(space.opens):
+        if g == 0:
+            continue
+        below = _union(u for u in space.opens if u != g and is_subset(u, g))
+        if below != g:
+            out.append(g)
+    return out
+
+
+def locale_points_by_join_irreducibles(space):
+    """Top-valued opens of every locale point: the up-sets of the join-irreducible opens."""
+    return [
+        frozenset(u for u in space.opens if is_subset(g, u)) for g in join_irreducible_opens(space)
+    ]
+
+
+def is_irreducible_nary(space, f):
+    """Literal n-ary irreducibility of a closed set.
+
+    f is reducible iff some family of closed sets covers it while no member
+    contains it; a family with a member containing f never witnesses that,
+    so only families of the other closed sets are swept.
+    """
+    if f == 0 or f not in space.closed_sets:
+        return False
+    others = [g for g in sorted(space.closed_sets) if not is_subset(f, g)]
+    for r in range(len(others) + 1):
+        for fam in combinations(others, r):
+            if is_subset(f, _union(fam)):
+                return False
+    return True
+
+
+def heyting_by_opens(space, a, b):
+    """Union of every open whose meet with `a` lies below `b`."""
+    return _union(u for u in space.opens if is_subset(u & a, b))
+
+
+def filter_intersection(open_filter):
+    """Intersection of every member of an open filter."""
+    out = open_filter.space.full
+    for u in open_filter.members():
+        out &= u
+    return out
+
+
+def hofmann_mislove_mirrors(report):
+    """Containment of filters (as families) mirrors reverse inclusion of their intersections."""
+    members = [set(f.members()) for f in report.filters]
+    inters = [filter_intersection(f) for f in report.filters]
+    return all(
+        (members[i] <= members[j]) == is_subset(inters[j], inters[i])
+        for i in range(len(members))
+        for j in range(len(members))
+    )
+
+
+def _is_directed(order, members):
+    """Every pair of members has an upper bound among the members."""
+    s = _union(1 << m for m in members)
+    return all(order.rel[a] & order.rel[b] & s for a in members for b in members)
+
+
+def directed_subsets(order):
+    """Nonempty directed subsets, as (mask, members).
+
+    Such a finite set contains an upper bound of all its members.
+    """
+    out = []
+    for s in subsets((1 << order.n) - 1):
+        members = list(bits(s))
+        if members and _is_directed(order, members):
+            out.append((s, members))
+    return out
+
+
+def sup_of_directed(order, members):
+    """The member above all the others, or None."""
+    for c in members:
+        if all(order.le(m, c) for m in members):
+            return c
+    return None
+
+
+def scott_opens_by_directed(order):
+    """Up-sets that no directed set enters by its supremum alone."""
+    sups = [(s, sup_of_directed(order, members)) for s, members in directed_subsets(order)]
+    return frozenset(
+        u
+        for u in subsets((1 << order.n) - 1)
+        if all(is_subset(order.rel[i], u) for i in bits(u))
+        and all(not u >> sup & 1 or s & u for s, sup in sups)
+    )
+
+
+def preserves_directed_sups(p, q, f):
+    """f (index list) sends every directed set of p to a directed set of q with the image sup."""
+    for _, members in directed_subsets(p):
+        image = [f[m] for m in members]
+        if not _is_directed(q, image) or sup_of_directed(q, image) != f[sup_of_directed(p, members)]:
+            return False
+    return True

@@ -142,11 +142,11 @@ def test_criterion_4_pagerank():
 
 
 def test_criterion_5_exhaustive_structural_suite():
-    with criterion(5, "exhaustive structural suite (carriers <= 4)", 60.0):
-        per_size = {n: ft.all_topologies(n) for n in range(5)}
-        assert [len(per_size[n]) for n in range(5)] == [1, 1, 4, 29, 355]
-        for n, group in per_size.items():
-            for sp in group:
+    with criterion(5, "exhaustive structural suite (counts to 5 points, battery to 4)", 60.0):
+        per_size = {n: ft.all_topologies(n) for n in range(6)}
+        assert [len(per_size[n]) for n in range(6)] == [1, 1, 4, 29, 355, 6942]
+        for n in range(5):
+            for sp in per_size[n]:
                 prof = ft.separation_profile(sp)
                 # separation ladder and finite T1 rigidity
                 if prof.t2:

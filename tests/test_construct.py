@@ -8,6 +8,7 @@ from finitetop.construct import block_label, product_label
 from finitetop.errors import FormatError, ValidationError
 
 from conftest import space_of
+from oracles import continuity_witness_by_opens, final_opens_by_subsets
 
 
 def pm(src, dst, pairs):
@@ -38,13 +39,15 @@ def test_divisors_to_sierpinski(divisors, sierpinski):
 
 
 def test_continuity_definitional_oracle(small_spaces):
-    # preimage of every open is open, spelled out, on every pair of small spaces
-    pool = [sp for sp in small_spaces if 1 <= sp.n <= 2]
-    for src in pool:
-        for dst in pool:
+    # preimage of every open is open, spelled out, on every pair of small
+    # spaces; the smallest failing open is the witness either way
+    for src in small_spaces:
+        for dst in [sp for sp in small_spaces if sp.n <= 2]:
             for f in all_maps(src, dst):
-                naive = all(f.preimage(h) in src.opens for h in dst.opens)
-                assert ft.is_continuous(f).ok == naive
+                witness = continuity_witness_by_opens(f)
+                check = ft.is_continuous(f)
+                assert check.ok == (witness is None)
+                assert check.witness_open == witness
 
 
 def test_map_must_be_total(divisors, sierpinski):
@@ -139,6 +142,7 @@ def test_initial_universal_property(small_spaces):
             ]
             a = ft.initial_topology(carrier, maps)
             fs = [ft.PointMap(a, t, tuple(t.index(m[p]) for p in carrier)) for m, t in maps]
+            assert all(continuity_witness_by_opens(f) is None for f in fs)
             for z in z_pool:
                 for h in all_maps(z, a):
                     lhs = ft.is_continuous(h).ok
@@ -187,6 +191,37 @@ def test_quotient_preimage_criterion(divisors):
             if u >> sp.index(mapping[p]) & 1:
                 union_upstairs |= 1 << i
         assert (u in sp.opens) == (union_upstairs in divisors.opens)
+
+
+def partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+
+def test_final_topology_matches_preimage_oracle(spaces_up_to_4, small_spaces):
+    # every quotient of every space on up to 4 points
+    for sp in spaces_up_to_4:
+        for part in partitions(list(range(sp.n))):
+            blocks = tuple(sum(1 << i for i in b) for b in part)
+            q, mapping = ft.quotient(sp, ft.EquivalenceRelation(sp.points, blocks))
+            assert q.opens == final_opens_by_subsets(q.points, [(sp, mapping)])
+    # every sum of two spaces on up to 3 points, with a third map folding both
+    for a in small_spaces:
+        a2 = ft.FiniteSpace(tuple(p.upper() for p in a.points), a.opens)
+        for b in small_spaces:
+            s = ft.topological_sum(a2, b)
+            factors = [(a2, {p: p for p in a2.points}), (b, {p: p for p in b.points})]
+            assert s.opens == final_opens_by_subsets(s.points, factors)
+            if a.n == b.n:
+                factors.append((b, {p: q for p, q in zip(b.points, a2.points)}))
+                got = ft.final_topology(s.points, factors)
+                assert got.opens == final_opens_by_subsets(s.points, factors)
 
 
 def test_sum_of_singletons_is_discrete():

@@ -5,7 +5,8 @@ import pytest
 import finitetop as ft
 from finitetop.bitsets import bits, is_subset, subsets
 from finitetop.errors import ValidationError
-from finitetop.filters import decides_every_set
+
+from oracles import decides_every_set
 
 
 def limits_oracle(space, f):

@@ -125,6 +125,22 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["space", "explode"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["approx", "weierstrass", "--fn", "poly:a", "--n", "8", "--grid", "0.5"],
+        ["approx", "weierstrass", "--fn", "poly:1,,2", "--n", "8", "--grid", "0.5"],
+        ["approx", "weierstrass", "--fn", "constant:x", "--n", "8", "--grid", "0.5"],
+        ["solve", "fixpoint", "--fn", "cos", "--x0", "a"],
+        ["solve", "fixpoint", "--fn", "cos", "--x0", "0,b"],
+    ],
+)
+def test_non_numeric_arguments_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 # -- CLI: reports ------------------------------------------------------------------
 
 

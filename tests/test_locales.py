@@ -1,18 +1,24 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 import finitetop as ft
 from finitetop.bitsets import bits, is_subset, subsets
 from finitetop.errors import ValidationError
-from finitetop.locales import (
-    compactness_filter,
-    is_completely_prime_filter,
-    irreducible_nary_oracle,
-    preserves_lattice_structure,
-)
+from finitetop.locales import compactness_filter
 
 from conftest import space_of
+from oracles import (
+    filter_intersection,
+    heyting_by_opens,
+    hofmann_mislove_mirrors,
+    is_completely_prime_filter,
+    is_irreducible_nary,
+    locale_points_by_join_irreducibles,
+    preserves_directed_sups,
+    preserves_lattice_structure,
+    scott_opens_by_directed,
+)
 
 
 def all_posets(n, labels=None):
@@ -61,13 +67,17 @@ def test_heyting_needs_open_arguments(divisors):
         ft.heyting_implication(divisors, divisors.mask(["2"]), 0)
 
 
-def test_heyting_adjunction(small_spaces, divisors):
+def test_heyting_adjunction(small_spaces, divisors, spaces_up_to_4):
     for sp in list(small_spaces) + [divisors]:
         for a in sp.opens:
             for b in sp.opens:
                 imp = ft.heyting_implication(sp, a, b)
                 for c in sp.opens:
                     assert is_subset(c, imp) == is_subset(c & a, b)
+    for sp in spaces_up_to_4:
+        for a in sp.opens:
+            for b in sp.opens:
+                assert ft.heyting_implication(sp, a, b) == heyting_by_opens(sp, a, b)
 
 
 def test_negation_is_implication_to_bottom(divisors):
@@ -118,13 +128,17 @@ def test_points_counts(divisors):
     assert len(ft.points_of_locale(divisors)) == 4
 
 
-def test_points_match_brute_force(small_spaces):
+def test_points_match_brute_force(small_spaces, spaces_up_to_4, five_point_sample):
     for sp in small_spaces:
         if len(sp.opens) > 8:
             continue
         got = {m.top_opens for m in ft.points_of_locale(sp)}
         assert got == set(brute_force_points(sp))
+    for sp in spaces_up_to_4 + five_point_sample:
+        got = [m.top_opens for m in ft.points_of_locale(sp)]
+        assert got == locale_points_by_join_irreducibles(sp)
         for fam in got:
+            assert preserves_lattice_structure(sp, fam)
             assert is_completely_prime_filter(sp, fam)
 
 
@@ -136,9 +150,15 @@ def test_phi_map(divisors):
     assert disc.injective and disc.surjective
 
 
-def test_phi_injective_iff_t0(spaces_up_to_4):
-    for sp in spaces_up_to_4:
-        assert ft.phi_map(sp).injective == ft.separation_profile(sp).t0
+def test_phi_injective_iff_t0(spaces_up_to_4, five_point_sample):
+    for sp in spaces_up_to_4 + five_point_sample:
+        phi = ft.phi_map(sp)
+        assert phi.injective == ft.separation_profile(sp).t0
+        images = [m.top_opens for m in phi.assignment]
+        for i, fam in enumerate(images):
+            assert fam == frozenset(u for u in sp.opens if u >> i & 1)
+            assert preserves_lattice_structure(sp, fam)
+        assert phi.surjective == (set(locale_points_by_join_irreducibles(sp)) <= set(images))
 
 
 # -- sobriety ------------------------------------------------------------------------
@@ -165,14 +185,10 @@ def test_discrete_sober():
     assert sober
 
 
-def test_binary_irreducibility_matches_nary_oracle(small_spaces):
-    for sp in small_spaces:
-        if len(sp.closed_sets) > 8:
-            continue
+def test_binary_irreducibility_matches_nary_oracle(spaces_up_to_4, five_point_sample):
+    for sp in spaces_up_to_4 + five_point_sample:
         irr, _ = ft.irreducible_closed_sets(sp)
-        for f in subsets(sp.full):
-            if f in sp.closed_sets and f != 0:
-                assert (f in irr) == irreducible_nary_oracle(sp, f)
+        assert irr == [f for f in sorted(sp.closed_sets) if is_irreducible_nary(sp, f)]
 
 
 def test_finite_t0_spaces_are_sober(spaces_up_to_4):
@@ -203,12 +219,13 @@ def test_scott_needs_antisymmetry():
 
 
 def test_scott_equals_upsets_on_all_posets_up_to_5():
+    # the directed-supremum definition, against the up-sets the library returns
     counts = {}
     for n in range(6):
         posets = all_posets(n)
         counts[n] = len(posets)
         for order in posets:
-            assert ft.scott_topology(order).opens == ft.topology_from_poset(order).opens
+            assert ft.scott_topology(order).opens == scott_opens_by_directed(order)
     assert counts[4] == 219 and counts[5] == 4231  # labelled poset counts
 
 
@@ -217,6 +234,16 @@ def test_scott_continuity():
     assert ft.is_scott_continuous(chain2, chain2, {"a": "a", "b": "b"})
     assert ft.is_scott_continuous(chain2, chain2, {"a": "b", "b": "b"})
     assert not ft.is_scott_continuous(chain2, chain2, {"a": "b", "b": "a"})
+    # monotone = preserves directed sups = continuous, on every map between
+    # posets of up to 3 points
+    posets = [order for n in range(1, 4) for order in all_posets(n)]
+    for p in posets:
+        for q in posets:
+            sp, sq = ft.topology_from_poset(p), ft.topology_from_poset(q)
+            for f in product(range(q.n), repeat=p.n):
+                verdict = ft.is_scott_continuous(p, q, dict(zip(p.points, (q.points[j] for j in f))))
+                assert verdict == preserves_directed_sups(p, q, f)
+                assert verdict == ft.is_continuous(ft.PointMap(sp, sq, f)).ok
 
 
 # -- Hofmann-Mislove ---------------------------------------------------------------------
@@ -233,6 +260,14 @@ def test_hofmann_mislove_counts(divisors):
     assert disc.bijection_holds
     one = ft.hofmann_mislove_report(ft.discrete_space(("a",)))
     assert len(one.filters) == 1 and one.bijection_holds
+
+
+def test_hofmann_mislove_matches_filter_oracles(spaces_up_to_4, five_point_sample):
+    for sp in spaces_up_to_4 + five_point_sample:
+        hm = ft.hofmann_mislove_report(sp)
+        assert list(hm.intersections) == [filter_intersection(f) for f in hm.filters]
+        assert hofmann_mislove_mirrors(hm)
+        assert hm.bijection_holds
 
 
 def test_compactness_filter_is_a_filter(small_spaces):

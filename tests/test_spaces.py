@@ -1,3 +1,6 @@
+import random
+from itertools import product as iproduct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,13 @@ from finitetop.errors import FormatError, ValidationError
 from finitetop.spaces import _min_open_superset
 
 from conftest import space_of
+from oracles import (
+    all_topologies_by_families,
+    closure_axioms_hold,
+    is_topology,
+    opens_from_kernels_by_subsets,
+    separation_by_closed_sets,
+)
 
 
 # -- independent oracles ------------------------------------------------------
@@ -104,6 +114,41 @@ def test_opens_closed_under_pairwise_ops(small_spaces):
                 assert a & b in sp.opens
 
 
+def test_validation_witness_names_two_members_with_a_gap():
+    rng = random.Random(2024)
+    rejected = 0
+    for _ in range(3000):
+        n = rng.randint(2, 4)
+        pts = tuple("abcd"[:n])
+        full = (1 << n) - 1
+        fam = {0, full} | {rng.randrange(1, full) for _ in range(rng.randint(1, 6))}
+        if is_topology(n, fam):
+            assert ft.FiniteSpace(pts, frozenset(fam)).opens == fam
+            continue
+        rejected += 1
+        with pytest.raises(ValidationError) as err:
+            ft.FiniteSpace(pts, frozenset(fam))
+        w = err.value.witness
+        u = sum(1 << pts.index(p) for p in w["U"])
+        v = sum(1 << pts.index(p) for p in w["V"])
+        assert u in fam and v in fam
+        gap = u | v if "union" in str(err.value) else u & v
+        assert gap not in fam
+    assert rejected > 1000
+
+
+def test_all_topologies_by_preorders():
+    counts = [len(ft.all_topologies(n)) for n in range(6)]
+    assert counts == [1, 1, 4, 29, 355, 6942]  # OEIS A000798
+    for n in range(5):
+        got = [sp.opens for sp in ft.all_topologies(n)]
+        assert len(set(got)) == len(got)
+        assert set(got) == set(all_topologies_by_families(n))
+    assert len({sp.opens for sp in ft.all_topologies(5)}) == 6942
+    with pytest.raises(ValidationError):
+        ft.all_topologies(6)
+
+
 # -- validate_base ------------------------------------------------------------
 
 
@@ -138,6 +183,8 @@ def test_validate_base_matches_oracle(n, data):
     )
     fam = ft.SetFamily(pts, members)
     assert ft.validate_base(fam).ok == base_oracle(fam)
+    if base_oracle(fam):
+        assert set(members) <= ft.generate_topology(fam, "base").opens
 
 
 # -- generate_topology ----------------------------------------------------------
@@ -274,6 +321,21 @@ def test_non_additive_table_rejected():
     assert "cl(A|B)" in str(err.value)
 
 
+def test_closure_validation_matches_pairwise_oracle(small_spaces):
+    # every induced table with one entry replaced by every other subset
+    for sp in small_spaces:
+        base = ft.induced_closure_table(sp).table
+        for a in subsets(sp.full):
+            for v in subsets(sp.full):
+                table = ft.ClosureTable(sp.points, base[:a] + (v,) + base[a + 1:])
+                try:
+                    table.validate()
+                    ok = True
+                except ValidationError:
+                    ok = False
+                assert ok == closure_axioms_hold(table)
+
+
 def test_kuratowski_round_trips(small_spaces):
     for sp in small_spaces:
         table = ft.induced_closure_table(sp)
@@ -358,6 +420,17 @@ def test_topology_from_neighborhoods_mismatch():
     assert sp.min_nbhd[0] == 0b111  # recomputed kernel of a is the carrier
 
 
+def test_topology_from_neighborhoods_matches_subset_oracle():
+    # every system of kernels on up to 4 points
+    for n in range(5):
+        pts = tuple("abcd"[:n])
+        choices = [[(1 << x) | r for r in subsets(((1 << n) - 1) & ~(1 << x))] for x in range(n)]
+        for kernels in iproduct(*choices):
+            sp, coincides = ft.topology_from_neighborhoods(ft.NeighborhoodSystem(pts, kernels))
+            assert sp.opens == opens_from_kernels_by_subsets(n, kernels)
+            assert coincides == (sp.min_nbhd == kernels)
+
+
 def test_invalid_neighborhood_system():
     with pytest.raises(ValidationError):
         ft.NeighborhoodSystem(("a", "b"), (0b10, 0b10))
@@ -390,6 +463,12 @@ def test_profile_matches_naive_quantifiers(spaces_up_to_4):
         assert (prof.t0, prof.t1, prof.t2, prof.t3, prof.t4) == (t0, t1, t2, t3, t4)
         assert prof.regular == (t1 and t3)
         assert prof.normal == (t1 and t4)
+
+
+def test_profile_matches_closed_set_oracle_on_5_points(spaces_on_5):
+    for sp in spaces_on_5:
+        prof = ft.separation_profile(sp)
+        assert (prof.t0, prof.t1, prof.t2, prof.t3, prof.t4) == separation_by_closed_sets(sp)
 
 
 def test_t3_t4_shrinking_neighborhood_characterizations(spaces_up_to_4):
