@@ -7,6 +7,7 @@ content. Output is deterministic: point order comes from the input file.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -86,7 +87,7 @@ class _Report:
 # -- space ------------------------------------------------------------------
 
 
-def cmd_space_report(args, out):
+def cmd_space(args, out):
     space = formats.load_space(_read(args.infile))
     if args.emit:
         _emit(out, formats.dump_space(space))
@@ -432,7 +433,9 @@ def cmd_logic(args, out):
 # -- parser wiring ------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The parser, built once per process; parsing leaves it unchanged."""
     p = argparse.ArgumentParser(prog="finitetop", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -442,7 +445,6 @@ def build_parser():
     rep.add_argument("--in", dest="infile", required=True)
     rep.add_argument("--json", action="store_true")
     rep.add_argument("--emit", action="store_true", help="print the canonical space file instead")
-    rep.set_defaults(fn=cmd_space_report)
 
     ck = sub.add_parser("check", help="validate an input file")
     cksub = ck.add_subparsers(dest="what", required=True)
@@ -451,7 +453,7 @@ def build_parser():
         w.add_argument("--in", dest="infile", required=True)
         if what == "pmetric":
             w.add_argument("--labels", default=None)
-        w.set_defaults(fn=cmd_check, what=what)
+        w.set_defaults(what=what)
 
     mp = sub.add_parser("map", help="test a point map")
     mpsub = mp.add_subparsers(dest="what", required=True)
@@ -460,7 +462,7 @@ def build_parser():
         w.add_argument("--src", required=True)
         w.add_argument("--dst", required=True)
         w.add_argument("--map", dest="mapfile", required=True)
-        w.set_defaults(fn=cmd_map, what=what)
+        w.set_defaults(what=what)
 
     bd = sub.add_parser("build", help="construct a new space")
     bdsub = bd.add_subparsers(dest="what", required=True)
@@ -475,7 +477,7 @@ def build_parser():
             w.add_argument("--classes", required=True, help="equivalence file")
         if what == "onepoint":
             w.add_argument("--label", default="inf")
-        w.set_defaults(fn=cmd_build, what=what)
+        w.set_defaults(what=what)
 
     lc = sub.add_parser("locale", help="order-theoretic reports")
     lcsub = lc.add_subparsers(dest="what", required=True)
@@ -486,7 +488,7 @@ def build_parser():
         if what == "implication":
             w.add_argument("--a", dest="seta", required=True)
             w.add_argument("--b", dest="setb", required=True)
-        w.set_defaults(fn=cmd_locale, what=what)
+        w.set_defaults(what=what)
 
     mt = sub.add_parser("metric", help="pseudometric computations")
     mtsub = mt.add_subparsers(dest="what", required=True)
@@ -501,7 +503,7 @@ def build_parser():
             w.add_argument("--b", dest="setb", required=True)
         if what == "net":
             w.add_argument("--eps", type=float, required=True)
-        w.set_defaults(fn=cmd_metric, what=what)
+        w.set_defaults(what=what)
 
     sv = sub.add_parser("solve", help="fixed-point solvers")
     svsub = sv.add_subparsers(dest="what", required=True)
@@ -512,13 +514,13 @@ def build_parser():
     fx.add_argument("--tol", type=float, default=1e-12)
     fx.add_argument("--max-iter", type=int, default=1000)
     fx.add_argument("--json", action="store_true")
-    fx.set_defaults(fn=cmd_solve, what="fixpoint")
+    fx.set_defaults(what="fixpoint")
     pr = svsub.add_parser("pagerank")
     pr.add_argument("--in", dest="infile", required=True)
     pr.add_argument("--tol", type=float, default=1e-9)
     pr.add_argument("--max-iter", type=int, default=200)
     pr.add_argument("--json", action="store_true")
-    pr.set_defaults(fn=cmd_solve, what="pagerank")
+    pr.set_defaults(what="pagerank")
 
     ap = sub.add_parser("approx", help="constructive approximation")
     apsub = ap.add_subparsers(dest="what", required=True)
@@ -526,20 +528,20 @@ def build_parser():
     sq.add_argument("--n", type=int, required=True)
     sq.add_argument("--grid", required=True)
     sq.add_argument("--json", action="store_true")
-    sq.set_defaults(fn=cmd_approx, what="sqrt")
+    sq.set_defaults(what="sqrt")
     ws = apsub.add_parser("weierstrass")
     ws.add_argument("--fn", dest="func", required=True)
     ws.add_argument("--n", type=int, required=True)
     ws.add_argument("--panels", type=int, default=2048)
     ws.add_argument("--grid", required=True)
     ws.add_argument("--json", action="store_true")
-    ws.set_defaults(fn=cmd_approx, what="weierstrass")
+    ws.set_defaults(what="weierstrass")
     kr = apsub.add_parser("kernel-ratio")
     kr.add_argument("--n", type=int, required=True)
     kr.add_argument("--delta", type=float, required=True)
     kr.add_argument("--panels", type=int, default=2048)
     kr.add_argument("--json", action="store_true")
-    kr.set_defaults(fn=cmd_approx, what="kernel-ratio")
+    kr.set_defaults(what="kernel-ratio")
 
     lg = sub.add_parser("logic", help="propositional workbench")
     lgsub = lg.add_subparsers(dest="what", required=True)
@@ -547,7 +549,7 @@ def build_parser():
         w = lgsub.add_parser(what)
         w.add_argument("--in", dest="infile", required=True)
         w.add_argument("--json", action="store_true")
-        w.set_defaults(fn=cmd_logic, what=what)
+        w.set_defaults(what=what)
 
     return p
 
@@ -558,8 +560,11 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    # the handler is looked up by name on each call, not bound into the
+    # cached parser, so a handler rebound in this module takes effect
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args, sys.stdout)
+        return handler(args, sys.stdout)
     except FormatError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -198,17 +198,37 @@ def topological_sum(a: FiniteSpace, b: FiniteSpace) -> FiniteSpace:
     return final_topology(pts, [(a, {p: p for p in a.points}), (b, {p: p for p in b.points})])
 
 
-def block_label(space, mask):
-    return "".join(sorted(space.points[i] for i in bits(mask)))
+def block_label(space, mask, sep=""):
+    return sep.join(sorted(space.points[i] for i in bits(mask)))
+
+
+def block_labels(space, blocks):
+    """One name per block of a partition of the space's carrier.
+
+    A block is named by its sorted member labels run together while those
+    names are distinct. When two collide (with the labels 1..34, the blocks
+    {3, 4} and {34} are both "34"), every block is named by its members
+    joined with '+' instead; if those names collide too, the two blocks are
+    reported.
+    """
+    for sep in ("", "+"):
+        labels = tuple(block_label(space, b, sep) for b in blocks)
+        if len(set(labels)) == len(labels):
+            return labels
+    first = {}
+    for lab, b in zip(labels, blocks):
+        if lab in first:
+            raise ValidationError(
+                f"two classes are both named {lab!r}", {"A": space.labels(first[lab]), "B": space.labels(b)}
+            )
+        first[lab] = b
 
 
 def quotient(space: FiniteSpace, eq: EquivalenceRelation):
     """Factor space; a block set is open iff its union is open upstairs."""
     if eq.points != space.points:
         raise ValidationError("equivalence relation lives on a different carrier")
-    labels = tuple(block_label(space, b) for b in eq.blocks)
-    if len(set(labels)) != len(labels):
-        raise ValidationError("quotient block labels collide")
+    labels = block_labels(space, eq.blocks)
     mapping = {}
     for lab, b in zip(labels, eq.blocks):
         for i in bits(b):

@@ -15,6 +15,12 @@ from .bitsets import bits
 from .errors import FormatError, ValidationError
 
 MAX_VARS = 16
+# Caps on parsed formulas that keep every recursive walk well inside
+# Python's default recursion limit of 1000 frames: the parser takes up to
+# six frames per open '~', '(' or '->', and `evaluate`, `==`, `repr` and
+# `str` take one to four per level of the formula tree.
+MAX_NESTING = 64
+MAX_DEPTH = 150
 
 
 class PropFormula:
@@ -100,6 +106,20 @@ def variables_of(formula):
     return out
 
 
+def _depth(formula) -> int:
+    """Connectives on the longest path from the root to a variable or constant."""
+    level, d = {id(formula): formula}, 0
+    while True:
+        level = {
+            id(c): c
+            for f in level.values()
+            for c in ((f.arg,) if isinstance(f, Not) else (f.left, f.right) if isinstance(f, And) else ())
+        }
+        if not level:
+            return d
+        d += 1
+
+
 def evaluate(formula, true_vars: frozenset) -> bool:
     if isinstance(formula, Var):
         return formula.name in true_vars
@@ -138,6 +158,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -153,10 +174,21 @@ class _Parser:
             raise FormatError(f"syntax error at position {at}: unexpected {tok!r}, wanted {expected}")
         raise FormatError(f"syntax error at end of input: wanted {expected}")
 
+    def nested(self, parse):
+        """Run a parse one level of '~', '(' or '->' further in."""
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise FormatError(f"formula nests '~', '(' and '->' more than {MAX_NESTING} deep")
+        f = parse()
+        self.nesting -= 1
+        return f
+
     def parse(self):
         f = self.iff()
         if self.peek() is not None:
             self.fail("end of input")
+        if _depth(f) > MAX_DEPTH:
+            raise FormatError(f"formula is more than {MAX_DEPTH} connectives deep")
         return f
 
     def iff(self):
@@ -170,7 +202,7 @@ class _Parser:
         f = self.disj()
         if self.peek() == "->":
             self.take()
-            return implication(f, self.imp())
+            return implication(f, self.nested(self.imp))
         return f
 
     def disj(self):
@@ -191,10 +223,10 @@ class _Parser:
         tok = self.peek()
         if tok == "~":
             self.take()
-            return Not(self.atom())
+            return Not(self.nested(self.atom))
         if tok == "(":
             self.take()
-            f = self.iff()
+            f = self.nested(self.iff)
             if self.peek() != ")":
                 self.fail("')'")
             self.take()

@@ -9,9 +9,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .bitsets import bits, subsets
+from .construct import block_labels
 from .errors import FormatError, ValidationError
 from .spaces import Carrier, FiniteSpace, SetFamily, _check_labels, generate_topology
 
@@ -104,7 +103,8 @@ def metric_quotient(sp: PMetricSpace):
         for j in cls:
             assigned[j] = len(blocks)
         blocks.append(cls)
-    labels = tuple("".join(sorted(sp.points[j] for j in cls)) for cls in blocks)
+    classes = tuple(sum(1 << j for j in cls) for cls in blocks)
+    labels = block_labels(sp, classes)
     reps = [cls[0] for cls in blocks]
     dmat = [[sp.dist[a][b] for b in reps] for a in reps]
     # well-definedness across representatives
@@ -119,7 +119,6 @@ def metric_quotient(sp: PMetricSpace):
                         )
     out = PMetricSpace(labels, tuple(tuple(r) for r in dmat))
     assert out.is_metric
-    classes = tuple(sum(1 << j for j in cls) for cls in blocks)
     return out, classes
 
 
@@ -397,10 +396,12 @@ class NonConvergence(ValidationError):
         self.trace = trace
 
 
+# numpy is imported inside the solvers, so importing the package does not
+# load it; the norms need only ndarray methods
 _VECTOR_NORMS = {
-    "l1": lambda v: float(np.sum(np.abs(v))),
-    "l2": lambda v: float(np.sqrt(np.sum(v * v))),
-    "linf": lambda v: float(np.max(np.abs(v))) if len(v) else 0.0,
+    "l1": lambda v: float(abs(v).sum()),
+    "l2": lambda v: math.sqrt(float((v * v).sum())),
+    "linf": lambda v: float(abs(v).max()) if len(v) else 0.0,
 }
 
 
@@ -414,6 +415,8 @@ def banach_fixed_point(f, x0, metric="l2", tol=1e-12, max_iter=1000) -> Fixpoint
         raise ValidationError("tolerance must be positive")
     if metric not in _VECTOR_NORMS:
         raise FormatError(f"unknown metric {metric!r}")
+    import numpy as np
+
     norm = _VECTOR_NORMS[metric]
     x = np.asarray(x0, dtype=float)
     trace = [x]
@@ -454,6 +457,8 @@ class StochasticMatrix:
         return len(self.rows)
 
     def array(self):
+        import numpy as np
+
         return np.array(self.rows, dtype=float)
 
 
@@ -464,6 +469,8 @@ def pagerank(matrix: StochasticMatrix, tol=1e-9, max_iter=200, start=None):
     oscillating failure mode of periodic chains only shows up from a
     non-uniform `start`.
     """
+    import numpy as np
+
     P = matrix.array()
     n = matrix.n
     if start is None:
@@ -492,6 +499,6 @@ def stationary_by_squaring(matrix: StochasticMatrix, spread=1e-12, max_squarings
     M = matrix.array()
     for _ in range(max_squarings):
         M = M @ M
-        if float(np.max(M.max(axis=0) - M.min(axis=0))) <= spread:
+        if float((M.max(axis=0) - M.min(axis=0)).max()) <= spread:
             return M.mean(axis=0)
     raise NonConvergence("repeated squaring did not level the rows", [M[0]])

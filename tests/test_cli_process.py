@@ -1,0 +1,73 @@
+"""The CLI as programs run it: cold in a fresh interpreter, and many times
+in one process sharing one parser."""
+
+import os
+import subprocess
+import sys
+
+from finitetop.cli import build_parser, main
+
+from test_formats_cli import DIV6_SPACE, WEB5
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def fresh(argv, cwd):
+    """Run a fresh interpreter without bytecode caches, as a cold CLI call runs."""
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_space_report_leaves_numpy_unloaded(tmp_path):
+    # the test process has numpy loaded already, so only a fresh one can tell
+    (tmp_path / "s.top").write_text("points: a b\nopen: a\n")
+    code = (
+        "import sys\n"
+        "from finitetop.cli import main\n"
+        "code = main(['space', 'report', '--in', 's.top'])\n"
+        "print('numpy' in sys.modules, code)\n"
+    )
+    proc = fresh(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False 0"
+
+
+def test_solvers_in_a_fresh_interpreter(tmp_path):
+    proc = fresh(["-m", "finitetop.cli", "solve", "fixpoint", "--fn", "cos", "--x0", "1"], tmp_path)
+    assert proc.returncode == 0 and proc.stdout.startswith("x: 0.739085"), proc.stderr
+    (tmp_path / "web5.csv").write_text(WEB5)
+    proc = fresh(["-m", "finitetop.cli", "solve", "pagerank", "--in", "web5.csv"], tmp_path)
+    assert proc.returncode == 0 and proc.stdout.startswith("distribution: 0.29"), proc.stderr
+
+
+def test_cached_parser_carries_no_state(tmp_path, capsys):
+    space = tmp_path / "div6.top"
+    space.write_text(DIV6_SPACE)
+    thy = tmp_path / "t.thy"
+    thy.write_text("p | q\n~p\n")
+    calls = [
+        ["space", "report", "--in", str(space)],
+        ["space", "report", "--in", str(space), "--json"],
+        ["locale", "implication", "--in", str(space), "--a", "2 6", "--b", "3 6"],
+        ["solve", "fixpoint", "--fn", "halve", "--x0", "1,2", "--metric", "linf", "--json"],
+        ["space", "report"],  # usage error: --in is missing
+        ["logic", "model", "--in", str(thy), "--json"],
+        ["logic", "model", "--in", str(thy)],
+        ["approx", "sqrt", "--n", "2", "--grid", "0,1"],
+        ["locale", "implication", "--in", str(space), "--a", "2", "--b", "6", "--json"],  # {2} is not open
+        ["space", "report", "--in", str(space)],
+    ]
+
+    def call(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    first = []
+    for argv in calls:
+        build_parser.cache_clear()
+        first.append(call(argv))
+    assert [code for code, *_ in first] == [0, 0, 0, 0, 2, 0, 0, 0, 1, 0]
+    parser = build_parser()
+    assert [call(argv) for argv in calls] == first
+    assert build_parser() is parser

@@ -4,7 +4,7 @@ import pytest
 
 import finitetop as ft
 from finitetop.bitsets import bits, is_subset, subsets
-from finitetop.construct import block_label, product_label
+from finitetop.construct import block_label, block_labels, product_label
 from finitetop.errors import FormatError, ValidationError
 
 from conftest import space_of
@@ -244,6 +244,16 @@ def test_final_identity_returns_same_topology(divisors):
 def test_block_labels_sorted():
     sp = ft.discrete_space(("b", "a", "c"))
     assert block_label(sp, 0b111) == "abc"
+
+
+def test_block_labels_collisions():
+    sp = ft.discrete_space(("1", "2", "12"))
+    assert block_labels(sp, (0b011, 0b100)) == ("1+2", "12")
+    sp = ft.discrete_space(("1", "2", "12", "1+2"))
+    eq = ft.EquivalenceRelation(sp.points, (0b0011, 0b0100, 0b1000))
+    with pytest.raises(ValidationError) as err:
+        ft.quotient(sp, eq)
+    assert err.value.witness == {"A": ("1", "2"), "B": ("1+2",)}
 
 
 # -- Hausdorff vs diagonal, image subspace --------------------------------------------

@@ -25,6 +25,17 @@ open: 2 3 6
 open: 2 3 6   # duplicates are dropped silently
 """
 
+DIV12_POSET = """\
+points: 1 2 3 4 6 12
+le: 1 2
+le: 1 3
+le: 2 4
+le: 2 6
+le: 3 6
+le: 4 12
+le: 6 12
+"""
+
 UNFIXABLE_FAMILY = """\
 points: 0 1 2
 member: 0 1 2
@@ -141,6 +152,24 @@ def test_non_numeric_arguments_are_usage_errors(capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "~" * 5000 + "a",
+        "(" * 3000 + "a" + ")" * 3000,
+        " | ".join(["a"] * 3000),
+        " -> ".join(["a"] * 3000),
+    ],
+    ids=["negations", "parentheses", "disjunctions", "implications"],
+)
+def test_deep_formulas_are_usage_errors(tmp_path, capsys, line):
+    thy = tmp_path / "deep.thy"
+    thy.write_text(line + "\n")
+    code, out, err = run(capsys, "logic", "model", "--in", str(thy))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 # -- CLI: reports ------------------------------------------------------------------
 
 
@@ -213,6 +242,11 @@ def test_build_commands(tmp_path, capsys, div6_file):
     eq.write_text("block: 1\nblock: 2 3\nblock: 6\n")
     code, out, _ = run(capsys, "build", "quotient", "--in", div6_file, "--classes", str(eq))
     assert code == 0 and "points: 1 23 6" in out
+    div12 = tmp_path / "div12.top"
+    div12.write_text(formats.dump_space(ft.topology_from_poset(formats.load_poset(DIV12_POSET))))
+    eq.write_text("block: 1 2\nblock: 3\nblock: 4\nblock: 6\nblock: 12\n")
+    code, out, _ = run(capsys, "build", "quotient", "--in", str(div12), "--classes", str(eq))
+    assert code == 0 and "points: 1+2 3 4 6 12" in out
     sierp = tmp_path / "s.top"
     sierp.write_text("points: 0 1\nopen: 1\n")
     code, out, _ = run(capsys, "build", "product", "--in", str(sierp), "--with", str(sierp))
@@ -260,6 +294,15 @@ def test_metric_commands(tmp_path, capsys):
     assert code == 0 and "hausdorff: 1" in out
     code, out, _ = run(capsys, "metric", "quotient", "--in", str(m))
     assert code == 0
+    # 34 points on a line, points 3 and 4 at one place: the class {3, 4}
+    # must not take the name "34" of point 34's class
+    xs = [i - (i >= 3) for i in range(34)]
+    line = tmp_path / "line34.csv"
+    line.write_text("".join(",".join(str(abs(x - y)) for y in xs) + "\n" for x in xs))
+    code, out, _ = run(capsys, "metric", "quotient", "--in", str(line), "--json")
+    data = json.loads(out)
+    assert code == 0 and len(data["classes"]) == 33 and ["3", "4"] in data["classes"]
+    assert "3+4" in data["distances"][0] and "34" in data["distances"][0]
     chain = tmp_path / "c.chn"
     chain.write_text("points: a b c\nrelation 1:\npair: a b\n")
     code, out, _ = run(capsys, "metric", "chain", "--in", str(chain), "--json")

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 import finitetop as ft
 from finitetop.errors import FormatError, ValidationError
 from finitetop.logic import (
+    MAX_DEPTH,
+    MAX_NESTING,
     And,
     BOT,
     Not,
@@ -66,6 +68,26 @@ def test_parentheses_and_constants():
 def test_biconditional_parses():
     f = ft.parse_formula("p <-> q")
     assert f == biconditional(Var("p"), Var("q"))
+
+
+@pytest.mark.parametrize(
+    "build, cap",
+    [
+        (lambda k: "~" * k + "p", MAX_NESTING),
+        (lambda k: "(" * k + "p" + ")" * k, MAX_NESTING),
+        (lambda k: " & ".join(["p"] * (k + 1)), MAX_DEPTH),
+        # each '|' adds three levels: p | q is ~(~p & ~q)
+        (lambda k: " | ".join(["p"] * (k + 1)), MAX_DEPTH // 3),
+    ],
+    ids=["negations", "parentheses", "conjunctions", "disjunctions"],
+)
+def test_formula_caps(build, cap):
+    """At the cap every recursive walk succeeds; one past it is refused."""
+    f = ft.parse_formula(build(cap))
+    evaluate(f, frozenset({"p"}))
+    assert f == ft.parse_formula(build(cap)) and str(f) and repr(f) and hash(f)
+    with pytest.raises(FormatError):
+        ft.parse_formula(build(cap + 1))
 
 
 def test_parser_round_trips_semantics():

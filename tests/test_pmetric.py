@@ -146,6 +146,14 @@ def test_metric_quotient_all_zero():
     assert q.n == 1 and classes == (0b11,)
 
 
+def test_metric_quotient_colliding_names():
+    line = [[0, 0, 1, 2], [0, 0, 1, 2], [1, 1, 0, 1], [2, 2, 1, 0]]
+    q, _ = ft.metric_quotient(ft.pmetric_from_matrix(("1", "2", "12", "3"), line))
+    assert q.points == ("1+2", "12", "3")
+    with pytest.raises(ValidationError):
+        ft.metric_quotient(ft.pmetric_from_matrix(("1", "2", "12", "1+2"), line))
+
+
 @given(pmetric_spaces())
 @settings(max_examples=30, deadline=None)
 def test_metric_quotient_is_metric(sp):
