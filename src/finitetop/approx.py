@@ -3,10 +3,10 @@
 Two constructions: the square-root iteration (a monotone polynomial scheme
 converging to sqrt from below) and the normalized kernel polynomial
 P_n(x) = Q_n(x) / (2 J_n) with Q_n(x) the integral of f(u) (1-(u-x)^2)^n
-over [0,1] and J_n the integral of (1-v^2)^n. The kernel mass ratio
-J*_n/J_n (tail above a cutoff, over the whole mass) is bounded by
-(n+1)(1-delta^2)^n, which is what drives uniform convergence on interior
-subintervals.
+over [0,1] and J_n = (sqrt(pi)/2) Gamma(n+1)/Gamma(n+3/2) the integral of
+(1-v^2)^n over [0,1]. The kernel mass ratio J*_n/J_n (tail above a cutoff,
+over the whole mass) is bounded by (n+1)(1-delta^2)^n, which is what
+drives uniform convergence on interior subintervals.
 """
 
 import math
@@ -92,8 +92,9 @@ def polynomial(coeffs):
     return ev
 
 
-def kernel_mass(n: int, panels: int = 2048, lower: float = 0.0) -> float:
-    return simpson(lambda v: (1.0 - v * v) ** n, lower, 1.0, panels)
+def kernel_mass(n: int) -> float:
+    """J_n, the integral of (1-v^2)^n over [0, 1], as (sqrt(pi)/2) Gamma(n+1) / Gamma(n+3/2)."""
+    return math.sqrt(math.pi) / 2.0 * math.exp(math.lgamma(n + 1) - math.lgamma(n + 1.5))
 
 
 @dataclass(frozen=True)
@@ -115,21 +116,27 @@ class KernelPolynomial:
 def weierstrass_polynomial(f, n: int, panels: int = 2048) -> KernelPolynomial:
     if n < 1:
         raise ValidationError("degree parameter must be at least 1")
-    return KernelPolynomial(f, n, panels, kernel_mass(n, panels))
+    return KernelPolynomial(f, n, panels, kernel_mass(n))
 
 
 @dataclass(frozen=True)
 class RatioReport:
     ratio: float
     bound: float
+    below_bound: bool  # decided without the factor (1-delta^2)^n, so it holds where both underflow
 
 
 def kernel_ratio(n: int, delta: float, panels: int = 2048) -> RatioReport:
-    """Tail-to-total kernel mass ratio and its closed-form bound."""
+    """Tail-to-total kernel mass ratio and its closed-form bound.
+
+    Ratio and bound share the factor q^n, q = 1 - delta^2. The tail is
+    integrated with it divided out (the integrand is then 1 at delta), so
+    neither side of the comparison underflows at any n.
+    """
     if not 0.0 < delta < 1.0:
         raise ValidationError("delta must lie strictly between 0 and 1")
     if n < 1:
         raise ValidationError("degree parameter must be at least 1")
-    ratio = kernel_mass(n, panels, lower=delta) / kernel_mass(n, panels)
-    bound = (n + 1) * (1.0 - delta * delta) ** n
-    return RatioReport(ratio, bound)
+    q = 1.0 - delta * delta
+    scaled_ratio = simpson(lambda v: ((1.0 - v * v) / q) ** n, delta, 1.0, panels) / kernel_mass(n)
+    return RatioReport(scaled_ratio * q**n, (n + 1) * q**n, scaled_ratio < n + 1)

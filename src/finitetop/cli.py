@@ -392,7 +392,7 @@ def cmd_approx(args, out):
         r = approx.kernel_ratio(args.n, args.delta, panels=args.panels)
         rep.add("ratio", r.ratio, f"ratio: {r.ratio:.12g}")
         rep.add("bound", r.bound, f"bound: {r.bound:.12g}")
-        rep.add("ratio_below_bound", r.ratio < r.bound)
+        rep.add("ratio_below_bound", r.below_bound)
     rep.print(out)
     return 0
 

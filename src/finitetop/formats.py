@@ -5,7 +5,7 @@ Canonical emitters are deterministic: reload of an emitted file compares
 equal to the original value.
 """
 
-from fractions import Fraction
+import math
 
 from .bitsets import bits
 from .construct import EquivalenceRelation
@@ -141,6 +141,28 @@ def load_equivalence(text: str, space: FiniteSpace) -> EquivalenceRelation:
     return EquivalenceRelation(space.points, tuple(blocks))
 
 
+def _cell(text: str) -> float:
+    """A matrix entry as the nearest float: the grammar of `Fraction(text)`.
+
+    A decimal goes through `float` and `p/q` through integer true division;
+    both round once, so the value is `float(Fraction(text))`. The checks on
+    the digits around the slash refuse what `int` would take and `Fraction`
+    does not: a sign on q, or spaces next to the slash. Adding 0.0 reads -0
+    as 0, as `Fraction` does (a negative value that underflows, which
+    `Fraction` rounds to -0.0, reads as 0 too).
+    """
+    p, slash, q = text.partition("/")
+    if slash:
+        if not (p[-1:].isdigit() and q[:1].isdigit()):
+            raise ValueError(text)
+        v = int(p) / int(q)
+    else:
+        v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(text)
+    return v + 0.0
+
+
 def load_matrix(text: str):
     """CSV matrix; entries may be decimals or fractions like 1/3."""
     rows = []
@@ -149,8 +171,8 @@ def load_matrix(text: str):
         if not line:
             continue
         try:
-            rows.append([float(Fraction(cell.strip())) for cell in line.split(",")])
-        except (ValueError, ZeroDivisionError):
+            rows.append([_cell(cell.strip()) for cell in line.split(",")])
+        except (ValueError, ZeroDivisionError, OverflowError):
             raise FormatError(f"line {lineno}: bad matrix entry") from None
     if not rows:
         raise FormatError("empty matrix file")

@@ -2,7 +2,8 @@
 
 Formulas are kept over negation and conjunction only; the other
 connectives are desugared at construction time. With at most 16 variables
-every semantic question is settled by sweeping the full truth table, and
+every semantic question is settled by the full truth table, held like a
+subset as a 2^k-bit int (bit m is the value at the m-th valuation), and
 the algebra of a theory T canonicalizes a formula class as the vector of
 its truth values over the models of T, so class identity is bitmask
 equality and the algebra's ultrafilters are the single-model atoms.
@@ -17,8 +18,8 @@ from .errors import FormatError, ValidationError
 MAX_VARS = 16
 # Caps on parsed formulas that keep every recursive walk well inside
 # Python's default recursion limit of 1000 frames: the parser takes up to
-# six frames per open '~', '(' or '->', and `evaluate`, `==`, `repr` and
-# `str` take one to four per level of the formula tree.
+# six frames per open '~', '(' or '->', and `==`, `repr` and `str` take one
+# to four per level of the formula tree.
 MAX_NESTING = 64
 MAX_DEPTH = 150
 
@@ -94,9 +95,13 @@ def biconditional(a, b):
 
 def variables_of(formula):
     out = set()
+    seen = set()
     stack = [formula]
     while stack:
         f = stack.pop()
+        if id(f) in seen:
+            continue
+        seen.add(id(f))
         if isinstance(f, Var):
             out.add(f.name)
         elif isinstance(f, Not):
@@ -120,16 +125,42 @@ def _depth(formula) -> int:
         d += 1
 
 
+def _fold(formula, leaf, full: int) -> int:
+    """Truth table of a formula as an int, computed bottom-up without recursion.
+
+    A variable gives `leaf(name)`, top gives `full` and bot 0; `~` is
+    `full ^ a` and `&` is `a & b`. Each distinct node (by identity) is
+    computed once, so subtrees the formula shares cost nothing extra.
+    """
+    memo = {}
+    stack = [formula]
+    while stack:
+        f = stack.pop()
+        if id(f) in memo:
+            continue
+        if isinstance(f, Var):
+            memo[id(f)] = leaf(f.name)
+        elif isinstance(f, Not):
+            a = memo.get(id(f.arg))
+            if a is None:
+                stack += (f, f.arg)
+            else:
+                memo[id(f)] = full ^ a
+        elif isinstance(f, And):
+            a, b = memo.get(id(f.left)), memo.get(id(f.right))
+            if a is None or b is None:
+                stack += (f, f.left, f.right)
+            else:
+                memo[id(f)] = a & b
+        elif isinstance(f, Const):
+            memo[id(f)] = full if f.value else 0
+        else:
+            raise FormatError(f"not a formula: {f!r}")
+    return memo[id(formula)]
+
+
 def evaluate(formula, true_vars: frozenset) -> bool:
-    if isinstance(formula, Var):
-        return formula.name in true_vars
-    if isinstance(formula, Const):
-        return formula.value
-    if isinstance(formula, Not):
-        return not evaluate(formula.arg, true_vars)
-    if isinstance(formula, And):
-        return evaluate(formula.left, true_vars) and evaluate(formula.right, true_vars)
-    raise FormatError(f"not a formula: {formula!r}")
+    return bool(_fold(formula, lambda name: int(name in true_vars), 1))
 
 
 # -- parser -----------------------------------------------------------------
@@ -278,16 +309,31 @@ class Theory:
             vars = tuple(sorted(names))
         return cls(formulas, tuple(vars))
 
+    def _valuation(self, m):
+        """The m-th valuation: variable i is true iff bit k-1-i of m is set."""
+        k = len(self.vars)
+        return frozenset(self.vars[i] for i in range(k) if m >> (k - 1 - i) & 1)
+
     def valuations(self):
         """Valuations in lexicographic order with bot < top on each variable."""
-        k = len(self.vars)
-        for m in range(1 << k):
-            yield frozenset(self.vars[i] for i in range(k) if m >> (k - 1 - i) & 1)
+        yield from map(self._valuation, range(1 << len(self.vars)))
 
     def models(self):
-        return [
-            v for v in self.valuations() if all(evaluate(f, v) for f in self.formulas)
-        ]
+        """The satisfying valuations, in the order of `valuations`.
+
+        Bit m of a truth table is the formula's value at the m-th valuation,
+        so variable i's column repeats 2^(k-1-i) zeros then as many ones.
+        """
+        k = len(self.vars)
+        full = (1 << (1 << k)) - 1
+        columns = {}
+        for i, name in enumerate(self.vars):
+            h = 1 << (k - 1 - i)
+            columns[name] = full // ((1 << 2 * h) - 1) * (((1 << h) - 1) << h)
+        table = full
+        for f in self.formulas:
+            table &= _fold(f, columns.__getitem__, full)
+        return [self._valuation(m) for m, bit in enumerate(bin(table)[:1:-1]) if bit == "1"]
 
 
 def is_consistent(theory: Theory) -> bool:

@@ -8,6 +8,7 @@ floating-point slack.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, ne
 
 from .bitsets import bits, subsets
 from .construct import block_labels
@@ -24,31 +25,32 @@ class PMetricSpace(Carrier):
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "dist", tuple(tuple(float(v) for v in row) for row in self.dist))
+        object.__setattr__(self, "dist", tuple(tuple(map(float, row)) for row in self.dist))
         _check_labels(self.points, cap=False)
         n = len(self.points)
-        if len(self.dist) != n or any(len(r) != n for r in self.dist):
+        d = self.dist
+        if len(d) != n or any(len(r) != n for r in d):
             raise FormatError("distance matrix shape does not match the point count")
-        for i in range(n):
-            if self.dist[i][i] != 0.0:
+        # Each check runs over a whole row at once; the first failing entry,
+        # in row-major order, is looked up only in a row known to fail. A NaN
+        # fails `!=`, so `min` decides the sign on rows of numbers only.
+        for i, col in enumerate(zip(*d)):
+            row = d[i]
+            if row[i] != 0.0:
                 raise ValidationError("nonzero self-distance", {"x": self.points[i]})
-            for j in range(n):
-                if self.dist[i][j] < 0:
-                    raise ValidationError(
-                        "negative distance", {"x": self.points[i], "y": self.points[j]}
-                    )
-                if self.dist[i][j] != self.dist[j][i]:
-                    raise ValidationError(
-                        "asymmetric distance", {"x": self.points[i], "y": self.points[j]}
-                    )
+            if min(row) < 0 or any(map(ne, row, col)):
+                j = next(j for j in range(n) if row[j] < 0 or row[j] != col[j])
+                what = "negative distance" if row[j] < 0 else "asymmetric distance"
+                raise ValidationError(what, {"x": self.points[i], "y": self.points[j]})
+        # d is symmetric now, so row j stands in for column j.
         for i in range(n):
             for j in range(n):
-                for k in range(n):
-                    if self.dist[i][j] > self.dist[i][k] + self.dist[k][j] + _EPS:
-                        raise ValidationError(
-                            "triangle inequality fails",
-                            {"x": self.points[i], "z": self.points[k], "y": self.points[j]},
-                        )
+                if d[i][j] > min(map(add, d[i], d[j])) + _EPS:
+                    k = next(k for k in range(n) if d[i][j] > d[i][k] + d[k][j] + _EPS)
+                    raise ValidationError(
+                        "triangle inequality fails",
+                        {"x": self.points[i], "z": self.points[k], "y": self.points[j]},
+                    )
 
     @property
     def n(self):

@@ -1,14 +1,16 @@
-"""Definitional oracles for the kernel derivations in `finitetop`.
+"""Definitional oracles for the derivations in `finitetop`.
 
 Each function follows a textbook definition by sweeping subsets, pairs of
-opens or families of opens, and shares no shortcut with the library code
-it is compared against: none of them reads `min_nbhd`. They are
-exponential and meant for carriers of up to 5 points.
+opens, families of opens, valuations or triples of points, and shares no
+shortcut with the library code it is compared against: none of them reads
+`min_nbhd` or a truth table. They are exponential and meant for carriers
+of up to 5 points and theories of up to 16 variables.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 from finitetop.bitsets import bits, is_subset, subsets
+from finitetop.logic import And, Const, Not, Var
 
 
 def _union(masks):
@@ -266,3 +268,52 @@ def preserves_directed_sups(p, q, f):
         if not _is_directed(q, image) or sup_of_directed(q, image) != f[sup_of_directed(p, members)]:
             return False
     return True
+
+
+# -- logic ---------------------------------------------------------------------
+
+
+def truth(formula, true_vars):
+    """The formula's value under the valuation, by walking the tree."""
+    if isinstance(formula, Var):
+        return formula.name in true_vars
+    if isinstance(formula, Const):
+        return formula.value
+    if isinstance(formula, Not):
+        return not truth(formula.arg, true_vars)
+    return truth(formula.left, true_vars) and truth(formula.right, true_vars)
+
+
+def models(theory):
+    """Valuations satisfying every formula, lexicographic with bot before top."""
+    out = []
+    for values in product((False, True), repeat=len(theory.vars)):
+        v = frozenset(name for name, on in zip(theory.vars, values) if on)
+        if all(truth(f, v) for f in theory.formulas):
+            out.append(v)
+    return out
+
+
+# -- pmetric -------------------------------------------------------------------
+
+
+def first_violation(dist, eps):
+    """The first failed pseudometric axiom, checked entry by entry, as (message, indices), or None.
+
+    Each point's self-distance is checked before its row's entries, each
+    entry for sign before symmetry, and the triangle inequality only on a
+    matrix that passes both, over (i, j, k) in lexicographic order.
+    """
+    n = len(dist)
+    for i in range(n):
+        if dist[i][i] != 0.0:
+            return "nonzero self-distance", (i,)
+        for j in range(n):
+            if dist[i][j] < 0:
+                return "negative distance", (i, j)
+            if dist[i][j] != dist[j][i]:
+                return "asymmetric distance", (i, j)
+    for i, j, k in product(range(n), repeat=3):
+        if dist[i][j] > dist[i][k] + dist[k][j] + eps:
+            return "triangle inequality fails", (i, j, k)
+    return None

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import finitetop as ft
 from finitetop.approx import kernel_mass, named_function, weierstrass_polynomial
+from finitetop.cli import main
 from finitetop.errors import FormatError, ValidationError
 
 GRID = tuple(i / 32 for i in range(33))
@@ -60,7 +61,13 @@ def test_grid_validation():
 
 
 def test_j1_is_two_thirds():
-    assert abs(kernel_mass(1) - 2 / 3) < 1e-10  # Simpson is exact on quadratics
+    assert abs(kernel_mass(1) - 2 / 3) < 1e-10
+
+
+def test_closed_form_matches_simpson_at_small_n():
+    for n in (2, 5, 9):
+        simpson = ft.simpson(lambda v: (1.0 - v * v) ** n, 0.0, 1.0, 2048)
+        assert kernel_mass(n) == pytest.approx(simpson, rel=1e-12)
 
 
 def test_j_n_exceeds_harmonic_bound():
@@ -134,11 +141,18 @@ def test_ratio_examples():
     assert ft.kernel_ratio(8, 0.999).ratio < 1e-20
 
 
+def test_ratio_below_bound_where_both_underflow(capsys):
+    r = ft.kernel_ratio(100_000_000, 0.5)
+    assert r.ratio == r.bound == 0.0 and r.below_bound
+    assert main(["approx", "kernel-ratio", "--n", "100000000", "--delta", "0.5"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "ratio_below_bound: True"
+
+
 def test_ratio_bound_grid():
     for delta in (0.1, 0.3, 0.5, 0.9):
         for n in range(1, 33):
             r = ft.kernel_ratio(n, delta)
-            assert r.ratio < r.bound
+            assert r.ratio < r.bound and r.below_bound
 
 
 def test_ratio_decreases_in_n():

@@ -40,6 +40,27 @@ def test_solvers_in_a_fresh_interpreter(tmp_path):
     assert proc.returncode == 0 and proc.stdout.startswith("distribution: 0.29"), proc.stderr
 
 
+def test_chained_biconditional_is_linear(tmp_path):
+    """`a <-> a <-> ...` uses each side twice; every walk must visit a shared node once.
+
+    A fresh interpreter bounds the time a regression, exponential in the
+    chain's length, can take before the test fails.
+    """
+    (tmp_path / "chain.thy").write_text(" <-> ".join(["a"] * 30) + "\n")
+    code = (
+        "import time\n"
+        "from finitetop.cli import main\n"
+        "t0 = time.perf_counter()\n"
+        "code = main(['logic', 'model', '--in', 'chain.thy'])\n"
+        "print(code, time.perf_counter() - t0)\n"
+    )
+    proc = fresh(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "valuation: a=bot"
+    code, seconds = proc.stdout.split()[-2:]
+    assert code == "0" and float(seconds) < 1.0
+
+
 def test_cached_parser_carries_no_state(tmp_path, capsys):
     space = tmp_path / "div6.top"
     space.write_text(DIV6_SPACE)

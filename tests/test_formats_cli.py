@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -101,6 +102,62 @@ def test_load_matrix_fractions():
     rows = formats.load_matrix("0, 1/2, 1/2\n1/3, 1/3, 1/3\n1, 0, 0\n")
     assert rows[0][1] == 0.5
     assert abs(rows[1][0] - 1 / 3) < 1e-15
+
+
+# What `float(Fraction(cell))` gives on Python 3.11, or None where `Fraction`
+# refuses the cell or the value is not a finite float.
+MATRIX_CELLS = [
+    ("3/4", 0.75),
+    (" 3 / 4 ", None),
+    ("3/ 4", None),
+    ("-3/4", -0.75),
+    ("+3/4", 0.75),
+    ("3/-4", None),
+    ("3/+4", None),
+    ("1/0", None),
+    ("1.5/2", None),
+    ("1_0", 10.0),
+    ("1_0/4", 2.5),
+    ("1__0", None),
+    ("+.5", 0.5),
+    ("5.", 5.0),
+    (".", None),
+    ("-0", 0.0),
+    ("1e-400", 0.0),
+    ("2.5E-3", 0.0025),
+    ("1e400", None),
+    ("1" * 400 + "/3", None),
+    ("1/" + "1" * 400, 0.0),
+    ("inf", None),
+    ("-infinity", None),
+    ("nan", None),
+    ("0x1", None),
+    ("", None),
+]
+
+
+def _cell_id(cell):
+    return repr(cell if len(cell) < 12 else f"{cell[:3]}...{cell[-3:]}")
+
+
+@pytest.mark.parametrize("cell, want", MATRIX_CELLS, ids=[_cell_id(c) for c, _ in MATRIX_CELLS])
+def test_matrix_cell_grammar(cell, want):
+    text = f"0, {cell}\n"
+    if want is None:
+        with pytest.raises(FormatError):
+            formats.load_matrix(text)
+    else:
+        got = formats.load_matrix(text)[0][1]
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@pytest.mark.parametrize("cell", ["1e400", "inf", "nan", "1" * 400 + "/3"], ids=_cell_id)
+def test_non_finite_matrix_entry_is_usage_error(tmp_path, capsys, cell):
+    csv = tmp_path / "big.csv"
+    csv.write_text(f"0, {cell}\n{cell}, 0\n")
+    code, out, err = run(capsys, "check", "pmetric", "--in", str(csv))
+    assert code == 2 and out == ""
+    assert "bad matrix entry" in err and "Traceback" not in err
 
 
 def test_load_theory():

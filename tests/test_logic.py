@@ -1,5 +1,6 @@
 import random
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -241,6 +242,56 @@ def test_random_consistent_theories_are_satisfied():
         model = ft.model_from_ultrafilter(theory)
         assert all(model.satisfies(f) for f in theory.formulas)
         done += 1
+
+
+# -- truth tables against the valuation sweep ------------------------------------
+
+
+def shared_formula(rng, names, depth, pool):
+    """A random formula that reuses earlier subformulas from `pool` as shared subtrees."""
+    if pool and rng.random() < 0.2:
+        return rng.choice(pool)
+    if depth == 0 or rng.random() < 0.3:
+        if not names or rng.random() < 0.15:
+            return TOP if rng.random() < 0.5 else BOT
+        return Var(rng.choice(names))
+    op = rng.choice(("not", "and", "or", "imp", "iff", "iff"))
+    a = shared_formula(rng, names, depth - 1, pool)
+    if op == "not":
+        f = Not(a)
+    else:
+        b = shared_formula(rng, names, depth - 1, pool)
+        f = {"and": And, "or": disjunction, "imp": implication, "iff": biconditional}[op](a, b)
+    pool.append(f)
+    return f
+
+
+def test_models_match_valuation_sweep():
+    rng = random.Random(23)
+    for k in range(9):
+        names = [f"v{i}" for i in range(k)]
+        for _ in range(20):
+            pool = []
+            formulas = [shared_formula(rng, names, 4, pool) for _ in range(rng.randint(0, 4))]
+            theory = ft.Theory.of(formulas, vars=tuple(names))
+            assert theory.models() == oracles.models(theory)
+            if k <= 4:
+                for f in formulas:
+                    for v in theory.valuations():
+                        assert evaluate(f, v) == oracles.truth(f, v)
+
+
+def test_models_match_valuation_sweep_on_16_variables():
+    rng = random.Random(16)
+    names = [f"x{i}" for i in range(16)]
+    clauses = [
+        " | ".join(("~" if rng.random() < 0.5 else "") + v for v in rng.sample(names, 3))
+        for _ in range(8)
+    ]
+    theory = ft.Theory.of([ft.parse_formula(c) for c in clauses + ["x0 <-> x15 <-> x7"]], vars=names)
+    want = oracles.models(theory)
+    assert theory.models() == want
+    assert 0 < len(want) < 1 << 16
 
 
 # -- Stone representation --------------------------------------------------------------

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,6 +64,35 @@ def test_triangle_violation_reports_triple():
         ft.pmetric_from_matrix(("a", "b", "c"), [[0, 1, 5], [1, 0, 1], [5, 1, 0]])
     w = err.value.witness
     assert {w["x"], w["y"], w["z"]} == {"a", "b", "c"}
+
+
+def test_rejection_witness_is_the_first_failing_entry():
+    """Random whole-number matrices, some with a broken entry, against the entry-by-entry oracle."""
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(600):
+        n = rng.randint(1, 7)
+        d = [[0.0] * n for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            d[i][j] = d[j][i] = float(rng.randint(1, 9))
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            i, j, v = rng.randrange(n), rng.randrange(n), rng.choice((-1.0, 0.0, 3.0, math.nan))
+            d[i][j] = v
+            if rng.random() < 0.5:
+                d[j][i] = v
+        labels = tuple(f"p{i}" for i in range(n))
+        want = oracles.first_violation(d, 0.0)  # whole distances: the 1e-9 slack cannot matter
+        if want is None:
+            ft.pmetric_from_matrix(labels, d)
+            continue
+        with pytest.raises(ValidationError) as err:
+            ft.pmetric_from_matrix(labels, d)
+        message, idx = want
+        names = ("x", "y", "z")
+        assert str(err.value) == message
+        assert err.value.witness == {name: labels[i] for name, i in zip(names, idx)}
+        seen.add(message)
+    assert len(seen) == 4
 
 
 def test_negative_and_asymmetric_rejected():
