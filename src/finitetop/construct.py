@@ -8,7 +8,6 @@ from .spaces import (
     Carrier,
     FiniteSpace,
     _check_labels,
-    _space_from_kernels,
     _transitive_closure,
     discrete_space,
 )
@@ -100,7 +99,7 @@ def is_continuous(f: PointMap) -> ContinuityCheck:
     ascending order finds the same witness as testing every open.
     """
     for k in sorted(set(f.target.min_nbhd)):
-        if f.preimage(k) not in f.source.opens:
+        if not f.source.is_open(f.preimage(k)):
             return ContinuityCheck(False, k)
     return ContinuityCheck(True)
 
@@ -136,7 +135,7 @@ def initial_topology(points, factors) -> FiniteSpace:
                 if ker >> j2 & 1:
                     pre |= 1 << i2
             kernels[i] &= pre
-    return _space_from_kernels(points, kernels)
+    return FiniteSpace(points, kernels)
 
 
 def final_topology(points, factors) -> FiniteSpace:
@@ -161,7 +160,7 @@ def final_topology(points, factors) -> FiniteSpace:
         for i, k in enumerate(source.min_nbhd):
             for j in bits(k):
                 rel[idx[i]] |= 1 << idx[j]
-    return _space_from_kernels(points, _transitive_closure(rel))
+    return FiniteSpace(points, _transitive_closure(rel))
 
 
 PAIR_SEP = ","

@@ -68,9 +68,7 @@ def neighborhood_filter(space: FiniteSpace, label) -> PrincipalFilter:
 def limits(space: FiniteSpace, f: PrincipalFilter) -> int:
     """Points whose neighborhood filter the given filter refines."""
     _same_carrier(space, f)
-    return sum(
-        1 << i for i in range(space.n) if is_subset(f.kernel, space.min_nbhd[i])
-    )
+    return sum(1 << i for i, k in enumerate(space.min_nbhd) if is_subset(f.kernel, k))
 
 
 def accumulation_points(space: FiniteSpace, f: PrincipalFilter) -> int:

@@ -56,7 +56,7 @@ def load_space(text: str) -> FiniteSpace:
         if key != "open":
             raise FormatError(f"line {lineno}: unexpected keyword {key!r} in space file")
         opens.add(_mask(pts, rest.split(), lineno))
-    return FiniteSpace(pts, frozenset(opens))
+    return FiniteSpace.from_opens(pts, opens)
 
 
 def dump_space(space: FiniteSpace) -> str:

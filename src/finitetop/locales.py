@@ -36,7 +36,7 @@ class TwoPointMorphism:
 def heyting_implication(space: FiniteSpace, a: int, b: int) -> int:
     """Largest open whose meet with `a` lies below `b`: the interior of (not a) | b."""
     for m in (a, b):
-        if m not in space.opens:
+        if not space.is_open(m):
             raise ValidationError("Heyting implication needs open arguments", {"set": space.labels(m)})
     return space.interior(space.full & ~a | b)
 
@@ -117,7 +117,7 @@ class OpenFilter:
     kernel_open: int
 
     def __post_init__(self):
-        if self.kernel_open not in self.space.opens:
+        if not self.space.is_open(self.kernel_open):
             raise ValidationError("filter generator must be open")
 
     def members(self):

@@ -318,8 +318,8 @@ class Theory:
         """Valuations in lexicographic order with bot < top on each variable."""
         yield from map(self._valuation, range(1 << len(self.vars)))
 
-    def models(self):
-        """The satisfying valuations, in the order of `valuations`.
+    def truth_table(self):
+        """The AND of the formulas' truth tables: bit m is set iff valuation m is a model.
 
         Bit m of a truth table is the formula's value at the m-th valuation,
         so variable i's column repeats 2^(k-1-i) zeros then as many ones.
@@ -333,11 +333,16 @@ class Theory:
         table = full
         for f in self.formulas:
             table &= _fold(f, columns.__getitem__, full)
-        return [self._valuation(m) for m, bit in enumerate(bin(table)[:1:-1]) if bit == "1"]
+        return table
+
+    def models(self):
+        """The satisfying valuations, in the order of `valuations`."""
+        table = bin(self.truth_table())[:1:-1]
+        return [self._valuation(m) for m, bit in enumerate(table) if bit == "1"]
 
 
 def is_consistent(theory: Theory) -> bool:
-    return bool(theory.models())
+    return theory.truth_table() != 0
 
 
 def equivalence_mod_theory(theory: Theory, a, b) -> bool:

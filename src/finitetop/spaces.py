@@ -1,15 +1,16 @@
 """Finite topological spaces and the generators that produce them.
 
-A space is a labelled carrier of at most 16 points together with its full
-family of open sets, each open stored as a bitmask over the point order.
-Every finite topology has minimal open neighborhoods, or kernels (the
-intersection of finitely many opens is open), and is determined by them:
-the opens are the up-sets of the specialization preorder y in k_x. Every
+A space is a labelled carrier of at most 16 points; subsets are bitmasks
+over the point order. Every finite topology has minimal open
+neighborhoods, or kernels (the intersection of finitely many opens is
+open), and is determined by them: the opens are the up-sets of the
+specialization preorder y in k_x. So a space stores only its kernel
+vector, which is that preorder, and builds its opens on demand. Every
 operation here derives from the kernels instead of sweeping all subsets or
 all pairs of opens; the definitional routes live in the tests as oracles.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .bitsets import bits, is_subset, subsets
@@ -35,103 +36,6 @@ class Carrier:
 
     def labels(self, mask):
         return tuple(self.points[i] for i in bits(mask))
-
-
-@dataclass(frozen=True)
-class FiniteSpace(Carrier):
-    """A finite carrier with its set of opens (bitmask-encoded subsets).
-
-    Unless `_trusted`, the family is validated on its kernels in
-    O(|opens|·n): with the empty set and the carrier present, it is a
-    topology iff every kernel is a member (see `min_nbhd`) and every member
-    stays one after union with each kernel. A failure names two members
-    whose intersection or union is missing.
-    """
-
-    points: tuple
-    opens: frozenset
-    _trusted: bool = field(default=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "opens", frozenset(self.opens))
-        _check_labels(self.points)
-        full = self.full
-        for u in self.opens:
-            if not 0 <= u <= full:
-                raise FormatError(f"open {u:#x} is not a subset of the carrier")
-        if 0 not in self.opens or full not in self.opens:
-            raise ValidationError("a topology must contain the empty set and the carrier")
-        if not self._trusted:
-            kernels = sorted(set(self.min_nbhd))
-            for u in sorted(self.opens):
-                for k in kernels:
-                    if u | k not in self.opens:
-                        raise ValidationError(
-                            "not closed under union",
-                            {"U": self.labels(u), "V": self.labels(k)},
-                        )
-
-    # -- carrier helpers
-
-    @property
-    def n(self):
-        return len(self.points)
-
-    def index(self, label):
-        try:
-            return self.points.index(label)
-        except ValueError:
-            raise FormatError(f"unknown point {label!r}") from None
-
-    def mask(self, labels):
-        m = 0
-        for lab in labels:
-            m |= 1 << self.index(lab)
-        return m
-
-    # -- kernels and the basic operators
-
-    @cached_property
-    def min_nbhd(self):
-        """Minimal open neighborhood (kernel) of every point, tuple indexed by point.
-
-        Each kernel is the intersection of the opens containing the point,
-        folded in ascending order; a step of the fold that leaves the family
-        raises with the two members it intersected.
-        """
-        ops = sorted(self.opens)
-        ker = []
-        for x in range(self.n):
-            k = self.full
-            for u in ops:
-                if u >> x & 1 and k & ~u:
-                    if k & u not in self.opens:
-                        raise ValidationError(
-                            "not closed under intersection",
-                            {"U": self.labels(k), "V": self.labels(u)},
-                        )
-                    k &= u
-            ker.append(k)
-        return tuple(ker)
-
-    @cached_property
-    def closed_sets(self):
-        return frozenset(self.full & ~u for u in self.opens)
-
-    def is_open(self, mask):
-        return mask in self.opens
-
-    def closure(self, mask):
-        """Smallest closed superset: x is close to A iff its every open meets A."""
-        return sum(1 << i for i in range(self.n) if self.min_nbhd[i] & mask)
-
-    def interior(self, mask):
-        return self.full & ~self.closure(self.full & ~mask)
-
-    def _require_subset(self, mask):
-        if not 0 <= mask <= self.full:
-            raise FormatError("argument is not a subset of the carrier")
 
 
 @dataclass(frozen=True)
@@ -227,29 +131,31 @@ def _transitive_closure(rel):
 
 
 @dataclass(frozen=True)
-class Preorder:
+class Preorder(Carrier):
     """Reflexive-transitive relation; rel[i] is the bitmask of {j : i <= j}."""
 
     points: tuple
     rel: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "rel", tuple(self.rel))
-        _check_labels(self.points)
-        n = len(self.points)
-        if len(self.rel) != n:
+        points, rel = tuple(self.points), tuple(self.rel)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "rel", rel)
+        _check_labels(points)
+        if len(rel) != len(points):
             raise FormatError("relation must have one row per point")
-        for i in range(n):
-            if not self.rel[i] >> i & 1:
-                raise ValidationError("relation is not reflexive", {"x": self.points[i]})
-        for i in range(n):
-            for j in bits(self.rel[i]):
-                if self.rel[j] & ~self.rel[i]:
-                    k = next(bits(self.rel[j] & ~self.rel[i]))
+        full = self.full
+        for i, row in enumerate(rel):
+            if not 0 <= row <= full:
+                raise FormatError(f"relation row {row:#x} is not a subset of the carrier")
+            if not row >> i & 1:
+                raise ValidationError("relation is not reflexive", {"x": points[i]})
+        for j, row in enumerate(rel):
+            for i, above in enumerate(rel):
+                if above >> j & 1 and row & ~above:  # i <= j <= k but not i <= k
+                    k = next(bits(row & ~above))
                     raise ValidationError(
-                        "relation is not transitive",
-                        {"x": self.points[i], "y": self.points[j], "z": self.points[k]},
+                        "relation is not transitive", {"x": points[i], "y": points[j], "z": points[k]}
                     )
 
     @property
@@ -279,6 +185,107 @@ class Preorder:
                 raise FormatError(f"unknown point in pair ({a!r}, {b!r})")
             rel[idx[a]] |= 1 << idx[b]
         return cls(tuple(points), _transitive_closure(rel))
+
+
+class FiniteSpace(Preorder):
+    """A finite topology, stored as its kernel vector.
+
+    `rel[x]` is the kernel k_x of x, its minimal open neighborhood: the set
+    of y with x <= y in the specialization preorder, which determines the
+    topology (the opens are its up-sets). The preorder check runs on every
+    space in O(n^2); a family read from outside goes through `from_opens`.
+    """
+
+    @classmethod
+    def from_opens(cls, points, opens):
+        """The space whose opens are the given family, validated in O(|opens|·n).
+
+        With the empty set and the carrier present, the family is a topology
+        iff every kernel is a member and every member stays one after union
+        with each kernel. Each kernel is the intersection of the members
+        containing its point, folded in ascending order; a fold step that
+        leaves the family names the two members it intersected, and a
+        missing union names the member and the kernel. The validated family
+        is kept as the space's `opens`.
+        """
+        points, opens = tuple(points), frozenset(opens)
+        _check_labels(points)
+        full = (1 << len(points)) - 1
+        for u in opens:
+            if not 0 <= u <= full:
+                raise FormatError(f"open {u:#x} is not a subset of the carrier")
+        if 0 not in opens or full not in opens:
+            raise ValidationError("a topology must contain the empty set and the carrier")
+
+        def labels(mask):
+            return tuple(points[i] for i in bits(mask))
+
+        ops = sorted(opens)
+        ker = []
+        for x in range(len(points)):
+            k = full
+            for u in ops:
+                if u >> x & 1 and k & ~u:
+                    if k & u not in opens:
+                        raise ValidationError(
+                            "not closed under intersection", {"U": labels(k), "V": labels(u)}
+                        )
+                    k &= u
+            ker.append(k)
+        kernels = sorted(set(ker))
+        for u in ops:
+            for k in kernels:
+                if u | k not in opens:
+                    raise ValidationError("not closed under union", {"U": labels(u), "V": labels(k)})
+        space = cls(points, ker)
+        space.__dict__["opens"] = opens  # fills the `opens` cache
+        return space
+
+    @property
+    def min_nbhd(self):
+        """Minimal open neighborhood (kernel) of every point, tuple indexed by point."""
+        return self.rel
+
+    @cached_property
+    def opens(self):
+        """Every union of kernels, built one distinct kernel at a time."""
+        opens = {0}
+        for k in set(self.rel):
+            opens |= {u | k for u in opens}
+        return frozenset(opens)
+
+    # -- carrier helpers
+
+    def index(self, label):
+        try:
+            return self.points.index(label)
+        except ValueError:
+            raise FormatError(f"unknown point {label!r}") from None
+
+    def mask(self, labels):
+        m = 0
+        for lab in labels:
+            m |= 1 << self.index(lab)
+        return m
+
+    # -- the basic operators
+
+    def is_open(self, mask):
+        """Open iff it holds the kernel of each of its points; a set lookup once `opens` is built."""
+        if "opens" in self.__dict__:
+            return mask in self.opens
+        return 0 <= mask <= self.full and all(self.rel[i] & ~mask == 0 for i in bits(mask))
+
+    def closure(self, mask):
+        """Smallest closed superset: x is close to A iff its every open meets A."""
+        return sum(1 << i for i in range(self.n) if self.rel[i] & mask)
+
+    def interior(self, mask):
+        return self.full & ~self.closure(self.full & ~mask)
+
+    def _require_subset(self, mask):
+        if not 0 <= mask <= self.full:
+            raise FormatError("argument is not a subset of the carrier")
 
 
 @dataclass(frozen=True)
@@ -340,23 +347,6 @@ def validate_base(fam: SetFamily) -> BaseCheck:
     return BaseCheck(True)
 
 
-def _space_from_kernels(points, kernels):
-    """All unions of the given minimal opens, built by saturation."""
-    distinct = sorted(set(kernels))
-    opens = {0}
-    frontier = [0]
-    while frontier:
-        u = frontier.pop()
-        for k in distinct:
-            v = u | k
-            if v not in opens:
-                opens.add(v)
-                frontier.append(v)
-    full = (1 << len(points)) - 1
-    opens.add(full)
-    return FiniteSpace(tuple(points), frozenset(opens), _trusted=True)
-
-
 def generate_topology(fam: SetFamily, mode: str = "base") -> FiniteSpace:
     """Topology generated by a base (all unions) or a subbase (intersections first)."""
     if mode not in ("base", "subbase"):
@@ -375,7 +365,7 @@ def generate_topology(fam: SetFamily, mode: str = "base") -> FiniteSpace:
             if m >> i & 1:
                 k &= m
         kernels.append(k)
-    return _space_from_kernels(fam.points, kernels)
+    return FiniteSpace(fam.points, kernels)
 
 
 def closure_interior(space: FiniteSpace, mask: int) -> dict:
@@ -386,12 +376,13 @@ def closure_interior(space: FiniteSpace, mask: int) -> dict:
 
 
 def topology_from_closure(table: ClosureTable) -> FiniteSpace:
-    """Opens are the complements of the table's fixed points."""
+    """The space whose closure is the table: y is in k_x iff x is in cl{y}."""
     table.validate()
-    opens = frozenset(
-        table.full & ~a for a in subsets(table.full) if table.table[a] == a
-    )
-    return FiniteSpace(table.points, opens, _trusted=True)
+    kernels = [0] * len(table.points)
+    for y in range(len(table.points)):
+        for x in bits(table.table[1 << y]):
+            kernels[x] |= 1 << y
+    return FiniteSpace(table.points, kernels)
 
 
 def induced_closure_table(space: FiniteSpace) -> ClosureTable:
@@ -399,8 +390,8 @@ def induced_closure_table(space: FiniteSpace) -> ClosureTable:
 
 
 def topology_from_poset(order: Preorder) -> FiniteSpace:
-    """Opens are the up-sets; the down-set operator gives the closed sets."""
-    return _space_from_kernels(order.points, order.rel)
+    """Opens are the up-sets: the space whose kernel vector is the order."""
+    return FiniteSpace(order.points, order.rel)
 
 
 def open_neighborhoods(space: FiniteSpace, label) -> list:
@@ -419,12 +410,13 @@ def topology_from_neighborhoods(system: NeighborhoodSystem):
     telling whether they coincide with the given ones.
     """
     kernels = _transitive_closure(system.kernels)
-    return _space_from_kernels(system.points, kernels), kernels == system.kernels
+    return FiniteSpace(system.points, kernels), kernels == system.kernels
 
 
 def _min_open_superset(space, mask):
     # Union of the point kernels: the smallest open containing the set.
-    return _union(space.min_nbhd[i] for i in bits(mask))
+    ker = space.min_nbhd
+    return _union(ker[i] for i in bits(mask))
 
 
 def separation_profile(space: FiniteSpace) -> SeparationProfile:
@@ -451,7 +443,7 @@ def separation_profile(space: FiniteSpace) -> SeparationProfile:
 
 def specialization_order(space: FiniteSpace) -> Preorder:
     """x <= y iff every open containing x contains y (y is in x's kernel)."""
-    return Preorder(space.points, tuple(space.min_nbhd))
+    return Preorder(space.points, space.rel)
 
 
 def is_dense(space: FiniteSpace, mask: int) -> bool:
@@ -460,13 +452,11 @@ def is_dense(space: FiniteSpace, mask: int) -> bool:
 
 
 def discrete_space(points) -> FiniteSpace:
-    full = (1 << len(points)) - 1
-    return FiniteSpace(tuple(points), frozenset(subsets(full)), _trusted=True)
+    return FiniteSpace(points, [1 << i for i in range(len(points))])
 
 
 def indiscrete_space(points) -> FiniteSpace:
-    full = (1 << len(points)) - 1
-    return FiniteSpace(tuple(points), frozenset({0, full}), _trusted=True)
+    return FiniteSpace(points, [(1 << len(points)) - 1] * len(points))
 
 
 def all_topologies(n, labels=None):
@@ -486,7 +476,7 @@ def all_topologies(n, labels=None):
     def extend():
         x = len(ker)
         if x == n:
-            out.append(_space_from_kernels(labels, ker))
+            out.append(FiniteSpace(labels, ker))
             return
         for rest in subsets(full & ~(1 << x)):
             k = rest | 1 << x

@@ -15,7 +15,7 @@ def space_of(points, *open_label_sets):
         for lab in labs:
             m |= 1 << points.index(lab)
         opens.add(m)
-    return FiniteSpace(points, frozenset(opens))
+    return FiniteSpace.from_opens(points, opens)
 
 
 @pytest.fixture(scope="session")

@@ -20,6 +20,11 @@ def _union(masks):
     return out
 
 
+def closed_sets(space):
+    """Complements of the opens."""
+    return frozenset(space.full & ~u for u in space.opens)
+
+
 def smallest_open_superset(space, mask):
     """Intersection of every open containing the set."""
     out = space.full
@@ -56,7 +61,7 @@ def separation_by_closed_sets(space):
     """
     pts = range(space.n)
     ops = space.opens
-    closed = space.closed_sets
+    closed = closed_sets(space)
     mos = {f: smallest_open_superset(space, f) for f in closed}
     t0 = all(any((u >> x & 1) != (u >> y & 1) for u in ops) for x in pts for y in pts if x < y)
     t1 = all(any(u >> x & 1 and not u >> y & 1 for u in ops) for x in pts for y in pts if x != y)
@@ -189,9 +194,10 @@ def is_irreducible_nary(space, f):
     contains it; a family with a member containing f never witnesses that,
     so only families of the other closed sets are swept.
     """
-    if f == 0 or f not in space.closed_sets:
+    closed = closed_sets(space)
+    if f == 0 or f not in closed:
         return False
-    others = [g for g in sorted(space.closed_sets) if not is_subset(f, g)]
+    others = [g for g in sorted(closed) if not is_subset(f, g)]
     for r in range(len(others) + 1):
         for fam in combinations(others, r):
             if is_subset(f, _union(fam)):

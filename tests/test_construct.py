@@ -1,3 +1,4 @@
+import random
 from itertools import product as iproduct
 
 import pytest
@@ -8,7 +9,7 @@ from finitetop.construct import block_label, block_labels, product_label
 from finitetop.errors import FormatError, ValidationError
 
 from conftest import space_of
-from oracles import continuity_witness_by_opens, final_opens_by_subsets
+from oracles import continuity_witness_by_opens, final_opens_by_subsets, opens_from_kernels_by_subsets
 
 
 def pm(src, dst, pairs):
@@ -213,7 +214,7 @@ def test_final_topology_matches_preimage_oracle(spaces_up_to_4, small_spaces):
             assert q.opens == final_opens_by_subsets(q.points, [(sp, mapping)])
     # every sum of two spaces on up to 3 points, with a third map folding both
     for a in small_spaces:
-        a2 = ft.FiniteSpace(tuple(p.upper() for p in a.points), a.opens)
+        a2 = ft.FiniteSpace.from_opens(tuple(p.upper() for p in a.points), a.opens)
         for b in small_spaces:
             s = ft.topological_sum(a2, b)
             factors = [(a2, {p: p for p in a2.points}), (b, {p: p for p in b.points})]
@@ -289,7 +290,7 @@ def test_image_subspace_well_formed(small_spaces):
 
 
 def test_one_point_extension_of_empty():
-    empty = ft.FiniteSpace((), frozenset({0}))
+    empty = ft.FiniteSpace.from_opens((), {0})
     sp = ft.one_point_extension(empty, "inf")
     assert sp.points == ("inf",)
     assert sp.opens == frozenset({0, 1})
@@ -318,3 +319,44 @@ def test_one_point_extension_rejections(sierpinski):
     disc = ft.discrete_space(("a", "b"))
     with pytest.raises(ValidationError):
         ft.one_point_extension(disc, "a")
+
+
+# -- internal constructors against the validating one -------------------------------
+
+
+def built_spaces(sp, rng):
+    """What every internal constructor builds from the space, by name."""
+    n = sp.n
+    two = space_of(("S0", "S1"), ["S1"])
+    yield "all_topologies", sp
+    yield "discrete", ft.discrete_space(sp.points)
+    yield "indiscrete", ft.indiscrete_space(sp.points)
+    yield "poset", ft.topology_from_poset(ft.specialization_order(sp))
+    yield "closure", ft.topology_from_closure(ft.induced_closure_table(sp))
+    yield "neighbourhoods", ft.topology_from_neighborhoods(ft.NeighborhoodSystem(sp.points, sp.min_nbhd))[0]
+    yield "base", ft.generate_topology(ft.SetFamily(sp.points, tuple(sorted(sp.opens))))
+    yield "product", ft.product(sp, two)
+    yield "sum", ft.topological_sum(sp, two)
+    if not n:
+        return
+    yield "subspace", ft.subspace(sp, rng.randrange(1, 1 << n))
+    cut = rng.randint(1, n)
+    order = rng.sample(range(n), n)
+    blocks = tuple(sum(1 << i for i in part) for part in (order[:cut], order[cut:]) if part)
+    yield "quotient", ft.quotient(sp, ft.EquivalenceRelation(sp.points, blocks))[0]
+    pts = tuple(f"y{i}" for i in range(rng.randint(1, 4)))
+    yield "initial", ft.initial_topology(pts, [({p: rng.choice(sp.points) for p in pts}, sp)])
+    yield "final", ft.final_topology(pts, [(sp, {p: rng.choice(pts) for p in sp.points})])
+
+
+def test_internal_constructors_match_the_validating_constructor(spaces_up_to_4, five_point_sample):
+    rng = random.Random(55)
+    seen = set()
+    for sp in spaces_up_to_4 + five_point_sample:
+        for name, built in built_spaces(sp, rng):
+            seen.add(name)
+            back = ft.FiniteSpace.from_opens(built.points, built.opens)
+            assert back == built, name
+            assert back.min_nbhd == built.min_nbhd, name
+            assert built.opens == opens_from_kernels_by_subsets(built.n, back.min_nbhd), name
+    assert len(seen) == 13

@@ -410,3 +410,15 @@ def test_logic_commands(tmp_path, capsys):
     bad.write_text("p\n~p\n")
     code, out, _ = run(capsys, "logic", "consistent", "--in", str(bad))
     assert code == 1
+
+
+def test_logic_algebra_past_the_int_to_str_limit(tmp_path, capsys):
+    # 65535 models: 2^65535 has more decimal digits than int-to-str allows
+    thy = tmp_path / "taut.thy"
+    thy.write_text(" | ".join(f"x{i}" for i in range(16)) + "\n")
+    code, out, err = run(capsys, "logic", "algebra", "--in", str(thy))
+    assert code == 0 and "Traceback" not in err
+    assert out == "models: 65535\nelements: 2^65535\n"
+    code, out, err = run(capsys, "logic", "algebra", "--in", str(thy), "--json")
+    assert code == 0 and "Traceback" not in err
+    assert json.loads(out) == {"elements": "2^65535", "models": 65535}

@@ -9,6 +9,7 @@ from finitetop.locales import compactness_filter
 
 from conftest import space_of
 from oracles import (
+    closed_sets,
     filter_intersection,
     heyting_by_opens,
     hofmann_mislove_mirrors,
@@ -188,7 +189,7 @@ def test_discrete_sober():
 def test_binary_irreducibility_matches_nary_oracle(spaces_up_to_4, five_point_sample):
     for sp in spaces_up_to_4 + five_point_sample:
         irr, _ = ft.irreducible_closed_sets(sp)
-        assert irr == [f for f in sorted(sp.closed_sets) if is_irreducible_nary(sp, f)]
+        assert irr == [f for f in sorted(closed_sets(sp)) if is_irreducible_nary(sp, f)]
 
 
 def test_finite_t0_spaces_are_sober(spaces_up_to_4):

@@ -274,7 +274,9 @@ def test_models_match_valuation_sweep():
             pool = []
             formulas = [shared_formula(rng, names, 4, pool) for _ in range(rng.randint(0, 4))]
             theory = ft.Theory.of(formulas, vars=tuple(names))
-            assert theory.models() == oracles.models(theory)
+            want = oracles.models(theory)
+            assert theory.models() == want
+            assert ft.is_consistent(theory) == bool(want)
             if k <= 4:
                 for f in formulas:
                     for v in theory.valuations():

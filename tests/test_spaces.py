@@ -13,6 +13,7 @@ from finitetop.spaces import _min_open_superset
 from conftest import space_of
 from oracles import (
     all_topologies_by_families,
+    closed_sets,
     closure_axioms_hold,
     is_topology,
     opens_from_kernels_by_subsets,
@@ -26,7 +27,7 @@ from oracles import (
 def closure_oracle(space, mask):
     """Smallest closed superset, straight from the definition."""
     out = space.full
-    for f in space.closed_sets:
+    for f in closed_sets(space):
         if is_subset(mask, f) and is_subset(f, out):
             out = f
     return out
@@ -60,7 +61,7 @@ def base_oracle(fam):
 def naive_profile(space):
     pts = range(space.n)
     ops = space.opens
-    cls = space.closed_sets
+    cls = closed_sets(space)
 
     def sep(a, b):
         return any(
@@ -86,24 +87,24 @@ def naive_profile(space):
 
 def test_space_requires_empty_and_full():
     with pytest.raises(ValidationError):
-        ft.FiniteSpace(("a", "b"), frozenset({0}))
+        ft.FiniteSpace.from_opens(("a", "b"), {0})
 
 
 def test_space_rejects_union_gap():
     # {a} and {b} open but {a,b} missing
     with pytest.raises(ValidationError):
-        ft.FiniteSpace(("a", "b", "c"), frozenset({0, 0b111, 0b001, 0b010}))
+        ft.FiniteSpace.from_opens(("a", "b", "c"), {0, 0b111, 0b001, 0b010})
 
 
 def test_duplicate_labels_are_a_hard_error():
     with pytest.raises(FormatError):
-        ft.FiniteSpace(("a", "a"), frozenset({0, 0b11}))
+        ft.FiniteSpace.from_opens(("a", "a"), {0, 0b11})
 
 
 def test_carrier_limit():
     pts = tuple(f"p{i}" for i in range(17))
     with pytest.raises(ValidationError):
-        ft.FiniteSpace(pts, frozenset({0, (1 << 17) - 1}))
+        ft.FiniteSpace.from_opens(pts, {0, (1 << 17) - 1})
 
 
 def test_opens_closed_under_pairwise_ops(small_spaces):
@@ -112,6 +113,16 @@ def test_opens_closed_under_pairwise_ops(small_spaces):
             for b in sp.opens:
                 assert a | b in sp.opens
                 assert a & b in sp.opens
+
+
+def test_is_open_before_and_after_the_opens_are_built(spaces_up_to_4):
+    for sp in spaces_up_to_4:
+        fresh = ft.FiniteSpace(sp.points, sp.min_nbhd)  # opens not built yet
+        for m in range(-1, sp.full + 2):
+            assert fresh.is_open(m) == (m in sp.opens)
+        assert "opens" not in vars(fresh)
+        assert all(fresh.is_open(u) for u in fresh.opens)
+        assert "opens" in vars(ft.FiniteSpace.from_opens(sp.points, sp.opens))  # kept, not rebuilt
 
 
 def test_validation_witness_names_two_members_with_a_gap():
@@ -123,11 +134,11 @@ def test_validation_witness_names_two_members_with_a_gap():
         full = (1 << n) - 1
         fam = {0, full} | {rng.randrange(1, full) for _ in range(rng.randint(1, 6))}
         if is_topology(n, fam):
-            assert ft.FiniteSpace(pts, frozenset(fam)).opens == fam
+            assert ft.FiniteSpace.from_opens(pts, fam).opens == fam
             continue
         rejected += 1
         with pytest.raises(ValidationError) as err:
-            ft.FiniteSpace(pts, frozenset(fam))
+            ft.FiniteSpace.from_opens(pts, fam)
         w = err.value.witness
         u = sum(1 << pts.index(p) for p in w["U"])
         v = sum(1 << pts.index(p) for p in w["V"])
@@ -436,6 +447,18 @@ def test_invalid_neighborhood_system():
         ft.NeighborhoodSystem(("a", "b"), (0b10, 0b10))
 
 
+def test_kernel_vector_checks():
+    # a kernel vector is checked as a preorder, and its rows must lie in the carrier
+    with pytest.raises(FormatError):
+        ft.topology_from_neighborhoods(ft.NeighborhoodSystem(("a", "b"), (0b01, 0b110)))
+    with pytest.raises(FormatError):
+        ft.FiniteSpace(("a",), (0b11,))
+    with pytest.raises(ValidationError, match="not reflexive"):
+        ft.FiniteSpace(("a", "b"), (0b10, 0b10))
+    with pytest.raises(ValidationError, match="not transitive"):
+        ft.FiniteSpace(("a", "b", "c"), (0b011, 0b110, 0b100))
+
+
 # -- separation ---------------------------------------------------------------------
 
 
@@ -482,7 +505,7 @@ def test_t3_t4_shrinking_neighborhood_characterizations(spaces_up_to_4):
         )
         char_t4 = all(
             any(is_subset(f, u) and is_subset(sp.closure(u), g) for u in sp.opens)
-            for f in sp.closed_sets
+            for f in closed_sets(sp)
             for g in sp.opens
             if is_subset(f, g)
         )
