@@ -31,21 +31,22 @@ def _read(path):
             return fh.read()
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise FormatError(f"cannot read {path}: not UTF-8 text (byte {e.start})") from None
 
 
-def _set_str(space, mask):
-    return "{" + " ".join(space.labels(mask)) + "}"
-
-
-def _labels_arg(space, text):
-    return space.mask(text.split())
+def _labels_arg(carrier, text):
+    return carrier.mask(text.split())
 
 
 def _numbers_arg(text, what):
     try:
-        return [float(v) for v in text.split(",")]
+        values = [float(v) for v in text.split(",")]
     except ValueError:
         raise FormatError(f"{what} must be comma-separated numbers") from None
+    if not all(map(math.isfinite, values)):
+        raise FormatError(f"{what} must be finite numbers")
+    return values
 
 
 def _emit(out, text):
@@ -94,11 +95,11 @@ def cmd_space(args, out):
         return 0
     rep = _Report(args.json)
     rep.add("points", list(space.points), "points: " + " ".join(space.points))
-    opens = sorted(space.opens, key=lambda m: (m.bit_count(), m))
+    opens = space.opens_by_size
     rep.add(
         "opens",
         [list(space.labels(u)) for u in opens],
-        "opens: " + " ".join(_set_str(space, u) for u in opens),
+        "opens: " + " ".join(map(space.set_str, opens)),
     )
     if space.n <= CLOSURE_TABLE_LIMIT:
         rows = []
@@ -106,14 +107,7 @@ def cmd_space(args, out):
             if m == 0:
                 continue
             r = spaces.closure_interior(space, m)
-            rows.append(
-                (
-                    _set_str(space, m),
-                    _set_str(space, r["closure"]),
-                    _set_str(space, r["interior"]),
-                    _set_str(space, r["boundary"]),
-                )
-            )
+            rows.append(tuple(map(space.set_str, (m, r["closure"], r["interior"], r["boundary"]))))
         rep.lines.append("")
         rep.table("subsets", ("set", "closure", "interior", "boundary"), rows)
     else:
@@ -140,7 +134,7 @@ def cmd_space(args, out):
     nbrows = []
     for p in space.points:
         base = spaces.open_neighborhoods(space, p)
-        nbrows.append((p, " ".join(_set_str(space, u) for u in base)))
+        nbrows.append((p, " ".join(map(space.set_str, base))))
     rep.table("neighborhood_bases", ("point", "open neighborhoods"), nbrows)
     rep.print(out)
     return 0
@@ -184,7 +178,7 @@ def cmd_map(args, out):
         if check.ok:
             _emit(out, "continuous: yes")
             return 0
-        _emit(out, f"continuous: no, witness open {_set_str(pm.target, check.witness_open)}")
+        _emit(out, f"continuous: no, witness open {pm.target.set_str(check.witness_open)}")
         return 1
     if construct.is_homeomorphism(pm):
         _emit(out, "homeomorphism: yes")
@@ -239,14 +233,14 @@ def cmd_locale(args, out):
         a = _labels_arg(space, args.seta)
         b = _labels_arg(space, args.setb)
         c = locales.heyting_implication(space, a, b)
-        rep.add("implication", list(space.labels(c)), f"implication: {_set_str(space, c)}")
+        rep.add("implication", list(space.labels(c)), f"implication: {space.set_str(c)}")
         neg = locales.heyting_negation(space, a)
-        rep.add("negation_of_first", list(space.labels(neg)), f"negation of first: {_set_str(space, neg)}")
+        rep.add("negation_of_first", list(space.labels(neg)), f"negation of first: {space.set_str(neg)}")
     elif args.what == "points":
         pts = locales.points_of_locale(space)
         rep.add("count", len(pts))
         rows = [
-            (i, " ".join(_set_str(space, u) for u in sorted(m.top_opens, key=lambda u: (u.bit_count(), u))))
+            (i, " ".join(map(space.set_str, filter(m.top_opens.__contains__, space.opens_by_size))))
             for i, m in enumerate(pts)
         ]
         rep.table("morphisms", ("index", "top-valued opens"), rows)
@@ -258,7 +252,7 @@ def cmd_locale(args, out):
         rep.add(
             "irreducible_closed",
             [list(space.labels(f)) for f in irr],
-            "irreducible closed: " + " ".join(_set_str(space, f) for f in irr),
+            "irreducible closed: " + " ".join(map(space.set_str, irr)),
         )
         rep.add("sober", sober)
     else:  # hofmann-mislove
@@ -268,7 +262,7 @@ def cmd_locale(args, out):
         rep.add("saturated_compact_count", len(hm.saturated_compacts))
         rep.add("bijection_holds", hm.bijection_holds)
         rows = [
-            (_set_str(space, f.kernel_open), _set_str(space, inter))
+            (space.set_str(f.kernel_open), space.set_str(inter))
             for f, inter in zip(hm.filters, hm.intersections)
         ]
         rep.table("correspondence", ("filter generator", "intersection"), rows)
@@ -285,28 +279,19 @@ def _load_pmetric(args):
     return pmetric.pmetric_from_matrix(labels, rows)
 
 
-def _point_set(points, text):
-    m = 0
-    for lab in text.split():
-        if lab not in points:
-            raise FormatError(f"unknown point {lab!r}")
-        m |= 1 << points.index(lab)
-    return m
-
-
 def cmd_metric(args, out):
     rep = _Report(args.json)
     if args.what == "hausdorff":
         sp = _load_pmetric(args)
-        c = _point_set(sp.points, args.seta)
-        d = _point_set(sp.points, args.setb)
+        c = _labels_arg(sp, args.seta)
+        d = _labels_arg(sp, args.setb)
         v = pmetric.hausdorff_distance(sp, c, d)
         rep.add("hausdorff", v, f"hausdorff: {v:.12g}")
     elif args.what == "quotient":
         sp = _load_pmetric(args)
         q, classes = pmetric.metric_quotient(sp)
         rep.add("classes", [list(sp.labels(c)) for c in classes],
-                "classes: " + " ".join(_set_str(sp, c) for c in classes))
+                "classes: " + " ".join(map(sp.set_str, classes)))
         rep.table(
             "distances",
             ("",) + q.points,
@@ -328,8 +313,8 @@ def cmd_metric(args, out):
         rep.add("squeeze_verified", True)
     else:  # ultrarank
         rs = formats.load_ranks(_read(args.infile))
-        a = _point_set(rs.points, args.seta)
-        b = _point_set(rs.points, args.setb)
+        a = _labels_arg(rs, args.seta)
+        b = _labels_arg(rs, args.setb)
         v = pmetric.ultrametric_from_rank(rs, a, b)
         rep.add("distance", v, f"distance: {v:.12g}")
     rep.print(out)

@@ -12,17 +12,17 @@ from .construct import EquivalenceRelation
 from .errors import FormatError
 from .logic import Theory, parse_formula
 from .pmetric import RankedSets, RelationChain
-from .spaces import ClosureTable, FiniteSpace, Preorder, SetFamily
+from .spaces import ClosureTable, FiniteSpace, Preorder, SetFamily, _label_bits, _mask_of
 
 
 def _records(text):
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        if ":" not in line:
+        key, colon, rest = line.partition(":")
+        if not colon:
             raise FormatError(f"line {lineno}: expected '<keyword>: ...', got {raw.strip()!r}")
-        key, rest = line.split(":", 1)
         yield lineno, key.strip(), rest.strip()
 
 
@@ -39,29 +39,21 @@ def _points_first(records, what):
     return pts
 
 
-def _mask(points, labels, lineno):
-    m = 0
-    for lab in labels:
-        if lab not in points:
-            raise FormatError(f"line {lineno}: unknown point {lab!r}")
-        m |= 1 << points.index(lab)
-    return m
-
-
 def load_space(text: str) -> FiniteSpace:
     records = _records(text)
     pts = _points_first(records, "space")
+    bit = _label_bits(pts)
     opens = {0, (1 << len(pts)) - 1}
     for lineno, key, rest in records:
         if key != "open":
             raise FormatError(f"line {lineno}: unexpected keyword {key!r} in space file")
-        opens.add(_mask(pts, rest.split(), lineno))
+        opens.add(_mask_of(bit, rest.split(), lineno))
     return FiniteSpace.from_opens(pts, opens)
 
 
 def dump_space(space: FiniteSpace) -> str:
     lines = ["points: " + " ".join(space.points)]
-    for u in sorted(space.opens, key=lambda m: (m.bit_count(), m)):
+    for u in space.opens_by_size:
         lines.append("open: " + " ".join(space.labels(u)))
     return "\n".join(lines) + "\n"
 
@@ -69,11 +61,12 @@ def dump_space(space: FiniteSpace) -> str:
 def load_family(text: str) -> SetFamily:
     records = _records(text)
     pts = _points_first(records, "family")
+    bit = _label_bits(pts)
     members = []
     for lineno, key, rest in records:
         if key != "member":
             raise FormatError(f"line {lineno}: unexpected keyword {key!r} in family file")
-        members.append(_mask(pts, rest.split(), lineno))
+        members.append(_mask_of(bit, rest.split(), lineno))
     return SetFamily(pts, tuple(members))
 
 
@@ -98,6 +91,7 @@ def load_closure_table(text: str) -> ClosureTable:
     records = _records(text)
     pts = _points_first(records, "closure table")
     n = len(pts)
+    bit = _label_bits(pts)
     table = [None] * (1 << n)
     for lineno, key, rest in records:
         if key != "cl":
@@ -105,7 +99,7 @@ def load_closure_table(text: str) -> ClosureTable:
         if "->" not in rest:
             raise FormatError(f"line {lineno}: 'cl:' wants '<subset> -> <closure>'")
         left, right = rest.split("->", 1)
-        table[_mask(pts, left.split(), lineno)] = _mask(pts, right.split(), lineno)
+        table[_mask_of(bit, left.split(), lineno)] = _mask_of(bit, right.split(), lineno)
     for m, v in enumerate(table):
         if v is None:
             miss = " ".join(pts[i] for i in bits(m)) or "(empty set)"
@@ -183,6 +177,7 @@ def load_chain(text: str) -> RelationChain:
     records = _records(text)
     pts = _points_first(records, "chain")
     n = len(pts)
+    bit = _label_bits(pts)
     relations = []
     current = None
     expect = 1
@@ -204,7 +199,7 @@ def load_chain(text: str) -> RelationChain:
             parts = rest.split()
             if len(parts) != 2:
                 raise FormatError(f"line {lineno}: 'pair:' wants exactly two labels")
-            a, b = (_mask(pts, [p], lineno) for p in parts)
+            a, b = (_mask_of(bit, [p], lineno) for p in parts)
             i, j = a.bit_length() - 1, b.bit_length() - 1
             current[i] |= 1 << j
             current[j] |= 1 << i

@@ -155,7 +155,7 @@ def hausdorff_distance_threshold(sp: PMetricSpace, c: int, d: int) -> float:
 
 def epsilon_net(sp: PMetricSpace, eps: float):
     """Greedy cover: first uncovered point (carrier order) becomes a center."""
-    if eps <= 0:
+    if not eps > 0:  # NaN too: its balls are empty
         raise ValidationError("net radius must be positive")
     covered = 0
     centers = []
@@ -358,7 +358,7 @@ def uniformity_from_partitions(points, partitions) -> PartitionUniformity:
 
 
 @dataclass(frozen=True)
-class RankedSets:
+class RankedSets(Carrier):
     points: tuple
     rank: tuple  # positive integer per point
 

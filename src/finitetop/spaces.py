@@ -27,15 +27,81 @@ def _check_labels(points, cap=True):
         raise FormatError(f"duplicate point label {dup!r}")
 
 
+def _label_bits(points):
+    """label -> bit of a carrier's labels; a repeated label keeps its first bit."""
+    return {p: 1 << i for i, p in reversed(tuple(enumerate(points)))}
+
+
+def _mask_of(bit, labels, lineno=None):
+    """Union of the labels' bits; an unknown label is a format error, with its line if given."""
+    m = 0
+    try:
+        for lab in labels:
+            m |= bit[lab]
+    except KeyError:
+        where = "" if lineno is None else f"line {lineno}: "
+        raise FormatError(f"{where}unknown point {lab!r}") from None
+    return m
+
+
 class Carrier:
-    """`full` and `labels` for a dataclass whose `points` tuple indexes the bits."""
+    """Masks <-> labels for a dataclass whose `points` tuple indexes the bits.
+
+    Every table is built on first use and kept on the instance: `labels`
+    reads one 256-entry table of label tuples per byte of the mask (a byte's
+    table is built when a mask first sets one of its bits), `set_str` builds
+    the `{a b}` string of a mask once, and `mask` and `index` read one
+    label -> bit dict.
+    """
 
     @property
     def full(self):
         return (1 << len(self.points)) - 1
 
+    @cached_property
+    def _byte_tables(self):
+        return [None] * ((len(self.points) + 7) // 8)
+
+    def _byte_table(self, k):
+        table = [()]
+        for p in self.points[8 * k:8 * k + 8]:
+            table += [t + (p,) for t in table]  # table[m | bit] = table[m] + (p,)
+        self._byte_tables[k] = table
+        return table
+
     def labels(self, mask):
-        return tuple(self.points[i] for i in bits(mask))
+        """The labels of the mask's points in carrier order; IndexError off the carrier."""
+        tables = self._byte_tables
+        out = ()
+        k = 0
+        while mask:
+            byte = mask & 255
+            if byte:
+                out += (tables[k] or self._byte_table(k))[byte]
+            mask >>= 8
+            k += 1
+        return out
+
+    @cached_property
+    def _set_strs(self):
+        return {}
+
+    def set_str(self, mask):
+        """The mask as `{a b}`, built once per mask and carrier."""
+        s = self._set_strs.get(mask)
+        if s is None:
+            s = self._set_strs[mask] = "{" + " ".join(self.labels(mask)) + "}"
+        return s
+
+    @cached_property
+    def _bits(self):
+        return _label_bits(self.points)
+
+    def index(self, label):
+        return self.mask((label,)).bit_length() - 1
+
+    def mask(self, labels):
+        return _mask_of(self._bits, labels)
 
 
 @dataclass(frozen=True)
@@ -167,12 +233,8 @@ class Preorder(Carrier):
 
     @cached_property
     def is_poset(self):
-        return all(
-            not (self.le(i, j) and self.le(j, i))
-            for i in range(self.n)
-            for j in range(self.n)
-            if i != j
-        )
+        """Antisymmetric iff no two rows are equal: i <= j <= i gives rel[i] == rel[j]."""
+        return len(set(self.rel)) == self.n
 
     @classmethod
     def from_pairs(cls, points, pairs):
@@ -254,19 +316,10 @@ class FiniteSpace(Preorder):
             opens |= {u | k for u in opens}
         return frozenset(opens)
 
-    # -- carrier helpers
-
-    def index(self, label):
-        try:
-            return self.points.index(label)
-        except ValueError:
-            raise FormatError(f"unknown point {label!r}") from None
-
-    def mask(self, labels):
-        m = 0
-        for lab in labels:
-            m |= 1 << self.index(lab)
-        return m
+    @cached_property
+    def opens_by_size(self):
+        """The opens smallest first, ties by mask: the order every listing uses."""
+        return tuple(sorted(sorted(self.opens), key=int.bit_count))
 
     # -- the basic operators
 
@@ -397,9 +450,7 @@ def topology_from_poset(order: Preorder) -> FiniteSpace:
 def open_neighborhoods(space: FiniteSpace, label) -> list:
     """All opens containing the point, smallest first; a base of its filter."""
     i = space.index(label)
-    return sorted(
-        (u for u in space.opens if u >> i & 1), key=lambda u: (u.bit_count(), u)
-    )
+    return [u for u in space.opens_by_size if u >> i & 1]
 
 
 def topology_from_neighborhoods(system: NeighborhoodSystem):

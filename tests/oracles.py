@@ -20,6 +20,11 @@ def _union(masks):
     return out
 
 
+def labels_by_bits(points, mask):
+    """The labels of the set bits, one bit at a time."""
+    return tuple(points[i] for i in bits(mask))
+
+
 def closed_sets(space):
     """Complements of the opens."""
     return frozenset(space.full & ~u for u in space.opens)
@@ -79,6 +84,13 @@ def separation_by_closed_sets(space):
     )
     t4 = all(mos[f] & mos[g] == 0 for f in closed for g in closed if f & g == 0)
     return t0, t1, t2, t3, t4
+
+
+def is_antisymmetric(order):
+    """No two distinct points lie below each other, over all pairs."""
+    return all(
+        not (order.le(i, j) and order.le(j, i)) for i in range(order.n) for j in range(order.n) if i != j
+    )
 
 
 def opens_from_kernels_by_subsets(n, kernels):

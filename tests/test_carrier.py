@@ -1,0 +1,136 @@
+"""Masks <-> labels on a carrier: the byte tables, the set strings and the
+label -> bit maps the loaders and the CLI share."""
+
+import random
+
+import pytest
+
+import finitetop as ft
+from finitetop import formats, spaces
+from finitetop.cli import main
+from finitetop.errors import FormatError
+
+from oracles import labels_by_bits
+
+
+def _set_str(points, mask):
+    return "{" + " ".join(labels_by_bits(points, mask)) + "}"
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_labels_and_set_strings_on_every_mask(n):
+    points = tuple(f"p{i}" if i % 3 else f"long{i}" for i in range(n))
+    sp = ft.discrete_space(points)
+    for m in range(1 << n):
+        got = sp.labels(m)
+        assert type(got) is tuple and got == labels_by_bits(points, m)
+        assert sp.set_str(m) == _set_str(points, m)
+
+
+@pytest.mark.parametrize("n", [17, 20, 90])
+def test_labels_on_wide_pmetric_carriers(n):
+    points = tuple(str(i + 1) for i in range(n))
+    sp = ft.pmetric_from_matrix(points, [[0.0] * n for _ in range(n)])
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    masks = [0, full, 1, 1 << n - 1, full & ~1, full >> 1]
+    masks += [1 << i for i in range(n)] + [0xFF << 8 * k & full for k in range(n // 8 + 1)]
+    masks += [rng.getrandbits(n) for _ in range(500)]
+    masks += [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) for _ in range(500)]
+    for m in masks:
+        assert sp.labels(m) == labels_by_bits(points, m)
+        assert sp.set_str(m) == _set_str(points, m)
+
+
+def test_masks_off_the_carrier_have_no_labels():
+    sp = ft.discrete_space(("a", "b", "c"))
+    wide = ft.pmetric_from_matrix([str(i) for i in range(12)], [[0.0] * 12 for _ in range(12)])
+    for carrier, m in ((sp, 8), (sp, 1 << 9), (sp, -1), (wide, 1 << 12), (wide, 1 << 30), (wide, -5)):
+        with pytest.raises(IndexError):
+            carrier.labels(m)
+
+
+def test_set_string_is_built_once_per_mask(divisors):
+    sp = ft.FiniteSpace(divisors.points, divisors.rel)
+    first = [sp.set_str(u) for u in sp.opens_by_size]
+    assert all(sp.set_str(u) is s for u, s in zip(sp.opens_by_size, first))
+    # kept on the instance: an equal space builds its own
+    other = ft.FiniteSpace(divisors.points, divisors.rel)
+    assert other == sp and other.set_str(sp.full) == first[-1]
+
+
+def test_mask_and_index_read_the_labels(divisors):
+    assert divisors.mask([]) == 0
+    assert divisors.mask(["6", "1", "6"]) == divisors.mask(["1", "6"]) == 0b1001
+    assert [divisors.index(p) for p in divisors.points] == [0, 1, 2, 3]
+    with pytest.raises(FormatError, match=r"^unknown point 'x'$"):
+        divisors.mask(["1", "x", "y"])
+    with pytest.raises(FormatError, match=r"^unknown point '5'$"):
+        divisors.index("5")
+
+
+def test_opens_by_size_is_the_listing_order(spaces_up_to_4):
+    for sp in spaces_up_to_4:
+        want = sorted(sp.opens, key=lambda u: (u.bit_count(), u))
+        assert list(sp.opens_by_size) == want
+        for i, p in enumerate(sp.points):
+            assert spaces.open_neighborhoods(sp, p) == [u for u in want if u >> i & 1]
+
+
+def test_dump_load_round_trip_on_discrete_12():
+    sp = ft.discrete_space(tuple(f"d{i}" for i in range(12)))
+    text = formats.dump_space(sp)
+    assert text.count("\nopen: ") == 1 << 12
+    back = formats.load_space(text)
+    assert back == sp and back.opens == sp.opens
+    assert formats.dump_space(back) == text
+
+
+# -- unknown labels: the messages of every reader ----------------------------------------
+
+
+def _run(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+UNKNOWN_IN_FILES = [
+    ("s.top", "points: a b c\nopen: a\nopen: a x\n", ["space", "report", "--in"], "line 3: unknown point 'x'"),
+    ("f.fam", "points: a b c\nmember: a b\nmember: x\n", ["check", "base", "--in"], "line 3: unknown point 'x'"),
+    ("c.clo", "points: a b\ncl: -> \ncl: a -> a y\n", ["check", "closure-op", "--in"], "line 3: unknown point 'y'"),
+    ("l.clo", "points: a b\ncl: q -> a\n", ["build", "from-closure", "--in"], "line 2: unknown point 'q'"),
+    ("c.chn", "points: a b c\nrelation 1:\npair: a q\n", ["check", "chain", "--in"], "line 3: unknown point 'q'"),
+    # a repeated label keeps its first bit, so {b} is the first entry missing
+    ("d.clo", "points: a b a\ncl: -> \ncl: a -> a\n", ["check", "closure-op", "--in"],
+     "closure table is missing the entry for {b}"),
+]
+
+
+@pytest.mark.parametrize("name, text, argv, msg", UNKNOWN_IN_FILES, ids=[u[0] for u in UNKNOWN_IN_FILES])
+def test_unknown_label_in_a_file(tmp_path, capsys, name, text, argv, msg):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = _run(capsys, argv + [str(path)])
+    assert (code, out, err) == (2, "", f"error: {msg}\n")
+
+
+def test_unknown_label_in_arguments_and_blocks(tmp_path, capsys):
+    top = tmp_path / "ok.top"
+    top.write_text("points: a b c\nopen: a\n")
+    eq = tmp_path / "e.eq"
+    eq.write_text("block: a b\nblock: c z\n")
+    csv = tmp_path / "m.csv"
+    csv.write_text("0,1,2\n1,0,1\n2,1,0\n")
+    ranks = tmp_path / "r.rnk"
+    ranks.write_text("rank: w1 1\nrank: w2 2\n")
+    cases = [
+        (["build", "quotient", "--in", str(top), "--classes", str(eq)], "z"),
+        (["build", "subspace", "--in", str(top), "--keep", "a w"], "w"),
+        (["locale", "implication", "--in", str(top), "--a", "a", "--b", "v"], "v"),
+        (["metric", "hausdorff", "--in", str(csv), "--a", "1 9", "--b", "2"], "9"),
+        (["metric", "hausdorff", "--in", str(csv), "--a", "1", "--b", "2 8"], "8"),
+        (["metric", "ultrarank", "--in", str(ranks), "--a", "w1", "--b", "w9"], "w9"),
+    ]
+    for argv, lab in cases:
+        assert _run(capsys, argv) == (2, "", f"error: unknown point {lab!r}\n")

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import math
+import signal
 
 import pytest
 
@@ -174,6 +176,14 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 2 and "cannot read" in err
 
 
+def test_non_utf8_file_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "latin.top"
+    bad.write_bytes(b"points: a b\nopen: \xff\n")
+    code, out, err = run(capsys, "space", "report", "--in", str(bad))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot read {bad}: not UTF-8 text (byte 18)\n"
+
+
 def test_bad_syntax_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.top"
     bad.write_text("points: a\nnonsense line\n")
@@ -207,6 +217,28 @@ def test_non_numeric_arguments_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "fixpoint", "--fn", "cos", "--x0", "inf"],
+        ["solve", "fixpoint", "--fn", "halve", "--x0", "0,nan"],
+        ["approx", "weierstrass", "--fn", "square", "--n", "8", "--grid", "nan,inf,0.5"],
+        ["approx", "weierstrass", "--fn", "square", "--n", "8", "--grid", "0.5,-inf"],
+        ["approx", "sqrt", "--n", "2", "--grid", "nan,0.5"],
+    ],
+)
+def test_non_finite_numbers_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    what = "x0" if "--x0" in argv else "grid"
+    assert (code, out, err) == (2, "", f"error: {what} must be finite numbers\n")
+
+
+def test_non_numeric_entry_keeps_its_message(capsys):
+    for v in ("a", "nan,a"):
+        code, out, err = run(capsys, "solve", "fixpoint", "--fn", "cos", "--x0", v)
+        assert (code, out, err) == (2, "", "error: x0 must be comma-separated numbers\n")
 
 
 @pytest.mark.parametrize(
@@ -368,6 +400,34 @@ def test_metric_commands(tmp_path, capsys):
     ranks.write_text("rank: w1 1\nrank: w2 2\n")
     code, out, _ = run(capsys, "metric", "ultrarank", "--in", str(ranks), "--a", "w1", "--b", "w2")
     assert code == 0 and "distance: 0.5" in out
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail instead of hanging: SIGALRM raises in the main thread after `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_net_radius_must_be_a_positive_number(tmp_path, capsys):
+    m = tmp_path / "line.csv"
+    m.write_text("0,1,2,3\n1,0,1,2\n2,1,0,1\n3,2,1,0\n")
+    base = ["metric", "net", "--in", str(m), "--eps"]
+    with time_limit(10):
+        for eps in ("nan", "0", "-1"):
+            code, out, err = run(capsys, *base, eps)
+            assert (code, out, err) == (1, "", "failed: net radius must be positive\n")
+        code, out, _ = run(capsys, *base, "inf")
+    assert code == 0 and out == "centers: 1\n"
 
 
 def test_solve_commands(tmp_path, capsys):

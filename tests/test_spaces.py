@@ -15,6 +15,7 @@ from oracles import (
     all_topologies_by_families,
     closed_sets,
     closure_axioms_hold,
+    is_antisymmetric,
     is_topology,
     opens_from_kernels_by_subsets,
     separation_by_closed_sets,
@@ -534,6 +535,13 @@ def test_specialization_examples(divisors):
 def test_is_poset_equals_t0(spaces_up_to_4):
     for sp in spaces_up_to_4:
         assert ft.specialization_order(sp).is_poset == ft.separation_profile(sp).t0
+
+
+def test_is_poset_matches_the_pairwise_definition(spaces_up_to_4, spaces_on_5):
+    # every preorder on up to 5 points is the kernel vector of one of these spaces
+    for sp in spaces_up_to_4 + spaces_on_5:
+        order = ft.specialization_order(sp)
+        assert order.is_poset == is_antisymmetric(order)
 
 
 def test_density(divisors):
