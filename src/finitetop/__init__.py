@@ -53,7 +53,6 @@ from .construct import (
     one_point_extension,
 )
 from .locales import (
-    TwoPointMorphism,
     OpenFilter,
     heyting_implication,
     heyting_negation,

@@ -240,7 +240,7 @@ def cmd_locale(args, out):
         pts = locales.points_of_locale(space)
         rep.add("count", len(pts))
         rows = [
-            (i, " ".join(map(space.set_str, filter(m.top_opens.__contains__, space.opens_by_size))))
+            (i, " ".join(map(space.set_str, filter(m.contains, space.opens_by_size))))
             for i, m in enumerate(pts)
         ]
         rep.table("morphisms", ("index", "top-valued opens"), rows)
@@ -261,10 +261,8 @@ def cmd_locale(args, out):
         rep.add("filter_count", len(hm.filters))
         rep.add("saturated_compact_count", len(hm.saturated_compacts))
         rep.add("bijection_holds", hm.bijection_holds)
-        rows = [
-            (space.set_str(f.kernel_open), space.set_str(inter))
-            for f, inter in zip(hm.filters, hm.intersections)
-        ]
+        # a filter's members intersect to its generator
+        rows = [(space.set_str(f.kernel_open),) * 2 for f in hm.filters]
         rep.table("correspondence", ("filter generator", "intersection"), rows)
     rep.print(out)
     return 0
@@ -396,18 +394,18 @@ def cmd_logic(args, out):
         )
     elif args.what == "algebra":
         alg = lindenbaum_algebra(theory)
-        rep.add("models", len(alg.models))
+        rep.add("models", alg.model_count)
         try:
             str(alg.size)
             rep.add("elements", alg.size)
         except ValueError:  # past the interpreter's limit on int-to-str digits
-            rep.add("elements", f"2^{len(alg.models)}")
+            rep.add("elements", f"2^{alg.model_count}")
     else:  # stone
         alg = lindenbaum_algebra(theory)
         st = stone_representation(alg)
-        rep.add("ultrafilters", len(st.ultrafilters))
-        rep.add("top_maps_to_all", st.image_of(alg.top) == frozenset(range(len(alg.models))))
-        rep.add("bot_maps_to_empty", st.image_of(alg.bot) == frozenset())
+        rep.add("ultrafilters", alg.model_count)
+        rep.add("top_maps_to_all", st.image_of(alg.top) == alg.top)
+        rep.add("bot_maps_to_empty", st.image_of(alg.bot) == 0)
     rep.print(out)
     return 0
 

@@ -9,7 +9,7 @@ in the test suite possible.
 
 from dataclasses import dataclass
 
-from .bitsets import bits, is_subset, subsets
+from .bitsets import bits, is_subset
 from .errors import FormatError, ValidationError
 from .spaces import Carrier, FiniteSpace, _check_labels
 
@@ -27,10 +27,6 @@ class PrincipalFilter(Carrier):
 
     def contains(self, mask: int) -> bool:
         return is_subset(self.kernel, mask)
-
-    def members(self):
-        """Every member set; exponential, meant for small-carrier checks."""
-        return [m for m in subsets(self.full) if self.contains(m)]
 
 
 def filter_from_base(points, base) -> PrincipalFilter:
@@ -95,6 +91,11 @@ def trace_filter(f: PrincipalFilter, mask: int) -> PrincipalFilter:
 
 
 def all_filters(points):
+    """Every filter on the carrier, one per nonempty kernel, ascending.
+
+    This is the enumeration the module docstring describes, and it is
+    linear in the number of filters it returns.
+    """
     full = (1 << len(points)) - 1
     return [PrincipalFilter(tuple(points), k) for k in range(1, full + 1)]
 

@@ -12,7 +12,15 @@ from .construct import EquivalenceRelation
 from .errors import FormatError
 from .logic import Theory, parse_formula
 from .pmetric import RankedSets, RelationChain
-from .spaces import ClosureTable, FiniteSpace, Preorder, SetFamily, _label_bits, _mask_of
+from .spaces import (
+    ClosureTable,
+    FiniteSpace,
+    Preorder,
+    SetFamily,
+    _label_bits,
+    _mask_of,
+    _transitive_closure,
+)
 
 
 def _records(text):
@@ -73,18 +81,17 @@ def load_family(text: str) -> SetFamily:
 def load_poset(text: str) -> Preorder:
     records = _records(text)
     pts = _points_first(records, "poset")
-    pairs = []
+    bit = _label_bits(pts)
+    rel = [1 << i for i in range(len(pts))]
     for lineno, key, rest in records:
         if key != "le":
             raise FormatError(f"line {lineno}: unexpected keyword {key!r} in poset file")
         parts = rest.split()
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: 'le:' wants exactly two labels")
-        pairs.append((parts[0], parts[1]))
-    try:
-        return Preorder.from_pairs(pts, pairs)
-    except FormatError as e:
-        raise FormatError(str(e)) from None
+        a, b = (_mask_of(bit, [p], lineno) for p in parts)
+        rel[a.bit_length() - 1] |= b
+    return Preorder(pts, _transitive_closure(rel))
 
 
 def load_closure_table(text: str) -> ClosureTable:

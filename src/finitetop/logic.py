@@ -3,16 +3,17 @@
 Formulas are kept over negation and conjunction only; the other
 connectives are desugared at construction time. With at most 16 variables
 every semantic question is settled by the full truth table, held like a
-subset as a 2^k-bit int (bit m is the value at the m-th valuation), and
-the algebra of a theory T canonicalizes a formula class as the vector of
-its truth values over the models of T, so class identity is bitmask
-equality and the algebra's ultrafilters are the single-model atoms.
+subset as a 2^k-bit int (bit m is the value at the m-th valuation). The
+Lindenbaum algebra of a theory T is T's model truth table: the class of a
+formula is its table ANDed with it, so class identity is bitmask equality
+and the algebra's ultrafilters are the single-model atoms, one per set bit.
 """
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
-from .bitsets import bits
+from .bitsets import bits, subsets
 from .errors import FormatError, ValidationError
 
 MAX_VARS = 16
@@ -318,21 +319,36 @@ class Theory:
         """Valuations in lexicographic order with bot < top on each variable."""
         yield from map(self._valuation, range(1 << len(self.vars)))
 
-    def truth_table(self):
-        """The AND of the formulas' truth tables: bit m is set iff valuation m is a model.
-
-        Bit m of a truth table is the formula's value at the m-th valuation,
-        so variable i's column repeats 2^(k-1-i) zeros then as many ones.
-        """
+    @cached_property
+    def _columns(self):
+        """Variable -> its truth table: variable i repeats 2^(k-1-i) zeros then as many ones."""
         k = len(self.vars)
         full = (1 << (1 << k)) - 1
         columns = {}
         for i, name in enumerate(self.vars):
             h = 1 << (k - 1 - i)
             columns[name] = full // ((1 << 2 * h) - 1) * (((1 << h) - 1) << h)
-        table = full
-        for f in self.formulas:
-            table &= _fold(f, columns.__getitem__, full)
+        return columns
+
+    def table_of(self, formula) -> int:
+        """The formula's truth table: bit m is its value at the m-th valuation.
+
+        A variable outside the theory's universe is a format error.
+        """
+        columns = self._columns
+
+        def column(name):
+            if name not in columns:
+                raise FormatError(f"formula uses undeclared variable {name!r}")
+            return columns[name]
+
+        return _fold(formula, column, (1 << (1 << len(self.vars))) - 1)
+
+    def truth_table(self):
+        """The table of the conjunction of the formulas: bit m is set iff valuation m is a model."""
+        table = self.table_of(TOP)
+        for f in self.formulas:  # one fold per formula keeps few 2^k-bit tables alive
+            table &= self.table_of(f)
         return table
 
     def models(self):
@@ -347,31 +363,32 @@ def is_consistent(theory: Theory) -> bool:
 
 def equivalence_mod_theory(theory: Theory, a, b) -> bool:
     """Same truth value at every model of the theory."""
-    return all(evaluate(a, v) == evaluate(b, v) for v in theory.models())
+    return (theory.table_of(a) ^ theory.table_of(b)) & theory.truth_table() == 0
 
 
 @dataclass(frozen=True)
 class LindenbaumAlgebra:
-    """Boolean algebra of formula classes, as bit vectors over the models."""
+    """Boolean algebra of formula classes, as submasks of the model truth table.
+
+    Bit m of `top` is set iff the m-th valuation is a model, and the class
+    of a formula is its truth table restricted to those bits.
+    """
 
     theory: Theory
-    models: tuple
-
-    @property
-    def size(self):
-        return 1 << len(self.models)
-
-    @property
-    def top(self):
-        return (1 << len(self.models)) - 1
+    top: int
 
     bot = 0
 
+    @property
+    def model_count(self):
+        return self.top.bit_count()
+
+    @property
+    def size(self):
+        return 1 << self.model_count
+
     def class_of(self, formula) -> int:
-        extra = variables_of(formula) - set(self.theory.vars)
-        if extra:
-            raise FormatError(f"formula uses undeclared variable {sorted(extra)[0]!r}")
-        return sum(1 << i for i, v in enumerate(self.models) if evaluate(formula, v))
+        return self.theory.table_of(formula) & self.top
 
     def meet(self, a, b):
         return a & b
@@ -383,19 +400,17 @@ class LindenbaumAlgebra:
         return self.top & ~a
 
     def atoms(self):
-        return [1 << i for i in range(len(self.models))]
+        return [1 << m for m in bits(self.top)]
 
     def elements(self):
-        if len(self.models) > MAX_VARS:
-            raise ValidationError("algebra too large to enumerate")
-        return range(self.size)
+        return subsets(self.top)
 
 
 def lindenbaum_algebra(theory: Theory) -> LindenbaumAlgebra:
-    models = tuple(theory.models())
-    if not models:
+    top = theory.truth_table()
+    if not top:
         raise ValidationError("inconsistent theory: the algebra degenerates to top = bot")
-    return LindenbaumAlgebra(theory, models)
+    return LindenbaumAlgebra(theory, top)
 
 
 @dataclass(frozen=True)
@@ -414,25 +429,28 @@ class UltrafilterModel:
 def model_from_ultrafilter(theory: Theory) -> UltrafilterModel:
     """Model read off a principal ultrafilter of the theory's algebra.
 
-    The atoms of the finite algebra are the single-model vectors, so an
-    ultrafilter amounts to choosing one model; the tie-break is the
-    lexicographically first satisfying valuation (bot before top). Truth in
-    the model agrees with membership of the class in the ultrafilter.
+    The atoms of the finite algebra are the single-model bits, so an
+    ultrafilter amounts to choosing one model; the tie-break is the lowest
+    set bit, the lexicographically first satisfying valuation (bot before
+    top). Truth in the model agrees with membership of the class in the
+    ultrafilter.
     """
     algebra = lindenbaum_algebra(theory)
-    valuation = algebra.models[0]
-    atom = 1
-    return UltrafilterModel(valuation, atom, algebra)
+    atom = algebra.top & -algebra.top
+    return UltrafilterModel(theory._valuation(atom.bit_length() - 1), atom, algebra)
 
 
 @dataclass(frozen=True)
 class StoneReport:
     algebra: LindenbaumAlgebra
-    ultrafilters: tuple  # the atoms
 
-    def image_of(self, element: int) -> frozenset:
-        """Indices of the ultrafilters containing the element."""
-        return frozenset(bits(element))
+    def image_of(self, element: int) -> int:
+        """The ultrafilters containing the element, as a mask.
+
+        Bit m stands for the ultrafilter of the atom 1 << m, which contains
+        the element iff bit m of the element is set.
+        """
+        return element
 
 
 def stone_representation(algebra: LindenbaumAlgebra) -> StoneReport:
@@ -442,4 +460,4 @@ def stone_representation(algebra: LindenbaumAlgebra) -> StoneReport:
     and a |-> {ultrafilters containing a} is an isomorphism onto the power
     set of the atom set.
     """
-    return StoneReport(algebra, tuple(algebra.atoms()))
+    return StoneReport(algebra)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, ne
 
-from .bitsets import bits, subsets
+from .bitsets import bits
 from .construct import block_labels
 from .errors import FormatError, ValidationError
 from .spaces import Carrier, FiniteSpace, SetFamily, _check_labels, generate_topology
@@ -138,19 +138,6 @@ def hausdorff_distance(sp: PMetricSpace, c: int, d: int) -> float:
     ab = max(min(sp.dist[i][j] for j in bits(d)) for i in bits(c))
     ba = max(min(sp.dist[j][i] for i in bits(c)) for j in bits(d))
     return max(ab, ba)
-
-
-def hausdorff_distance_threshold(sp: PMetricSpace, c: int, d: int) -> float:
-    """Infimum form, scanned over the threshold radii; equals the max form."""
-    if c == 0 or d == 0:
-        raise ValidationError("Hausdorff distance needs nonempty sets")
-    candidates = sorted({v for row in sp.dist for v in row})
-    for r in candidates:
-        c_in = all(min(sp.dist[i][j] for j in bits(d)) <= r for i in bits(c))
-        d_in = all(min(sp.dist[j][i] for i in bits(c)) <= r for j in bits(d))
-        if c_in and d_in:
-            return r
-    raise AssertionError("unreachable: the diameter always works")
 
 
 def epsilon_net(sp: PMetricSpace, eps: float):
@@ -495,12 +482,3 @@ def pagerank(matrix: StochasticMatrix, tol=1e-9, max_iter=200, start=None):
         [older, p] if older is not None else [p],
     )
 
-
-def stationary_by_squaring(matrix: StochasticMatrix, spread=1e-12, max_squarings=48):
-    """Independent oracle: square the matrix until all rows agree."""
-    M = matrix.array()
-    for _ in range(max_squarings):
-        M = M @ M
-        if float((M.max(axis=0) - M.min(axis=0)).max()) <= spread:
-            return M.mean(axis=0)
-    raise NonConvergence("repeated squaring did not level the rows", [M[0]])

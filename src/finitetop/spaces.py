@@ -166,17 +166,6 @@ class ClosureTable(Carrier):
     def from_function(cls, points, fn):
         return cls(tuple(points), tuple(fn(a) for a in range(1 << len(points))))
 
-    @classmethod
-    def down_sets(cls, order):
-        """Closure operator of a preorder: A |-> all points below A."""
-        down = [0] * len(order.points)
-        for i in range(len(order.points)):
-            for j in range(len(order.points)):
-                if order.rel[i] >> j & 1:  # i <= j, so i is below j
-                    down[j] |= 1 << i
-        return cls.from_function(
-            order.points, lambda a: 0 if a == 0 else _union(down[i] | (1 << i) for i in bits(a))
-        )
 
 
 def _union(masks):
@@ -462,12 +451,6 @@ def topology_from_neighborhoods(system: NeighborhoodSystem):
     """
     kernels = _transitive_closure(system.kernels)
     return FiniteSpace(system.points, kernels), kernels == system.kernels
-
-
-def _min_open_superset(space, mask):
-    # Union of the point kernels: the smallest open containing the set.
-    ker = space.min_nbhd
-    return _union(ker[i] for i in bits(mask))
 
 
 def separation_profile(space: FiniteSpace) -> SeparationProfile:

@@ -1,16 +1,18 @@
 """Definitional oracles for the derivations in `finitetop`.
 
 Each function follows a textbook definition by sweeping subsets, pairs of
-opens, families of opens, valuations or triples of points, and shares no
-shortcut with the library code it is compared against: none of them reads
-`min_nbhd` or a truth table. They are exponential and meant for carriers
-of up to 5 points and theories of up to 16 variables.
+opens, families of opens, valuations, radii or triples of points, and
+shares no shortcut with the library code it is compared against: none of
+them reads `min_nbhd` or a truth table. They are exponential and meant for
+carriers of up to 5 points and theories of up to 16 variables.
 """
 
 from itertools import combinations, product
 
 from finitetop.bitsets import bits, is_subset, subsets
 from finitetop.logic import And, Const, Not, Var
+from finitetop.pmetric import NonConvergence
+from finitetop.spaces import ClosureTable
 
 
 def _union(masks):
@@ -100,6 +102,15 @@ def opens_from_kernels_by_subsets(n, kernels):
     )
 
 
+def down_set_table(order):
+    """Closure table of a preorder: A |-> all points below some point of A."""
+    n = order.n
+    return ClosureTable.from_function(
+        order.points,
+        lambda a: sum(1 << i for i in range(n) if any(order.le(i, j) for j in bits(a))),
+    )
+
+
 def closure_axioms_hold(table):
     """The Kuratowski axioms, additivity checked on every pair of subsets."""
     t, full = table.table, table.full
@@ -138,6 +149,11 @@ def final_opens_by_subsets(points, factors):
 
 
 # -- filters -------------------------------------------------------------------
+
+
+def principal_members(f):
+    """Every member set of a principal filter, ascending."""
+    return [m for m in subsets(f.full) if is_subset(f.kernel, m)]
 
 
 def decides_every_set(f):
@@ -222,17 +238,32 @@ def heyting_by_opens(space, a, b):
     return _union(u for u in space.opens if is_subset(u & a, b))
 
 
+def filter_members(open_filter):
+    """Every open containing the filter's generator, ascending."""
+    return sorted(u for u in open_filter.space.opens if is_subset(open_filter.kernel_open, u))
+
+
 def filter_intersection(open_filter):
     """Intersection of every member of an open filter."""
     out = open_filter.space.full
-    for u in open_filter.members():
+    for u in filter_members(open_filter):
         out &= u
     return out
 
 
+def saturated_sets(space):
+    """Nonempty sets equal to the intersection of the opens containing them, ascending."""
+    return [m for m in range(1, space.full + 1) if smallest_open_superset(space, m) == m]
+
+
+def hofmann_mislove_bijection(space, report):
+    """The filters' intersections are distinct and are exactly the nonempty saturated sets."""
+    return sorted(filter_intersection(f) for f in report.filters) == saturated_sets(space)
+
+
 def hofmann_mislove_mirrors(report):
     """Containment of filters (as families) mirrors reverse inclusion of their intersections."""
-    members = [set(f.members()) for f in report.filters]
+    members = [set(filter_members(f)) for f in report.filters]
     inters = [filter_intersection(f) for f in report.filters]
     return all(
         (members[i] <= members[j]) == is_subset(inters[j], inters[i])
@@ -335,3 +366,23 @@ def first_violation(dist, eps):
         if dist[i][j] > dist[i][k] + dist[k][j] + eps:
             return "triangle inequality fails", (i, j, k)
     return None
+
+
+def hausdorff_distance_threshold(sp, c, d):
+    """Infimum form, scanned over the threshold radii; equals the max form."""
+    for r in sorted({v for row in sp.dist for v in row}):
+        c_in = all(min(sp.dist[i][j] for j in bits(d)) <= r for i in bits(c))
+        d_in = all(min(sp.dist[j][i] for i in bits(c)) <= r for j in bits(d))
+        if c_in and d_in:
+            return r
+    raise AssertionError("unreachable: the diameter always works")
+
+
+def stationary_by_squaring(matrix, spread=1e-12, max_squarings=48):
+    """Square the matrix until all rows agree; any row is then the stationary distribution."""
+    M = matrix.array()
+    for _ in range(max_squarings):
+        M = M @ M
+        if float((M.max(axis=0) - M.min(axis=0)).max()) <= spread:
+            return M.mean(axis=0)
+    raise NonConvergence("repeated squaring did not level the rows", [M[0]])

@@ -6,7 +6,7 @@ import finitetop as ft
 from finitetop.bitsets import bits, is_subset, subsets
 from finitetop.errors import ValidationError
 
-from oracles import decides_every_set
+from oracles import decides_every_set, principal_members
 
 
 def limits_oracle(space, f):
@@ -25,7 +25,7 @@ def limits_oracle(space, f):
 
 def accumulation_oracle(space, f):
     out = space.full
-    for m in f.members():
+    for m in principal_members(f):
         out &= space.closure(m)
     return out
 

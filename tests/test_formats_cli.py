@@ -55,6 +55,116 @@ WEB5 = """\
 0, 1/3, 1/3, 1/3, 0
 """
 
+# Exact reports on the divisors of 6 and on the theory `p | q`, `~p`: a
+# change to how the library represents a report's objects leaves these as they are.
+
+GOLDEN_LOCALE_POINTS_TEXT = """\
+count: 4
+index  top-valued opens
+0      {6} {2 6} {3 6} {2 3 6} {1 2 3 6}
+1      {2 6} {2 3 6} {1 2 3 6}
+2      {3 6} {2 3 6} {1 2 3 6}
+3      {1 2 3 6}
+phi_injective: True
+phi_surjective: True
+"""
+
+GOLDEN_LOCALE_POINTS_JSON = """\
+{
+  "count": 4,
+  "morphisms": [
+    {
+      "index": 0,
+      "top-valued opens": "{6} {2 6} {3 6} {2 3 6} {1 2 3 6}"
+    },
+    {
+      "index": 1,
+      "top-valued opens": "{2 6} {2 3 6} {1 2 3 6}"
+    },
+    {
+      "index": 2,
+      "top-valued opens": "{3 6} {2 3 6} {1 2 3 6}"
+    },
+    {
+      "index": 3,
+      "top-valued opens": "{1 2 3 6}"
+    }
+  ],
+  "phi_injective": true,
+  "phi_surjective": true
+}
+"""
+
+GOLDEN_LOCALE_HM_TEXT = """\
+sober: True
+filter_count: 5
+saturated_compact_count: 5
+bijection_holds: True
+filter generator  intersection
+{6}               {6}
+{2 6}             {2 6}
+{3 6}             {3 6}
+{2 3 6}           {2 3 6}
+{1 2 3 6}         {1 2 3 6}
+"""
+
+GOLDEN_LOCALE_HM_JSON = """\
+{
+  "bijection_holds": true,
+  "correspondence": [
+    {
+      "filter generator": "{6}",
+      "intersection": "{6}"
+    },
+    {
+      "filter generator": "{2 6}",
+      "intersection": "{2 6}"
+    },
+    {
+      "filter generator": "{3 6}",
+      "intersection": "{3 6}"
+    },
+    {
+      "filter generator": "{2 3 6}",
+      "intersection": "{2 3 6}"
+    },
+    {
+      "filter generator": "{1 2 3 6}",
+      "intersection": "{1 2 3 6}"
+    }
+  ],
+  "filter_count": 5,
+  "saturated_compact_count": 5,
+  "sober": true
+}
+"""
+
+GOLDEN_LOGIC_STONE_TEXT = """\
+ultrafilters: 1
+top_maps_to_all: True
+bot_maps_to_empty: True
+"""
+
+GOLDEN_LOGIC_STONE_JSON = """\
+{
+  "bot_maps_to_empty": true,
+  "top_maps_to_all": true,
+  "ultrafilters": 1
+}
+"""
+
+GOLDEN_LOGIC_ALGEBRA_TEXT = """\
+models: 1
+elements: 2
+"""
+
+GOLDEN_LOGIC_ALGEBRA_JSON = """\
+{
+  "elements": 2,
+  "models": 1
+}
+"""
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -85,6 +195,12 @@ def test_load_poset_closure_and_antisymmetry():
     assert order.le(0, 3)  # 1 <= 6 through transitive closure
     loop = formats.load_poset("points: a b\nle: a b\nle: b a\n")
     assert not loop.is_poset
+
+
+def test_unknown_poset_label_names_its_line(tmp_path, capsys):
+    pos = tmp_path / "bad.pos"
+    pos.write_text("points: a b\nle: a x\n")
+    assert run(capsys, "build", "from-poset", "--in", str(pos)) == (2, "", "error: line 2: unknown point 'x'\n")
 
 
 def test_load_closure_table_requires_all_entries():
@@ -372,6 +488,34 @@ def test_locale_commands(div6_file, capsys):
     assert code == 0 and data["bijection_holds"] and data["filter_count"] == 5
     code, out, _ = run(capsys, "locale", "implication", "--in", div6_file, "--a", "2 6", "--b", "3 6")
     assert code == 0 and "implication: {3 6}" in out
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("locale", "points"), GOLDEN_LOCALE_POINTS_TEXT),
+        (("locale", "points", "--json"), GOLDEN_LOCALE_POINTS_JSON),
+        (("locale", "hofmann-mislove"), GOLDEN_LOCALE_HM_TEXT),
+        (("locale", "hofmann-mislove", "--json"), GOLDEN_LOCALE_HM_JSON),
+    ],
+)
+def test_locale_reports_are_golden(div6_file, capsys, argv, want):
+    assert run(capsys, *argv[:2], "--in", div6_file, *argv[2:]) == (0, want, "")
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("logic", "stone"), GOLDEN_LOGIC_STONE_TEXT),
+        (("logic", "stone", "--json"), GOLDEN_LOGIC_STONE_JSON),
+        (("logic", "algebra"), GOLDEN_LOGIC_ALGEBRA_TEXT),
+        (("logic", "algebra", "--json"), GOLDEN_LOGIC_ALGEBRA_JSON),
+    ],
+)
+def test_logic_reports_are_golden(tmp_path, capsys, argv, want):
+    thy = tmp_path / "t.thy"
+    thy.write_text("p | q\n~p\n")
+    assert run(capsys, *argv[:2], "--in", str(thy), *argv[2:]) == (0, want, "")
 
 
 def test_metric_commands(tmp_path, capsys):

@@ -5,13 +5,14 @@ import pytest
 import finitetop as ft
 from finitetop.bitsets import bits, is_subset, subsets
 from finitetop.errors import ValidationError
-from finitetop.locales import compactness_filter
 
 from conftest import space_of
 from oracles import (
     closed_sets,
     filter_intersection,
+    filter_members,
     heyting_by_opens,
+    hofmann_mislove_bijection,
     hofmann_mislove_mirrors,
     is_completely_prime_filter,
     is_irreducible_nary,
@@ -19,6 +20,7 @@ from oracles import (
     preserves_directed_sups,
     preserves_lattice_structure,
     scott_opens_by_directed,
+    smallest_open_superset,
 )
 
 
@@ -133,11 +135,13 @@ def test_points_match_brute_force(small_spaces, spaces_up_to_4, five_point_sampl
     for sp in small_spaces:
         if len(sp.opens) > 8:
             continue
-        got = {m.top_opens for m in ft.points_of_locale(sp)}
+        got = {frozenset(filter_members(m)) for m in ft.points_of_locale(sp)}
         assert got == set(brute_force_points(sp))
     for sp in spaces_up_to_4 + five_point_sample:
-        got = [m.top_opens for m in ft.points_of_locale(sp)]
+        pts = ft.points_of_locale(sp)
+        got = [frozenset(filter_members(m)) for m in pts]
         assert got == locale_points_by_join_irreducibles(sp)
+        assert got == [frozenset(filter(m.contains, sp.opens)) for m in pts]
         for fam in got:
             assert preserves_lattice_structure(sp, fam)
             assert is_completely_prime_filter(sp, fam)
@@ -155,7 +159,7 @@ def test_phi_injective_iff_t0(spaces_up_to_4, five_point_sample):
     for sp in spaces_up_to_4 + five_point_sample:
         phi = ft.phi_map(sp)
         assert phi.injective == ft.separation_profile(sp).t0
-        images = [m.top_opens for m in phi.assignment]
+        images = [frozenset(filter_members(m)) for m in phi.assignment]
         for i, fam in enumerate(images):
             assert fam == frozenset(u for u in sp.opens if u >> i & 1)
             assert preserves_lattice_structure(sp, fam)
@@ -266,17 +270,18 @@ def test_hofmann_mislove_counts(divisors):
 def test_hofmann_mislove_matches_filter_oracles(spaces_up_to_4, five_point_sample):
     for sp in spaces_up_to_4 + five_point_sample:
         hm = ft.hofmann_mislove_report(sp)
-        assert list(hm.intersections) == [filter_intersection(f) for f in hm.filters]
+        assert [f.kernel_open for f in hm.filters] == [filter_intersection(f) for f in hm.filters]
         assert hofmann_mislove_mirrors(hm)
+        assert hofmann_mislove_bijection(sp, hm)
         assert hm.bijection_holds
 
 
 def test_compactness_filter_is_a_filter(small_spaces):
     for sp in small_spaces:
         for m in subsets(sp.full):
-            h = compactness_filter(sp, m)
-            mem = h.members()
-            assert all(is_subset(m, u) for u in mem)
+            h = ft.OpenFilter(sp, smallest_open_superset(sp, m))
+            mem = filter_members(h)
+            assert mem == sorted(u for u in sp.opens if is_subset(m, u))
             for u in mem:
                 for v in mem:
                     assert u & v in mem
@@ -293,7 +298,7 @@ def test_open_filters_are_inaccessible_by_directed_joins(small_spaces):
             continue
         hm = ft.hofmann_mislove_report(sp)
         for f in hm.filters:
-            mem = set(f.members())
+            mem = set(filter_members(f))
             for pick in subsets((1 << len(ops)) - 1):
                 fam = [ops[i] for i in bits(pick)]
                 if not fam:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import oracles
 import pytest
@@ -132,6 +133,15 @@ def test_variable_universe_enforced():
         ft.Theory.of([ft.parse_formula("p")], vars=("q",))
     with pytest.raises(ValidationError):
         ft.Theory.of([], vars=tuple(f"v{i}" for i in range(17)))
+
+
+def test_undeclared_variable_is_refused_by_every_table():
+    theory = ft.Theory.of([], vars=("p",))
+    q = ft.parse_formula("q")
+    with pytest.raises(FormatError, match="undeclared variable 'q'"):
+        ft.equivalence_mod_theory(theory, q, BOT)
+    with pytest.raises(FormatError, match="undeclared variable 'q'"):
+        ft.lindenbaum_algebra(theory).class_of(q)
 
 
 # -- the algebra -------------------------------------------------------------------
@@ -302,9 +312,9 @@ def test_models_match_valuation_sweep_on_16_variables():
 def test_stone_extremes():
     alg = ft.lindenbaum_algebra(ft.Theory.of([], vars=("p",)))
     st_rep = ft.stone_representation(alg)
-    assert len(st_rep.ultrafilters) == 2
-    assert st_rep.image_of(alg.top) == frozenset(range(2))
-    assert st_rep.image_of(alg.bot) == frozenset()
+    assert alg.atoms() == [0b01, 0b10]
+    assert st_rep.image_of(alg.top) == sum(alg.atoms())
+    assert st_rep.image_of(alg.bot) == 0
 
 
 def test_stone_is_injective_homomorphism():
@@ -314,11 +324,27 @@ def test_stone_is_injective_homomorphism():
         images = {}
         for a in alg.elements():
             images[a] = rep.image_of(a)
+            # the ultrafilter of an atom u contains a iff u lies below a
+            assert images[a] == sum(u for u in alg.atoms() if alg.meet(u, a) == u)
         assert len(set(images.values())) == alg.size  # injective
         for a in alg.elements():
             for b in alg.elements():
                 assert rep.image_of(alg.meet(a, b)) == images[a] & images[b]
                 assert rep.image_of(alg.join(a, b)) == images[a] | images[b]
-            assert rep.image_of(alg.complement(a)) == frozenset(
-                range(len(alg.models))
-            ) - images[a]
+            assert rep.image_of(alg.complement(a)) == sum(alg.atoms()) - images[a]
+
+
+def test_stone_and_model_on_the_16_variable_tautology_stay_small():
+    theory = ft.Theory.of([ft.parse_formula(" | ".join(f"x{i}" for i in range(16)))])
+    tracemalloc.start()
+    try:
+        alg = ft.lindenbaum_algebra(theory)
+        rep = ft.stone_representation(alg)
+        assert rep.image_of(alg.top) == alg.top and alg.model_count == 65535
+        model = ft.model_from_ultrafilter(theory)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    # the first model in valuation order sets only the last sorted variable
+    assert theory.vars[-1] == "x9" and model.valuation == frozenset({"x9"})

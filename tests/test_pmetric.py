@@ -11,12 +11,9 @@ from hypothesis import strategies as st
 import finitetop as ft
 from finitetop.bitsets import bits, subsets
 from finitetop.errors import ValidationError
-from finitetop.pmetric import (
-    NonConvergence,
-    hausdorff_distance_threshold,
-    open_ball,
-    stationary_by_squaring,
-)
+from finitetop.pmetric import NonConvergence, open_ball
+
+from oracles import hausdorff_distance_threshold, stationary_by_squaring
 
 
 def plane_metric(points_xy, labels=None):

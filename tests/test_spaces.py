@@ -8,17 +8,18 @@ from hypothesis import strategies as st
 import finitetop as ft
 from finitetop.bitsets import bits, is_subset, subsets
 from finitetop.errors import FormatError, ValidationError
-from finitetop.spaces import _min_open_superset
 
 from conftest import space_of
 from oracles import (
     all_topologies_by_families,
     closed_sets,
     closure_axioms_hold,
+    down_set_table,
     is_antisymmetric,
     is_topology,
     opens_from_kernels_by_subsets,
     separation_by_closed_sets,
+    smallest_open_superset,
 )
 
 
@@ -266,6 +267,10 @@ def test_closure_interior_match_oracles(small_spaces):
             assert sp.interior(m) == interior_oracle(sp, m)
             # duality
             assert sp.interior(m) == sp.full & ~sp.closure(sp.full & ~m)
+            # every open containing m contains x iff the closure of x meets m
+            mos = smallest_open_superset(sp, m)
+            assert mos in sp.opens
+            assert mos == sum(1 << x for x in range(sp.n) if sp.closure(1 << x) & m)
 
 
 # -- Kuratowski closure tables ---------------------------------------------------
@@ -273,7 +278,7 @@ def test_closure_interior_match_oracles(small_spaces):
 
 def test_downset_table_gives_divisors_topology(divisors):
     order = ft.specialization_order(divisors)
-    table = ft.ClosureTable.down_sets(order)
+    table = down_set_table(order)
     table.validate()
     assert ft.topology_from_closure(table).opens == divisors.opens
 
@@ -549,15 +554,3 @@ def test_density(divisors):
     assert ft.is_dense(divisors, divisors.full)
     assert not ft.is_dense(divisors, divisors.mask(["1"]))
 
-
-# -- minimal open superset helper used by separation -------------------------------------
-
-
-def test_min_open_superset_is_really_minimal(small_spaces):
-    for sp in small_spaces:
-        for m in subsets(sp.full):
-            mos = _min_open_superset(sp, m)
-            assert mos in sp.opens and is_subset(m, mos)
-            for u in sp.opens:
-                if is_subset(m, u):
-                    assert is_subset(mos, u)
