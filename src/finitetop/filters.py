@@ -47,6 +47,9 @@ def is_ultrafilter(f: PrincipalFilter) -> bool:
 
 def ultrafilter_at(points, label) -> PrincipalFilter:
     points = tuple(points)
+    # a bare label tuple: a membership test costs less than a label -> bit map per call
+    if label not in points:
+        raise FormatError(f"unknown point {label!r}")
     return PrincipalFilter(points, 1 << points.index(label))
 
 

@@ -143,14 +143,14 @@ def load_equivalence(text: str, space: FiniteSpace) -> EquivalenceRelation:
 
 
 def _cell(text: str) -> float:
-    """A matrix entry as the nearest float: the grammar of `Fraction(text)`.
+    """A matrix entry as the nearest float, in the grammar of the `fractions` module.
 
     A decimal goes through `float` and `p/q` through integer true division;
-    both round once, so the value is `float(Fraction(text))`. The checks on
-    the digits around the slash refuse what `int` would take and `Fraction`
-    does not: a sign on q, or spaces next to the slash. Adding 0.0 reads -0
-    as 0, as `Fraction` does (a negative value that underflows, which
-    `Fraction` rounds to -0.0, reads as 0 too).
+    both round once, so the value is the exact rational rounded to a float.
+    The checks on the digits around the slash refuse what `int` would take
+    and the rational parser does not: a sign on q, or spaces next to the
+    slash. Adding 0.0 reads -0 as 0, as the exact rational does (a negative
+    value that underflows, which the rational rounds to -0.0, reads as 0 too).
     """
     p, slash, q = text.partition("/")
     if slash:

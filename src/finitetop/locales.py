@@ -12,7 +12,7 @@ oracles and are not rerun here.
 from dataclasses import dataclass
 
 from .bitsets import bits
-from .errors import ValidationError
+from .errors import FormatError, ValidationError
 from .spaces import FiniteSpace, Preorder, separation_profile, topology_from_poset
 
 
@@ -84,7 +84,10 @@ def is_scott_continuous(p: Preorder, q: Preorder, assignment) -> bool:
 
     On finite posets the three coincide, so monotonicity decides.
     """
-    f = [q.points.index(assignment[pt]) for pt in p.points]
+    try:
+        f = [q.index(assignment[pt]) for pt in p.points]
+    except KeyError as e:
+        raise FormatError(f"map is not total, missing {e.args[0]!r}") from None
     return all(q.le(f[i], f[j]) for i in range(p.n) for j in bits(p.rel[i]))
 
 

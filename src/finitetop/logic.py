@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bitsets import bits, subsets
+from .bitsets import subsets
 from .errors import FormatError, ValidationError
 
 MAX_VARS = 16
@@ -398,9 +398,6 @@ class LindenbaumAlgebra:
 
     def complement(self, a):
         return self.top & ~a
-
-    def atoms(self):
-        return [1 << m for m in bits(self.top)]
 
     def elements(self):
         return subsets(self.top)

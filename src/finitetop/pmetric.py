@@ -1,19 +1,27 @@
 """Pseudometric spaces on finite point sets, plus the iterative solvers.
 
-Distances are floats except in the chain construction, where exact dyadic
-arithmetic (fractions) keeps the squeeze property decidable without
-floating-point slack.
+Distances are floats except in the chain construction, whose path lengths
+are whole multiples of 2^-(k+1) for a chain of depth k: they are summed as
+ints in those units and divided once, so every distance is exact.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, ne
 
 from .bitsets import bits
 from .construct import block_labels
 from .errors import FormatError, ValidationError
-from .spaces import Carrier, FiniteSpace, SetFamily, _check_labels, generate_topology
+from .spaces import (
+    Carrier,
+    FiniteSpace,
+    SetFamily,
+    _check_labels,
+    _label_bits,
+    _mask_of,
+    _union,
+    generate_topology,
+)
 
 _EPS = 1e-9
 
@@ -58,15 +66,10 @@ class PMetricSpace(Carrier):
 
     @property
     def is_metric(self):
-        return all(
-            self.dist[i][j] > 0
-            for i in range(self.n)
-            for j in range(self.n)
-            if i != j
-        )
+        return all(v > 0 for i, row in enumerate(self.dist) for j, v in enumerate(row) if i != j)
 
     def d(self, a, b):
-        return self.dist[self.points.index(a)][self.points.index(b)]
+        return self.dist[self.index(a)][self.index(b)]
 
 
 def pmetric_from_matrix(points, matrix) -> PMetricSpace:
@@ -94,40 +97,45 @@ def topology_from_pmetric(sp: PMetricSpace) -> FiniteSpace:
 
 
 def metric_quotient(sp: PMetricSpace):
-    """Collapse distance-zero classes; the induced distance is a metric."""
-    n = sp.n
-    assigned = [-1] * n
-    blocks = []
-    for i in range(n):
-        if assigned[i] >= 0:
-            continue
-        cls = [j for j in range(n) if sp.dist[i][j] == 0.0]
-        for j in cls:
-            assigned[j] = len(blocks)
-        blocks.append(cls)
-    classes = tuple(sum(1 << j for j in cls) for cls in blocks)
+    """Collapse the distance-zero classes; the induced distance is a metric.
+
+    Row i of `zero` is the mask of the points at distance zero from i. The
+    relation is reflexive and symmetric, so it is an equivalence iff the
+    rows of related points are equal, and then the classes are the distinct
+    rows, listed by lowest point. Distance zero need not be transitive: the
+    triangle test allows a slack of 1e-9, so the witness names x, y, z with
+    d(x, y) = d(y, z) = 0 < d(x, z).
+    """
+    zero = [sum(1 << j for j, v in enumerate(row) if v == 0.0) for row in sp.dist]
+    for x, row in enumerate(zero):
+        for y in bits(row):
+            if zero[y] & ~row:  # unequal rows show this way round for some pair
+                z = next(bits(zero[y] & ~row))
+                raise ValidationError(
+                    "distance zero is not transitive",
+                    {"x": sp.points[x], "y": sp.points[y], "z": sp.points[z]},
+                )
+    classes = tuple(dict.fromkeys(zero))
     labels = block_labels(sp, classes)
-    reps = [cls[0] for cls in blocks]
-    dmat = [[sp.dist[a][b] for b in reps] for a in reps]
-    # well-definedness across representatives
-    for bi, ci in enumerate(blocks):
-        for bj, cj in enumerate(blocks):
+    members = [tuple(bits(c)) for c in classes]
+    dmat = [[sp.dist[a[0]][b[0]] for b in members] for a in members]
+    # the slack lets two classes' members lie up to 2e-9 further apart than their lowest points
+    for ci, drow in zip(members, dmat):
+        for cj, v in zip(members, drow):
             for a in ci:
                 for b in cj:
-                    if abs(sp.dist[a][b] - dmat[bi][bj]) > _EPS:
+                    if abs(sp.dist[a][b] - v) > _EPS:
                         raise ValidationError(
                             "quotient distance is not well defined",
                             {"x": sp.points[a], "y": sp.points[b]},
                         )
-    out = PMetricSpace(labels, tuple(tuple(r) for r in dmat))
-    assert out.is_metric
-    return out, classes
+    return PMetricSpace(labels, tuple(map(tuple, dmat))), classes
 
 
 def dist_to_set(sp: PMetricSpace, label, mask: int) -> float:
     if mask == 0:
         raise ValidationError("distance to the empty set is undefined")
-    i = sp.points.index(label)
+    i = sp.index(label)
     return min(sp.dist[i][j] for j in bits(mask))
 
 
@@ -157,14 +165,8 @@ def epsilon_net(sp: PMetricSpace, eps: float):
 # relation chains and partition uniformities
 
 
-def _compose(rel_a, rel_b, n):
-    out = [0] * n
-    for i in range(n):
-        acc = 0
-        for j in bits(rel_a[i]):
-            acc |= rel_b[j]
-        out[i] = acc
-    return tuple(out)
+def _compose(rel_a, rel_b):
+    return tuple(_union(rel_b[j] for j in bits(row)) for row in rel_a)
 
 
 @dataclass(frozen=True)
@@ -181,8 +183,7 @@ class RelationChain:
         )
         _check_labels(self.points, cap=False)
         n = len(self.points)
-        full_rel = tuple((1 << n) - 1 for _ in range(n))
-        prev = full_rel
+        prev = ((1 << n) - 1,) * n
         for level, rel in enumerate(self.relations, start=1):
             if len(rel) != n:
                 raise FormatError(f"relation {level} must have one row per point")
@@ -198,7 +199,7 @@ class RelationChain:
                             "chain relation is not symmetric",
                             {"level": level, "x": self.points[i], "y": self.points[j]},
                         )
-            triple = _compose(_compose(rel, rel, n), rel, n)
+            triple = _compose(_compose(rel, rel), rel)
             for i in range(n):
                 if triple[i] & ~prev[i]:
                     j = next(bits(triple[i] & ~prev[i]))
@@ -220,8 +221,7 @@ class RelationChain:
 @dataclass(frozen=True)
 class ChainMetric:
     space: PMetricSpace
-    exact: tuple  # Fractions, same shape as space.dist
-    weights: tuple
+    units: tuple  # int distance rows, in units of 2^-(depth+1)
 
 
 def pseudometric_from_chain(chain: RelationChain) -> ChainMetric:
@@ -231,72 +231,50 @@ def pseudometric_from_chain(chain: RelationChain) -> ChainMetric:
     2^-(m+1); pairs related at every level get weight 0 when the finest
     relation is transitive (it is then an equivalence relation, and its
     classes are the distance-zero classes), and 2^-(k+1) otherwise, which
-    amounts to continuing the chain with the identity relation. Path sums
-    are exact dyadics, and the squeeze V_n <= {d < 2^-n} <= V_{n-1} holds
-    at every level.
+    amounts to continuing the chain with the identity relation. With k the
+    depth, every weight and path sum is a whole number of units 2^-(k+1),
+    so the shortest paths run on ints and each distance is divided once.
+    The squeeze V_n <= {d < 2^-n} <= V_{n-1} then holds at every level; it
+    is a theorem, checked by a test oracle and not rerun here.
     """
-    n = chain.n
-    k = chain.depth
-    if n == 0:
-        return ChainMetric(PMetricSpace((), ()), (), ())
-    last = chain.relations[-1] if k else tuple((1 << n) - 1 for _ in range(n))
-    last_transitive = all(
-        _compose(last, last, n)[i] & ~last[i] == 0 for i in range(n)
-    )
-    weights = [[Fraction(0)] * n for _ in range(n)]
+    n, k = chain.n, chain.depth
+    last = chain.relations[-1] if k else ((1 << n) - 1,) * n
+    # a reflexive symmetric relation is transitive iff related rows are equal
+    last_transitive = all(last[j] == row for row in last for j in bits(row))
+    units = []
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            level = 0
-            for m, rel in enumerate(chain.relations, start=1):
-                if rel[i] >> j & 1:
-                    level = m
-                else:
-                    break
-            if level == k and last_transitive and (k == 0 or last[i] >> j & 1):
-                weights[i][j] = Fraction(0)
-            else:
-                weights[i][j] = Fraction(1, 2 ** (level + 1))
-    dist = [row[:] for row in weights]
-    for m in range(n):
-        for i in range(n):
-            dim = dist[i][m]
-            row_m = dist[m]
-            row_i = dist[i]
-            for j in range(n):
-                via = dim + row_m[j]
-                if via < row_i[j]:
-                    row_i[j] = via
-    exact = tuple(tuple(row) for row in dist)
-    space = PMetricSpace(chain.points, tuple(tuple(float(v) for v in row) for row in dist))
-    _verify_squeeze(chain, exact)
-    return ChainMetric(space, exact, tuple(tuple(row) for row in weights))
-
-
-def _verify_squeeze(chain, exact):
-    for level, rel in enumerate(chain.relations, start=1):
-        bound = Fraction(1, 2**level)
-        prev = chain.relations[level - 2] if level >= 2 else None
-        for i in range(chain.n):
-            for j in range(chain.n):
-                if rel[i] >> j & 1 and not exact[i][j] < bound:
-                    raise AssertionError("squeeze lower inclusion failed")
-                if exact[i][j] < bound and prev is not None and not prev[i] >> j & 1:
-                    raise AssertionError("squeeze upper inclusion failed")
+        row = [1 << k] * n  # unrelated at level 1
+        for m, rel in enumerate(chain.relations, start=1):  # V_m lies inside V_(m-1)
+            for j in bits(rel[i]):
+                row[j] = 1 << (k - m)
+        for j in bits(last[i] if last_transitive else 1 << i):
+            row[j] = 0
+        units.append(row)
+    for m, row_m in enumerate(units):
+        for i, row_i in enumerate(units):
+            dim = row_i[m]
+            units[i] = [v if v <= dim + w else dim + w for v, w in zip(row_i, row_m)]
+    scale = 1 << (k + 1)
+    space = PMetricSpace(chain.points, tuple(tuple(v / scale for v in row) for row in units))
+    return ChainMetric(space, tuple(map(tuple, units)))
 
 
 @dataclass(frozen=True)
 class PartitionUniformity:
     points: tuple
     relations: tuple  # one symmetric relation per partition
-    report: dict
 
 
 def uniformity_from_partitions(points, partitions) -> PartitionUniformity:
-    """Block-square relations of finite partitions; a base for a uniformity."""
+    """Block-square relations of finite partitions; a base for a uniformity.
+
+    Each relation is reflexive, symmetric and equal to its own square, and
+    the common refinement of two partitions gives a relation inside both,
+    for every valid list of partitions; test oracles check those axioms.
+    """
     points = tuple(points)
     _check_labels(points)
+    bit = _label_bits(points)
     n = len(points)
     rels = []
     for blocks in partitions:
@@ -305,43 +283,20 @@ def uniformity_from_partitions(points, partitions) -> PartitionUniformity:
         for block in blocks:
             m = 0
             for lab in block:
-                i = points.index(lab)
-                if seen >> i & 1:
+                b = _mask_of(bit, (lab,))
+                if seen & b:
                     raise ValidationError("partition blocks overlap", {"x": lab})
-                seen |= 1 << i
-                m |= 1 << i
+                seen |= b
+                m |= b
             if m == 0:
                 raise ValidationError("empty partition block")
             for i in bits(m):
-                rel[i] |= m
+                rel[i] = m
         if seen != (1 << n) - 1:
             missing = next(i for i in range(n) if not seen >> i & 1)
             raise ValidationError("partition does not cover the carrier", {"x": points[missing]})
         rels.append(tuple(rel))
-    report = {
-        "diagonal": all(rel[i] >> i & 1 for rel in rels for i in range(n)),
-        "symmetric": all(
-            (rel[i] >> j & 1) == (rel[j] >> i & 1)
-            for rel in rels
-            for i in range(n)
-            for j in range(n)
-        ),
-        "compose_within": all(
-            _compose(rel, rel, n)[i] & ~rel[i] == 0 for rel in rels for i in range(n)
-        ),
-        "refinement": True,
-    }
-    for ra in rels:
-        for rb in rels:
-            # blocks of the common refinement are the nonempty pairwise
-            # block intersections; its relation must fall inside both
-            refined = tuple(ra[i] & rb[i] for i in range(n))
-            for i in range(n):
-                if refined[i] & ~ra[i] or refined[i] & ~rb[i]:
-                    report["refinement"] = False
-                if _compose(refined, refined, n)[i] & ~refined[i]:
-                    report["refinement"] = False  # not block-square
-    return PartitionUniformity(points, tuple(rels), report)
+    return PartitionUniformity(points, tuple(rels))
 
 
 @dataclass(frozen=True)

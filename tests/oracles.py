@@ -3,10 +3,12 @@
 Each function follows a textbook definition by sweeping subsets, pairs of
 opens, families of opens, valuations, radii or triples of points, and
 shares no shortcut with the library code it is compared against: none of
-them reads `min_nbhd` or a truth table. They are exponential and meant for
+them reads `min_nbhd` or a truth table, apart from `atoms_of`, which lists
+the set bits of an algebra's top. They are exponential and meant for
 carriers of up to 5 points and theories of up to 16 variables.
 """
 
+from fractions import Fraction
 from itertools import combinations, product
 
 from finitetop.bitsets import bits, is_subset, subsets
@@ -343,6 +345,11 @@ def models(theory):
     return out
 
 
+def atoms_of(algebra):
+    """The atoms of a Lindenbaum algebra, one single-model bit per model."""
+    return [1 << m for m in bits(algebra.top)]
+
+
 # -- pmetric -------------------------------------------------------------------
 
 
@@ -366,6 +373,78 @@ def first_violation(dist, eps):
         if dist[i][j] > dist[i][k] + dist[k][j] + eps:
             return "triangle inequality fails", (i, j, k)
     return None
+
+
+def chain_distances_by_fractions(chain):
+    """The chain pseudometric in exact dyadics, pair by pair, then shortest paths.
+
+    A pair related at levels 1..m but not at m + 1 weighs 2^-(m+1); a pair
+    related at every level weighs 0 when the finest relation is transitive
+    (tested on triples) and 2^-(k+1) otherwise.
+    """
+    n, k, rels = chain.n, chain.depth, chain.relations
+
+    def related(m, i, j):
+        return bool(rels[m - 1][i] >> j & 1)
+
+    last_transitive = k == 0 or all(
+        related(k, i, l) for i, j, l in product(range(n), repeat=3) if related(k, i, j) and related(k, j, l)
+    )
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in product(range(n), repeat=2):
+        level = 0
+        while level < k and related(level + 1, i, j):
+            level += 1
+        if i != j and not (level == k and last_transitive):
+            d[i][j] = Fraction(1, 2 ** (level + 1))
+    for m, i, j in product(range(n), repeat=3):
+        d[i][j] = min(d[i][j], d[i][m] + d[m][j])
+    return tuple(map(tuple, d))
+
+
+def squeeze_violation(chain, units):
+    """The first failed squeeze V_m <= {d < 2^-m} <= V_(m-1), as (level, i, j, side), or None.
+
+    `units` are the distances in units of 2^-(depth+1), so the bound 2^-m
+    is 2^(depth+1-m) units.
+    """
+    for level, rel in enumerate(chain.relations, start=1):
+        bound = 1 << (chain.depth + 1 - level)
+        for i, j in product(range(chain.n), repeat=2):
+            if rel[i] >> j & 1 and not units[i][j] < bound:
+                return level, i, j, "lower"
+            if level >= 2 and units[i][j] < bound and not chain.relations[level - 2][i] >> j & 1:
+                return level, i, j, "upper"
+    return None
+
+
+def uniformity_axioms(uni):
+    """The four axioms of a base of entourages, pair by pair and triple by triple.
+
+    Every relation holds the diagonal, is symmetric and contains its own
+    square; the common refinement of any two (their intersection) lies in
+    both and is transitive, so it is the block-square of a partition too.
+    """
+    n = len(uni.points)
+    pairs = list(product(range(n), repeat=2))
+    triples = list(product(range(n), repeat=3))
+
+    def has(rel, i, j):
+        return bool(rel[i] >> j & 1)
+
+    def transitive(rel):
+        return all(has(rel, i, l) for i, j, l in triples if has(rel, i, j) and has(rel, j, l))
+
+    refined = [tuple(a & b for a, b in zip(ra, rb)) for ra in uni.relations for rb in uni.relations]
+    return {
+        "diagonal": all(has(rel, i, i) for rel in uni.relations for i in range(n)),
+        "symmetric": all(has(rel, i, j) == has(rel, j, i) for rel in uni.relations for i, j in pairs),
+        "compose_within": all(transitive(rel) for rel in uni.relations),
+        "refinement": all(
+            transitive(r) and all(not has(r, i, j) or has(ra, i, j) and has(rb, i, j) for i, j in pairs)
+            for r, (ra, rb) in zip(refined, product(uni.relations, repeat=2))
+        ),
+    }
 
 
 def hausdorff_distance_threshold(sp, c, d):

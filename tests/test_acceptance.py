@@ -20,7 +20,13 @@ from finitetop.cli import main
 from finitetop.construct import product_label
 from finitetop.logic import And, Not, TOP, BOT, Var, biconditional, disjunction, implication
 
-from oracles import hausdorff_distance_threshold, stationary_by_squaring
+from oracles import (
+    atoms_of,
+    chain_distances_by_fractions,
+    hausdorff_distance_threshold,
+    squeeze_violation,
+    stationary_by_squaring,
+)
 
 
 @contextmanager
@@ -243,13 +249,17 @@ def test_criterion_6_pseudometric_suite():
         for _ in range(200):
             chain = _random_chain(rng)
             result = ft.pseudometric_from_chain(chain)
+            assert squeeze_violation(chain, result.units) is None
+            scale = 1 << (chain.depth + 1)
+            exact = tuple(tuple(Fraction(v, scale) for v in row) for row in result.units)
+            assert exact == chain_distances_by_fractions(chain)
             for level, rel in enumerate(chain.relations, start=1):
                 bound = Fraction(1, 2**level)
                 for i in range(chain.n):
                     for j in range(chain.n):
                         if rel[i] >> j & 1:
-                            assert result.exact[i][j] < bound
-                        if result.exact[i][j] < bound and level >= 2:
+                            assert exact[i][j] < bound
+                        if exact[i][j] < bound and level >= 2:
                             assert chain.relations[level - 2][i] >> j & 1
         # metric quotient well-definedness and metric-ness
         for _ in range(50):
@@ -336,4 +346,4 @@ def test_criterion_8_logic():
                 for b in alg.elements():
                     assert rep.image_of(alg.meet(a, b)) == rep.image_of(a) & rep.image_of(b)
                     assert rep.image_of(alg.join(a, b)) == rep.image_of(a) | rep.image_of(b)
-                assert rep.image_of(alg.complement(a)) == sum(alg.atoms()) - rep.image_of(a)
+                assert rep.image_of(alg.complement(a)) == sum(atoms_of(alg)) - rep.image_of(a)

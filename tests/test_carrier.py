@@ -134,3 +134,25 @@ def test_unknown_label_in_arguments_and_blocks(tmp_path, capsys):
     ]
     for argv, lab in cases:
         assert _run(capsys, argv) == (2, "", f"error: unknown point {lab!r}\n")
+
+
+_AB = ("a", "b")
+_CHAIN2 = ft.Preorder(_AB, (0b11, 0b10))
+_PM2 = ft.pmetric_from_matrix(_AB, [[0, 1], [1, 0]])
+UNKNOWN_IN_CALLS = [
+    ("ultrafilter_at", lambda: ft.ultrafilter_at(_AB, "z"), "unknown point 'z'"),
+    ("dist_to_set", lambda: ft.dist_to_set(_PM2, "z", 1), "unknown point 'z'"),
+    ("PMetricSpace.d", lambda: _PM2.d("a", "z"), "unknown point 'z'"),
+    ("uniformity_from_partitions", lambda: ft.uniformity_from_partitions(_AB, [[["a", "z"]]]), "unknown point 'z'"),
+    ("is_scott_continuous", lambda: ft.is_scott_continuous(_CHAIN2, _CHAIN2, {"a": "z", "b": "b"}),
+     "unknown point 'z'"),
+    ("is_scott_continuous-partial", lambda: ft.is_scott_continuous(_CHAIN2, _CHAIN2, {"a": "a"}),
+     "map is not total, missing 'b'"),
+]
+
+
+@pytest.mark.parametrize("call, msg", [u[1:] for u in UNKNOWN_IN_CALLS], ids=[u[0] for u in UNKNOWN_IN_CALLS])
+def test_unknown_label_in_a_library_call(call, msg):
+    with pytest.raises(FormatError) as err:
+        call()
+    assert str(err.value) == msg

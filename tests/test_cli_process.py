@@ -32,6 +32,27 @@ def test_space_report_leaves_numpy_unloaded(tmp_path):
     assert proc.stdout.splitlines()[-1] == "False 0"
 
 
+def test_cli_import_leaves_fractions_unloaded(tmp_path):
+    # exact distances are ints, so no module needs `fractions` (nor the
+    # `decimal` and `numbers` modules it loads)
+    code = "import sys\nimport finitetop.cli\nprint(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))\n"
+    proc = fresh(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_quotient_of_a_nontransitive_zero_exits_1(tmp_path):
+    # a valid pseudometric (1e-10 is inside the triangle test's slack) whose
+    # distance-zero relation is not transitive: 1 ~ 2 ~ 3 but d(1, 3) > 0
+    (tmp_path / "eps.csv").write_text("0,0,1e-10\n0,0,0\n1e-10,0,0\n")
+    proc = fresh(["-m", "finitetop.cli", "check", "pmetric", "--in", "eps.csv"], tmp_path)
+    assert (proc.returncode, proc.stdout) == (0, "pseudometric: ok, metric: False\n"), proc.stderr
+    proc = fresh(["-m", "finitetop.cli", "metric", "quotient", "--in", "eps.csv"], tmp_path)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("failed: distance zero is not transitive")
+
+
 def test_solvers_in_a_fresh_interpreter(tmp_path):
     proc = fresh(["-m", "finitetop.cli", "solve", "fixpoint", "--fn", "cos", "--x0", "1"], tmp_path)
     assert proc.returncode == 0 and proc.stdout.startswith("x: 0.739085"), proc.stderr

@@ -503,6 +503,22 @@ def test_locale_reports_are_golden(div6_file, capsys, argv, want):
     assert run(capsys, *argv[:2], "--in", div6_file, *argv[2:]) == (0, want, "")
 
 
+def test_locale_point_rows_are_the_opens_above_each_kernel(spaces_up_to_4, tmp_path, capsys):
+    """Row i lists, smallest first, the opens containing the i-th distinct kernel."""
+    path = tmp_path / "s.top"
+    for sp in spaces_up_to_4[1:]:  # a space file needs a point
+        path.write_text(formats.dump_space(sp))
+        code, out, _ = run(capsys, "locale", "points", "--in", str(path), "--json")
+        listing = sorted(sp.opens, key=lambda u: (u.bit_count(), u))
+        want = [
+            " ".join("{" + " ".join(sp.labels(u)) + "}" for u in listing if g & ~u == 0)
+            for g in sorted(set(sp.min_nbhd))
+        ]
+        rows = json.loads(out)["morphisms"]
+        assert code == 0 and [r["top-valued opens"] for r in rows] == want
+        assert [r["index"] for r in rows] == list(range(len(want)))
+
+
 @pytest.mark.parametrize(
     "argv, want",
     [

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import oracles
 import pytest
@@ -10,10 +10,16 @@ from hypothesis import strategies as st
 
 import finitetop as ft
 from finitetop.bitsets import bits, subsets
-from finitetop.errors import ValidationError
+from finitetop.errors import FormatError, ValidationError
 from finitetop.pmetric import NonConvergence, open_ball
 
-from oracles import hausdorff_distance_threshold, stationary_by_squaring
+from oracles import (
+    chain_distances_by_fractions,
+    hausdorff_distance_threshold,
+    squeeze_violation,
+    stationary_by_squaring,
+    uniformity_axioms,
+)
 
 
 def plane_metric(points_xy, labels=None):
@@ -188,6 +194,67 @@ def test_metric_quotient_is_metric(sp):
     assert q.is_metric
 
 
+def test_metric_quotient_refuses_a_nontransitive_zero():
+    # valid: the triangle test allows 1e-9 of slack, so d(1,3) = 1e-10 passes
+    sp = ft.pmetric_from_matrix(("1", "2", "3"), [[0, 0, 1e-10], [0, 0, 0], [1e-10, 0, 0]])
+    with pytest.raises(ValidationError) as err:
+        ft.metric_quotient(sp)
+    assert str(err.value) == "distance zero is not transitive"
+    assert err.value.witness == {"x": "1", "y": "2", "z": "3"}
+    # the witness is ordered so that d(x, y) = d(y, z) = 0 < d(x, z)
+    sp = ft.pmetric_from_matrix(("a", "b", "c"), [[0, 1e-10, 0], [1e-10, 0, 0], [0, 0, 0]])
+    with pytest.raises(ValidationError) as err:
+        ft.metric_quotient(sp)
+    w = err.value.witness
+    assert sp.d(w["x"], w["y"]) == sp.d(w["y"], w["z"]) == 0 < sp.d(w["x"], w["z"])
+
+
+def test_metric_quotient_moves_no_distance_between_classes():
+    # classes {a, b} and {c, d}; with 1e-9 of slack per triangle, d(b, d)
+    # can exceed d(a, c) by 1.6e-9, more than the slack
+    e = 0.8e-9
+    sp = ft.pmetric_from_matrix(
+        ("a", "b", "c", "d"),
+        [[0, 0, 1, 1 + e], [0, 0, 1 + e, 1 + 2 * e], [1, 1 + e, 0, 0], [1 + e, 1 + 2 * e, 0, 0]],
+    )
+    with pytest.raises(ValidationError) as err:
+        ft.metric_quotient(sp)
+    assert str(err.value) == "quotient distance is not well defined"
+    assert err.value.witness == {"x": "b", "y": "d"}
+
+
+def test_metric_quotient_classes_are_the_zero_rows():
+    """On 3000 small matrices with many zeros: the classes partition the points,
+    each class's members are at distance zero from each other and from no one
+    else, classes are listed by lowest point, and the quotient is a metric."""
+    rng = random.Random(77)
+    quotients = 0
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        d = [[0.0] * n for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            d[i][j] = d[j][i] = rng.choice((0.0, 0.0, 1.0, 2.0, 1e-10))
+        try:
+            sp = ft.pmetric_from_matrix(tuple(f"p{i}" for i in range(n)), d)
+        except ValidationError:
+            continue
+        try:
+            q, classes = ft.metric_quotient(sp)
+        except ValidationError as e:
+            w = e.witness
+            assert str(e) == "distance zero is not transitive"
+            assert sp.d(w["x"], w["y"]) == sp.d(w["y"], w["z"]) == 0 < sp.d(w["x"], w["z"])
+            continue
+        quotients += 1
+        assert sum(classes) == sp.full and len(set(classes)) == len(classes)
+        assert [c & -c for c in classes] == sorted(c & -c for c in classes)
+        for c in classes:
+            for i in bits(c):
+                assert {j for j in range(n) if d[i][j] == 0.0} == set(bits(c))
+        assert q.is_metric and q.n == len(classes)
+    assert quotients > 1000
+
+
 # -- point-to-set distance ---------------------------------------------------------------
 
 
@@ -335,6 +402,12 @@ def test_chain_nontransitive_level_keeps_points_apart():
     assert res.space.is_metric
 
 
+def exact(res, chain):
+    """The chain metric's int distances as exact dyadics."""
+    scale = 1 << (chain.depth + 1)
+    return tuple(tuple(Fraction(v, scale) for v in row) for row in res.units)
+
+
 def test_chain_squeeze_on_adversarial_path():
     # a 6-point path at the finest level whose closure escapes level 1
     n = 6
@@ -343,8 +416,10 @@ def test_chain_squeeze_on_adversarial_path():
         sum(1 << j for j in range(n) if abs(i - j) <= 3) for i in range(n)
     )
     chain = ft.RelationChain(tuple("123456"), (v1, v2))
-    res = ft.pseudometric_from_chain(chain)  # internal squeeze check must pass
-    assert res.exact[0][5] >= Fraction(1, 4)  # pair (1,6) must stay out of level 1
+    res = ft.pseudometric_from_chain(chain)
+    assert squeeze_violation(chain, res.units) is None
+    assert exact(res, chain)[0][5] >= Fraction(1, 4)  # pair (1,6) must stay out of level 1
+    assert exact(res, chain) == chain_distances_by_fractions(chain)
 
 
 def test_chain_squeeze_on_200_random_chains():
@@ -352,15 +427,60 @@ def test_chain_squeeze_on_200_random_chains():
     for _ in range(200):
         chain = random_chain(rng)
         res = ft.pseudometric_from_chain(chain)
+        assert squeeze_violation(chain, res.units) is None
+        ex = exact(res, chain)
+        assert ex == chain_distances_by_fractions(chain)
+        assert res.space.dist == tuple(tuple(map(float, row)) for row in ex)
         # the squeeze again, spelled out against the exact distances
         for level, rel in enumerate(chain.relations, start=1):
             bound = Fraction(1, 2**level)
             for i in range(chain.n):
                 for j in range(chain.n):
                     if rel[i] >> j & 1:
-                        assert res.exact[i][j] < bound
-                    if res.exact[i][j] < bound and level >= 2:
+                        assert ex[i][j] < bound
+                    if ex[i][j] < bound and level >= 2:
                         assert chain.relations[level - 2][i] >> j & 1
+
+
+def symmetric_relations(n):
+    """Every reflexive symmetric relation on n points, as row masks."""
+    pairs = list(combinations(range(n), 2))
+    return [sym_pairs(n, [p for b, p in enumerate(pairs) if pick >> b & 1]) for pick in range(1 << len(pairs))]
+
+
+def valid_chains(n, depth):
+    labels = tuple("abcd"[:n])
+    out = []
+    for rels in product(symmetric_relations(n), repeat=depth):
+        try:
+            out.append(ft.RelationChain(labels, rels))
+        except ValidationError:
+            pass
+    return out
+
+
+def test_chain_squeeze_on_every_small_chain():
+    """Every valid chain of depth at most 2 on up to 4 points, and of depth 3 on 3."""
+    count = 0
+    for n, depth in [(n, d) for n in range(5) for d in range(3)] + [(3, 3)]:
+        for chain in valid_chains(n, depth):
+            res = ft.pseudometric_from_chain(chain)
+            assert squeeze_violation(chain, res.units) is None, chain
+            assert exact(res, chain) == chain_distances_by_fractions(chain)
+            count += 1
+    assert count > 500
+
+
+def test_squeeze_oracle_sees_a_broken_distance():
+    chain = ft.RelationChain(("a", "b", "c"), (sym_pairs(3, [(0, 1)]),))
+    units = [list(row) for row in ft.pseudometric_from_chain(chain).units]
+    assert units[0][1] == 0 and units[0][2] == 2  # depth 1: units of 1/4
+    units[0][1] = 2  # a pair of V1 at distance 1/2
+    assert squeeze_violation(chain, units) == (1, 0, 1, "lower")
+    chain = ft.RelationChain(("a", "b", "c"), (sym_pairs(3, [(0, 1)]), sym_pairs(3, [(0, 1)])))
+    units = [list(row) for row in ft.pseudometric_from_chain(chain).units]
+    units[0][2] = 1  # 1/8 < 1/4, but (a, c) is not in V1
+    assert squeeze_violation(chain, units) == (2, 0, 2, "upper")
 
 
 def test_chain_axiom_violations():
@@ -383,9 +503,10 @@ def test_chain_axiom_violations():
 def test_partition_uniformity_extremes():
     uni = ft.uniformity_from_partitions(("a", "b", "c"), [[["a", "b", "c"]]])
     assert uni.relations[0] == full_rel(3)
+    assert all(uniformity_axioms(uni).values())
     uni = ft.uniformity_from_partitions(("a", "b", "c"), [[["a"], ["b"], ["c"]]])
     assert uni.relations[0] == (0b001, 0b010, 0b100)
-    assert all(uni.report.values())
+    assert all(uniformity_axioms(uni).values())
 
 
 def test_partition_uniformity_refinement():
@@ -393,7 +514,7 @@ def test_partition_uniformity_refinement():
         ("1", "2", "3", "4"),
         [[["1", "2"], ["3", "4"]], [["1", "3"], ["2", "4"]]],
     )
-    assert all(uni.report.values())
+    assert all(uniformity_axioms(uni).values())
     meet = tuple(a & b for a, b in zip(uni.relations[0], uni.relations[1]))
     assert meet == (0b0001, 0b0010, 0b0100, 0b1000)  # common refinement is discrete
 
@@ -401,6 +522,62 @@ def test_partition_uniformity_refinement():
 def test_partition_must_cover():
     with pytest.raises(ValidationError):
         ft.uniformity_from_partitions(("a", "b"), [[["a"]]])
+
+
+def set_partitions(items):
+    """Every partition of the list into blocks, blocks ordered by first member."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield [[first]] + part
+        for b in range(len(part)):
+            yield part[:b] + [[first] + part[b]] + part[b + 1:]
+
+
+def test_uniformity_axioms_on_every_small_partition_list():
+    """Every list of at most two partitions of at most 4 points."""
+    count = 0
+    for n in range(5):
+        points = tuple("abcd"[:n])
+        parts = list(set_partitions(list(points)))
+        for k in range(3):
+            for chosen in product(parts, repeat=k):
+                uni = ft.uniformity_from_partitions(points, chosen)
+                assert uniformity_axioms(uni) == dict.fromkeys(
+                    ("diagonal", "symmetric", "compose_within", "refinement"), True
+                )
+                for rel, blocks in zip(uni.relations, chosen):
+                    same = {(points.index(a), points.index(b)) for blk in blocks for a in blk for b in blk}
+                    assert {(i, j) for i in range(n) for j in bits(rel[i])} == same
+                count += 1
+    assert count == sum(1 + b + b * b for b in (1, 1, 2, 5, 15))
+
+
+def test_uniformity_axioms_oracle_sees_a_broken_relation():
+    uni = ft.uniformity_from_partitions(("a", "b", "c"), [[["a", "b"], ["c"]]])
+    broken = type(uni)(uni.points, ((0b011, 0b111, 0b110),))  # a-b-c, not transitive
+    flags = uniformity_axioms(broken)
+    assert not flags["compose_within"] and not flags["refinement"]
+    assert flags["diagonal"] and flags["symmetric"]
+    assert not uniformity_axioms(type(uni)(uni.points, ((0b011, 0b010, 0b100),)))["symmetric"]
+    assert not uniformity_axioms(type(uni)(uni.points, ((0b010, 0b011, 0b100),)))["diagonal"]
+
+
+def test_partition_labels_keep_their_messages():
+    with pytest.raises(ValidationError) as err:
+        ft.uniformity_from_partitions(("a", "b"), [[["a", "a"], ["b"]]])
+    assert str(err.value) == "partition blocks overlap" and err.value.witness == {"x": "a"}
+    with pytest.raises(ValidationError) as err:
+        ft.uniformity_from_partitions(("a", "b"), [[["a", "b"], ["b"]]])
+    assert str(err.value) == "partition blocks overlap" and err.value.witness == {"x": "b"}
+    with pytest.raises(ValidationError) as err:
+        ft.uniformity_from_partitions(("a", "b"), [[["a", "b"], []]])
+    assert str(err.value) == "empty partition block"
+    with pytest.raises(ValidationError) as err:
+        ft.uniformity_from_partitions(("a", "b", "c"), [[["a"], ["c"]]])
+    assert err.value.witness == {"x": "b"}
 
 
 # -- ultrametric from ranks ------------------------------------------------------------------------
