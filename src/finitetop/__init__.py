@@ -96,6 +96,5 @@ from .logic import (
     equivalence_mod_theory,
     lindenbaum_algebra,
     model_from_ultrafilter,
-    stone_representation,
 )
 from .errors import FormatError, ValidationError

@@ -69,15 +69,18 @@ def named_function(name: str):
     if name in BUILTIN_FUNCTIONS:
         return BUILTIN_FUNCTIONS[name]
     kind, _, arg = name.partition(":")
+    if kind not in ("constant", "poly"):
+        raise FormatError(f"unknown function {name!r}")
     try:
-        if kind == "constant":
-            c = float(arg)
-            return lambda x: c
-        if kind == "poly":
-            return polynomial([float(v) for v in arg.split(",")])
+        coeffs = [float(v) for v in (arg.split(",") if kind == "poly" else [arg])]
     except ValueError:
         raise FormatError(f"{name!r} needs comma-separated numbers after the colon") from None
-    raise FormatError(f"unknown function {name!r}")
+    if not all(map(math.isfinite, coeffs)):  # nan, inf, or a literal past the float range
+        raise FormatError(f"{name!r} needs finite numbers after the colon")
+    if kind == "constant":
+        c = coeffs[0]
+        return lambda x: c
+    return polynomial(coeffs)
 
 
 def polynomial(coeffs):

@@ -23,14 +23,20 @@ from .spaces import (
 )
 
 
-def _records(text):
+def _lines(text):
+    """(lineno, line) for every line left nonblank once its `#` comment is cut off."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].strip()
-        if not line:
-            continue
+        if line:
+            yield lineno, line
+
+
+def _records(text):
+    for lineno, line in _lines(text):
         key, colon, rest = line.partition(":")
         if not colon:
-            raise FormatError(f"line {lineno}: expected '<keyword>: ...', got {raw.strip()!r}")
+            raw = text.splitlines()[lineno - 1].strip()  # the message quotes the comment too
+            raise FormatError(f"line {lineno}: expected '<keyword>: ...', got {raw!r}")
         yield lineno, key.strip(), rest.strip()
 
 
@@ -116,10 +122,7 @@ def load_closure_table(text: str) -> ClosureTable:
 
 def load_map(text: str) -> dict:
     mapping = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(text):
         if "->" not in line:
             raise FormatError(f"line {lineno}: expected '<source> -> <target>'")
         src, dst = (part.strip() for part in line.split("->", 1))
@@ -167,10 +170,7 @@ def _cell(text: str) -> float:
 def load_matrix(text: str):
     """CSV matrix; entries may be decimals or fractions like 1/3."""
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(text):
         try:
             rows.append([_cell(cell.strip()) for cell in line.split(",")])
         except (ValueError, ZeroDivisionError, OverflowError):
@@ -234,10 +234,4 @@ def load_ranks(text: str) -> RankedSets:
 
 
 def load_theory(text: str) -> Theory:
-    formulas = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        formulas.append(parse_formula(line))
-    return Theory.of(formulas)
+    return Theory.of([parse_formula(line) for _, line in _lines(text)])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .bitsets import bits
 from .errors import FormatError, ValidationError
-from .spaces import FiniteSpace, Preorder, separation_profile, topology_from_poset
+from .spaces import FiniteSpace, Preorder, topology_from_poset
 
 
 def heyting_implication(space: FiniteSpace, a: int, b: int) -> int:
@@ -53,7 +53,7 @@ def phi_map(space: FiniteSpace) -> PhiReport:
     the kernels are distinct (T0) and always surjective.
     """
     assignment = tuple(OpenFilter(space, k) for k in space.min_nbhd)
-    return PhiReport(assignment, len(set(space.min_nbhd)) == space.n, surjective=True)
+    return PhiReport(assignment, space.is_poset, surjective=True)
 
 
 def irreducible_closed_sets(space: FiniteSpace):
@@ -64,7 +64,7 @@ def irreducible_closed_sets(space: FiniteSpace):
     closed set is the closure of a point, which here reduces to T0.
     """
     irr = sorted({space.closure(1 << i) for i in range(space.n)})
-    return irr, separation_profile(space).t0
+    return irr, space.is_poset
 
 
 def scott_topology(order: Preorder) -> FiniteSpace:
@@ -112,8 +112,7 @@ class OpenFilter:
 
 @dataclass(frozen=True)
 class HofmannMisloveReport:
-    filters: tuple  # the intersection of a filter's members is its generator
-    saturated_compacts: tuple
+    saturated_compacts: tuple  # each is the generator of its filter and the intersection of its members
     bijection_holds: bool
     sober: bool
 
@@ -126,11 +125,10 @@ def hofmann_mislove_report(space: FiniteSpace) -> HofmannMisloveReport:
     correspondence sends a filter to the intersection of its members, which
     is its generator. A saturated set is an intersection of opens, so in a
     finite space the nonempty saturated sets are the nonempty opens, and
-    the map g |-> g from proper filters to them is a bijection.
+    the map g |-> g from proper filters to them is a bijection. So the
+    report lists the nonempty opens once, as both sides.
     """
     saturated = tuple(sorted(u for u in space.opens if u != 0))
-    filters = tuple(OpenFilter(space, g) for g in saturated)
     # The theorem above holds for every finite space, so the verdict is not
     # recomputed; the definitional check is a test oracle.
-    _, sober = irreducible_closed_sets(space)
-    return HofmannMisloveReport(filters, saturated, bijection_holds=True, sober=sober)
+    return HofmannMisloveReport(saturated, bijection_holds=True, sober=space.is_poset)  # sober iff T0

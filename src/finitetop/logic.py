@@ -436,25 +436,3 @@ def model_from_ultrafilter(theory: Theory) -> UltrafilterModel:
     atom = algebra.top & -algebra.top
     return UltrafilterModel(theory._valuation(atom.bit_length() - 1), atom, algebra)
 
-
-@dataclass(frozen=True)
-class StoneReport:
-    algebra: LindenbaumAlgebra
-
-    def image_of(self, element: int) -> int:
-        """The ultrafilters containing the element, as a mask.
-
-        Bit m stands for the ultrafilter of the atom 1 << m, which contains
-        the element iff bit m of the element is set.
-        """
-        return element
-
-
-def stone_representation(algebra: LindenbaumAlgebra) -> StoneReport:
-    """Represent elements as the sets of ultrafilters containing them.
-
-    On a finite Boolean algebra the ultrafilters are the up-sets of atoms,
-    and a |-> {ultrafilters containing a} is an isomorphism onto the power
-    set of the atom set.
-    """
-    return StoneReport(algebra)

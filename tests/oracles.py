@@ -4,14 +4,16 @@ Each function follows a textbook definition by sweeping subsets, pairs of
 opens, families of opens, valuations, radii or triples of points, and
 shares no shortcut with the library code it is compared against: none of
 them reads `min_nbhd` or a truth table, apart from `atoms_of`, which lists
-the set bits of an algebra's top. They are exponential and meant for
-carriers of up to 5 points and theories of up to 16 variables.
+the set bits of an algebra's top, and `stone_image`, built on it. They are
+exponential and meant for carriers of up to 5 points and theories of up
+to 16 variables.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
 from finitetop.bitsets import bits, is_subset, subsets
+from finitetop.locales import OpenFilter
 from finitetop.logic import And, Const, Not, Var
 from finitetop.pmetric import NonConvergence
 from finitetop.spaces import ClosureTable
@@ -258,15 +260,28 @@ def saturated_sets(space):
     return [m for m in range(1, space.full + 1) if smallest_open_superset(space, m) == m]
 
 
+def proper_open_filters(space):
+    """The proper filters of the opens, as the principal filter of each nonempty open, ascending.
+
+    On a finite lattice a filter holds the meet of its members, so it is the
+    principal filter of that meet; it is proper iff the meet is nonempty.
+    """
+    return [OpenFilter(space, g) for g in sorted(space.opens) if g]
+
+
 def hofmann_mislove_bijection(space, report):
-    """The filters' intersections are distinct and are exactly the nonempty saturated sets."""
-    return sorted(filter_intersection(f) for f in report.filters) == saturated_sets(space)
+    """The filters' intersections are distinct, are exactly the nonempty saturated sets,
+    and are the report's saturated compacts in the filters' order.
+    """
+    inters = [filter_intersection(f) for f in proper_open_filters(space)]
+    return sorted(inters) == saturated_sets(space) == list(report.saturated_compacts) == inters
 
 
-def hofmann_mislove_mirrors(report):
+def hofmann_mislove_mirrors(space):
     """Containment of filters (as families) mirrors reverse inclusion of their intersections."""
-    members = [set(filter_members(f)) for f in report.filters]
-    inters = [filter_intersection(f) for f in report.filters]
+    filters = proper_open_filters(space)
+    members = [set(filter_members(f)) for f in filters]
+    inters = [filter_intersection(f) for f in filters]
     return all(
         (members[i] <= members[j]) == is_subset(inters[j], inters[i])
         for i in range(len(members))
@@ -348,6 +363,16 @@ def models(theory):
 def atoms_of(algebra):
     """The atoms of a Lindenbaum algebra, one single-model bit per model."""
     return [1 << m for m in bits(algebra.top)]
+
+
+def stone_image(algebra, element):
+    """The ultrafilters containing the element, bit m standing for the ultrafilter of atom 1 << m.
+
+    On a finite Boolean algebra the ultrafilters are the up-sets of the atoms,
+    so the one of atom u contains the element iff u lies below it.
+    """
+    atoms = (1 << m for m in bits(algebra.top))  # atoms_of, one at a time
+    return _union(u for u in atoms if algebra.meet(u, element) == u)
 
 
 # -- pmetric -------------------------------------------------------------------

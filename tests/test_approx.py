@@ -183,3 +183,10 @@ def test_named_function_errors():
         named_function("does-not-exist")
     p = named_function("poly:1,0,2")  # 1 + 2x^2
     assert p(0.5) == 1.5
+    assert named_function("constant:-2.5")(0.3) == -2.5
+    for name in ("constant:1,2", "constant:", "poly:1,,2", "poly:x"):
+        with pytest.raises(FormatError, match="needs comma-separated numbers"):
+            named_function(name)
+    for name in ("constant:nan", "constant:inf", "poly:1,-inf", "poly:1e309,0"):
+        with pytest.raises(FormatError, match="needs finite numbers"):
+            named_function(name)

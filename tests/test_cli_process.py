@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import finitetop as ft
+from finitetop import formats
 from finitetop.cli import build_parser, main
 
 from test_formats_cli import DIV6_SPACE, WEB5
@@ -12,10 +14,10 @@ from test_formats_cli import DIV6_SPACE, WEB5
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def fresh(argv, cwd):
+def fresh(argv, cwd, timeout=120):
     """Run a fresh interpreter without bytecode caches, as a cold CLI call runs."""
     env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def test_space_report_leaves_numpy_unloaded(tmp_path):
@@ -51,6 +53,21 @@ def test_quotient_of_a_nontransitive_zero_exits_1(tmp_path):
     assert proc.returncode == 1 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("failed: distance zero is not transitive")
+
+
+def test_base_check_on_every_subset_of_12_points_is_linear(tmp_path):
+    """The 4095 nonempty subsets of 12 points form a base of the discrete space.
+
+    A pairwise check over the members takes |B|^3 steps here; the kernel
+    criterion takes |B|·n, and the timeout fails the test on a regression.
+    """
+    pts = [f"p{i}" for i in range(12)]
+    lines = ["points: " + " ".join(pts)]
+    lines += ["member: " + " ".join(p for i, p in enumerate(pts) if m >> i & 1) for m in range(1, 1 << 12)]
+    (tmp_path / "all12.fam").write_text("\n".join(lines) + "\n")
+    proc = fresh(["-m", "finitetop.cli", "check", "base", "--in", "all12.fam"], tmp_path, timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == formats.dump_space(ft.discrete_space(pts))
 
 
 def test_solvers_in_a_fresh_interpreter(tmp_path):

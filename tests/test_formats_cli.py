@@ -351,6 +351,13 @@ def test_non_finite_numbers_are_usage_errors(capsys, argv):
     assert (code, out, err) == (2, "", f"error: {what} must be finite numbers\n")
 
 
+@pytest.mark.parametrize("fn", ["constant:nan", "constant:-inf", "poly:1,inf", "poly:0,nan,1", "poly:1e400"])
+def test_non_finite_function_coefficients_are_usage_errors(capsys, fn):
+    # `1e400` is past the float range, so it reads as inf
+    code, out, err = run(capsys, "approx", "weierstrass", "--fn", fn, "--n", "4", "--grid", "0,0.5")
+    assert (code, out, err) == (2, "", f"error: {fn!r} needs finite numbers after the colon\n")
+
+
 def test_non_numeric_entry_keeps_its_message(capsys):
     for v in ("a", "nan,a"):
         code, out, err = run(capsys, "solve", "fixpoint", "--fn", "cos", "--x0", v)

