@@ -10,12 +10,12 @@ drives uniform convergence on interior subintervals.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import FormatError, ValidationError
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class GridFunction:
     grid: tuple
     values: tuple
@@ -100,7 +100,7 @@ def kernel_mass(n: int) -> float:
     return math.sqrt(math.pi) / 2.0 * math.exp(math.lgamma(n + 1) - math.lgamma(n + 1.5))
 
 
-@dataclass(frozen=True)
+@record
 class KernelPolynomial:
     """Evaluator for the degree-2n kernel polynomial of a function."""
 
@@ -122,7 +122,7 @@ def weierstrass_polynomial(f, n: int, panels: int = 2048) -> KernelPolynomial:
     return KernelPolynomial(f, n, panels, kernel_mass(n))
 
 
-@dataclass(frozen=True)
+@record
 class RatioReport:
     ratio: float
     bound: float

@@ -12,7 +12,7 @@ import json
 import math
 import sys
 
-from . import approx, construct, filters, formats, locales, pmetric, spaces
+from . import approx, construct, formats, locales, pmetric, spaces
 from .bitsets import bits, subsets
 from .errors import FormatError, ValidationError
 from .logic import is_consistent, lindenbaum_algebra, model_from_ultrafilter
@@ -42,6 +42,40 @@ def _numbers_arg(text, what):
     if not all(map(math.isfinite, values)):
         raise FormatError(f"{what} must be finite numbers")
     return values
+
+
+def _count(low):
+    """argparse type: an int of at least `low`; a value below it is a usage error."""
+
+    def count(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return count
+
+
+def _panels(text):
+    """argparse type: a Simpson panel count, even and at least 2."""
+    value = _count(2)(text)
+    if value % 2:
+        raise argparse.ArgumentTypeError(f"must be even, got {value}")
+    return value
+
+
+def _tolerance(text):
+    """argparse type: a finite positive float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value < math.inf:  # also false for nan
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text}")
+    return value
 
 
 def _emit(out, text):
@@ -355,7 +389,12 @@ def cmd_approx(args, out):
     elif args.what == "weierstrass":
         f = approx.named_function(args.func)
         ev = approx.weierstrass_polynomial(f, args.n, panels=args.panels)
-        rows = [(f"{x:.12g}", f"{ev(x):.12g}", f"{f(x):.12g}") for x in _numbers_arg(args.grid, "grid")]
+        rows = []
+        for x in _numbers_arg(args.grid, "grid"):
+            p, fx = ev(x), f(x)
+            if not (math.isfinite(p) and math.isfinite(fx)):  # finite coefficients can still overflow
+                raise ValidationError(f"P_{args.n}(x) or f(x) leaves the float range", {"x": x})
+            rows.append((f"{x:.12g}", f"{p:.12g}", f"{fx:.12g}"))
         rep.table("values", ("x", f"P_{args.n}(x)", "f(x)"), rows)
     else:  # kernel-ratio
         r = approx.kernel_ratio(args.n, args.delta, panels=args.panels)
@@ -481,31 +520,31 @@ def build_parser():
     fx.add_argument("--fn", dest="func", required=True)
     fx.add_argument("--x0", required=True, help="comma-separated start vector")
     fx.add_argument("--metric", default="l2", choices=("l1", "l2", "linf"))
-    fx.add_argument("--tol", type=float, default=1e-12)
-    fx.add_argument("--max-iter", type=int, default=1000)
+    fx.add_argument("--tol", type=_tolerance, default=1e-12)
+    fx.add_argument("--max-iter", type=_count(1), default=1000)
     fx.add_argument("--json", action="store_true")
     pr = svsub.add_parser("pagerank")
     pr.add_argument("--in", dest="infile", required=True)
-    pr.add_argument("--tol", type=float, default=1e-9)
-    pr.add_argument("--max-iter", type=int, default=200)
+    pr.add_argument("--tol", type=_tolerance, default=1e-9)
+    pr.add_argument("--max-iter", type=_count(1), default=200)
     pr.add_argument("--json", action="store_true")
 
     ap = sub.add_parser("approx", help="constructive approximation")
     apsub = ap.add_subparsers(dest="what", required=True)
     sq = apsub.add_parser("sqrt")
-    sq.add_argument("--n", type=int, required=True)
+    sq.add_argument("--n", type=_count(0), required=True)
     sq.add_argument("--grid", required=True)
     sq.add_argument("--json", action="store_true")
     ws = apsub.add_parser("weierstrass")
     ws.add_argument("--fn", dest="func", required=True)
-    ws.add_argument("--n", type=int, required=True)
-    ws.add_argument("--panels", type=int, default=2048)
+    ws.add_argument("--n", type=_count(1), required=True)
+    ws.add_argument("--panels", type=_panels, default=2048)
     ws.add_argument("--grid", required=True)
     ws.add_argument("--json", action="store_true")
     kr = apsub.add_parser("kernel-ratio")
-    kr.add_argument("--n", type=int, required=True)
+    kr.add_argument("--n", type=_count(1), required=True)
     kr.add_argument("--delta", type=float, required=True)
-    kr.add_argument("--panels", type=int, default=2048)
+    kr.add_argument("--panels", type=_panels, default=2048)
     kr.add_argument("--json", action="store_true")
 
     lg = sub.add_parser("logic", help="propositional workbench")

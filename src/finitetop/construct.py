@@ -1,9 +1,8 @@
 """Maps between finite spaces and the topologies they induce."""
 
-from dataclasses import dataclass
-
 from .bitsets import bits
 from .errors import FormatError, ValidationError
+from .records import record
 from .spaces import (
     Carrier,
     FiniteSpace,
@@ -13,7 +12,7 @@ from .spaces import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class PointMap:
     source: FiniteSpace
     target: FiniteSpace
@@ -65,7 +64,7 @@ class PointMap:
         return PointMap(self.target, self.source, tuple(inv))
 
 
-@dataclass(frozen=True)
+@record
 class EquivalenceRelation(Carrier):
     points: tuple
     blocks: tuple  # masks, pairwise disjoint, nonempty, covering the carrier
@@ -85,7 +84,7 @@ class EquivalenceRelation(Carrier):
             raise ValidationError("partition must cover the carrier")
 
 
-@dataclass(frozen=True)
+@record
 class ContinuityCheck:
     ok: bool
     witness_open: int | None = None  # target open with a non-open preimage

@@ -7,14 +7,13 @@ subsets of X" — which is what makes the exhaustive convergence checks
 in the test suite possible.
 """
 
-from dataclasses import dataclass
-
 from .bitsets import bits, is_subset
 from .errors import FormatError, ValidationError
+from .records import record
 from .spaces import Carrier, FiniteSpace, _check_labels
 
 
-@dataclass(frozen=True)
+@record
 class PrincipalFilter(Carrier):
     points: tuple
     kernel: int

@@ -9,10 +9,9 @@ routes (morphism axioms, n-ary irreducibility, directed suprema) are test
 oracles and are not rerun here.
 """
 
-from dataclasses import dataclass
-
 from .bitsets import bits
 from .errors import FormatError, ValidationError
+from .records import record
 from .spaces import FiniteSpace, Preorder, topology_from_poset
 
 
@@ -39,7 +38,7 @@ def points_of_locale(space: FiniteSpace) -> list:
     return [OpenFilter(space, g) for g in sorted(set(space.min_nbhd))]
 
 
-@dataclass(frozen=True)
+@record
 class PhiReport:
     assignment: tuple  # point index -> its locale point, an OpenFilter
     injective: bool
@@ -53,7 +52,7 @@ def phi_map(space: FiniteSpace) -> PhiReport:
     the kernels are distinct (T0) and always surjective.
     """
     assignment = tuple(OpenFilter(space, k) for k in space.min_nbhd)
-    return PhiReport(assignment, space.is_poset, surjective=True)
+    return PhiReport(assignment, space.is_poset, True)  # injective iff T0, always surjective
 
 
 def irreducible_closed_sets(space: FiniteSpace):
@@ -91,7 +90,7 @@ def is_scott_continuous(p: Preorder, q: Preorder, assignment) -> bool:
     return all(q.le(f[i], f[j]) for i in range(p.n) for j in bits(p.rel[i]))
 
 
-@dataclass(frozen=True)
+@record
 class OpenFilter:
     """Principal filter of the opens-lattice, generated by a single open."""
 
@@ -110,7 +109,7 @@ class OpenFilter:
         return self.kernel_open != 0
 
 
-@dataclass(frozen=True)
+@record
 class HofmannMisloveReport:
     saturated_compacts: tuple  # each is the generator of its filter and the intersection of its members
     bijection_holds: bool
@@ -131,4 +130,4 @@ def hofmann_mislove_report(space: FiniteSpace) -> HofmannMisloveReport:
     saturated = tuple(sorted(u for u in space.opens if u != 0))
     # The theorem above holds for every finite space, so the verdict is not
     # recomputed; the definitional check is a test oracle.
-    return HofmannMisloveReport(saturated, bijection_holds=True, sober=space.is_poset)  # sober iff T0
+    return HofmannMisloveReport(saturated, True, space.is_poset)  # the bijection holds; sober iff T0

@@ -10,11 +10,11 @@ and the algebra's ultrafilters are the single-model atoms, one per set bit.
 """
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 
 from .bitsets import subsets
 from .errors import FormatError, ValidationError
+from .records import record
 
 MAX_VARS = 16
 # Caps on parsed formulas that keep every recursive walk well inside
@@ -38,7 +38,7 @@ class PropFormula:
         return disjunction(self, other)
 
 
-@dataclass(frozen=True)
+@record
 class Var(PropFormula):
     __slots__ = ("name",)
     name: str
@@ -47,7 +47,7 @@ class Var(PropFormula):
         return self.name
 
 
-@dataclass(frozen=True)
+@record
 class Const(PropFormula):
     __slots__ = ("value",)
     value: bool
@@ -56,7 +56,7 @@ class Const(PropFormula):
         return "top" if self.value else "bot"
 
 
-@dataclass(frozen=True)
+@record
 class Not(PropFormula):
     __slots__ = ("arg",)
     arg: PropFormula
@@ -65,7 +65,7 @@ class Not(PropFormula):
         return f"~{self.arg}" if isinstance(self.arg, (Var, Const, Not)) else f"~({self.arg})"
 
 
-@dataclass(frozen=True)
+@record
 class And(PropFormula):
     __slots__ = ("left", "right")
     left: PropFormula
@@ -282,7 +282,7 @@ def parse_formula(text: str) -> PropFormula:
 # -- theories and their algebras ---------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Theory:
     formulas: tuple
     vars: tuple
@@ -366,7 +366,7 @@ def equivalence_mod_theory(theory: Theory, a, b) -> bool:
     return (theory.table_of(a) ^ theory.table_of(b)) & theory.truth_table() == 0
 
 
-@dataclass(frozen=True)
+@record
 class LindenbaumAlgebra:
     """Boolean algebra of formula classes, as submasks of the model truth table.
 
@@ -410,7 +410,7 @@ def lindenbaum_algebra(theory: Theory) -> LindenbaumAlgebra:
     return LindenbaumAlgebra(theory, top)
 
 
-@dataclass(frozen=True)
+@record
 class UltrafilterModel:
     valuation: frozenset  # set of true variables
     atom: int  # kernel of the chosen ultrafilter, as an algebra element

@@ -6,12 +6,12 @@ ints in those units and divided once, so every distance is exact.
 """
 
 import math
-from dataclasses import dataclass
 from operator import add, ne
 
 from .bitsets import bits
 from .construct import block_labels
 from .errors import FormatError, ValidationError
+from .records import record
 from .spaces import (
     Carrier,
     FiniteSpace,
@@ -26,7 +26,7 @@ from .spaces import (
 _EPS = 1e-9
 
 
-@dataclass(frozen=True)
+@record
 class PMetricSpace(Carrier):
     points: tuple
     dist: tuple  # tuple of row tuples
@@ -169,7 +169,7 @@ def _compose(rel_a, rel_b):
     return tuple(_union(rel_b[j] for j in bits(row)) for row in rel_a)
 
 
-@dataclass(frozen=True)
+@record
 class RelationChain:
     """Symmetric relations V1..Vk with V_{n+1}^3 below V_n (V0 = everything)."""
 
@@ -218,7 +218,7 @@ class RelationChain:
         return len(self.relations)
 
 
-@dataclass(frozen=True)
+@record
 class ChainMetric:
     space: PMetricSpace
     units: tuple  # int distance rows, in units of 2^-(depth+1)
@@ -259,7 +259,7 @@ def pseudometric_from_chain(chain: RelationChain) -> ChainMetric:
     return ChainMetric(space, tuple(map(tuple, units)))
 
 
-@dataclass(frozen=True)
+@record
 class PartitionUniformity:
     points: tuple
     relations: tuple  # one symmetric relation per partition
@@ -299,7 +299,7 @@ def uniformity_from_partitions(points, partitions) -> PartitionUniformity:
     return PartitionUniformity(points, tuple(rels))
 
 
-@dataclass(frozen=True)
+@record
 class RankedSets(Carrier):
     points: tuple
     rank: tuple  # positive integer per point
@@ -327,7 +327,7 @@ def ultrametric_from_rank(rs: RankedSets, a: int, b: int) -> float:
 # fixed-point solvers
 
 
-@dataclass(frozen=True)
+@record
 class FixpointResult:
     x: tuple
     iterations: int
@@ -379,7 +379,7 @@ def banach_fixed_point(f, x0, metric="l2", tol=1e-12, max_iter=1000) -> Fixpoint
     raise NonConvergence(f"no fixed point within {max_iter} iterations", trace)
 
 
-@dataclass(frozen=True)
+@record
 class StochasticMatrix:
     rows: tuple
 

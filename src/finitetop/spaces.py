@@ -10,11 +10,11 @@ operation here derives from the kernels instead of sweeping all subsets or
 all pairs of opens; the definitional routes live in the tests as oracles.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .bitsets import bits, is_subset, subsets
 from .errors import FormatError, ValidationError
+from .records import record
 
 MAX_POINTS = 16
 
@@ -45,7 +45,7 @@ def _mask_of(bit, labels, lineno=None):
 
 
 class Carrier:
-    """Masks <-> labels for a dataclass whose `points` tuple indexes the bits.
+    """Masks <-> labels for a record whose `points` tuple indexes the bits.
 
     Every table is built on first use and kept on the instance: `labels`
     reads one 256-entry table of label tuples per byte of the mask (a byte's
@@ -104,7 +104,7 @@ class Carrier:
         return _mask_of(self._bits, labels)
 
 
-@dataclass(frozen=True)
+@record
 class SetFamily(Carrier):
     """A named family of subsets (base or subbase candidate)."""
 
@@ -120,7 +120,7 @@ class SetFamily(Carrier):
                 raise FormatError(f"family member {m:#x} is not a subset of the carrier")
 
 
-@dataclass(frozen=True)
+@record
 class ClosureTable(Carrier):
     """A total map subset -> subset, candidate for the closure axioms.
 
@@ -185,7 +185,7 @@ def _transitive_closure(rel):
     return tuple(rel)
 
 
-@dataclass(frozen=True)
+@record
 class Preorder(Carrier):
     """Reflexive-transitive relation; rel[i] is the bitmask of {j : i <= j}."""
 
@@ -330,7 +330,7 @@ class FiniteSpace(Preorder):
             raise FormatError("argument is not a subset of the carrier")
 
 
-@dataclass(frozen=True)
+@record
 class NeighborhoodSystem:
     """One kernel set per point: the intersection of its assigned filter."""
 
@@ -350,7 +350,7 @@ class NeighborhoodSystem:
                 )
 
 
-@dataclass(frozen=True)
+@record
 class SeparationProfile:
     t0: bool
     t1: bool
@@ -361,7 +361,7 @@ class SeparationProfile:
     normal: bool
 
 
-@dataclass(frozen=True)
+@record
 class BaseCheck:
     ok: bool
     witness: dict | None = None
@@ -488,7 +488,8 @@ def separation_profile(space: FiniteSpace) -> SeparationProfile:
     t2 = all(ker[x] & ker[y] == 0 for x in pts for y in pts if x < y)
     t3 = all(ker[x] & ker[y] == 0 for x in pts for y in pts if not ker[x] >> y & 1)
     t4 = all(ker[x] & ker[y] == 0 for x in pts for y in pts if cl[x] & cl[y] == 0)
-    return SeparationProfile(t0, t1, t2, t3, t4, regular=t1 and t3, normal=t1 and t4)
+    regular, normal = t1 and t3, t1 and t4
+    return SeparationProfile(t0, t1, t2, t3, t4, regular, normal)
 
 
 def specialization_order(space: FiniteSpace) -> Preorder:

@@ -190,3 +190,20 @@ def test_named_function_errors():
     for name in ("constant:nan", "constant:inf", "poly:1,-inf", "poly:1e309,0"):
         with pytest.raises(FormatError, match="needs finite numbers"):
             named_function(name)
+
+
+@pytest.mark.parametrize(
+    "fn, witness",
+    [
+        ("constant:1e306", 0.0),  # Simpson's running sum overflows at every x
+        ("poly:1e308,1e308", 0.0),
+        ("poly:" + ",".join(["0"] * 20 + ["1e307"]), 0.5),  # P_4(0) is finite, P_4(0.5) is not
+    ],
+)
+def test_weierstrass_overflow_fails_at_the_first_bad_grid_point(capsys, fn, witness):
+    # the coefficients are finite, so they pass `named_function`; the
+    # report must not print inf or nan cells with exit 0
+    assert main(["approx", "weierstrass", "--fn", fn, "--n", "4", "--grid", "0,0.5,1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"failed: P_4(x) or f(x) leaves the float range [{{'x': {witness}}}]\n"

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import finitetop as ft
 from finitetop import formats
 from finitetop.cli import build_parser, main
@@ -38,6 +40,15 @@ def test_cli_import_leaves_fractions_unloaded(tmp_path):
     # exact distances are ints, so no module needs `fractions` (nor the
     # `decimal` and `numbers` modules it loads)
     code = "import sys\nimport finitetop.cli\nprint(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))\n"
+    proc = fresh(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded(tmp_path):
+    # `finitetop.records` builds the record classes without generated code,
+    # so a cold CLI call pays for neither module nor for compiling methods
+    code = "import sys\nimport finitetop.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
     proc = fresh(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
@@ -130,3 +141,34 @@ def test_cached_parser_carries_no_state(tmp_path, capsys):
     parser = build_parser()
     assert [call(argv) for argv in calls] == first
     assert build_parser() is parser
+
+
+FIXPOINT = ["solve", "fixpoint", "--fn", "cos", "--x0", "1"]
+WEIERSTRASS = ["approx", "weierstrass", "--fn", "square", "--grid", "0.5"]
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (FIXPOINT + ["--max-iter", "-5"], "--max-iter"),
+        (FIXPOINT + ["--max-iter", "0"], "--max-iter"),
+        (FIXPOINT + ["--tol", "nan"], "--tol"),
+        (FIXPOINT + ["--tol", "0"], "--tol"),
+        (FIXPOINT + ["--tol", "-1e-9"], "--tol"),
+        (["solve", "pagerank", "--in", "web5.csv", "--max-iter", "-5"], "--max-iter"),
+        (["solve", "pagerank", "--in", "web5.csv", "--tol", "inf"], "--tol"),
+        (WEIERSTRASS + ["--n", "4", "--panels", "3"], "--panels"),
+        (WEIERSTRASS + ["--n", "4", "--panels", "0"], "--panels"),
+        (WEIERSTRASS + ["--n", "0"], "--n"),
+        (["approx", "kernel-ratio", "--n", "0", "--delta", "0.5"], "--n"),
+        (["approx", "kernel-ratio", "--n", "4", "--delta", "0.5", "--panels", "7"], "--panels"),
+        (["approx", "sqrt", "--n", "-1", "--grid", "0.5"], "--n"),
+    ],
+)
+def test_option_values_outside_their_range_are_usage_errors(tmp_path, monkeypatch, capsys, argv, option):
+    """A count, panel number or tolerance outside its range exits 2 before any solver runs."""
+    (tmp_path / "web5.csv").write_text(WEB5)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: argument {option}: " in err and "Traceback" not in err
