@@ -391,8 +391,12 @@ def cmd_approx(args, out):
         ev = approx.weierstrass_polynomial(f, args.n, panels=args.panels)
         rows = []
         for x in _numbers_arg(args.grid, "grid"):
-            p, fx = ev(x), f(x)
-            if not (math.isfinite(p) and math.isfinite(fx)):  # finite coefficients can still overflow
+            # finite inputs can still overflow: float `**` raises, sums reach inf or nan
+            try:
+                p, fx = ev(x), f(x)
+            except OverflowError:
+                p = fx = math.inf
+            if not (math.isfinite(p) and math.isfinite(fx)):
                 raise ValidationError(f"P_{args.n}(x) or f(x) leaves the float range", {"x": x})
             rows.append((f"{x:.12g}", f"{p:.12g}", f"{fx:.12g}"))
         rep.table("values", ("x", f"P_{args.n}(x)", "f(x)"), rows)

@@ -58,9 +58,14 @@ def record(cls):
     they have the same class and equal field tuples; the hash is the
     tuple's.
     """
+    # each class's own annotations: from Python 3.10 on a class does not
+    # inherit them, and from 3.14 on they are built on first access rather
+    # than stored in the class dict
     names = tuple(dict.fromkeys(
-        name for klass in reversed(cls.__mro__) for name in vars(klass).get("__annotations__", ())
+        name for klass in reversed(cls.__mro__) for name in getattr(klass, "__annotations__", {})
     ))
+    if not names:
+        raise TypeError(f"record {cls.__qualname__} has no annotated fields")
     defaults = {}
     for name in names:
         value = getattr(cls, name, _MISSING)
@@ -70,19 +75,12 @@ def record(cls):
     n = len(names)
     get = attrgetter(*names)
     key = get if n > 1 else lambda self: (get(self),)
-    first, second, rest = names[0], names[1] if n > 1 else None, names[2:]
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != n:
             args = _bind(self, names, defaults, args, kwargs)
-        # most records have one or two fields and some are built in hot
-        # loops, so those stores are spelled out rather than looped over
-        _set(self, first, args[0])
-        if second is not None:
-            _set(self, second, args[1])
-            if rest:
-                for name, value in zip(rest, args[2:]):
-                    _set(self, name, value)
+        for name, value in zip(names, args):
+            _set(self, name, value)
         if post_init:
             self.__post_init__()
 

@@ -193,17 +193,20 @@ def test_named_function_errors():
 
 
 @pytest.mark.parametrize(
-    "fn, witness",
+    "fn, n, grid, witness",
     [
-        ("constant:1e306", 0.0),  # Simpson's running sum overflows at every x
-        ("poly:1e308,1e308", 0.0),
-        ("poly:" + ",".join(["0"] * 20 + ["1e307"]), 0.5),  # P_4(0) is finite, P_4(0.5) is not
+        ("constant:1e306", 4, "0,0.5,1", 0.0),  # Simpson's running sum overflows at every x
+        ("poly:1e308,1e308", 4, "0,0.5,1", 0.0),
+        ("poly:" + ",".join(["0"] * 20 + ["1e307"]), 4, "0,0.5,1", 0.5),  # P_4(0) is finite, P_4(0.5) is not
+        ("square", 4, "0.5,1e160", 1e160),  # float ** raises OverflowError rather than return inf
+        ("square", 1000, "0.5,3", 3.0),
     ],
 )
-def test_weierstrass_overflow_fails_at_the_first_bad_grid_point(capsys, fn, witness):
-    # the coefficients are finite, so they pass `named_function`; the
-    # report must not print inf or nan cells with exit 0
-    assert main(["approx", "weierstrass", "--fn", fn, "--n", "4", "--grid", "0,0.5,1"]) == 1
+def test_weierstrass_overflow_fails_at_the_first_bad_grid_point(capsys, fn, n, grid, witness):
+    # the inputs are finite, so they pass `named_function` and the grid
+    # parser; the report must not print inf or nan cells with exit 0, nor
+    # end in a traceback
+    assert main(["approx", "weierstrass", "--fn", fn, "--n", str(n), "--grid", grid]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"failed: P_4(x) or f(x) leaves the float range [{{'x': {witness}}}]\n"
+    assert err == f"failed: P_{n}(x) or f(x) leaves the float range [{{'x': {witness!r}}}]\n"

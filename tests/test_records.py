@@ -2,7 +2,7 @@
 
 import pytest
 
-from finitetop import FiniteSpace, Preorder, pmetric
+from finitetop import FiniteSpace, Preorder
 from finitetop.construct import ContinuityCheck
 from finitetop.logic import And, Var, parse_formula
 from finitetop.records import record
@@ -86,15 +86,27 @@ def test_post_init_replaced_after_decoration_runs():
     assert seen == [(1, 2), (3, 4)]
 
 
-def test_post_init_wrapped_on_a_package_class_runs(monkeypatch):
-    # span tracers wrap a record's validation on its class, as here
-    calls = []
-    original = pmetric.PMetricSpace.__post_init__
+class _LazyAnnotations(type):
+    # serves a class's annotations from a getter and keeps them out of the
+    # class dict, as Python 3.14 does for a class body without
+    # `from __future__ import annotations`
+    @property
+    def __annotations__(cls):
+        return {"left": int, "right": int}
 
-    def wrapped(self):
-        calls.append(self.points)
-        original(self)
 
-    monkeypatch.setattr(pmetric.PMetricSpace, "__post_init__", wrapped)
-    pmetric.pmetric_from_matrix(["x", "y"], [[0, 1], [1, 0]])
-    assert calls == [("x", "y")]
+def test_fields_come_from_annotations_not_stored_in_the_class_dict():
+    @record
+    class Pair(metaclass=_LazyAnnotations):
+        pass
+
+    assert "__annotations__" not in vars(Pair)
+    assert repr(Pair(1, right=2)).endswith(".Pair(left=1, right=2)")
+
+
+def test_a_class_without_fields_is_refused():
+    with pytest.raises(TypeError, match=r"record .*\.Empty has no annotated fields"):
+
+        @record
+        class Empty:
+            pass
