@@ -108,8 +108,7 @@ class _Report:
 
     def print(self, out):
         if self.as_json:
-            json.dump(self.data, out, indent=2, sort_keys=True)
-            out.write("\n")
+            out.write(json.dumps(self.data, indent=2, sort_keys=True) + "\n")
         else:
             out.write("\n".join(self.lines) + "\n")
 
@@ -369,7 +368,7 @@ def cmd_solve(args, out):
         rep.add("gamma_estimate", res.gamma_estimate, f"gamma_estimate: {res.gamma_estimate:.6g}")
     else:  # pagerank
         rows = formats.load_matrix(_read(args.infile))
-        matrix = pmetric.StochasticMatrix(tuple(tuple(r) for r in rows))
+        matrix = pmetric.StochasticMatrix(rows)
         p = pmetric.pagerank(matrix, tol=args.tol, max_iter=args.max_iter)
         rep.add("distribution", [float(v) for v in p], "distribution: " + " ".join(f"{v:.6f}" for v in p))
     rep.print(out)

@@ -168,11 +168,24 @@ def _cell(text: str) -> float:
 
 
 def load_matrix(text: str):
-    """CSV matrix; entries may be decimals or fractions like 1/3."""
+    """CSV matrix; entries may be decimals or fractions like 1/3.
+
+    A line without a slash is all decimals, so `float` reads it whole: it
+    strips the same whitespace as `str.strip`, and `_cell`'s finiteness
+    check follows in one pass. Its -0 rule needs a pass only on a line with
+    a minus sign, the one way `float` gives -0.0.
+    """
     rows = []
     for lineno, line in _lines(text):
+        cells = line.split(",")
         try:
-            rows.append([_cell(cell.strip()) for cell in line.split(",")])
+            if "/" in line:
+                rows.append([_cell(cell.strip()) for cell in cells])
+            else:
+                row = list(map(float, cells))
+                if not all(map(math.isfinite, row)):
+                    raise ValueError(line)
+                rows.append([v + 0.0 for v in row] if "-" in line else row)
         except (ValueError, ZeroDivisionError, OverflowError):
             raise FormatError(f"line {lineno}: bad matrix entry") from None
     if not rows:

@@ -50,9 +50,11 @@ class PMetricSpace(Carrier):
                 j = next(j for j in range(n) if row[j] < 0 or row[j] != col[j])
                 what = "negative distance" if row[j] < 0 else "asymmetric distance"
                 raise ValidationError(what, {"x": self.points[i], "y": self.points[j]})
-        # d is symmetric now, so row j stands in for column j.
+        # d is symmetric now, so row j stands in for column j, and the pair
+        # (j, i) sums the same floats as (i, j): the upper triangle decides,
+        # and the first failing pair in row-major order lies in it.
         for i in range(n):
-            for j in range(n):
+            for j in range(i + 1, n):
                 if d[i][j] > min(map(add, d[i], d[j])) + _EPS:
                     k = next(k for k in range(n) if d[i][j] > d[i][k] + d[k][j] + _EPS)
                     raise ValidationError(
@@ -384,17 +386,20 @@ class StochasticMatrix:
     rows: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "rows", tuple(tuple(float(v) for v in row) for row in self.rows)
-        )
+        object.__setattr__(self, "rows", tuple(tuple(map(float, row)) for row in self.rows))
         n = len(self.rows)
-        for row in self.rows:
+        if not n:
+            raise FormatError("stochastic matrix has no rows")
+        for i, row in enumerate(self.rows):
             if len(row) != n:
                 raise FormatError("stochastic matrix must be square")
-            if any(v < 0 for v in row):
+            if not all(map(math.isfinite, row)):  # `min` orders numbers only
+                raise ValidationError("stochastic matrix entries must be finite", {"row": i})
+            if min(row) < 0:
                 raise ValidationError("stochastic matrix entries must be nonnegative")
-            if abs(sum(row) - 1.0) > 1e-12:
-                raise ValidationError("stochastic matrix rows must sum to 1", {"sum": sum(row)})
+            total = sum(row)
+            if abs(total - 1.0) > 1e-12:
+                raise ValidationError("stochastic matrix rows must sum to 1", {"sum": total})
 
     @property
     def n(self):

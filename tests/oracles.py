@@ -13,6 +13,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from finitetop.bitsets import bits, is_subset, subsets
+from finitetop.errors import FormatError
+from finitetop.formats import _cell
 from finitetop.locales import OpenFilter
 from finitetop.logic import And, Const, Not, Var
 from finitetop.pmetric import NonConvergence
@@ -376,6 +378,22 @@ def stone_image(algebra, element):
 
 
 # -- pmetric -------------------------------------------------------------------
+
+
+def load_matrix_by_cells(text):
+    """A matrix file read one stripped entry at a time through `_cell`, the rational grammar."""
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0].strip()
+        if not line:
+            continue
+        try:
+            rows.append([_cell(cell.strip()) for cell in line.split(",")])
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise FormatError(f"line {lineno}: bad matrix entry") from None
+    if not rows:
+        raise FormatError("empty matrix file")
+    return rows
 
 
 def first_violation(dist, eps):

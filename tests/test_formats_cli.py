@@ -1,14 +1,18 @@
 import contextlib
+import io
 import json
 import math
+import random
 import signal
 
 import pytest
 
 import finitetop as ft
 from finitetop import formats
-from finitetop.cli import main
+from finitetop.cli import _Report, main
 from finitetop.errors import FormatError
+
+from oracles import load_matrix_by_cells
 
 DIV6_POSET = """\
 # divisibility on the divisors of 6
@@ -269,6 +273,53 @@ def test_matrix_cell_grammar(cell, want):
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
+GOOD_CELLS = ["0", "-0", "1", "0.25", "-3.5", "1e-400", "-1e-400", "2.5E-3", "1_0", "+.5", "5.", "7"]
+FRACTION_CELLS = ["3/4", "-3/4", "+1/3", "1_0/4", "-0/5", "1/" + "1" * 400]
+BAD_CELLS = ["1e400", "inf", "-infinity", "nan", "", ".", "1__0", "0x1", "abc", "3/-4", " 3 / 4", "1/0", "1.5/2"]
+PADDING = ["", " ", "  ", "\t", "\u00a0", "\u3000"]
+
+
+def _matrix_file(rng):
+    """Random lines of repeated entries, padded, some with a fraction, a comment or a blank line."""
+    pool = rng.sample(GOOD_CELLS, 4)
+    lines = []
+    for _ in range(rng.randint(0, 6)):
+        cells = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.4:
+            cells[rng.randrange(len(cells))] = rng.choice(FRACTION_CELLS)
+        line = ",".join(rng.choice(PADDING) + c + rng.choice(PADDING) for c in cells)
+        if rng.random() < 0.2:
+            line += " # comment, 1/0"
+        lines.append(line)
+        if rng.random() < 0.15:
+            lines.append(rng.choice(("", "   ", "# only a comment")))
+    if lines and rng.random() < 0.3:
+        k = rng.randrange(len(lines))
+        cells = lines[k].partition("#")[0].split(",")
+        cells[rng.randrange(len(cells))] = rng.choice(BAD_CELLS)
+        lines[k] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(load, text):
+    try:
+        return [[(v, math.copysign(1.0, v)) for v in row] for row in load(text)]
+    except FormatError as e:
+        return str(e)
+
+
+def test_load_matrix_matches_per_entry_reference():
+    rng = random.Random(5)
+    errors = set()
+    for _ in range(2000):
+        text = _matrix_file(rng)
+        want = _outcome(load_matrix_by_cells, text)
+        assert _outcome(formats.load_matrix, text) == want, text
+        if isinstance(want, str):
+            errors.add(want.partition(":")[2] or want)
+    assert errors == {" bad matrix entry", "empty matrix file"}
+
+
 @pytest.mark.parametrize("cell", ["1e400", "inf", "nan", "1" * 400 + "/3"], ids=_cell_id)
 def test_non_finite_matrix_entry_is_usage_error(tmp_path, capsys, cell):
     csv = tmp_path / "big.csv"
@@ -390,6 +441,19 @@ def div6_file(tmp_path):
     p = tmp_path / "div6.top"
     p.write_text(DIV6_SPACE)
     return str(p)
+
+
+def test_report_json_is_what_json_dump_writes():
+    rep = _Report(as_json=True)
+    rep.add("points", ["α", "β", "x\u2028y", "née"])
+    rep.add("flags", {"t0": True, "t1": False, "missing": None})
+    rep.add("values", [0.1, -0.0, 1e-300, 2.5e17, 1 / 3, 7])
+    rep.table("rows", ("label", "weight"), [("ü", 0.5), ("z", None)])
+    out = io.StringIO()
+    rep.print(out)
+    want = io.StringIO()
+    json.dump(rep.data, want, indent=2, sort_keys=True)
+    assert out.getvalue() == want.getvalue() + "\n"
 
 
 def test_report_is_deterministic(div6_file, capsys):

@@ -98,6 +98,33 @@ def test_rejection_witness_is_the_first_failing_entry():
     assert len(seen) == 4
 
 
+def test_triangle_witness_at_larger_n():
+    """Symmetric triangle violations planted anywhere in matrices of up to 16 points."""
+    rng = random.Random(47)
+    rows_hit = set()
+    for _ in range(300):
+        n = rng.randint(3, 16)
+        d = [[0.0] * n for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            d[i][j] = d[j][i] = float(rng.randint(5, 9))  # any such matrix is a metric
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.sample(range(n), 2)
+            d[i][j] = d[j][i] = rng.choice((1.0, 2.0, 19.0, 30.0))  # too short or too long
+        labels = tuple(f"p{i}" for i in range(n))
+        want = oracles.first_violation(d, 0.0)
+        if want is None:
+            ft.pmetric_from_matrix(labels, d)
+            continue
+        message, (x, y, z) = want
+        assert message == "triangle inequality fails"
+        with pytest.raises(ValidationError) as err:
+            ft.pmetric_from_matrix(labels, d)
+        assert str(err.value) == message
+        assert err.value.witness == {"x": labels[x], "y": labels[y], "z": labels[z]}
+        rows_hit.add(x)
+    assert len(rows_hit) >= 10
+
+
 def test_negative_and_asymmetric_rejected():
     with pytest.raises(ValidationError):
         ft.pmetric_from_matrix(("a", "b"), [[0, -1], [-1, 0]])
@@ -688,3 +715,15 @@ def test_stochastic_matrix_validation():
         ft.StochasticMatrix(((0.5, 0.6), (0.5, 0.5)))
     with pytest.raises(ValidationError):
         ft.StochasticMatrix(((-0.5, 1.5), (0.5, 0.5)))
+
+
+def test_stochastic_matrix_rejects_non_finite_entries():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError) as err:
+            ft.StochasticMatrix(((0.5, 0.5), (bad, 1.0)))
+        assert "finite" in str(err.value) and err.value.witness == {"row": 1}
+
+
+def test_stochastic_matrix_rejects_empty_matrix():
+    with pytest.raises(FormatError):
+        ft.StochasticMatrix(())
