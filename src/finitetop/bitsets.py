@@ -23,3 +23,12 @@ def subsets(full: int) -> Iterator[int]:
 
 def is_subset(a: int, b: int) -> bool:
     return a & ~b == 0
+
+
+def preimage(assignment, mask: int) -> int:
+    """The indices i whose image assignment[i] lies in `mask`, as a mask."""
+    out = 0
+    for i, j in enumerate(assignment):
+        if mask >> j & 1:
+            out |= 1 << i
+    return out

@@ -1,12 +1,14 @@
 """Maps between finite spaces and the topologies they induce."""
 
-from .bitsets import bits
+from .bitsets import bits, preimage
 from .errors import FormatError, ValidationError
 from .records import record
 from .spaces import (
     Carrier,
     FiniteSpace,
     _check_labels,
+    _index_map,
+    _label_bits,
     _transitive_closure,
     discrete_space,
 )
@@ -28,10 +30,7 @@ class PointMap:
 
     @classmethod
     def from_dict(cls, source, target, mapping):
-        missing = [p for p in source.points if p not in mapping]
-        if missing:
-            raise FormatError(f"map is not total, missing {missing[0]!r}")
-        return cls(source, target, tuple(target.index(mapping[p]) for p in source.points))
+        return cls(source, target, target.index_map(mapping, source.points))
 
     def __call__(self, label):
         return self.target.points[self.assignment[self.source.index(label)]]
@@ -43,11 +42,7 @@ class PointMap:
         return out
 
     def preimage(self, mask: int) -> int:
-        out = 0
-        for i, j in enumerate(self.assignment):
-            if mask >> j & 1:
-                out |= 1 << i
-        return out
+        return preimage(self.assignment, mask)
 
     def is_bijective(self):
         return (
@@ -75,6 +70,8 @@ class EquivalenceRelation(Carrier):
         _check_labels(self.points)
         seen = 0
         for b in self.blocks:
+            if not 0 <= b <= self.full:
+                raise FormatError(f"partition block {b:#x} is not a subset of the carrier")
             if b == 0:
                 raise ValidationError("partition blocks must be nonempty")
             if b & seen:
@@ -87,7 +84,7 @@ class EquivalenceRelation(Carrier):
 @record
 class ContinuityCheck:
     ok: bool
-    witness_open: int | None = None  # target open with a non-open preimage
+    witness_open: int | None  # target open with a non-open preimage
 
 
 def is_continuous(f: PointMap) -> ContinuityCheck:
@@ -100,7 +97,7 @@ def is_continuous(f: PointMap) -> ContinuityCheck:
     for k in sorted(set(f.target.min_nbhd)):
         if not f.source.is_open(f.preimage(k)):
             return ContinuityCheck(False, k)
-    return ContinuityCheck(True)
+    return ContinuityCheck(True, None)
 
 
 def is_homeomorphism(f: PointMap) -> bool:
@@ -123,17 +120,9 @@ def initial_topology(points, factors) -> FiniteSpace:
     full = (1 << len(points)) - 1
     kernels = [full] * len(points)
     for mapping, target in factors:
-        try:
-            idx = tuple(target.index(mapping[p]) for p in points)
-        except KeyError as e:
-            raise FormatError(f"map is not total, missing {e.args[0]!r}") from None
+        idx = target.index_map(mapping, points)
         for i, j in enumerate(idx):
-            ker = target.min_nbhd[j]
-            pre = 0
-            for i2, j2 in enumerate(idx):
-                if ker >> j2 & 1:
-                    pre |= 1 << i2
-            kernels[i] &= pre
+            kernels[i] &= preimage(idx, target.min_nbhd[j])
     return FiniteSpace(points, kernels)
 
 
@@ -148,14 +137,10 @@ def final_topology(points, factors) -> FiniteSpace:
     """
     points = tuple(points)
     _check_labels(points)
+    bit = _label_bits(points)
     rel = [1 << i for i in range(len(points))]
     for source, mapping in factors:
-        try:
-            idx = tuple(points.index(mapping[p]) for p in source.points)
-        except KeyError as e:
-            raise FormatError(f"map is not total, missing {e.args[0]!r}") from None
-        except ValueError:
-            raise FormatError("map image is not a carrier point") from None
+        idx = _index_map(bit, mapping, source.points)
         for i, k in enumerate(source.min_nbhd):
             for j in bits(k):
                 rel[idx[i]] |= 1 << idx[j]
@@ -240,8 +225,12 @@ def one_point_extension(space: FiniteSpace, infinity_label: str) -> FiniteSpace:
 
     Requires a Hausdorff input. A finite Hausdorff space is discrete, and
     every subset of a finite space is compact, so every set containing the
-    new point is open too: the extension is discrete.
+    new point is open too: the extension is discrete. The label must read
+    back as one point of the space format: nonempty, with no whitespace
+    and no '#'.
     """
+    if infinity_label.split() != [infinity_label] or "#" in infinity_label:
+        raise FormatError(f"extension label {infinity_label!r} is empty or holds whitespace or '#'")
     if infinity_label in space.points:
         raise ValidationError("extension label already names a point", {"label": infinity_label})
     ker = space.min_nbhd

@@ -7,7 +7,7 @@ subsets of X" — which is what makes the exhaustive convergence checks
 in the test suite possible.
 """
 
-from .bitsets import bits, is_subset
+from .bitsets import bits, is_subset, preimage
 from .errors import FormatError, ValidationError
 from .records import record
 from .spaces import Carrier, FiniteSpace, _check_labels
@@ -84,12 +84,7 @@ def trace_filter(f: PrincipalFilter, mask: int) -> PrincipalFilter:
             "trace is not a filter: the kernel misses the set",
             {"kernel": f.labels(f.kernel), "A": f.labels(mask)},
         )
-    sub_points = tuple(f.points[i] for i in bits(mask))
-    new_kernel = 0
-    for pos, i in enumerate(bits(mask)):
-        if f.kernel >> i & 1:
-            new_kernel |= 1 << pos
-    return PrincipalFilter(sub_points, new_kernel)
+    return PrincipalFilter(f.labels(mask), preimage(bits(mask), f.kernel))
 
 
 def all_filters(points):

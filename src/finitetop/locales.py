@@ -10,7 +10,7 @@ oracles and are not rerun here.
 """
 
 from .bitsets import bits
-from .errors import FormatError, ValidationError
+from .errors import ValidationError
 from .records import record
 from .spaces import FiniteSpace, Preorder, topology_from_poset
 
@@ -83,10 +83,7 @@ def is_scott_continuous(p: Preorder, q: Preorder, assignment) -> bool:
 
     On finite posets the three coincide, so monotonicity decides.
     """
-    try:
-        f = [q.index(assignment[pt]) for pt in p.points]
-    except KeyError as e:
-        raise FormatError(f"map is not total, missing {e.args[0]!r}") from None
+    f = q.index_map(assignment, p.points)
     return all(q.le(f[i], f[j]) for i in range(p.n) for j in bits(p.rel[i]))
 
 
@@ -103,10 +100,6 @@ class OpenFilter:
 
     def contains(self, u: int) -> bool:
         return self.kernel_open & ~u == 0
-
-    @property
-    def proper(self):
-        return self.kernel_open != 0
 
 
 @record

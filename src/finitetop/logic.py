@@ -19,7 +19,7 @@ from .records import record
 MAX_VARS = 16
 # Caps on parsed formulas that keep every recursive walk well inside
 # Python's default recursion limit of 1000 frames: the parser takes up to
-# six frames per open '~', '(' or '->', and `==`, `repr` and `str` take one
+# seven frames per open '~', '(' or '->', and `==`, `repr` and `str` take one
 # to four per level of the formula tree.
 MAX_NESTING = 64
 MAX_DEPTH = 150
@@ -183,11 +183,15 @@ def _tokenize(text):
     return out
 
 
+# binary connectives, loosest first: token and constructor
+_BINARY = (("<->", biconditional), ("->", implication), ("|", disjunction), ("&", And))
+_CONSTANTS = {"top": TOP, "bot": BOT}
+
+
 class _Parser:
     """Recursive descent; precedence ~ > & > | > -> (right) > <->."""
 
     def __init__(self, text):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.nesting = 0
@@ -196,9 +200,7 @@ class _Parser:
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
 
     def take(self):
-        tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
 
     def fail(self, expected):
         if self.pos < len(self.tokens):
@@ -206,49 +208,37 @@ class _Parser:
             raise FormatError(f"syntax error at position {at}: unexpected {tok!r}, wanted {expected}")
         raise FormatError(f"syntax error at end of input: wanted {expected}")
 
-    def nested(self, parse):
+    def nested(self, parse, *args):
         """Run a parse one level of '~', '(' or '->' further in."""
         self.nesting += 1
         if self.nesting > MAX_NESTING:
             raise FormatError(f"formula nests '~', '(' and '->' more than {MAX_NESTING} deep")
-        f = parse()
+        f = parse(*args)
         self.nesting -= 1
         return f
 
     def parse(self):
-        f = self.iff()
+        f = self.binary()
         if self.peek() is not None:
             self.fail("end of input")
         if _depth(f) > MAX_DEPTH:
             raise FormatError(f"formula is more than {MAX_DEPTH} connectives deep")
         return f
 
-    def iff(self):
-        f = self.imp()
-        while self.peek() == "<->":
-            self.take()
-            f = biconditional(f, self.imp())
-        return f
+    def binary(self, level=0):
+        """A chain of the level's connective over operands that bind tighter.
 
-    def imp(self):
-        f = self.disj()
-        if self.peek() == "->":
+        '->' groups to the right, and each arrow is one nesting level.
+        """
+        if level == len(_BINARY):
+            return self.atom()
+        op, make = _BINARY[level]
+        f = self.binary(level + 1)
+        while self.peek() == op:
             self.take()
-            return implication(f, self.nested(self.imp))
-        return f
-
-    def disj(self):
-        f = self.conj()
-        while self.peek() == "|":
-            self.take()
-            f = disjunction(f, self.conj())
-        return f
-
-    def conj(self):
-        f = self.atom()
-        while self.peek() == "&":
-            self.take()
-            f = And(f, self.atom())
+            if op == "->":
+                return make(f, self.nested(self.binary, level))
+            f = make(f, self.binary(level + 1))
         return f
 
     def atom(self):
@@ -258,17 +248,14 @@ class _Parser:
             return Not(self.nested(self.atom))
         if tok == "(":
             self.take()
-            f = self.nested(self.iff)
+            f = self.nested(self.binary)
             if self.peek() != ")":
                 self.fail("')'")
             self.take()
             return f
-        if tok == "top":
+        if tok in _CONSTANTS:
             self.take()
-            return TOP
-        if tok == "bot":
-            self.take()
-            return BOT
+            return _CONSTANTS[tok]
         if tok is not None and re.fullmatch(r"[a-z][a-z0-9_]*", tok):
             self.take()
             return Var(tok)

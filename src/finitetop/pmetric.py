@@ -63,10 +63,6 @@ class PMetricSpace(Carrier):
                     )
 
     @property
-    def n(self):
-        return len(self.points)
-
-    @property
     def is_metric(self):
         return all(v > 0 for i, row in enumerate(self.dist) for j, v in enumerate(row) if i != j)
 
@@ -172,7 +168,7 @@ def _compose(rel_a, rel_b):
 
 
 @record
-class RelationChain:
+class RelationChain(Carrier):
     """Symmetric relations V1..Vk with V_{n+1}^3 below V_n (V0 = everything)."""
 
     points: tuple
@@ -210,10 +206,6 @@ class RelationChain:
                         {"level": level, "x": self.points[i], "y": self.points[j]},
                     )
             prev = rel
-
-    @property
-    def n(self):
-        return len(self.points)
 
     @property
     def depth(self):

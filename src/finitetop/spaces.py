@@ -44,6 +44,18 @@ def _mask_of(bit, labels, lineno=None):
     return m
 
 
+def _index_map(bit, mapping, sources):
+    """Index of each source label's image under `mapping`, in source order.
+
+    Totality is checked first, naming the first source label the map
+    misses; then every image must be a label of `bit`.
+    """
+    for p in sources:
+        if p not in mapping:
+            raise FormatError(f"map is not total, missing {p!r}")
+    return tuple(_mask_of(bit, (mapping[p],)).bit_length() - 1 for p in sources)
+
+
 class Carrier:
     """Masks <-> labels for a record whose `points` tuple indexes the bits.
 
@@ -53,6 +65,10 @@ class Carrier:
     the `{a b}` string of a mask once, and `mask` and `index` read one
     label -> bit dict.
     """
+
+    @property
+    def n(self):
+        return len(self.points)
 
     @property
     def full(self):
@@ -102,6 +118,10 @@ class Carrier:
 
     def mask(self, labels):
         return _mask_of(self._bits, labels)
+
+    def index_map(self, mapping, sources):
+        """Index of each source label's image in this carrier; see `_index_map`."""
+        return _index_map(self._bits, mapping, sources)
 
 
 @record
@@ -212,10 +232,6 @@ class Preorder(Carrier):
                     raise ValidationError(
                         "relation is not transitive", {"x": points[i], "y": points[j], "z": points[k]}
                     )
-
-    @property
-    def n(self):
-        return len(self.points)
 
     def le(self, i, j):
         return bool(self.rel[i] >> j & 1)
@@ -331,7 +347,7 @@ class FiniteSpace(Preorder):
 
 
 @record
-class NeighborhoodSystem:
+class NeighborhoodSystem(Carrier):
     """One kernel set per point: the intersection of its assigned filter."""
 
     points: tuple
@@ -344,6 +360,8 @@ class NeighborhoodSystem:
         if len(self.kernels) != len(self.points):
             raise FormatError("need exactly one kernel per point")
         for i, k in enumerate(self.kernels):
+            if not 0 <= k <= self.full:
+                raise FormatError(f"kernel {k:#x} is not a subset of the carrier")
             if not k >> i & 1:
                 raise ValidationError(
                     "invalid system: point not in its own kernel", {"x": self.points[i]}
@@ -364,7 +382,7 @@ class SeparationProfile:
 @record
 class BaseCheck:
     ok: bool
-    witness: dict | None = None
+    witness: dict | None
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +419,7 @@ def _check_base(fam: SetFamily, kernels) -> BaseCheck:
             u = min(around, key=int.bit_count)
             v = next(m for m in around if u & ~m)
             return BaseCheck(False, {"x": fam.points[x], "U": fam.labels(u), "V": fam.labels(v)})
-    return BaseCheck(True)
+    return BaseCheck(True, None)
 
 
 def validate_base(fam: SetFamily) -> BaseCheck:

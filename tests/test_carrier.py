@@ -139,6 +139,7 @@ def test_unknown_label_in_arguments_and_blocks(tmp_path, capsys):
 _AB = ("a", "b")
 _CHAIN2 = ft.Preorder(_AB, (0b11, 0b10))
 _PM2 = ft.pmetric_from_matrix(_AB, [[0, 1], [1, 0]])
+_S2 = ft.FiniteSpace(_AB, (0b11, 0b10))
 UNKNOWN_IN_CALLS = [
     ("ultrafilter_at", lambda: ft.ultrafilter_at(_AB, "z"), "unknown point 'z'"),
     ("dist_to_set", lambda: ft.dist_to_set(_PM2, "z", 1), "unknown point 'z'"),
@@ -147,6 +148,18 @@ UNKNOWN_IN_CALLS = [
     ("is_scott_continuous", lambda: ft.is_scott_continuous(_CHAIN2, _CHAIN2, {"a": "z", "b": "b"}),
      "unknown point 'z'"),
     ("is_scott_continuous-partial", lambda: ft.is_scott_continuous(_CHAIN2, _CHAIN2, {"a": "a"}),
+     "map is not total, missing 'b'"),
+    ("PointMap.from_dict", lambda: ft.PointMap.from_dict(_S2, _S2, {"a": "a", "b": "z"}), "unknown point 'z'"),
+    ("PointMap.from_dict-partial", lambda: ft.PointMap.from_dict(_S2, _S2, {"a": "a"}),
+     "map is not total, missing 'b'"),
+    ("initial_topology", lambda: ft.initial_topology(_AB, [({"a": "a", "b": "z"}, _S2)]), "unknown point 'z'"),
+    ("initial_topology-partial", lambda: ft.initial_topology(_AB, [({"a": "a"}, _S2)]),
+     "map is not total, missing 'b'"),
+    ("final_topology", lambda: ft.final_topology(_AB, [(_S2, {"a": "a", "b": "z"})]), "unknown point 'z'"),
+    ("final_topology-partial", lambda: ft.final_topology(_AB, [(_S2, {"a": "a"})]),
+     "map is not total, missing 'b'"),
+    # a map that misses a source and has an unknown image is reported as not total
+    ("initial_topology-partial-and-unknown", lambda: ft.initial_topology(_AB, [({"a": "z"}, _S2)]),
      "map is not total, missing 'b'"),
 ]
 

@@ -257,6 +257,11 @@ def test_block_labels_collisions():
     assert err.value.witness == {"A": ("1", "2"), "B": ("1+2",)}
 
 
+def test_partition_block_off_the_carrier_is_a_format_error():
+    with pytest.raises(FormatError, match="^partition block 0x4 is not a subset of the carrier$"):
+        ft.EquivalenceRelation(("a", "b"), (0b11, 0b100))
+
+
 # -- Hausdorff vs diagonal, image subspace --------------------------------------------
 
 

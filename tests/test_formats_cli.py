@@ -549,6 +549,23 @@ def test_build_commands(tmp_path, capsys, div6_file):
     assert code == 0 and "points: a b x" in out
 
 
+def test_build_onepoint_output_reloads_as_the_extension(tmp_path, capsys):
+    disc = tmp_path / "d.top"
+    disc.write_text("points: a b\nopen: a\nopen: b\n")
+    code, out, _ = run(capsys, "build", "onepoint", "--in", str(disc), "--label", "w")
+    assert code == 0
+    assert formats.load_space(out) == ft.one_point_extension(formats.load_space(disc.read_text()), "w")
+
+
+@pytest.mark.parametrize("label", ["x y", "", " ", "#c"])
+def test_build_onepoint_refuses_a_label_that_does_not_reload(tmp_path, capsys, label):
+    disc = tmp_path / "d.top"
+    disc.write_text("points: a b\nopen: a\nopen: b\n")
+    code, out, err = run(capsys, "build", "onepoint", "--in", str(disc), "--label", label)
+    assert (code, out) == (2, "")
+    assert err == f"error: extension label {label!r} is empty or holds whitespace or '#'\n"
+
+
 def test_locale_commands(div6_file, capsys):
     code, out, _ = run(capsys, "locale", "points", "--in", div6_file, "--json")
     assert code == 0 and json.loads(out)["count"] == 4

@@ -72,6 +72,23 @@ def test_biconditional_parses():
     assert f == biconditional(Var("p"), Var("q"))
 
 
+_A, _B, _C = Var("a"), Var("b"), Var("c")
+
+
+@pytest.mark.parametrize(
+    "text, tree",
+    [
+        ("a -> b <-> c", biconditional(implication(_A, _B), _C)),
+        ("a <-> b -> c", biconditional(_A, implication(_B, _C))),
+        ("a | b -> c", implication(disjunction(_A, _B), _C)),
+        ("~a -> b", implication(Not(_A), _B)),
+        ("a & b <-> c", biconditional(And(_A, _B), _C)),
+    ],
+)
+def test_mixed_connectives_parse_by_precedence(text, tree):
+    assert ft.parse_formula(text) == tree
+
+
 @pytest.mark.parametrize(
     "build, cap",
     [
@@ -90,6 +107,13 @@ def test_formula_caps(build, cap):
     assert f == ft.parse_formula(build(cap)) and str(f) and repr(f) and hash(f)
     with pytest.raises(FormatError):
         ft.parse_formula(build(cap + 1))
+
+
+def test_parser_round_trips_structure():
+    rng = random.Random(11)
+    for _ in range(200):
+        f = random_formula(rng, ["p", "q", "r"], 4)
+        assert ft.parse_formula(str(f)) == f
 
 
 def test_parser_round_trips_semantics():

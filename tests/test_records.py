@@ -3,7 +3,6 @@
 import pytest
 
 from finitetop import FiniteSpace, Preorder
-from finitetop.construct import ContinuityCheck
 from finitetop.logic import And, Var, parse_formula
 from finitetop.records import record
 from finitetop.spaces import BaseCheck
@@ -40,33 +39,17 @@ def test_assignment_and_deletion_raise_attribute_error():
 def test_repr_names_the_class_and_the_fields():
     assert repr(FiniteSpace(POINTS, REL)) == "FiniteSpace(points=('a', 'b'), rel=(1, 3))"
     assert repr(And(Var("p"), Var("q"))) == "And(left=Var(name='p'), right=Var(name='q'))"
-    assert repr(BaseCheck(True)) == "BaseCheck(ok=True, witness=None)"
+    assert repr(BaseCheck(True, None)) == "BaseCheck(ok=True, witness=None)"
 
 
-def test_keyword_construction_and_defaults():
-    assert FiniteSpace(rel=REL, points=POINTS) == FiniteSpace(POINTS, REL)
-    assert And(Var("p"), right=Var("q")) == And(Var("p"), Var("q"))
-    assert BaseCheck(ok=False, witness={"x": "a"}) == BaseCheck(False, {"x": "a"})
-    assert BaseCheck(True).witness is None and ContinuityCheck(ok=True).witness_open is None
-
-
-@pytest.mark.parametrize(
-    "args, kwargs, message",
-    [
-        ((), {}, "missing argument 'points'"),
-        ((POINTS,), {}, "missing argument 'rel'"),
-        ((POINTS, REL, 0), {}, "takes 2 arguments but 3 were given"),
-        ((POINTS, REL), {"kernels": REL}, "got an unexpected or repeated argument 'kernels'"),
-        ((POINTS,), {"points": POINTS, "rel": REL}, "got an unexpected or repeated argument 'points'"),
-    ],
-)
-def test_missing_or_unknown_arguments_raise_type_error(args, kwargs, message):
-    with pytest.raises(TypeError, match=f"FiniteSpace\\(\\) {message}"):
-        FiniteSpace(*args, **kwargs)
+@pytest.mark.parametrize("args", [(), (POINTS,), (POINTS, REL, 0)])
+def test_wrong_argument_count_raises_type_error(args):
+    with pytest.raises(TypeError, match=f"FiniteSpace\\(\\) takes 2 arguments but {len(args)} were given"):
+        FiniteSpace(*args)
 
 
 def test_a_slot_is_not_a_default():
-    with pytest.raises(TypeError, match="missing argument 'name'"):
+    with pytest.raises(TypeError, match=r"Var\(\) takes 1 arguments but 0 were given"):
         Var()
 
 
@@ -82,7 +65,7 @@ def test_post_init_replaced_after_decoration_runs():
     seen = []
     Pair.__post_init__ = lambda self: seen.append((self.left, self.right))
     Pair(1, 2)
-    Pair(right=4, left=3)
+    Pair(3, 4)
     assert seen == [(1, 2), (3, 4)]
 
 
@@ -101,7 +84,7 @@ def test_fields_come_from_annotations_not_stored_in_the_class_dict():
         pass
 
     assert "__annotations__" not in vars(Pair)
-    assert repr(Pair(1, right=2)).endswith(".Pair(left=1, right=2)")
+    assert repr(Pair(1, 2)).endswith(".Pair(left=1, right=2)")
 
 
 def test_a_class_without_fields_is_refused():

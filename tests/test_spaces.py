@@ -475,6 +475,11 @@ def test_topology_from_neighborhoods_mismatch():
     assert sp.min_nbhd[0] == 0b111  # recomputed kernel of a is the carrier
 
 
+def test_neighborhood_kernel_off_the_carrier_is_a_format_error():
+    with pytest.raises(FormatError, match="^kernel 0x5 is not a subset of the carrier$"):
+        ft.NeighborhoodSystem(("a", "b"), (0b101, 0b10))
+
+
 def test_topology_from_neighborhoods_matches_subset_oracle():
     # every system of kernels on up to 4 points
     for n in range(5):
