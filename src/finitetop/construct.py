@@ -24,9 +24,9 @@ class PointMap:
         object.__setattr__(self, "assignment", tuple(self.assignment))
         if len(self.assignment) != self.source.n:
             raise FormatError("map must be total on the source carrier")
-        for j in self.assignment:
+        for p, j in zip(self.source.points, self.assignment):
             if not 0 <= j < self.target.n:
-                raise FormatError("map image is not a target point")
+                raise FormatError(f"map image of {p!r} is {j}, not a target point index")
 
     @classmethod
     def from_dict(cls, source, target, mapping):

@@ -244,14 +244,12 @@ class Preorder(Carrier):
     @classmethod
     def from_pairs(cls, points, pairs):
         """Reflexive-transitive closure of the given `a <= b` pairs."""
-        n = len(points)
-        idx = {p: i for i, p in enumerate(points)}
-        rel = [1 << i for i in range(n)]
+        points = tuple(points)
+        bit = _label_bits(points)
+        rel = [1 << i for i in range(len(points))]
         for a, b in pairs:
-            if a not in idx or b not in idx:
-                raise FormatError(f"unknown point in pair ({a!r}, {b!r})")
-            rel[idx[a]] |= 1 << idx[b]
-        return cls(tuple(points), _transitive_closure(rel))
+            rel[_mask_of(bit, (a,)).bit_length() - 1] |= _mask_of(bit, (b,))
+        return cls(points, _transitive_closure(rel))
 
 
 class FiniteSpace(Preorder):
@@ -265,47 +263,54 @@ class FiniteSpace(Preorder):
 
     @classmethod
     def from_opens(cls, points, opens):
-        """The space whose opens are the given family, validated in O(|opens|·n).
+        """The space whose opens are the given family, validated by its smallest members.
 
         With the empty set and the carrier present, the family is a topology
-        iff every kernel is a member and every member stays one after union
-        with each kernel. Each kernel is the intersection of the members
-        containing its point, folded in ascending order; a fold step that
-        leaves the family names the two members it intersected, and a
-        missing union names the member and the kernel. The validated family
-        is kept as the space's `opens`.
+        iff c_x, the first member around x in `opens_by_size` order, is a
+        preorder (checked in O(n^2)) whose up-sets, the distinct c_x folded
+        into their unions in ascending order, are exactly the family. A
+        failure names two members whose intersection or union is missing: c_x
+        and c_y for y in c_x with c_y not inside c_x; u and c_x for a fold step
+        u | c_x outside the family; c_x and the first member u the fold misses,
+        for x in u with c_x not inside u. The family is kept as the `opens`.
         """
         points, opens = tuple(points), frozenset(opens)
         _check_labels(points)
         full = (1 << len(points)) - 1
-        for u in opens:
-            if not 0 <= u <= full:
-                raise FormatError(f"open {u:#x} is not a subset of the carrier")
+        ops = sorted(opens)
+        if ops and not 0 <= ops[0] <= ops[-1] <= full:
+            bad = ops[0] if ops[0] < 0 else ops[-1]
+            raise FormatError(f"open {bad:#x} is not a subset of the carrier")
         if 0 not in opens or full not in opens:
             raise ValidationError("a topology must contain the empty set and the carrier")
 
-        def labels(mask):
-            return tuple(points[i] for i in bits(mask))
+        def gap(how, u, v):
+            u, v = (tuple(points[i] for i in bits(m)) for m in (u, v))
+            return ValidationError(f"not closed under {how}", {"U": u, "V": v})
 
-        ops = sorted(opens)
-        ker = []
-        for x in range(len(points)):
-            k = full
-            for u in ops:
-                if u >> x & 1 and k & ~u:
-                    if k & u not in opens:
-                        raise ValidationError(
-                            "not closed under intersection", {"U": labels(k), "V": labels(u)}
-                        )
-                    k &= u
-            ker.append(k)
-        kernels = sorted(set(ker))
+        ops.sort(key=int.bit_count)
+        ker, todo = [full] * len(points), full
         for u in ops:
-            for k in kernels:
-                if u | k not in opens:
-                    raise ValidationError("not closed under union", {"U": labels(u), "V": labels(k)})
-        space = cls(points, ker)
-        space.__dict__["opens"] = opens  # fills the `opens` cache
+            if u & todo:
+                for x in bits(u & todo):
+                    ker[x] = u
+                todo &= ~u
+                if not todo:
+                    break
+        try:
+            space = cls(points, ker)
+        except ValidationError as e:  # y in c_x, but c_y is not inside c_x
+            raise gap("intersection", *(ker[points.index(e.witness[k])] for k in "xy")) from None
+        reached = {0}
+        for k in sorted(set(ker)):
+            step = {u | k for u in reached}
+            if not step <= opens:
+                raise gap("union", min(u for u in reached if u | k not in opens), k)
+            reached |= step
+        if len(reached) < len(opens):
+            u = next(u for u in ops if u not in reached)
+            raise gap("intersection", next(ker[x] for x in bits(u) if ker[x] & ~u), u)
+        space.__dict__.update(opens=opens, opens_by_size=tuple(ops))  # fills both caches
         return space
 
     @property

@@ -56,6 +56,11 @@ def test_map_must_be_total(divisors, sierpinski):
         ft.PointMap.from_dict(divisors, sierpinski, {"1": "0"})
 
 
+def test_map_range_error_names_the_source_point_and_index(sierpinski):
+    with pytest.raises(FormatError, match=r"^map image of '1' is 5, not a target point index$"):
+        ft.PointMap(sierpinski, sierpinski, (0, 5))
+
+
 # -- homeomorphisms --------------------------------------------------------------
 
 

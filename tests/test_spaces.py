@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import product as iproduct
 
@@ -111,6 +112,12 @@ def test_space_rejects_union_gap():
         ft.FiniteSpace.from_opens(("a", "b", "c"), {0, 0b111, 0b001, 0b010})
 
 
+@pytest.mark.parametrize("fam, bad", [({0, 0b11, 0b1000, 0b100}, "0x8"), ({0, -2, 0b11}, "-0x2")])
+def test_open_off_the_carrier_is_named(fam, bad):
+    with pytest.raises(FormatError, match=f"^open {bad} is not a subset of the carrier$"):
+        ft.FiniteSpace.from_opens(("a", "b"), fam)
+
+
 def test_duplicate_labels_are_a_hard_error():
     with pytest.raises(FormatError):
         ft.FiniteSpace.from_opens(("a", "a"), {0, 0b11})
@@ -161,6 +168,46 @@ def test_validation_witness_names_two_members_with_a_gap():
         gap = u | v if "union" in str(err.value) else u & v
         assert gap not in fam
     assert rejected > 1000
+
+
+def test_validator_agrees_with_the_oracle_on_every_family_up_to_4_points():
+    for n in range(5):
+        pts, full = tuple("abcd"[:n]), (1 << n) - 1
+        mids = range(1, full)
+        accepted = 0
+        for pick in range(1 << max(full - 1, 0)):
+            fam = {0, full} | {m for i, m in enumerate(mids) if pick >> i & 1}
+            if is_topology(n, fam):
+                sp = ft.FiniteSpace.from_opens(pts, fam)
+                accepted += 1
+                assert sp.opens == fam
+                assert sp.min_nbhd == tuple(
+                    functools.reduce(int.__and__, (u for u in fam if u >> x & 1)) for x in range(n)
+                )
+                assert "opens_by_size" in vars(sp)
+                assert sp.opens_by_size == tuple(sorted(fam, key=lambda u: (u.bit_count(), u)))
+                continue
+            with pytest.raises(ValidationError) as err:
+                ft.FiniteSpace.from_opens(pts, fam)
+            u, v = (sum(1 << pts.index(p) for p in err.value.witness[k]) for k in "UV")
+            assert u in fam and v in fam
+            assert (u | v if "union" in str(err.value) else u & v) not in fam
+        assert accepted == [1, 1, 4, 29, 355][n]
+
+
+@pytest.mark.parametrize(
+    "fam, message, u, v",
+    [
+        ({0, 0b011, 0b110, 0b111}, "not closed under intersection", ("b", "c"), ("a", "b")),
+        ({0, 0b001, 0b010, 0b111}, "not closed under union", ("a",), ("b",)),
+        ({0, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111}, "not closed under intersection", ("a", "b"), ("a", "c")),
+    ],
+    ids=["kernels-not-a-preorder", "union-step-leaves", "fold-ends-short"],
+)
+def test_each_validation_route_names_its_witness(fam, message, u, v):
+    with pytest.raises(ValidationError, match=f"^{message}$") as err:
+        ft.FiniteSpace.from_opens(("a", "b", "c"), fam)
+    assert err.value.witness == {"U": u, "V": v}
 
 
 def test_all_topologies_by_preorders():
@@ -419,6 +466,11 @@ def test_chain_topology():
     order = ft.Preorder.from_pairs(("a", "b"), [("a", "b")])
     sp = ft.topology_from_poset(order)
     assert sp.opens == frozenset({0, 0b10, 0b11})
+
+
+def test_from_pairs_names_an_unknown_label():
+    with pytest.raises(FormatError, match="^unknown point 'z'$"):
+        ft.Preorder.from_pairs(("a", "b"), [("a", "z")])
 
 
 def test_poset_round_trips(spaces_up_to_4):
