@@ -32,3 +32,19 @@ def preimage(assignment, mask: int) -> int:
         if mask >> j & 1:
             out |= 1 << i
     return out
+
+
+def intransitive_triple(rel):
+    """First (i, j, k) with j in rel[i], k in rel[j], k not in rel[i], by j, then i, then k; or None.
+
+    One pass over the pairs j in rel[i], with `bits` inlined, accepts a transitive relation.
+    """
+    for above in rel:
+        rest = above
+        while rest:
+            low = rest & -rest
+            if rel[low.bit_length() - 1] & ~above:
+                return next((i, j, next(bits(row & ~up))) for j, row in enumerate(rel)
+                            for i, up in enumerate(rel) if up >> j & 1 and row & ~up)
+            rest ^= low
+    return None

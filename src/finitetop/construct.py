@@ -6,7 +6,6 @@ from .records import record
 from .spaces import (
     Carrier,
     FiniteSpace,
-    _check_labels,
     _index_map,
     _label_bits,
     _transitive_closure,
@@ -65,20 +64,18 @@ class EquivalenceRelation(Carrier):
     blocks: tuple  # masks, pairwise disjoint, nonempty, covering the carrier
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        _check_labels(self.points)
+        object.__setattr__(self, "blocks", self._carrier(self.blocks, "partition block"))
         seen = 0
         for b in self.blocks:
-            if not 0 <= b <= self.full:
-                raise FormatError(f"partition block {b:#x} is not a subset of the carrier")
             if b == 0:
                 raise ValidationError("partition blocks must be nonempty")
             if b & seen:
-                raise ValidationError("partition blocks must be disjoint")
+                raise ValidationError("partition blocks overlap", {"x": self.points[next(bits(b & seen))]})
             seen |= b
         if seen != self.full:
-            raise ValidationError("partition must cover the carrier")
+            raise ValidationError(
+                "partition does not cover the carrier", {"x": self.points[next(bits(self.full & ~seen))]}
+            )
 
 
 @record
@@ -116,7 +113,6 @@ def initial_topology(points, factors) -> FiniteSpace:
     opens at the images of x.
     """
     points = tuple(points)
-    _check_labels(points)
     full = (1 << len(points)) - 1
     kernels = [full] * len(points)
     for mapping, target in factors:
@@ -136,7 +132,6 @@ def final_topology(points, factors) -> FiniteSpace:
     for every x' in the kernel of x.
     """
     points = tuple(points)
-    _check_labels(points)
     bit = _label_bits(points)
     rel = [1 << i for i in range(len(points))]
     for source, mapping in factors:
@@ -166,7 +161,7 @@ def product(a: FiniteSpace, b: FiniteSpace) -> FiniteSpace:
 
 def subspace(space: FiniteSpace, keep_mask: int) -> FiniteSpace:
     """Trace of the topology on a subset, via the embedding map."""
-    space._require_subset(keep_mask)
+    space._require_subset((keep_mask,), "argument")
     pts = tuple(space.points[i] for i in bits(keep_mask))
     embed = {p: p for p in pts}
     return initial_topology(pts, [(embed, space)])

@@ -10,7 +10,7 @@ in the test suite possible.
 from .bitsets import bits, is_subset, preimage
 from .errors import FormatError, ValidationError
 from .records import record
-from .spaces import Carrier, FiniteSpace, _check_labels
+from .spaces import Carrier, FiniteSpace
 
 
 @record
@@ -19,10 +19,9 @@ class PrincipalFilter(Carrier):
     kernel: int
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        _check_labels(self.points)
-        if not 0 < self.kernel <= self.full:
-            raise ValidationError("filter kernel must be a nonempty subset of the carrier")
+        self._carrier((self.kernel,), "filter kernel")
+        if not self.kernel:
+            raise ValidationError("filter kernel must be nonempty")
 
     def contains(self, mask: int) -> bool:
         return is_subset(self.kernel, mask)
@@ -77,8 +76,7 @@ def accumulation_points(space: FiniteSpace, f: PrincipalFilter) -> int:
 
 def trace_filter(f: PrincipalFilter, mask: int) -> PrincipalFilter:
     """Restriction of the filter to a subset, as a filter on that subset."""
-    if not 0 <= mask <= f.full:
-        raise FormatError("trace set is not a subset of the carrier")
+    f._require_subset((mask,), "trace set")
     if f.kernel & mask == 0:
         raise ValidationError(
             "trace is not a filter: the kernel misses the set",

@@ -137,11 +137,12 @@ def load_map(text: str) -> dict:
 
 
 def load_equivalence(text: str, space: FiniteSpace) -> EquivalenceRelation:
+    bit = space._bits
     blocks = []
     for lineno, key, rest in _records(text):
         if key != "block":
             raise FormatError(f"line {lineno}: unexpected keyword {key!r} in equivalence file")
-        blocks.append(space.mask(rest.split()))
+        blocks.append(_mask_of(bit, rest.split(), lineno))
     return EquivalenceRelation(space.points, tuple(blocks))
 
 

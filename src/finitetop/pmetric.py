@@ -8,7 +8,7 @@ ints in those units and divided once, so every distance is exact.
 import math
 from operator import add, ne
 
-from .bitsets import bits
+from .bitsets import bits, intransitive_triple
 from .construct import block_labels
 from .errors import FormatError, ValidationError
 from .records import record
@@ -32,9 +32,8 @@ class PMetricSpace(Carrier):
     dist: tuple  # tuple of row tuples
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
+        self._carrier(cap=False)
         object.__setattr__(self, "dist", tuple(tuple(map(float, row)) for row in self.dist))
-        _check_labels(self.points, cap=False)
         n = len(self.points)
         d = self.dist
         if len(d) != n or any(len(r) != n for r in d):
@@ -105,14 +104,10 @@ def metric_quotient(sp: PMetricSpace):
     d(x, y) = d(y, z) = 0 < d(x, z).
     """
     zero = [sum(1 << j for j, v in enumerate(row) if v == 0.0) for row in sp.dist]
-    for x, row in enumerate(zero):
-        for y in bits(row):
-            if zero[y] & ~row:  # unequal rows show this way round for some pair
-                z = next(bits(zero[y] & ~row))
-                raise ValidationError(
-                    "distance zero is not transitive",
-                    {"x": sp.points[x], "y": sp.points[y], "z": sp.points[z]},
-                )
+    bad = intransitive_triple(zero)
+    if bad:
+        x, y, z = (sp.points[i] for i in bad)
+        raise ValidationError("distance zero is not transitive", {"x": x, "y": y, "z": z})
     classes = tuple(dict.fromkeys(zero))
     labels = block_labels(sp, classes)
     members = [tuple(bits(c)) for c in classes]
@@ -175,11 +170,10 @@ class RelationChain(Carrier):
     relations: tuple  # each relation: tuple of row masks
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(
-            self, "relations", tuple(tuple(rel) for rel in self.relations)
-        )
-        _check_labels(self.points, cap=False)
+        levels = enumerate(self.relations, start=1)
+        # one check per level; a chain of depth 0 still checks its labels
+        relations = tuple(self._carrier(rel, f"relation {lv} row", cap=False) for lv, rel in levels)
+        object.__setattr__(self, "relations", relations or self._carrier(cap=False))
         n = len(self.points)
         prev = ((1 << n) - 1,) * n
         for level, rel in enumerate(self.relations, start=1):
@@ -233,8 +227,7 @@ def pseudometric_from_chain(chain: RelationChain) -> ChainMetric:
     """
     n, k = chain.n, chain.depth
     last = chain.relations[-1] if k else ((1 << n) - 1,) * n
-    # a reflexive symmetric relation is transitive iff related rows are equal
-    last_transitive = all(last[j] == row for row in last for j in bits(row))
+    last_transitive = intransitive_triple(last) is None
     units = []
     for i in range(n):
         row = [1 << k] * n  # unrelated at level 1
@@ -299,13 +292,13 @@ class RankedSets(Carrier):
     rank: tuple  # positive integer per point
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
+        self._carrier(cap=False)
         object.__setattr__(self, "rank", tuple(int(r) for r in self.rank))
-        _check_labels(self.points, cap=False)
         if len(self.rank) != len(self.points):
             raise FormatError("need one rank per point")
-        if any(r <= 0 for r in self.rank):
-            raise ValidationError("ranks must be positive")
+        for p, r in zip(self.points, self.rank):
+            if r <= 0:
+                raise ValidationError("ranks must be positive", {"x": p, "rank": r})
 
 
 def ultrametric_from_rank(rs: RankedSets, a: int, b: int) -> float:
@@ -388,10 +381,11 @@ class StochasticMatrix:
             if not all(map(math.isfinite, row)):  # `min` orders numbers only
                 raise ValidationError("stochastic matrix entries must be finite", {"row": i})
             if min(row) < 0:
-                raise ValidationError("stochastic matrix entries must be nonnegative")
+                j = next(j for j, v in enumerate(row) if v < 0)
+                raise ValidationError("stochastic matrix entries must be nonnegative", {"row": i, "col": j})
             total = sum(row)
             if abs(total - 1.0) > 1e-12:
-                raise ValidationError("stochastic matrix rows must sum to 1", {"sum": total})
+                raise ValidationError("stochastic matrix rows must sum to 1", {"row": i, "sum": total})
 
     @property
     def n(self):

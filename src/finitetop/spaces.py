@@ -12,7 +12,7 @@ all pairs of opens; the definitional routes live in the tests as oracles.
 
 from functools import cached_property
 
-from .bitsets import bits, is_subset, subsets
+from .bitsets import bits, intransitive_triple, is_subset, subsets
 from .errors import FormatError, ValidationError
 from .records import record
 
@@ -57,7 +57,7 @@ def _index_map(bit, mapping, sources):
 
 
 class Carrier:
-    """Masks <-> labels for a record whose `points` tuple indexes the bits.
+    """Masks <-> labels for a record whose `points` tuple indexes the bits, checked by `_carrier`.
 
     Every table is built on first use and kept on the instance: `labels`
     reads one 256-entry table of label tuples per byte of the mask (a byte's
@@ -123,6 +123,22 @@ class Carrier:
         """Index of each source label's image in this carrier; see `_index_map`."""
         return _index_map(self._bits, mapping, sources)
 
+    def _carrier(self, masks=(), what=None, cap=True):
+        """Store `points` as a tuple, check the labels (capped if `cap`), return the masks as a tuple."""
+        points = tuple(self.points)
+        object.__setattr__(self, "points", points)
+        _check_labels(points, cap)
+        masks = tuple(masks)
+        if masks and (min(masks) < 0 or max(masks) >> len(points)):  # at C speed, then name the mask
+            self._require_subset(masks, what)
+        return masks
+
+    def _require_subset(self, masks, what):
+        """A format error naming, as `what`, the first mask that is not a subset of the carrier."""
+        for m in masks:
+            if not 0 <= m <= self.full:
+                raise FormatError(f"{what} {m:#x} is not a subset of the carrier")
+
 
 @record
 class SetFamily(Carrier):
@@ -132,12 +148,7 @@ class SetFamily(Carrier):
     members: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "members", tuple(self.members))
-        _check_labels(self.points)
-        for m in self.members:
-            if not 0 <= m <= self.full:
-                raise FormatError(f"family member {m:#x} is not a subset of the carrier")
+        object.__setattr__(self, "members", self._carrier(self.members, "family member"))
 
 
 @record
@@ -151,9 +162,7 @@ class ClosureTable(Carrier):
     table: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "table", tuple(self.table))
-        _check_labels(self.points)
+        object.__setattr__(self, "table", self._carrier(self.table, "closure image"))
         if len(self.table) != 1 << len(self.points):
             raise FormatError("closure table must have one entry per subset")
 
@@ -213,25 +222,17 @@ class Preorder(Carrier):
     rel: tuple
 
     def __post_init__(self):
-        points, rel = tuple(self.points), tuple(self.rel)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "rel", rel)
-        _check_labels(points)
+        object.__setattr__(self, "rel", self._carrier(self.rel, "relation row"))
+        points, rel = self.points, self.rel
         if len(rel) != len(points):
             raise FormatError("relation must have one row per point")
-        full = self.full
         for i, row in enumerate(rel):
-            if not 0 <= row <= full:
-                raise FormatError(f"relation row {row:#x} is not a subset of the carrier")
             if not row >> i & 1:
                 raise ValidationError("relation is not reflexive", {"x": points[i]})
-        for j, row in enumerate(rel):
-            for i, above in enumerate(rel):
-                if above >> j & 1 and row & ~above:  # i <= j <= k but not i <= k
-                    k = next(bits(row & ~above))
-                    raise ValidationError(
-                        "relation is not transitive", {"x": points[i], "y": points[j], "z": points[k]}
-                    )
+        bad = intransitive_triple(rel)  # i <= j <= k but not i <= k
+        if bad:
+            x, y, z = (points[i] for i in bad)
+            raise ValidationError("relation is not transitive", {"x": x, "y": y, "z": z})
 
     def le(self, i, j):
         return bool(self.rel[i] >> j & 1)
@@ -297,10 +298,10 @@ class FiniteSpace(Preorder):
                 todo &= ~u
                 if not todo:
                     break
-        try:
-            space = cls(points, ker)
-        except ValidationError as e:  # y in c_x, but c_y is not inside c_x
-            raise gap("intersection", *(ker[points.index(e.witness[k])] for k in "xy")) from None
+        bad = intransitive_triple(ker)  # y in c_x, but c_y is not inside c_x
+        if bad:
+            raise gap("intersection", ker[bad[0]], ker[bad[1]])
+        space = cls(points, ker)
         reached = {0}
         for k in sorted(set(ker)):
             step = {u | k for u in reached}
@@ -346,10 +347,6 @@ class FiniteSpace(Preorder):
     def interior(self, mask):
         return self.full & ~self.closure(self.full & ~mask)
 
-    def _require_subset(self, mask):
-        if not 0 <= mask <= self.full:
-            raise FormatError("argument is not a subset of the carrier")
-
 
 @record
 class NeighborhoodSystem(Carrier):
@@ -359,14 +356,10 @@ class NeighborhoodSystem(Carrier):
     kernels: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "kernels", tuple(self.kernels))
-        _check_labels(self.points)
+        object.__setattr__(self, "kernels", self._carrier(self.kernels, "kernel"))
         if len(self.kernels) != len(self.points):
             raise FormatError("need exactly one kernel per point")
         for i, k in enumerate(self.kernels):
-            if not 0 <= k <= self.full:
-                raise FormatError(f"kernel {k:#x} is not a subset of the carrier")
             if not k >> i & 1:
                 raise ValidationError(
                     "invalid system: point not in its own kernel", {"x": self.points[i]}
@@ -450,7 +443,7 @@ def generate_topology(fam: SetFamily, mode: str = "base") -> FiniteSpace:
 
 
 def closure_interior(space: FiniteSpace, mask: int) -> dict:
-    space._require_subset(mask)
+    space._require_subset((mask,), "argument")
     cl = space.closure(mask)
     inte = space.interior(mask)
     return {"closure": cl, "interior": inte, "boundary": cl & ~inte}
@@ -521,7 +514,7 @@ def specialization_order(space: FiniteSpace) -> Preorder:
 
 
 def is_dense(space: FiniteSpace, mask: int) -> bool:
-    space._require_subset(mask)
+    space._require_subset((mask,), "argument")
     return space.closure(mask) == space.full
 
 

@@ -124,16 +124,17 @@ def test_unknown_label_in_arguments_and_blocks(tmp_path, capsys):
     csv.write_text("0,1,2\n1,0,1\n2,1,0\n")
     ranks = tmp_path / "r.rnk"
     ranks.write_text("rank: w1 1\nrank: w2 2\n")
+    # an .eq block is a line of a file, so its message names the line
     cases = [
-        (["build", "quotient", "--in", str(top), "--classes", str(eq)], "z"),
-        (["build", "subspace", "--in", str(top), "--keep", "a w"], "w"),
-        (["locale", "implication", "--in", str(top), "--a", "a", "--b", "v"], "v"),
-        (["metric", "hausdorff", "--in", str(csv), "--a", "1 9", "--b", "2"], "9"),
-        (["metric", "hausdorff", "--in", str(csv), "--a", "1", "--b", "2 8"], "8"),
-        (["metric", "ultrarank", "--in", str(ranks), "--a", "w1", "--b", "w9"], "w9"),
+        (["build", "quotient", "--in", str(top), "--classes", str(eq)], "line 2: unknown point 'z'"),
+        (["build", "subspace", "--in", str(top), "--keep", "a w"], "unknown point 'w'"),
+        (["locale", "implication", "--in", str(top), "--a", "a", "--b", "v"], "unknown point 'v'"),
+        (["metric", "hausdorff", "--in", str(csv), "--a", "1 9", "--b", "2"], "unknown point '9'"),
+        (["metric", "hausdorff", "--in", str(csv), "--a", "1", "--b", "2 8"], "unknown point '8'"),
+        (["metric", "ultrarank", "--in", str(ranks), "--a", "w1", "--b", "w9"], "unknown point 'w9'"),
     ]
-    for argv, lab in cases:
-        assert _run(capsys, argv) == (2, "", f"error: unknown point {lab!r}\n")
+    for argv, msg in cases:
+        assert _run(capsys, argv) == (2, "", f"error: {msg}\n")
 
 
 _AB = ("a", "b")
@@ -169,3 +170,49 @@ def test_unknown_label_in_a_library_call(call, msg):
     with pytest.raises(FormatError) as err:
         call()
     assert str(err.value) == msg
+
+
+# -- the carrier rule: labels, the cap and the masks of every labelled record ------------
+
+
+def _units(pts, bad):
+    """The singletons of the carrier as a list of masks, the last one replaced by `bad` if given."""
+    rows = [1 << i for i in range(len(pts))]
+    if bad is not None:
+        rows[-1] = bad
+    return rows
+
+
+# record -> (a valid record on the labels, with `bad` in a mask field if given;
+# capped at 16 points; holds masks)
+CARRIER_RECORDS = {
+    "SetFamily": (lambda pts, bad: ft.SetFamily(pts, _units(pts, bad)), True, True),
+    "ClosureTable": (lambda pts, bad: ft.ClosureTable(pts, [bad or 0, *range(1, 1 << len(pts))]), True, True),
+    "Preorder": (lambda pts, bad: ft.Preorder(pts, _units(pts, bad)), True, True),
+    "NeighborhoodSystem": (lambda pts, bad: ft.NeighborhoodSystem(pts, _units(pts, bad)), True, True),
+    "EquivalenceRelation": (lambda pts, bad: ft.EquivalenceRelation(pts, _units(pts, bad)), True, True),
+    "PrincipalFilter": (lambda pts, bad: ft.PrincipalFilter(pts, bad or 1), True, True),
+    "PMetricSpace": (lambda pts, bad: ft.PMetricSpace(pts, [[0.0] * len(pts) for _ in pts]), False, False),
+    "RelationChain": (lambda pts, bad: ft.RelationChain(pts, [_units(pts, bad)]), False, True),
+    "RankedSets": (lambda pts, bad: ft.RankedSets(pts, [1] * len(pts)), False, False),
+}
+
+
+@pytest.mark.parametrize("name", CARRIER_RECORDS)
+def test_carrier_rule_holds_for_every_labelled_record(name):
+    """Labels stored as a tuple and distinct, at most 16 unless the record is
+    metric-side, and every mask inside the carrier, named in hex if not."""
+    build, capped, masked = CARRIER_RECORDS[name]
+    rec = build(["a", "b", "c"], None)
+    assert rec.points == ("a", "b", "c") and not any(type(v) is list for v in vars(rec).values())
+    with pytest.raises(FormatError, match=r"^duplicate point label 'a'$"):
+        build(["a", "b", "a"], None)
+    wide = [f"p{i}" for i in range(17)]
+    if capped:
+        with pytest.raises(ft.ValidationError, match=r"^carrier has 17 points, limit is 16$"):
+            build(wide, None)
+    else:
+        assert build(wide, None).points == tuple(wide)
+    for bad in (-1, 0b1000, -0b1000) if masked else ():
+        with pytest.raises(FormatError, match=rf"^[a-z0-9 ]+ {bad:#x} is not a subset of the carrier$"):
+            build(["a", "b", "c"], bad)

@@ -366,6 +366,45 @@ def test_base_rejection_is_validation_failure(tmp_path, capsys):
     assert "'x': '1'" in err
 
 
+# (files, argv with {name} for the path of each file, stderr): a failure that exits 1 names its witness
+WITNESSED_FAILURES = {
+    "blocks-overlap": (
+        {"s.top": "points: a b c\nopen: a\n", "e.eq": "block: b c\nblock: c b a\n"},
+        ["build", "quotient", "--in", "{s.top}", "--classes", "{e.eq}"],
+        "failed: partition blocks overlap [{'x': 'b'}]",
+    ),
+    "blocks-miss-a-point": (
+        {"s.top": "points: a b c\nopen: a\n", "e.eq": "block: b\nblock: a\n"},
+        ["build", "quotient", "--in", "{s.top}", "--classes", "{e.eq}"],
+        "failed: partition does not cover the carrier [{'x': 'c'}]",
+    ),
+    "rank-zero": (
+        {"r.rnk": "rank: w1 1\nrank: w2 0\nrank: w3 -2\n"},
+        ["metric", "ultrarank", "--in", "{r.rnk}", "--a", "w1", "--b", "w2"],
+        "failed: ranks must be positive [{'x': 'w2', 'rank': 0}]",
+    ),
+    "negative-entry": (
+        {"m.csv": "0.5,0.5\n1.5,-0.5\n"},
+        ["solve", "pagerank", "--in", "{m.csv}"],
+        "failed: stochastic matrix entries must be nonnegative [{'row': 1, 'col': 1}]",
+    ),
+    "row-sum": (
+        {"m.csv": "1,0\n0.5,0.25\n"},
+        ["solve", "pagerank", "--in", "{m.csv}"],
+        "failed: stochastic matrix rows must sum to 1 [{'row': 1, 'sum': 0.75}]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", WITNESSED_FAILURES)
+def test_validation_failures_name_a_witness(tmp_path, capsys, case):
+    files, argv, want = WITNESSED_FAILURES[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv]
+    assert run(capsys, *argv) == (1, "", want + "\n")
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["space", "explode"]) == 2
 

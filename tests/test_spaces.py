@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finitetop as ft
-from finitetop.bitsets import bits, is_subset, subsets
+from finitetop.bitsets import bits, intransitive_triple, is_subset, subsets
 from finitetop.errors import FormatError, ValidationError
 
 from conftest import space_of
@@ -546,6 +546,18 @@ def test_topology_from_neighborhoods_matches_subset_oracle():
 def test_invalid_neighborhood_system():
     with pytest.raises(ValidationError):
         ft.NeighborhoodSystem(("a", "b"), (0b10, 0b10))
+
+
+def test_transitivity_scan_names_the_first_triple_on_every_relation_up_to_3_points():
+    """By j, then i, then k: the order of the preorder and metric-quotient witnesses."""
+    for n in range(4):
+        for rows in iproduct(range(1 << n), repeat=n):
+            want = next(
+                ((i, j, k) for j in range(n) for i in range(n) for k in range(n)
+                 if rows[i] >> j & 1 and rows[j] >> k & 1 and not rows[i] >> k & 1),
+                None,
+            )
+            assert intransitive_triple(rows) == want
 
 
 def test_kernel_vector_checks():
