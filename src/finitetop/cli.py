@@ -301,6 +301,11 @@ def _load_pmetric(args):
     return pmetric.pmetric_from_matrix(labels, rows)
 
 
+def _distances(rep, sp):
+    rows = [(p,) + tuple(f"{v:.12g}" for v in row) for p, row in zip(sp.points, sp.dist)]
+    rep.table("distances", ("",) + sp.points, rows)
+
+
 def cmd_metric(args, out):
     rep = _Report(args.json)
     if args.what == "hausdorff":
@@ -314,24 +319,14 @@ def cmd_metric(args, out):
         q, classes = pmetric.metric_quotient(sp)
         rep.add("classes", [list(sp.labels(c)) for c in classes],
                 "classes: " + " ".join(map(sp.set_str, classes)))
-        rep.table(
-            "distances",
-            ("",) + q.points,
-            [(q.points[i],) + tuple(f"{v:.12g}" for v in q.dist[i]) for i in range(q.n)],
-        )
+        _distances(rep, q)
     elif args.what == "net":
         sp = _load_pmetric(args)
         centers = pmetric.epsilon_net(sp, args.eps)
         rep.add("centers", centers, "centers: " + " ".join(centers))
     elif args.what == "chain":
         chain = formats.load_chain(_read(args.infile))
-        result = pmetric.pseudometric_from_chain(chain)
-        sp = result.space
-        rep.table(
-            "distances",
-            ("",) + sp.points,
-            [(sp.points[i],) + tuple(f"{v:.12g}" for v in sp.dist[i]) for i in range(sp.n)],
-        )
+        _distances(rep, pmetric.pseudometric_from_chain(chain).space)
         # the squeeze holds for every valid chain, so it is not rechecked;
         # the definitional check is a test oracle
         rep.add("squeeze_verified", True)

@@ -66,9 +66,9 @@ class EquivalenceRelation(Carrier):
     def __post_init__(self):
         object.__setattr__(self, "blocks", self._carrier(self.blocks, "partition block"))
         seen = 0
-        for b in self.blocks:
+        for i, b in enumerate(self.blocks):
             if b == 0:
-                raise ValidationError("partition blocks must be nonempty")
+                raise ValidationError("partition blocks must be nonempty", {"block": i})
             if b & seen:
                 raise ValidationError("partition blocks overlap", {"x": self.points[next(bits(b & seen))]})
             seen |= b

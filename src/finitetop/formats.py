@@ -31,38 +31,56 @@ def _lines(text):
             yield lineno, line
 
 
-def _records(text):
+def _labelled(text, what, wants, points=None):
+    """A labelled file, read lazily: first (points, label -> bit map), then its body records.
+
+    Without `points` the first record must be a nonempty `points:` line; an
+    `.eq` file is read against the carrier it is given, and a `.rnk` file
+    against the empty one. Each body record comes as (lineno, key, rest) once
+    `wants(key)` accepts its keyword, so a loader meets the faults in line order.
+    """
+    if points is not None:
+        yield points, _label_bits(points)
     for lineno, line in _lines(text):
         key, colon, rest = line.partition(":")
         if not colon:
             raw = text.splitlines()[lineno - 1].strip()  # the message quotes the comment too
             raise FormatError(f"line {lineno}: expected '<keyword>: ...', got {raw!r}")
-        yield lineno, key.strip(), rest.strip()
+        key, rest = key.strip(), rest.strip()
+        if points is None:
+            if key != "points":
+                raise FormatError(f"line {lineno}: {what} file must start with a 'points:' line")
+            points = tuple(rest.split())
+            if not points:
+                raise FormatError(f"line {lineno}: empty carrier")
+            yield points, _label_bits(points)
+        elif wants(key):
+            yield lineno, key, rest
+        else:  # a closure table file is a "closure file" here
+            what = what.removesuffix(" table")
+            raise FormatError(f"line {lineno}: unexpected keyword {key!r} in {what} file")
+    if points is None:
+        raise FormatError(f"empty {what} file")
 
 
-def _points_first(records, what):
-    try:
-        lineno, key, rest = next(records)
-    except StopIteration:
-        raise FormatError(f"empty {what} file") from None
-    if key != "points":
-        raise FormatError(f"line {lineno}: {what} file must start with a 'points:' line")
-    pts = tuple(rest.split())
-    if not pts:
-        raise FormatError(f"line {lineno}: empty carrier")
-    return pts
+def _masks(text, what, key, points=None):
+    """The carrier and, lazily, the mask of each `<key>: <labels>` line."""
+    records = _labelled(text, what, key.__eq__, points)
+    points, bit = next(records)
+    return points, (_mask_of(bit, rest.split(), lineno) for lineno, _, rest in records)
+
+
+def _pair(bit, lineno, key, rest):
+    """The indices of the two labels of a `<key>: <a> <b>` line."""
+    parts = rest.split()
+    if len(parts) != 2:
+        raise FormatError(f"line {lineno}: '{key}:' wants exactly two labels")
+    return tuple(_mask_of(bit, [p], lineno).bit_length() - 1 for p in parts)
 
 
 def load_space(text: str) -> FiniteSpace:
-    records = _records(text)
-    pts = _points_first(records, "space")
-    bit = _label_bits(pts)
-    opens = {0, (1 << len(pts)) - 1}
-    for lineno, key, rest in records:
-        if key != "open":
-            raise FormatError(f"line {lineno}: unexpected keyword {key!r} in space file")
-        opens.add(_mask_of(bit, rest.split(), lineno))
-    return FiniteSpace.from_opens(pts, opens)
+    pts, masks = _masks(text, "space", "open")
+    return FiniteSpace.from_opens(pts, {0, (1 << len(pts)) - 1, *masks})
 
 
 def dump_space(space: FiniteSpace) -> str:
@@ -73,42 +91,25 @@ def dump_space(space: FiniteSpace) -> str:
 
 
 def load_family(text: str) -> SetFamily:
-    records = _records(text)
-    pts = _points_first(records, "family")
-    bit = _label_bits(pts)
-    members = []
-    for lineno, key, rest in records:
-        if key != "member":
-            raise FormatError(f"line {lineno}: unexpected keyword {key!r} in family file")
-        members.append(_mask_of(bit, rest.split(), lineno))
-    return SetFamily(pts, tuple(members))
+    pts, masks = _masks(text, "family", "member")
+    return SetFamily(pts, tuple(masks))
 
 
 def load_poset(text: str) -> Preorder:
-    records = _records(text)
-    pts = _points_first(records, "poset")
-    bit = _label_bits(pts)
+    records = _labelled(text, "poset", "le".__eq__)
+    pts, bit = next(records)
     rel = [1 << i for i in range(len(pts))]
     for lineno, key, rest in records:
-        if key != "le":
-            raise FormatError(f"line {lineno}: unexpected keyword {key!r} in poset file")
-        parts = rest.split()
-        if len(parts) != 2:
-            raise FormatError(f"line {lineno}: 'le:' wants exactly two labels")
-        a, b = (_mask_of(bit, [p], lineno) for p in parts)
-        rel[a.bit_length() - 1] |= b
+        i, j = _pair(bit, lineno, key, rest)
+        rel[i] |= 1 << j
     return Preorder(pts, _transitive_closure(rel))
 
 
 def load_closure_table(text: str) -> ClosureTable:
-    records = _records(text)
-    pts = _points_first(records, "closure table")
-    n = len(pts)
-    bit = _label_bits(pts)
-    table = [None] * (1 << n)
-    for lineno, key, rest in records:
-        if key != "cl":
-            raise FormatError(f"line {lineno}: unexpected keyword {key!r} in closure file")
+    records = _labelled(text, "closure table", "cl".__eq__)
+    pts, bit = next(records)
+    table = [None] * (1 << len(pts))
+    for lineno, _, rest in records:
         if "->" not in rest:
             raise FormatError(f"line {lineno}: 'cl:' wants '<subset> -> <closure>'")
         left, right = rest.split("->", 1)
@@ -137,13 +138,8 @@ def load_map(text: str) -> dict:
 
 
 def load_equivalence(text: str, space: FiniteSpace) -> EquivalenceRelation:
-    bit = space._bits
-    blocks = []
-    for lineno, key, rest in _records(text):
-        if key != "block":
-            raise FormatError(f"line {lineno}: unexpected keyword {key!r} in equivalence file")
-        blocks.append(_mask_of(bit, rest.split(), lineno))
-    return EquivalenceRelation(space.points, tuple(blocks))
+    pts, masks = _masks(text, "equivalence", "block", space.points)
+    return EquivalenceRelation(pts, tuple(masks))
 
 
 def _cell(text: str) -> float:
@@ -195,15 +191,19 @@ def load_matrix(text: str):
 
 
 def load_chain(text: str) -> RelationChain:
-    records = _records(text)
-    pts = _points_first(records, "chain")
-    n = len(pts)
-    bit = _label_bits(pts)
+    records = _labelled(text, "chain", lambda key: key == "pair" or key.startswith("relation"))
+    pts, bit = next(records)
     relations = []
     current = None
     expect = 1
     for lineno, key, rest in records:
-        if key.startswith("relation"):
+        if key == "pair":
+            if current is None:
+                raise FormatError(f"line {lineno}: 'pair:' before any 'relation:' header")
+            i, j = _pair(bit, lineno, key, rest)
+            current[i] |= 1 << j
+            current[j] |= 1 << i
+        else:
             parts = key.split()
             try:
                 level = int(parts[1]) if len(parts) == 2 else int(rest)
@@ -212,29 +212,17 @@ def load_chain(text: str) -> RelationChain:
             if level != expect:
                 raise FormatError(f"line {lineno}: expected 'relation {expect}:'")
             expect += 1
-            current = [1 << i for i in range(n)]
+            current = [1 << i for i in range(len(pts))]
             relations.append(current)
-        elif key == "pair":
-            if current is None:
-                raise FormatError(f"line {lineno}: 'pair:' before any 'relation:' header")
-            parts = rest.split()
-            if len(parts) != 2:
-                raise FormatError(f"line {lineno}: 'pair:' wants exactly two labels")
-            a, b = (_mask_of(bit, [p], lineno) for p in parts)
-            i, j = a.bit_length() - 1, b.bit_length() - 1
-            current[i] |= 1 << j
-            current[j] |= 1 << i
-        else:
-            raise FormatError(f"line {lineno}: unexpected keyword {key!r} in chain file")
     return RelationChain(pts, tuple(tuple(rel) for rel in relations))
 
 
 def load_ranks(text: str) -> RankedSets:
+    records = _labelled(text, "rank", "rank".__eq__, ())
+    next(records)  # the labels come from the records
     pts = []
     ranks = []
-    for lineno, key, rest in _records(text):
-        if key != "rank":
-            raise FormatError(f"line {lineno}: unexpected keyword {key!r} in rank file")
+    for lineno, _, rest in records:
         parts = rest.split()
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: 'rank:' wants '<label> <positive int>'")

@@ -74,7 +74,12 @@ def scott_topology(order: Preorder) -> FiniteSpace:
     Alexandrov (up-set) topology.
     """
     if not order.is_poset:
-        raise ValidationError("Scott topology needs an antisymmetric order")
+        # the first point that shares its row with a later one, and the first such later one
+        rel = order.rel
+        x = next(i for i, row in enumerate(rel) if rel.count(row) > 1)
+        y = rel.index(rel[x], x + 1)
+        witness = {"x": order.points[x], "y": order.points[y]}
+        raise ValidationError("Scott topology needs an antisymmetric order", witness)
     return topology_from_poset(order)
 
 

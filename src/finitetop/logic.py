@@ -11,6 +11,7 @@ and the algebra's ultrafilters are the single-model atoms, one per set bit.
 
 import re
 from functools import cached_property
+from operator import and_, not_, or_
 
 from .bitsets import subsets
 from .errors import FormatError, ValidationError
@@ -94,74 +95,54 @@ def biconditional(a, b):
     return And(implication(a, b), implication(b, a))
 
 
-def variables_of(formula):
-    out = set()
-    seen = set()
-    stack = [formula]
-    while stack:
-        f = stack.pop()
-        if id(f) in seen:
-            continue
-        seen.add(id(f))
-        if isinstance(f, Var):
-            out.add(f.name)
-        elif isinstance(f, Not):
-            stack.append(f.arg)
-        elif isinstance(f, And):
-            stack.extend((f.left, f.right))
-    return out
+def _fold(formula, var, top, bot, neg, conj):
+    """Fold a formula bottom-up without recursion.
 
-
-def _depth(formula) -> int:
-    """Connectives on the longest path from the root to a variable or constant."""
-    level, d = {id(formula): formula}, 0
-    while True:
-        level = {
-            id(c): c
-            for f in level.values()
-            for c in ((f.arg,) if isinstance(f, Not) else (f.left, f.right) if isinstance(f, And) else ())
-        }
-        if not level:
-            return d
-        d += 1
-
-
-def _fold(formula, leaf, full: int) -> int:
-    """Truth table of a formula as an int, computed bottom-up without recursion.
-
-    A variable gives `leaf(name)`, top gives `full` and bot 0; `~` is
-    `full ^ a` and `&` is `a & b`. Each distinct node (by identity) is
-    computed once, so subtrees the formula shares cost nothing extra.
+    A variable gives `var(name)`, top gives `top` and bot `bot`; `~` gives
+    `neg(a)` and `&` gives `conj(a, b)` of its arguments' values. Each
+    distinct node (by identity) is computed once, so subtrees the formula
+    shares cost nothing extra.
     """
     memo = {}
+    get = memo.get
     stack = [formula]
     while stack:
         f = stack.pop()
         if id(f) in memo:
             continue
-        if isinstance(f, Var):
-            memo[id(f)] = leaf(f.name)
-        elif isinstance(f, Not):
-            a = memo.get(id(f.arg))
+        kind = type(f)  # the four node classes, most frequent first
+        if kind is Not:
+            a = get(id(f.arg))
             if a is None:
                 stack += (f, f.arg)
             else:
-                memo[id(f)] = full ^ a
-        elif isinstance(f, And):
-            a, b = memo.get(id(f.left)), memo.get(id(f.right))
+                memo[id(f)] = neg(a)
+        elif kind is And:
+            a, b = get(id(f.left)), get(id(f.right))
             if a is None or b is None:
                 stack += (f, f.left, f.right)
             else:
-                memo[id(f)] = a & b
-        elif isinstance(f, Const):
-            memo[id(f)] = full if f.value else 0
+                memo[id(f)] = conj(a, b)
+        elif kind is Var:
+            memo[id(f)] = var(f.name)
+        elif kind is Const:
+            memo[id(f)] = top if f.value else bot
         else:
             raise FormatError(f"not a formula: {f!r}")
     return memo[id(formula)]
 
 
+def variables_of(formula) -> frozenset:
+    return _fold(formula, lambda name: frozenset((name,)), frozenset(), frozenset(), lambda a: a, or_)
+
+
+def _depth(formula) -> int:
+    """Connectives on the longest path from the root to a variable or constant."""
+    return _fold(formula, lambda name: 0, 0, 0, lambda a: a + 1, lambda a, b: max(a, b) + 1)
+
+
 def evaluate(formula, true_vars: frozenset) -> bool:
-    return bool(_fold(formula, lambda name: int(name in true_vars), 1))
+    return _fold(formula, true_vars.__contains__, True, False, not_, and_)
 
 
 # -- parser -----------------------------------------------------------------
@@ -272,30 +253,27 @@ def parse_formula(text: str) -> PropFormula:
 @record
 class Theory:
     formulas: tuple
-    vars: tuple
+    vars: tuple  # the universe; None takes the formulas' variables, sorted
 
     def __post_init__(self):
         object.__setattr__(self, "formulas", tuple(self.formulas))
+        used = [variables_of(f) for f in self.formulas]  # one fold per formula serves both uses
+        if self.vars is None:
+            object.__setattr__(self, "vars", sorted(frozenset().union(*used)))
         object.__setattr__(self, "vars", tuple(self.vars))
         if len(self.vars) > MAX_VARS:
             raise ValidationError(f"at most {MAX_VARS} variables are supported")
         if len(set(self.vars)) != len(self.vars):
             raise FormatError("duplicate variable in universe")
         universe = set(self.vars)
-        for f in self.formulas:
-            extra = variables_of(f) - universe
+        for u in used:
+            extra = u - universe
             if extra:
                 raise FormatError(f"formula uses undeclared variable {sorted(extra)[0]!r}")
 
     @classmethod
     def of(cls, formulas, vars=None):
-        formulas = tuple(formulas)
-        if vars is None:
-            names = set()
-            for f in formulas:
-                names |= variables_of(f)
-            vars = tuple(sorted(names))
-        return cls(formulas, tuple(vars))
+        return cls(formulas, vars)
 
     def _valuation(self, m):
         """The m-th valuation: variable i is true iff bit k-1-i of m is set."""
@@ -329,14 +307,21 @@ class Theory:
                 raise FormatError(f"formula uses undeclared variable {name!r}")
             return columns[name]
 
-        return _fold(formula, column, (1 << (1 << len(self.vars))) - 1)
+        full = (1 << (1 << len(self.vars))) - 1
+        return _fold(formula, column, full, 0, full.__xor__, and_)
 
-    def truth_table(self):
-        """The table of the conjunction of the formulas: bit m is set iff valuation m is a model."""
+    def _conjunction(self):
+        """The running AND of the formulas' tables, and the formula that takes it to 0 (None if none does)."""
         table = self.table_of(TOP)
         for f in self.formulas:  # one fold per formula keeps few 2^k-bit tables alive
             table &= self.table_of(f)
-        return table
+            if not table:
+                return 0, f
+        return table, None
+
+    def truth_table(self):
+        """The table of the conjunction of the formulas: bit m is set iff valuation m is a model."""
+        return self._conjunction()[0]
 
     def models(self):
         """The satisfying valuations, in the order of `valuations`."""
@@ -391,9 +376,11 @@ class LindenbaumAlgebra:
 
 
 def lindenbaum_algebra(theory: Theory) -> LindenbaumAlgebra:
-    top = theory.truth_table()
+    top, refuter = theory._conjunction()
     if not top:
-        raise ValidationError("inconsistent theory: the algebra degenerates to top = bot")
+        raise ValidationError(
+            "inconsistent theory: the algebra degenerates to top = bot", {"formula": str(refuter)}
+        )
     return LindenbaumAlgebra(theory, top)
 
 

@@ -6,7 +6,7 @@ ints in those units and divided once, so every distance is exact.
 """
 
 import math
-from operator import add, ne
+from operator import add, ne, sub
 
 from .bitsets import bits, intransitive_triple
 from .construct import block_labels
@@ -126,6 +126,7 @@ def metric_quotient(sp: PMetricSpace):
 
 
 def dist_to_set(sp: PMetricSpace, label, mask: int) -> float:
+    sp._require_subset((mask,), "set")
     if mask == 0:
         raise ValidationError("distance to the empty set is undefined")
     i = sp.index(label)
@@ -134,6 +135,7 @@ def dist_to_set(sp: PMetricSpace, label, mask: int) -> float:
 
 def hausdorff_distance(sp: PMetricSpace, c: int, d: int) -> float:
     """Symmetric max of the two directed point-to-set distances."""
+    sp._require_subset((c, d), "set")
     if c == 0 or d == 0:
         raise ValidationError("Hausdorff distance needs nonempty sets")
     ab = max(min(sp.dist[i][j] for j in bits(d)) for i in bits(c))
@@ -303,6 +305,7 @@ class RankedSets(Carrier):
 
 def ultrametric_from_rank(rs: RankedSets, a: int, b: int) -> float:
     """2^-(least rank of a witness distinguishing the two sets)."""
+    rs._require_subset((a, b), "set")
     diff = a ^ b
     if diff == 0:
         return 0.0
@@ -327,12 +330,17 @@ class NonConvergence(ValidationError):
         self.trace = trace
 
 
-# numpy is imported inside the solvers, so importing the package does not
-# load it; the norms need only ndarray methods
+def _linf(v):
+    """The largest |x|, or nan when some x is nan: `max` alone may skip a nan."""
+    a = list(map(abs, v))
+    total = sum(a)  # nan iff some |x| is nan
+    return total if math.isnan(total) else max(a, default=0.0)
+
+
 _VECTOR_NORMS = {
-    "l1": lambda v: float(abs(v).sum()),
-    "l2": lambda v: math.sqrt(float((v * v).sum())),
-    "linf": lambda v: float(abs(v).max()) if len(v) else 0.0,
+    "l1": lambda v: sum(map(abs, v)),
+    "l2": lambda v: math.sqrt(sum(x * x for x in v)),
+    "linf": _linf,
 }
 
 
@@ -346,21 +354,19 @@ def banach_fixed_point(f, x0, metric="l2", tol=1e-12, max_iter=1000) -> Fixpoint
         raise ValidationError("tolerance must be positive")
     if metric not in _VECTOR_NORMS:
         raise FormatError(f"unknown metric {metric!r}")
-    import numpy as np
-
     norm = _VECTOR_NORMS[metric]
-    x = np.asarray(x0, dtype=float)
+    x = list(map(float, x0))
     trace = [x]
     gamma = 0.0
     prev_step = None
     for it in range(1, max_iter + 1):
-        nxt = np.asarray(f(x), dtype=float)
+        nxt = list(map(float, f(x)))
         trace.append(nxt)
-        step = norm(nxt - x)
+        step = norm(map(sub, nxt, x))
         if prev_step is not None and prev_step > 0:
             gamma = max(gamma, step / prev_step)
         if step <= tol:
-            return FixpointResult(tuple(float(v) for v in nxt), it, gamma)
+            return FixpointResult(tuple(nxt), it, gamma)
         prev_step = step
         x = nxt
     raise NonConvergence(f"no fixed point within {max_iter} iterations", trace)

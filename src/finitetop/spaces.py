@@ -21,7 +21,8 @@ MAX_POINTS = 16
 
 def _check_labels(points, cap=True):
     if cap and len(points) > MAX_POINTS:
-        raise ValidationError(f"carrier has {len(points)} points, limit is {MAX_POINTS}")
+        witness = {"x": points[MAX_POINTS]}  # the first label past the cap
+        raise ValidationError(f"carrier has {len(points)} points, limit is {MAX_POINTS}", witness)
     if len(set(points)) != len(points):
         dup = next(p for p in points if points.count(p) > 1)
         raise FormatError(f"duplicate point label {dup!r}")

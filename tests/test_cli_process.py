@@ -23,12 +23,14 @@ def fresh(argv, cwd, timeout=120):
 
 
 def test_space_report_leaves_numpy_unloaded(tmp_path):
-    # the test process has numpy loaded already, so only a fresh one can tell
+    # the test process has numpy loaded already, so only a fresh one can tell;
+    # the fixed-point solver iterates on plain floats, so it needs none either
     (tmp_path / "s.top").write_text("points: a b\nopen: a\n")
     code = (
         "import sys\n"
         "from finitetop.cli import main\n"
         "code = main(['space', 'report', '--in', 's.top'])\n"
+        "code += main(['solve', 'fixpoint', '--fn', 'cos', '--x0', '1,2', '--metric', 'linf'])\n"
         "print('numpy' in sys.modules, code)\n"
     )
     proc = fresh(["-c", code], tmp_path)

@@ -213,6 +213,93 @@ def test_load_closure_table_requires_all_entries():
     assert "missing" in str(err.value)
 
 
+_SPACE = ["space", "report", "--in"]
+_FAMILY = ["check", "base", "--in"]
+_POSET = ["build", "from-poset", "--in"]
+_CLOSURE = ["check", "closure-op", "--in"]
+_CHAIN = ["check", "chain", "--in"]
+_BLOCKS = ["build", "quotient", "--in", "{s.top}", "--classes"]
+_RANKS = ["metric", "ultrarank", "--a", "w1", "--b", "w2", "--in"]
+
+# id -> (argv that the file's path completes, file text, stderr line): every labelled
+# loader's format errors, each exit 2; a file with two faults reports the earlier line
+LOADER_ERRORS = {
+    "space-empty": (_SPACE, "", "empty space file"),
+    "space-comments-only": (_SPACE, "# nothing\n\n", "empty space file"),
+    "space-no-points": (_SPACE, "open: a\n", "line 1: space file must start with a 'points:' line"),
+    "space-empty-carrier": (_SPACE, "points:   # none\n", "line 1: empty carrier"),
+    "space-no-colon-first": (_SPACE, "points a b\n", "line 1: expected '<keyword>: ...', got 'points a b'"),
+    "space-no-colon": (_SPACE, "points: a b\nnonsense # c\n", "line 2: expected '<keyword>: ...', got 'nonsense # c'"),
+    "space-keyword": (_SPACE, "points: a b\npoints: c\n", "line 2: unexpected keyword 'points' in space file"),
+    "space-unknown": (_SPACE, "points: a b\nopen: a z\n", "line 2: unknown point 'z'"),
+    "space-unknown-then-keyword": (_SPACE, "points: a b\nopen: z\nfoo: a\n", "line 2: unknown point 'z'"),
+    "space-keyword-then-unknown": (
+        _SPACE, "points: a b\nfoo: a\nopen: z\n", "line 2: unexpected keyword 'foo' in space file"
+    ),
+    "family-empty": (_FAMILY, "", "empty family file"),
+    "family-no-points": (_FAMILY, "member: a\n", "line 1: family file must start with a 'points:' line"),
+    "family-empty-carrier": (_FAMILY, "points:\n", "line 1: empty carrier"),
+    "family-keyword": (_FAMILY, "points: a\nopen: a\n", "line 2: unexpected keyword 'open' in family file"),
+    "family-unknown": (_FAMILY, "points: a\nmember: z\n", "line 2: unknown point 'z'"),
+    "poset-empty": (_POSET, "", "empty poset file"),
+    "poset-no-points": (_POSET, "le: a b\n", "line 1: poset file must start with a 'points:' line"),
+    "poset-keyword": (_POSET, "points: a b\n: a\n", "line 2: unexpected keyword '' in poset file"),
+    "poset-unknown": (_POSET, "points: a b\nle: a z\n", "line 2: unknown point 'z'"),
+    "poset-one-label": (_POSET, "points: a b\nle: a\n", "line 2: 'le:' wants exactly two labels"),
+    "poset-three-labels": (_POSET, "points: a b\nle: a b a\n", "line 2: 'le:' wants exactly two labels"),
+    "poset-arity-then-keyword": (_POSET, "points: a b\nle: a\nfoo: a\n", "line 2: 'le:' wants exactly two labels"),
+    "poset-keyword-then-arity": (
+        _POSET, "points: a b\nfoo: a\nle: a\n", "line 2: unexpected keyword 'foo' in poset file"
+    ),
+    "closure-empty": (_CLOSURE, "", "empty closure table file"),
+    "closure-no-points": (_CLOSURE, "cl: -> \n", "line 1: closure table file must start with a 'points:' line"),
+    "closure-keyword": (_CLOSURE, "points: a\nopen: a\n", "line 2: unexpected keyword 'open' in closure file"),
+    "closure-no-arrow": (_CLOSURE, "points: a\ncl: a\n", "line 2: 'cl:' wants '<subset> -> <closure>'"),
+    "closure-unknown": (_CLOSURE, "points: a\ncl: a -> z\n", "line 2: unknown point 'z'"),
+    "closure-missing": (_CLOSURE, "points: a b\ncl: -> \ncl: a -> a\n", "closure table is missing the entry for {b}"),
+    "closure-unknown-then-keyword": (_CLOSURE, "points: a\ncl: z -> a\nfoo: a\n", "line 2: unknown point 'z'"),
+    "closure-keyword-then-unknown": (
+        _CLOSURE, "points: a\nfoo: a\ncl: z -> a\n", "line 2: unexpected keyword 'foo' in closure file"
+    ),
+    "chain-empty": (_CHAIN, "# c\n", "empty chain file"),
+    "chain-no-points": (_CHAIN, "relation 1:\n", "line 1: chain file must start with a 'points:' line"),
+    "chain-keyword": (_CHAIN, "points: a b\nrel 1:\n", "line 2: unexpected keyword 'rel 1' in chain file"),
+    "chain-bad-level": (_CHAIN, "points: a b\nrelation x:\n", "line 2: 'relation <k>:' wants an integer level"),
+    "chain-skipped-level": (_CHAIN, "points: a b\nrelation 2:\n", "line 2: expected 'relation 1:'"),
+    "chain-pair-first": (_CHAIN, "points: a b\npair: a b\n", "line 2: 'pair:' before any 'relation:' header"),
+    "chain-unknown": (_CHAIN, "points: a b\nrelation 1:\npair: a z\n", "line 3: unknown point 'z'"),
+    "chain-one-label": (_CHAIN, "points: a b\nrelation 1:\npair: a\n", "line 3: 'pair:' wants exactly two labels"),
+    "chain-unknown-then-keyword": (
+        _CHAIN, "points: a b\nrelation 1:\npair: a z\nfoo:\n", "line 3: unknown point 'z'"
+    ),
+    "chain-keyword-then-unknown": (
+        _CHAIN, "points: a b\nrelation 1:\nfoo:\npair: a z\n", "line 3: unexpected keyword 'foo' in chain file"
+    ),
+    "blocks-no-colon": (_BLOCKS, "block a b c\n", "line 1: expected '<keyword>: ...', got 'block a b c'"),
+    "blocks-keyword": (_BLOCKS, "points: a b c\n", "line 1: unexpected keyword 'points' in equivalence file"),
+    "blocks-unknown": (_BLOCKS, "block: a b\nblock: c z\n", "line 2: unknown point 'z'"),
+    "blocks-unknown-then-keyword": (_BLOCKS, "block: a z\nfoo: b\n", "line 1: unknown point 'z'"),
+    "blocks-keyword-then-unknown": (
+        _BLOCKS, "foo: b\nblock: a z\n", "line 1: unexpected keyword 'foo' in equivalence file"
+    ),
+    "ranks-keyword": (_RANKS, "points: w1 w2\n", "line 1: unexpected keyword 'points' in rank file"),
+    "ranks-no-colon": (_RANKS, "rank w1 1\n", "line 1: expected '<keyword>: ...', got 'rank w1 1'"),
+    "ranks-arity": (_RANKS, "rank: w1\n", "line 1: 'rank:' wants '<label> <positive int>'"),
+    "ranks-not-int": (_RANKS, "rank: w1 x\n", "line 1: rank must be an integer"),
+    "ranks-arity-then-keyword": (_RANKS, "rank: w1\nfoo: w2 1\n", "line 1: 'rank:' wants '<label> <positive int>'"),
+    "ranks-keyword-then-arity": (_RANKS, "foo: w2 1\nrank: w1\n", "line 1: unexpected keyword 'foo' in rank file"),
+}
+
+
+@pytest.mark.parametrize("case", LOADER_ERRORS)
+def test_loader_format_errors_name_the_first_faulty_line(tmp_path, capsys, case):
+    argv, text, want = LOADER_ERRORS[case]
+    (tmp_path / "s.top").write_text("points: a b c\nopen: a\n")
+    (tmp_path / "f").write_text(text)
+    argv = [str(tmp_path / "s.top") if a == "{s.top}" else a for a in argv] + [str(tmp_path / "f")]
+    assert run(capsys, *argv) == (2, "", f"error: {want}\n")
+
+
 def test_load_map_errors():
     with pytest.raises(FormatError):
         formats.load_map("a b\n")
@@ -392,6 +479,31 @@ WITNESSED_FAILURES = {
         {"m.csv": "1,0\n0.5,0.25\n"},
         ["solve", "pagerank", "--in", "{m.csv}"],
         "failed: stochastic matrix rows must sum to 1 [{'row': 1, 'sum': 0.75}]",
+    ),
+    "empty-block": (
+        {"s.top": "points: a b c\nopen: a\n", "e.eq": "block: a\nblock:\nblock: b c\n"},
+        ["build", "quotient", "--in", "{s.top}", "--classes", "{e.eq}"],
+        "failed: partition blocks must be nonempty [{'block': 1}]",
+    ),
+    "scott-two-cycle": (
+        {"c.pos": "points: a b c d\nle: a d\nle: b c\nle: c b\nle: d a\n"},
+        ["build", "scott", "--in", "{c.pos}"],
+        "failed: Scott topology needs an antisymmetric order [{'x': 'a', 'y': 'd'}]",
+    ),
+    "over-the-cap": (
+        {"w.top": "points: " + " ".join(f"p{i}" for i in range(18)) + "\n"},
+        ["space", "report", "--in", "{w.top}"],
+        "failed: carrier has 18 points, limit is 16 [{'x': 'p16'}]",
+    ),
+    "product-over-the-cap": (
+        {"s.top": "points: a b c d e\n"},
+        ["build", "product", "--in", "{s.top}", "--with", "{s.top}"],
+        "failed: carrier has 25 points, limit is 16 [{'x': '⟨d,b⟩'}]",
+    ),
+    "inconsistent-theory": (
+        {"t.thy": "a | b\n~a\nb -> a\nc\n"},
+        ["logic", "model", "--in", "{t.thy}"],
+        "failed: inconsistent theory: the algebra degenerates to top = bot [{'formula': '~(~~b & ~a)'}]",
     ),
 }
 

@@ -297,6 +297,23 @@ def test_dist_to_set_examples():
         ft.dist_to_set(disc, "a", 0)
 
 
+@pytest.mark.parametrize(
+    "call, mask",
+    [
+        (lambda sp, rs: ft.dist_to_set(sp, "a", 4), 4),
+        (lambda sp, rs: ft.hausdorff_distance(sp, -1, 1), -1),
+        (lambda sp, rs: ft.hausdorff_distance(sp, 1, 0b110), 0b110),
+        (lambda sp, rs: ft.ultrametric_from_rank(rs, 4, 1), 4),
+    ],
+    ids=["dist_to_set", "hausdorff-negative", "hausdorff-wide", "ultrametric"],
+)
+def test_set_arguments_must_lie_in_the_carrier(call, mask):
+    sp = ft.pmetric_from_matrix(("a", "b"), [[0, 1], [1, 0]])
+    rs = ft.RankedSets(("a", "b"), (1, 2))
+    with pytest.raises(FormatError, match=rf"^set {mask:#x} is not a subset of the carrier$"):
+        call(sp, rs)
+
+
 @given(pmetric_spaces())
 @settings(max_examples=30, deadline=None)
 def test_dist_to_set_lipschitz_and_closure(sp):
