@@ -27,18 +27,7 @@ from .spaces import (
     indiscrete_space,
     all_topologies,
 )
-from .filters import (
-    PrincipalFilter,
-    filter_from_base,
-    is_ultrafilter,
-    ultrafilter_at,
-    image_filter,
-    neighborhood_filter,
-    limits,
-    accumulation_points,
-    trace_filter,
-    all_filters,
-)
+from .filters import ultrafilter_at, limits
 from .construct import (
     PointMap,
     EquivalenceRelation,
@@ -53,7 +42,6 @@ from .construct import (
     one_point_extension,
 )
 from .locales import (
-    OpenFilter,
     heyting_implication,
     heyting_negation,
     points_of_locale,

@@ -67,15 +67,22 @@ def _panels(text):
     return value
 
 
-def _tolerance(text):
-    """argparse type: a finite positive float."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0.0 < value < math.inf:  # also false for nan
-        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text}")
-    return value
+def _real(ok, what):
+    """argparse type: a float for which `ok` holds; any other value, nan included, is a usage error."""
+
+    def real(text):
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        if not ok(value):  # comparisons with nan are false
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+
+    return real
+
+
+_tolerance = _real(lambda v: 0.0 < v < math.inf, "a finite positive number")
 
 
 def _emit(out, text):
@@ -264,8 +271,8 @@ def cmd_locale(args, out):
         # an open contains the kernel g iff it contains a point whose kernel is g
         point_of = dict(zip(space.min_nbhd, space.points))
         rows = [
-            (i, " ".join(map(space.set_str, spaces.open_neighborhoods(space, point_of[m.kernel_open]))))
-            for i, m in enumerate(pts)
+            (i, " ".join(map(space.set_str, spaces.open_neighborhoods(space, point_of[g]))))
+            for i, g in enumerate(pts)
         ]
         rep.table("morphisms", ("index", "top-valued opens"), rows)
         phi = locales.phi_map(space)
@@ -510,7 +517,7 @@ def build_parser():
             w.add_argument("--a", dest="seta", required=True)
             w.add_argument("--b", dest="setb", required=True)
         if what == "net":
-            w.add_argument("--eps", type=float, required=True)
+            w.add_argument("--eps", type=_real(lambda v: v > 0.0, "a positive number"), required=True)
 
     sv = sub.add_parser("solve", help="fixed-point solvers")
     svsub = sv.add_subparsers(dest="what", required=True)
@@ -541,7 +548,7 @@ def build_parser():
     ws.add_argument("--json", action="store_true")
     kr = apsub.add_parser("kernel-ratio")
     kr.add_argument("--n", type=_count(1), required=True)
-    kr.add_argument("--delta", type=float, required=True)
+    kr.add_argument("--delta", type=_real(lambda v: 0.0 < v < 1.0, "strictly between 0 and 1"), required=True)
     kr.add_argument("--panels", type=_panels, default=2048)
     kr.add_argument("--json", action="store_true")
 

@@ -15,8 +15,10 @@ from .pmetric import RankedSets, RelationChain
 from .spaces import (
     ClosureTable,
     FiniteSpace,
+    MAX_POINTS,
     Preorder,
     SetFamily,
+    _check_labels,
     _label_bits,
     _mask_of,
     _transitive_closure,
@@ -108,6 +110,8 @@ def load_poset(text: str) -> Preorder:
 def load_closure_table(text: str) -> ClosureTable:
     records = _labelled(text, "closure table", "cl".__eq__)
     pts, bit = next(records)
+    if len(pts) > MAX_POINTS:  # the carrier cap, before the 2^n table is allocated
+        _check_labels(pts)
     table = [None] * (1 << len(pts))
     for lineno, _, rest in records:
         if "->" not in rest:

@@ -4,7 +4,9 @@ The lattice of opens is a complete Heyting algebra; its two-valued
 morphisms are the points of the associated locale. Every report here is
 read off the kernels (minimal open neighborhoods): on a finite lattice a
 completely prime filter is the up-set of a join-irreducible open, and the
-join-irreducible opens are exactly the distinct kernels. The definitional
+join-irreducible opens are exactly the distinct kernels. A filter of
+opens is principal, so it is its generator's mask: a locale point is its
+kernel g, and an open u is top-valued iff g ⊆ u. The definitional
 routes (morphism axioms, n-ary irreducibility, directed suprema) are test
 oracles and are not rerun here.
 """
@@ -28,19 +30,21 @@ def heyting_negation(space: FiniteSpace, a: int) -> int:
 
 
 def points_of_locale(space: FiniteSpace) -> list:
-    """All points of the locale (two-valued morphisms on the opens), one per distinct kernel.
+    """All points of the locale (two-valued morphisms on the opens), as their kernels, ascending.
 
     A morphism is determined by its top-valued opens, a completely prime
     filter: the up-set of a join-irreducible open, and those opens are the
-    kernels. So each point is the open filter of its kernel g, and an open
-    is top-valued iff it contains g. Listed by ascending kernel.
+    kernels. So each point is a distinct kernel g, and an open is
+    top-valued iff it contains g.
     """
-    return [OpenFilter(space, g) for g in sorted(set(space.min_nbhd))]
+    return sorted(set(space.min_nbhd))
 
 
 @record
 class PhiReport:
-    assignment: tuple  # point index -> its locale point, an OpenFilter
+    """phi as the kernel vector: `assignment[i]` is the i-th point's locale point, its kernel."""
+
+    assignment: tuple
     injective: bool
     surjective: bool
 
@@ -48,11 +52,10 @@ class PhiReport:
 def phi_map(space: FiniteSpace) -> PhiReport:
     """Send a point to the morphism 'does this open contain me'.
 
-    That is the locale point of the point's kernel, so phi is injective iff
-    the kernels are distinct (T0) and always surjective.
+    That is the locale point of the point's kernel, so phi is the kernel
+    vector, injective iff the kernels are distinct (T0) and always surjective.
     """
-    assignment = tuple(OpenFilter(space, k) for k in space.min_nbhd)
-    return PhiReport(assignment, space.is_poset, True)  # injective iff T0, always surjective
+    return PhiReport(space.rel, space.is_poset, True)
 
 
 def irreducible_closed_sets(space: FiniteSpace):
@@ -90,21 +93,6 @@ def is_scott_continuous(p: Preorder, q: Preorder, assignment) -> bool:
     """
     f = q.index_map(assignment, p.points)
     return all(q.le(f[i], f[j]) for i in range(p.n) for j in bits(p.rel[i]))
-
-
-@record
-class OpenFilter:
-    """Principal filter of the opens-lattice, generated by a single open."""
-
-    space: FiniteSpace
-    kernel_open: int
-
-    def __post_init__(self):
-        if not self.space.is_open(self.kernel_open):
-            raise ValidationError("filter generator must be open")
-
-    def contains(self, u: int) -> bool:
-        return self.kernel_open & ~u == 0
 
 
 @record

@@ -262,7 +262,8 @@ class Theory:
             object.__setattr__(self, "vars", sorted(frozenset().union(*used)))
         object.__setattr__(self, "vars", tuple(self.vars))
         if len(self.vars) > MAX_VARS:
-            raise ValidationError(f"at most {MAX_VARS} variables are supported")
+            witness = {"x": self.vars[MAX_VARS]}  # the first variable past the cap
+            raise ValidationError(f"at most {MAX_VARS} variables are supported", witness)
         if len(set(self.vars)) != len(self.vars):
             raise FormatError("duplicate variable in universe")
         universe = set(self.vars)

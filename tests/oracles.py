@@ -13,9 +13,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from finitetop.bitsets import bits, is_subset, subsets
-from finitetop.errors import FormatError
+from finitetop.errors import FormatError, ValidationError
 from finitetop.formats import _cell
-from finitetop.locales import OpenFilter
 from finitetop.logic import And, Const, Not, Var
 from finitetop.pmetric import NonConvergence
 from finitetop.spaces import ClosureTable
@@ -157,14 +156,44 @@ def final_opens_by_subsets(points, factors):
 # -- filters -------------------------------------------------------------------
 
 
-def principal_members(f):
-    """Every member set of a principal filter, ascending."""
-    return [m for m in subsets(f.full) if is_subset(f.kernel, m)]
+def principal_members(full, kernel):
+    """Every member set of the principal filter with this kernel on the carrier `full`, ascending."""
+    return [m for m in subsets(full) if is_subset(kernel, m)]
 
 
-def decides_every_set(f):
+def decides_every_set(full, kernel):
     """Definitional ultrafilter test: every subset or its complement belongs."""
-    return all(f.contains(a) or f.contains(f.full & ~a) for a in subsets(f.full))
+    members = set(principal_members(full, kernel))
+    return all(a in members or full & ~a in members for a in subsets(full))
+
+
+def filter_from_base(points, base):
+    """Kernel of the filter a base generates: the intersection of its members, if nonempty."""
+    base = list(base)
+    if not base:
+        raise ValidationError("a filter base must be nonempty")
+    kernel = (1 << len(points)) - 1
+    for m in base:
+        kernel &= m
+    if kernel == 0:
+        raise ValidationError("improper filter: the base members have empty intersection")
+    return kernel
+
+
+def trace_filter(full, kernel, mask):
+    """Kernel of the trace {m ∩ A : m a member} on A = `mask`, over A's own points in carrier order.
+
+    The trace's members are the sets m & mask, so its kernel is the
+    smallest of them; it is a filter iff that kernel is nonempty.
+    """
+    if not 0 <= mask <= full:
+        raise FormatError(f"trace set {mask:#x} is not a subset of the carrier")
+    meet = mask
+    for m in principal_members(full, kernel):
+        meet &= m
+    if meet == 0:
+        raise ValidationError("trace is not a filter: the kernel misses the set")
+    return sum(1 << j for j, i in enumerate(bits(mask)) if meet >> i & 1)
 
 
 # -- locales -------------------------------------------------------------------
@@ -244,15 +273,15 @@ def heyting_by_opens(space, a, b):
     return _union(u for u in space.opens if is_subset(u & a, b))
 
 
-def filter_members(open_filter):
-    """Every open containing the filter's generator, ascending."""
-    return sorted(u for u in open_filter.space.opens if is_subset(open_filter.kernel_open, u))
+def filter_members(space, g):
+    """Every open containing the generator g of a filter of opens, ascending."""
+    return sorted(u for u in space.opens if is_subset(g, u))
 
 
-def filter_intersection(open_filter):
-    """Intersection of every member of an open filter."""
-    out = open_filter.space.full
-    for u in filter_members(open_filter):
+def filter_intersection(space, g):
+    """Intersection of every member of the filter of opens generated by g."""
+    out = space.full
+    for u in filter_members(space, g):
         out &= u
     return out
 
@@ -263,27 +292,27 @@ def saturated_sets(space):
 
 
 def proper_open_filters(space):
-    """The proper filters of the opens, as the principal filter of each nonempty open, ascending.
+    """The proper filters of the opens, each as its generator, a nonempty open, ascending.
 
     On a finite lattice a filter holds the meet of its members, so it is the
     principal filter of that meet; it is proper iff the meet is nonempty.
     """
-    return [OpenFilter(space, g) for g in sorted(space.opens) if g]
+    return [g for g in sorted(space.opens) if g]
 
 
 def hofmann_mislove_bijection(space, report):
     """The filters' intersections are distinct, are exactly the nonempty saturated sets,
     and are the report's saturated compacts in the filters' order.
     """
-    inters = [filter_intersection(f) for f in proper_open_filters(space)]
+    inters = [filter_intersection(space, g) for g in proper_open_filters(space)]
     return sorted(inters) == saturated_sets(space) == list(report.saturated_compacts) == inters
 
 
 def hofmann_mislove_mirrors(space):
     """Containment of filters (as families) mirrors reverse inclusion of their intersections."""
     filters = proper_open_filters(space)
-    members = [set(filter_members(f)) for f in filters]
-    inters = [filter_intersection(f) for f in filters]
+    members = [set(filter_members(space, g)) for g in filters]
+    inters = [filter_intersection(space, g) for g in filters]
     return all(
         (members[i] <= members[j]) == is_subset(inters[j], inters[i])
         for i in range(len(members))

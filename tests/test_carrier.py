@@ -191,7 +191,6 @@ CARRIER_RECORDS = {
     "Preorder": (lambda pts, bad: ft.Preorder(pts, _units(pts, bad)), True, True),
     "NeighborhoodSystem": (lambda pts, bad: ft.NeighborhoodSystem(pts, _units(pts, bad)), True, True),
     "EquivalenceRelation": (lambda pts, bad: ft.EquivalenceRelation(pts, _units(pts, bad)), True, True),
-    "PrincipalFilter": (lambda pts, bad: ft.PrincipalFilter(pts, bad or 1), True, True),
     "PMetricSpace": (lambda pts, bad: ft.PMetricSpace(pts, [[0.0] * len(pts) for _ in pts]), False, False),
     "RelationChain": (lambda pts, bad: ft.RelationChain(pts, [_units(pts, bad)]), False, True),
     "RankedSets": (lambda pts, bad: ft.RankedSets(pts, [1] * len(pts)), False, False),
@@ -216,3 +215,25 @@ def test_carrier_rule_holds_for_every_labelled_record(name):
     for bad in (-1, 0b1000, -0b1000) if masked else ():
         with pytest.raises(FormatError, match=rf"^[a-z0-9 ]+ {bad:#x} is not a subset of the carrier$"):
             build(["a", "b", "c"], bad)
+
+
+# a filter is its kernel mask, not a record: `ultrafilter_at` checks the carrier's
+# labels and `limits` checks the kernel against the space's carrier
+_S3 = ft.discrete_space(("a", "b", "c"))
+FILTER_CALLS = [
+    ("ultrafilter_at-repeated", lambda: ft.ultrafilter_at(["a", "b", "a"], "a"), FormatError,
+     r"^duplicate point label 'a'$"),
+    ("ultrafilter_at-17", lambda: ft.ultrafilter_at([f"p{i}" for i in range(17)], "p0"), ft.ValidationError,
+     r"^carrier has 17 points, limit is 16$"),
+    ("limits-negative", lambda: ft.limits(_S3, -1), FormatError,
+     r"^filter kernel -0x1 is not a subset of the carrier$"),
+    ("limits-past", lambda: ft.limits(_S3, 0b1000), FormatError,
+     r"^filter kernel 0x8 is not a subset of the carrier$"),
+    ("limits-empty", lambda: ft.limits(_S3, 0), ft.ValidationError, r"^filter kernel must be nonempty$"),
+]
+
+
+@pytest.mark.parametrize("call, err, msg", [c[1:] for c in FILTER_CALLS], ids=[c[0] for c in FILTER_CALLS])
+def test_filter_calls_keep_the_carrier_rule(call, err, msg):
+    with pytest.raises(err, match=msg):
+        call()

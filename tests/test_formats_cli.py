@@ -500,6 +500,22 @@ WITNESSED_FAILURES = {
         ["build", "product", "--in", "{s.top}", "--with", "{s.top}"],
         "failed: carrier has 25 points, limit is 16 [{'x': '⟨d,b⟩'}]",
     ),
+    "closure-table-over-the-cap": (
+        {"w.clo": "points: " + " ".join(f"p{i}" for i in range(17)) + "\n"},
+        ["check", "closure-op", "--in", "{w.clo}"],
+        "failed: carrier has 17 points, limit is 16 [{'x': 'p16'}]",
+    ),
+    "closure-build-over-the-cap": (
+        {"w.clo": "points: " + " ".join(f"p{i}" for i in range(17)) + "\n"},
+        ["build", "from-closure", "--in", "{w.clo}"],
+        "failed: carrier has 17 points, limit is 16 [{'x': 'p16'}]",
+    ),
+    # the 17th variable in sorted order: x0 x1 x10 ... x16 x2 ... x9
+    "theory-over-the-cap": (
+        {"t.thy": " | ".join(f"x{i}" for i in range(17)) + "\n"},
+        ["logic", "model", "--in", "{t.thy}"],
+        "failed: at most 16 variables are supported [{'x': 'x9'}]",
+    ),
     "inconsistent-theory": (
         {"t.thy": "a | b\n~a\nb -> a\nc\n"},
         ["logic", "model", "--in", "{t.thy}"],
@@ -824,7 +840,7 @@ def test_net_radius_must_be_a_positive_number(tmp_path, capsys):
     with time_limit(10):
         for eps in ("nan", "0", "-1"):
             code, out, err = run(capsys, *base, eps)
-            assert (code, out, err) == (1, "", "failed: net radius must be positive\n")
+            assert (code, out) == (2, "") and f"error: argument --eps: must be a positive number, got {eps}\n" in err
         code, out, _ = run(capsys, *base, "inf")
     assert code == 0 and out == "centers: 1\n"
 

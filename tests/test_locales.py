@@ -136,13 +136,13 @@ def test_points_match_brute_force(small_spaces, spaces_up_to_4, five_point_sampl
     for sp in small_spaces:
         if len(sp.opens) > 8:
             continue
-        got = {frozenset(filter_members(m)) for m in ft.points_of_locale(sp)}
+        got = {frozenset(filter_members(sp, g)) for g in ft.points_of_locale(sp)}
         assert got == set(brute_force_points(sp))
     for sp in spaces_up_to_4 + five_point_sample:
         pts = ft.points_of_locale(sp)
-        got = [frozenset(filter_members(m)) for m in pts]
+        got = [frozenset(filter_members(sp, g)) for g in pts]
         assert got == locale_points_by_join_irreducibles(sp)
-        assert got == [frozenset(filter(m.contains, sp.opens)) for m in pts]
+        assert got == [frozenset(u for u in sp.opens if g & ~u == 0) for g in pts]  # top-valued iff g ⊆ u
         for fam in got:
             assert preserves_lattice_structure(sp, fam)
             assert is_completely_prime_filter(sp, fam)
@@ -160,7 +160,7 @@ def test_phi_injective_iff_t0(spaces_up_to_4, five_point_sample):
     for sp in spaces_up_to_4 + five_point_sample:
         phi = ft.phi_map(sp)
         assert phi.injective == ft.separation_profile(sp).t0
-        images = [frozenset(filter_members(m)) for m in phi.assignment]
+        images = [frozenset(filter_members(sp, g)) for g in phi.assignment]
         for i, fam in enumerate(images):
             assert fam == frozenset(u for u in sp.opens if u >> i & 1)
             assert preserves_lattice_structure(sp, fam)
@@ -272,7 +272,7 @@ def test_hofmann_mislove_matches_filter_oracles(spaces_up_to_4, five_point_sampl
     for sp in spaces_up_to_4 + five_point_sample:
         hm = ft.hofmann_mislove_report(sp)
         filters = proper_open_filters(sp)
-        assert [f.kernel_open for f in filters] == [filter_intersection(f) for f in filters]
+        assert filters == [filter_intersection(sp, g) for g in filters]
         assert hofmann_mislove_mirrors(sp)
         assert hofmann_mislove_bijection(sp, hm)
         assert hm.bijection_holds
@@ -281,8 +281,9 @@ def test_hofmann_mislove_matches_filter_oracles(spaces_up_to_4, five_point_sampl
 def test_compactness_filter_is_a_filter(small_spaces):
     for sp in small_spaces:
         for m in subsets(sp.full):
-            h = ft.OpenFilter(sp, smallest_open_superset(sp, m))
-            mem = filter_members(h)
+            h = smallest_open_superset(sp, m)
+            assert sp.is_open(h)
+            mem = filter_members(sp, h)
             assert mem == sorted(u for u in sp.opens if is_subset(m, u))
             for u in mem:
                 for v in mem:
@@ -299,9 +300,9 @@ def test_open_filters_are_inaccessible_by_directed_joins(small_spaces):
         if len(ops) > 6:
             continue
         filters = proper_open_filters(sp)
-        assert [f.kernel_open for f in filters] == list(ft.hofmann_mislove_report(sp).saturated_compacts)
-        for f in filters:
-            mem = set(filter_members(f))
+        assert filters == list(ft.hofmann_mislove_report(sp).saturated_compacts)
+        for g in filters:
+            mem = set(filter_members(sp, g))
             for pick in subsets((1 << len(ops)) - 1):
                 fam = [ops[i] for i in bits(pick)]
                 if not fam:

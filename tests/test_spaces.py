@@ -486,8 +486,8 @@ def test_poset_round_trips(spaces_up_to_4):
 
 
 def test_neighborhood_filter_rows(divisors):
-    f = ft.neighborhood_filter(divisors, "3")
-    assert divisors.labels(f.kernel) == ("3", "6")
+    k = divisors.min_nbhd[divisors.index("3")]  # the neighborhood filter's kernel
+    assert divisors.labels(k) == ("3", "6")
     base = ft.spaces.open_neighborhoods(divisors, "3")
     assert [divisors.labels(u) for u in base] == [
         ("3", "6"),
@@ -495,14 +495,14 @@ def test_neighborhood_filter_rows(divisors):
         ("1", "2", "3", "6"),
     ]
     disc = ft.discrete_space(("x", "y"))
-    assert ft.neighborhood_filter(disc, "x").kernel == 0b01
+    assert disc.min_nbhd[disc.index("x")] == 0b01
     ind = ft.indiscrete_space(("x", "y"))
-    assert ft.neighborhood_filter(ind, "x").kernel == 0b11
+    assert ind.min_nbhd[ind.index("x")] == 0b11
 
 
 def test_neighborhood_filter_unknown_point(divisors):
     with pytest.raises(FormatError):
-        ft.neighborhood_filter(divisors, "7")
+        divisors.min_nbhd[divisors.index("7")]
 
 
 def test_topology_from_neighborhoods_round_trip(divisors):
