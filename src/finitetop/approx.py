@@ -7,9 +7,16 @@ over [0,1] and J_n = (sqrt(pi)/2) Gamma(n+1)/Gamma(n+3/2) the integral of
 (1-v^2)^n over [0,1]. The kernel mass ratio J*_n/J_n (tail above a cutoff,
 over the whole mass) is bounded by (n+1)(1-delta^2)^n, which is what
 drives uniform convergence on interior subintervals.
+
+Both integrals use one composite Simpson rule (`simpson_rule`) with the
+integrand inlined in a plain loop over its node table: a kernel polynomial
+samples f once per node on its first call, not once per node and grid
+point, and no sum is compensated, so every value is the one `simpson`
+gives for the same integrand.
 """
 
 import math
+from functools import cached_property
 
 from .errors import FormatError, ValidationError
 from .records import record
@@ -45,14 +52,35 @@ def sqrt_iteration(n: int, grid) -> GridFunction:
     return GridFunction(grid, tuple(vals))
 
 
-def simpson(f, a: float, b: float, panels: int) -> float:
-    """Composite Simpson rule; `panels` must be even and at least 2."""
+MAX_PANELS = 1 << 16  # the node table of a Simpson rule is O(panels) floats
+
+
+def simpson_rule(a: float, b: float, panels: int):
+    """The composite Simpson rule on [a, b] as (h, nodes, weights).
+
+    The nodes are the interior points a + i h, i = 1 .. panels - 1, with
+    weights 4, 2, ..., 2, 4. The rule for g is g(a) + g(b), then each
+    g(u_i) * w_i added in node order, then times h / 3; every caller sums
+    in that order, so the results agree to the last bit. `panels` must be
+    even, at least 2 and at most MAX_PANELS.
+    """
     if panels < 2 or panels % 2:
         raise ValidationError("Simpson quadrature needs an even panel count >= 2")
+    if panels > MAX_PANELS:
+        raise ValidationError(f"Simpson quadrature takes at most {MAX_PANELS} panels")
     h = (b - a) / panels
+    nodes = [a + i * h for i in range(1, panels)]
+    weights = [4.0, 2.0] * (panels // 2)
+    weights.pop()
+    return h, nodes, weights
+
+
+def simpson(f, a: float, b: float, panels: int) -> float:
+    """Composite Simpson rule for f on [a, b]; see `simpson_rule`."""
+    h, nodes, weights = simpson_rule(a, b, panels)
     acc = f(a) + f(b)
-    for i in range(1, panels):
-        acc += f(a + i * h) * (4 if i % 2 else 2)
+    for u, w in zip(nodes, weights):
+        acc += f(u) * w
     return acc * h / 3.0
 
 
@@ -102,18 +130,32 @@ def kernel_mass(n: int) -> float:
 
 @record
 class KernelPolynomial:
-    """Evaluator for the degree-2n kernel polynomial of a function."""
+    """Evaluator for the degree-2n kernel polynomial of a function.
+
+    f is sampled once per Simpson node, on the first call; each call then
+    sums f(u) (1 - (u - x)^2)^n over the nodes in the order `simpson` does,
+    so P_n(x) is the same float as the quadrature of that integrand.
+    """
 
     f: object
     n: int
     panels: int
     j_value: float
 
+    @cached_property
+    def _samples(self):
+        """(h, f(0), f(1), nodes, f at each node, weights)."""
+        f = self.f
+        h, nodes, weights = simpson_rule(0.0, 1.0, self.panels)
+        return h, f(0.0), f(1.0), nodes, [f(u) for u in nodes], weights
+
     def __call__(self, x: float) -> float:
         n = self.n
-        f = self.f
-        q = simpson(lambda u: f(u) * (1.0 - (u - x) ** 2) ** n, 0.0, 1.0, self.panels)
-        return q / (2.0 * self.j_value)
+        h, f0, f1, nodes, values, weights = self._samples
+        acc = f0 * (1.0 - x ** 2) ** n + f1 * (1.0 - (1.0 - x) ** 2) ** n
+        for u, fu, w in zip(nodes, values, weights):
+            acc += fu * (1.0 - (u - x) ** 2) ** n * w
+        return acc * h / 3.0 / (2.0 * self.j_value)
 
 
 def weierstrass_polynomial(f, n: int, panels: int = 2048) -> KernelPolynomial:
@@ -141,5 +183,9 @@ def kernel_ratio(n: int, delta: float, panels: int = 2048) -> RatioReport:
     if n < 1:
         raise ValidationError("degree parameter must be at least 1")
     q = 1.0 - delta * delta
-    scaled_ratio = simpson(lambda v: ((1.0 - v * v) / q) ** n, delta, 1.0, panels) / kernel_mass(n)
+    h, nodes, weights = simpson_rule(delta, 1.0, panels)
+    acc = 1.0  # the integrand is q/q = 1 at delta and 0 at 1, exactly
+    for v, w in zip(nodes, weights):
+        acc += ((1.0 - v * v) / q) ** n * w
+    scaled_ratio = acc * h / 3.0 / kernel_mass(n)
     return RatioReport(scaled_ratio * q**n, (n + 1) * q**n, scaled_ratio < n + 1)

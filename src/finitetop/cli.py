@@ -60,11 +60,20 @@ def _count(low):
 
 
 def _panels(text):
-    """argparse type: a Simpson panel count, even and at least 2."""
+    """argparse type: a Simpson panel count, even, at least 2 and at most `approx.MAX_PANELS`."""
     value = _count(2)(text)
     if value % 2:
         raise argparse.ArgumentTypeError(f"must be even, got {value}")
+    if value > approx.MAX_PANELS:
+        raise argparse.ArgumentTypeError(f"must be at most {approx.MAX_PANELS}, got {value}")
     return value
+
+
+def _nonempty(text):
+    """argparse type: a label list that names at least one point."""
+    if not text.split():
+        raise argparse.ArgumentTypeError("must name at least one point")
+    return text
 
 
 def _real(ok, what):
@@ -514,8 +523,9 @@ def build_parser():
         if what in ("hausdorff", "quotient", "net"):
             w.add_argument("--labels", default=None)
         if what in ("hausdorff", "ultrarank"):
-            w.add_argument("--a", dest="seta", required=True)
-            w.add_argument("--b", dest="setb", required=True)
+            labels = _nonempty if what == "hausdorff" else str  # a rank distance takes the empty set
+            w.add_argument("--a", dest="seta", type=labels, required=True)
+            w.add_argument("--b", dest="setb", type=labels, required=True)
         if what == "net":
             w.add_argument("--eps", type=_real(lambda v: v > 0.0, "a positive number"), required=True)
 

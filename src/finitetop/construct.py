@@ -35,12 +35,14 @@ class PointMap:
         return self.target.points[self.assignment[self.source.index(label)]]
 
     def image(self, mask: int) -> int:
+        self.source._require_subset((mask,), "set")
         out = 0
         for i in bits(mask):
             out |= 1 << self.assignment[i]
         return out
 
     def preimage(self, mask: int) -> int:
+        self.target._require_subset((mask,), "set")
         return preimage(self.assignment, mask)
 
     def is_bijective(self):
@@ -91,8 +93,8 @@ def is_continuous(f: PointMap) -> ContinuityCheck:
     open with a non-open preimage is a kernel: testing the kernels in
     ascending order finds the same witness as testing every open.
     """
-    for k in sorted(set(f.target.min_nbhd)):
-        if not f.source.is_open(f.preimage(k)):
+    for k in sorted(set(f.target.min_nbhd)):  # the target's own masks: no carrier check
+        if not f.source.is_open(preimage(f.assignment, k)):
             return ContinuityCheck(False, k)
     return ContinuityCheck(True, None)
 

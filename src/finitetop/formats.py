@@ -174,14 +174,18 @@ def load_matrix(text: str):
     A line without a slash is all decimals, so `float` reads it whole: it
     strips the same whitespace as `str.strip`, and `_cell`'s finiteness
     check follows in one pass. Its -0 rule needs a pass only on a line with
-    a minus sign, the one way `float` gives -0.0.
+    a minus sign, the one way `float` gives -0.0. A line with a slash reads
+    each distinct cell text once through `_cell` and maps its cells through
+    that table: a damped web row holds two or three distinct texts. Any bad
+    cell fails the line with the same message, whichever is read first.
     """
     rows = []
     for lineno, line in _lines(text):
         cells = line.split(",")
         try:
             if "/" in line:
-                rows.append([_cell(cell.strip()) for cell in cells])
+                value = {cell: _cell(cell.strip()) for cell in set(cells)}
+                rows.append(list(map(value.__getitem__, cells)))
             else:
                 row = list(map(float, cells))
                 if not all(map(math.isfinite, row)):

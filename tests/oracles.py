@@ -12,6 +12,7 @@ to 16 variables.
 from fractions import Fraction
 from itertools import combinations, product
 
+from finitetop.approx import kernel_mass
 from finitetop.bitsets import bits, is_subset, subsets
 from finitetop.errors import FormatError, ValidationError
 from finitetop.formats import _cell
@@ -537,3 +538,27 @@ def stationary_by_squaring(matrix, spread=1e-12, max_squarings=48):
         if float((M.max(axis=0) - M.min(axis=0)).max()) <= spread:
             return M.mean(axis=0)
     raise NonConvergence("repeated squaring did not level the rows", [M[0]])
+
+
+# -- approx --------------------------------------------------------------------
+
+
+def simpson_by_index(g, a, b, panels):
+    """Composite Simpson rule for g on [a, b], each node a + i h and its weight read off its index."""
+    h = (b - a) / panels
+    acc = g(a) + g(b)
+    for i in range(1, panels):
+        acc += g(a + i * h) * (4 if i % 2 else 2)
+    return acc * h / 3.0
+
+
+def kernel_polynomial_by_quadrature(f, n, x, panels):
+    """P_n(x): the quadrature of f(u) (1 - (u - x)^2)^n over [0, 1], over 2 J_n."""
+    q = simpson_by_index(lambda u: f(u) * (1.0 - (u - x) ** 2) ** n, 0.0, 1.0, panels)
+    return q / (2.0 * kernel_mass(n))
+
+
+def kernel_ratio_by_quadrature(n, delta, panels):
+    """The tail mass above delta with q^n divided out, q = 1 - delta^2, times q^n, over J_n."""
+    q = 1.0 - delta * delta
+    return simpson_by_index(lambda v: ((1.0 - v * v) / q) ** n, delta, 1.0, panels) / kernel_mass(n) * q**n

@@ -9,6 +9,8 @@ from finitetop.approx import kernel_mass, named_function, weierstrass_polynomial
 from finitetop.cli import main
 from finitetop.errors import FormatError, ValidationError
 
+from oracles import kernel_polynomial_by_quadrature, kernel_ratio_by_quadrature, simpson_by_index
+
 GRID = tuple(i / 32 for i in range(33))
 INTERIOR = tuple(0.1 + i * 0.8 / 32 for i in range(33))
 
@@ -80,6 +82,13 @@ def test_simpson_needs_even_panels():
         ft.simpson(lambda x: x, 0.0, 1.0, 3)
 
 
+def test_simpson_node_table_matches_index_rule_bitwise():
+    for g in (math.exp, lambda v: 1.0 / (1.0 + v * v), lambda v: -0.0 * v):
+        for a, b in ((0.0, 1.0), (-1.5, 2.25), (0.3, 0.3000001)):
+            for panels in (2, 4, 10, 2048):
+                assert ft.simpson(g, a, b, panels) == simpson_by_index(g, a, b, panels)
+
+
 # -- kernel polynomial ------------------------------------------------------------
 
 
@@ -124,6 +133,47 @@ def test_interior_improvement_for_other_builtins():
         assert errs[64] < errs[4]
 
 
+# fractional, polynomial, oscillating, signed-zero and cusp integrands, at
+# grid points inside, on the ends of and outside [0, 1]
+KERNEL_FUNCTIONS = ("abs-half", "sin-scaled", "square", "sqrt", "constant:-0", "poly:1.5,-2,0.25,3")
+KERNEL_XS = (0.0, 1e-9, 0.1, 1 / 3, 0.5, 0.77, 1.0, -0.25, 1.75)
+
+
+def _value_or_overflow(fn, *args):
+    """fn(*args) as (value, sign), or "overflow" when float `**` raises."""
+    try:
+        v = fn(*args)
+    except OverflowError:
+        return "overflow"
+    return v, math.copysign(1.0, v)
+
+
+@pytest.mark.parametrize("name", KERNEL_FUNCTIONS)
+def test_kernel_polynomial_is_its_quadrature_bitwise(name):
+    f = named_function(name)
+    for n, panels in ((1, 2), (3, 6), (16, 64), (64, 2048), (1000, 512)):
+        ev = weierstrass_polynomial(f, n, panels)
+        for x in KERNEL_XS:  # at n = 1000 the kernel overflows at x = 1.75
+            want = _value_or_overflow(kernel_polynomial_by_quadrature, f, n, x, panels)
+            assert _value_or_overflow(ev, x) == want, (n, panels, x)
+
+
+def test_kernel_polynomial_samples_f_once_per_node():
+    for panels in (2, 64, 2048):
+        calls = []
+
+        def f(u):
+            calls.append(u)
+            return u * u
+
+        ev = weierstrass_polynomial(f, 8, panels)
+        assert calls == []
+        for x in GRID:
+            ev(x)
+        assert len(calls) == panels + 1
+        assert len(set(calls)) == panels + 1  # every node once
+
+
 def test_degree_parameter_validation():
     with pytest.raises(ValidationError):
         weierstrass_polynomial(named_function("square"), 0)
@@ -163,6 +213,13 @@ def test_ratio_decreases_in_n():
             if prev is not None:
                 assert r < prev
             prev = r
+
+
+def test_ratio_is_its_quadrature_bitwise():
+    for n in (1, 2, 7, 64, 1000, 100_000_000):
+        for delta in (1e-9, 0.1, 0.3, 0.5, 0.9, 0.999999):
+            for panels in (2, 8, 2048):
+                assert ft.kernel_ratio(n, delta, panels).ratio == kernel_ratio_by_quadrature(n, delta, panels)
 
 
 def test_ratio_rejects_bad_delta():

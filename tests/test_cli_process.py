@@ -167,10 +167,14 @@ WEIERSTRASS = ["approx", "weierstrass", "--fn", "square", "--grid", "0.5"]
         (["approx", "sqrt", "--n", "-1", "--grid", "0.5"], "--n"),
         *[(["metric", "net", "--in", "web5.csv", "--eps", eps], "--eps") for eps in ("0", "-1", "nan")],
         *[(["approx", "kernel-ratio", "--n", "4", "--delta", d], "--delta") for d in ("0", "1", "3", "nan")],
+        (WEIERSTRASS + ["--n", "4", "--panels", "65538"], "--panels"),  # above the cap; never run
+        (["approx", "kernel-ratio", "--n", "4", "--delta", "0.5", "--panels", str(1 << 20)], "--panels"),
+        (["metric", "hausdorff", "--in", "web5.csv", "--a", "", "--b", "1"], "--a"),
+        (["metric", "hausdorff", "--in", "web5.csv", "--a", "1 2", "--b", "  "], "--b"),
     ],
 )
 def test_option_values_outside_their_range_are_usage_errors(tmp_path, monkeypatch, capsys, argv, option):
-    """A count, panel number, tolerance, radius or delta outside its range exits 2 before anything runs."""
+    """A count, panel number, tolerance, radius, delta or empty set outside its range exits 2 before anything runs."""
     (tmp_path / "web5.csv").write_text(WEB5)
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2

@@ -61,6 +61,19 @@ def test_map_range_error_names_the_source_point_and_index(sierpinski):
         ft.PointMap(sierpinski, sierpinski, (0, 5))
 
 
+def test_image_and_preimage_check_their_mask(sierpinski, divisors):
+    f = pm(sierpinski, divisors, [("0", "1"), ("1", "2")])
+    assert f.image(0b11) == divisors.mask(["1", "2"])
+    with pytest.raises(FormatError, match=r"^set 0x4 is not a subset of the carrier$"):
+        f.image(0b100)
+    with pytest.raises(FormatError, match=r"^set -0x1 is not a subset of the carrier$"):
+        f.image(-1)
+    off = 1 << divisors.n
+    assert f.preimage(divisors.full) == sierpinski.full
+    with pytest.raises(FormatError, match=rf"^set {off | 1:#x} is not a subset of the carrier$"):
+        f.preimage(off | 1)
+
+
 # -- homeomorphisms --------------------------------------------------------------
 
 

@@ -367,13 +367,20 @@ PADDING = ["", " ", "  ", "\t", "\u00a0", "\u3000"]
 
 
 def _matrix_file(rng):
-    """Random lines of repeated entries, padded, some with a fraction, a comment or a blank line."""
+    """Random lines of repeated entries, padded, some with a fraction, a comment or a blank line.
+
+    Some lines repeat fractions, as a damped web row does; some files hold a
+    bad entry, repeated on that line or on a later one.
+    """
     pool = rng.sample(GOOD_CELLS, 4)
+    fractions = rng.sample(FRACTION_CELLS, 2)
     lines = []
     for _ in range(rng.randint(0, 6)):
         cells = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
         if rng.random() < 0.4:
             cells[rng.randrange(len(cells))] = rng.choice(FRACTION_CELLS)
+        elif rng.random() < 0.3:
+            cells = [rng.choice(fractions + pool[:1]) for _ in range(rng.randint(2, 8))]
         line = ",".join(rng.choice(PADDING) + c + rng.choice(PADDING) for c in cells)
         if rng.random() < 0.2:
             line += " # comment, 1/0"
@@ -381,10 +388,12 @@ def _matrix_file(rng):
         if rng.random() < 0.15:
             lines.append(rng.choice(("", "   ", "# only a comment")))
     if lines and rng.random() < 0.3:
-        k = rng.randrange(len(lines))
-        cells = lines[k].partition("#")[0].split(",")
-        cells[rng.randrange(len(cells))] = rng.choice(BAD_CELLS)
-        lines[k] = ",".join(cells)
+        bad = rng.choice(BAD_CELLS)
+        first = rng.randrange(len(lines))
+        for k in {first, rng.randrange(first, len(lines)), rng.randrange(first, len(lines))}:
+            cells = lines[k].partition("#")[0].split(",")
+            cells[rng.randrange(len(cells))] = bad
+            lines[k] = ",".join(cells)
     return "\n".join(lines) + "\n"
 
 
