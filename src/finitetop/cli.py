@@ -15,9 +15,10 @@ import sys
 from . import approx, construct, formats, locales, pmetric, spaces
 from .bitsets import bits, subsets
 from .errors import FormatError, ValidationError
-from .logic import is_consistent, lindenbaum_algebra, model_from_ultrafilter
+from .logic import lindenbaum_algebra, model_from_ultrafilter, refuting_formula
 
 CLOSURE_TABLE_LIMIT = 6  # carriers above this get their subset table elided
+SQRT_N_LIMIT = 1 << 16  # `approx sqrt --n`: the iteration costs O(n * grid points)
 
 
 def _read(path):
@@ -44,8 +45,8 @@ def _numbers_arg(text, what):
     return values
 
 
-def _count(low):
-    """argparse type: an int of at least `low`; a value below it is a usage error."""
+def _count(low, high=math.inf):
+    """argparse type: an int from `low` to `high`; a value outside them is a usage error."""
 
     def count(text):
         try:
@@ -54,6 +55,8 @@ def _count(low):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return count
@@ -61,11 +64,9 @@ def _count(low):
 
 def _panels(text):
     """argparse type: a Simpson panel count, even, at least 2 and at most `approx.MAX_PANELS`."""
-    value = _count(2)(text)
+    value = _count(2, approx.MAX_PANELS)(text)
     if value % 2:
         raise argparse.ArgumentTypeError(f"must be even, got {value}")
-    if value > approx.MAX_PANELS:
-        raise argparse.ArgumentTypeError(f"must be at most {approx.MAX_PANELS}, got {value}")
     return value
 
 
@@ -202,27 +203,24 @@ def cmd_check(args, out):
 # -- map --------------------------------------------------------------------
 
 
-def _load_point_map(args):
+def cmd_map(args, out):
     src = formats.load_space(_read(args.src))
     dst = formats.load_space(_read(args.dst))
-    mapping = formats.load_map(_read(args.mapfile))
-    return construct.PointMap.from_dict(src, dst, mapping)
-
-
-def cmd_map(args, out):
-    pm = _load_point_map(args)
+    pm = construct.PointMap.from_dict(src, dst, formats.load_map(_read(args.mapfile)))
+    # a "no" verdict prints on stdout, then exits 1 with its witness on stderr
     if args.what == "continuity":
         check = construct.is_continuous(pm)
         if check.ok:
             _emit(out, "continuous: yes")
             return 0
-        _emit(out, f"continuous: no, witness open {pm.target.set_str(check.witness_open)}")
-        return 1
-    if construct.is_homeomorphism(pm):
-        _emit(out, "homeomorphism: yes")
-        return 0
-    _emit(out, "homeomorphism: no")
-    return 1
+        witness = pm.target.set_str(check.witness_open)
+        _emit(out, f"continuous: no, witness open {witness}")
+        raise ValidationError("map is not continuous", {"open": witness})
+    fault = construct.homeomorphism_fault(pm)
+    _emit(out, "homeomorphism: no" if fault else "homeomorphism: yes")
+    if fault:
+        raise fault
+    return 0
 
 
 # -- build ------------------------------------------------------------------
@@ -426,10 +424,12 @@ def cmd_logic(args, out):
     theory = formats.load_theory(_read(args.infile))
     rep = _Report(args.json)
     if args.what == "consistent":
-        ok = is_consistent(theory)
-        rep.add("consistent", ok)
+        refuter = refuting_formula(theory)
+        rep.add("consistent", refuter is None)
         rep.print(out)
-        return 0 if ok else 1
+        if refuter is not None:  # as for `map`: the verdict on stdout, the witness on stderr
+            raise ValidationError("inconsistent theory", {"formula": str(refuter)})
+        return 0
     if args.what == "model":
         model = model_from_ultrafilter(theory)
         rep.add(
@@ -463,112 +463,89 @@ def cmd_logic(args, out):
 
 @functools.cache
 def build_parser():
-    """The parser, built once per process; parsing leaves it unchanged."""
+    """The parser, built once per process; parsing leaves it unchanged.
+
+    A shared option is declared once, as the flags and keywords of its
+    `add_argument` call; a subcommand lists its options in help order.
+    """
+
+    def opt(*flags, **kw):
+        return flags, kw
+
+    infile = opt("--in", dest="infile", required=True)
+    as_json = opt("--json", action="store_true")
+    report = (infile, as_json)
+    second = opt("--with", dest="second", required=True)
+    labels = opt("--labels", default=None)
+    func = opt("--fn", dest="func", required=True)
+    grid = opt("--grid", required=True)
+    panels = opt("--panels", type=_panels, default=2048)
+
+    def count(low, high=math.inf):
+        return opt("--n", type=_count(low, high), required=True)
+
+    def sets(kind=str):
+        return opt("--a", dest="seta", type=kind, required=True), opt("--b", dest="setb", type=kind, required=True)
+
+    def iteration(tol, max_iter):
+        return opt("--tol", type=_tolerance, default=tol), opt("--max-iter", type=_count(1), default=max_iter)
+
+    # command: (help, options every subcommand takes first, {subcommand: its own options})
+    commands = {
+        "space": ("inspect a space", report, {
+            "report": (opt("--emit", action="store_true", help="print the canonical space file instead"),),
+        }),
+        "check": ("validate an input file", (infile,), {
+            "base": (), "subbase": (), "closure-op": (), "pmetric": (labels,), "chain": (),
+        }),
+        "map": ("test a point map", (
+            opt("--src", required=True), opt("--dst", required=True), opt("--map", dest="mapfile", required=True),
+        ), {"continuity": (), "homeo": ()}),
+        "build": ("construct a new space", (infile,), {
+            "product": (second,),
+            "subspace": (opt("--keep", required=True, help="labels to keep"),),
+            "sum": (second,),
+            "quotient": (opt("--classes", required=True, help="equivalence file"),),
+            "onepoint": (opt("--label", default="inf"),),
+            "from-poset": (), "from-closure": (), "scott": (),
+        }),
+        "locale": ("order-theoretic reports", report, {
+            "implication": sets(), "points": (), "sober": (), "hofmann-mislove": (),
+        }),
+        "metric": ("pseudometric computations", report, {
+            "hausdorff": (labels, *sets(_nonempty)),
+            "quotient": (labels,),
+            "net": (labels, opt("--eps", type=_real(lambda v: v > 0.0, "a positive number"), required=True)),
+            "chain": (),
+            "ultrarank": sets(),  # a rank distance takes the empty set
+        }),
+        "solve": ("fixed-point solvers", (), {
+            "fixpoint": (
+                func, opt("--x0", required=True, help="comma-separated start vector"),
+                opt("--metric", default="l2", choices=("l1", "l2", "linf")), *iteration(1e-12, 1000), as_json,
+            ),
+            "pagerank": (infile, *iteration(1e-9, 200), as_json),
+        }),
+        "approx": ("constructive approximation", (), {
+            "sqrt": (count(0, SQRT_N_LIMIT), grid, as_json),
+            "weierstrass": (func, count(1), panels, grid, as_json),
+            "kernel-ratio": (
+                count(1), opt("--delta", required=True, type=_real(lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")),
+                panels, as_json,
+            ),
+        }),
+        "logic": ("propositional workbench", report, dict.fromkeys(("consistent", "model", "algebra", "stone"), ())),
+    }
+    subcommand_help = {"report": {"help": "closure table, separation, neighborhoods"}}
+
     p = argparse.ArgumentParser(prog="finitetop", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("space", help="inspect a space")
-    spsub = sp.add_subparsers(dest="what", required=True)
-    rep = spsub.add_parser("report", help="closure table, separation, neighborhoods")
-    rep.add_argument("--in", dest="infile", required=True)
-    rep.add_argument("--json", action="store_true")
-    rep.add_argument("--emit", action="store_true", help="print the canonical space file instead")
-
-    ck = sub.add_parser("check", help="validate an input file")
-    cksub = ck.add_subparsers(dest="what", required=True)
-    for what in ("base", "subbase", "closure-op", "pmetric", "chain"):
-        w = cksub.add_parser(what)
-        w.add_argument("--in", dest="infile", required=True)
-        if what == "pmetric":
-            w.add_argument("--labels", default=None)
-
-    mp = sub.add_parser("map", help="test a point map")
-    mpsub = mp.add_subparsers(dest="what", required=True)
-    for what in ("continuity", "homeo"):
-        w = mpsub.add_parser(what)
-        w.add_argument("--src", required=True)
-        w.add_argument("--dst", required=True)
-        w.add_argument("--map", dest="mapfile", required=True)
-
-    bd = sub.add_parser("build", help="construct a new space")
-    bdsub = bd.add_subparsers(dest="what", required=True)
-    for what in ("product", "subspace", "sum", "quotient", "onepoint", "from-poset", "from-closure", "scott"):
-        w = bdsub.add_parser(what)
-        w.add_argument("--in", dest="infile", required=True)
-        if what in ("product", "sum"):
-            w.add_argument("--with", dest="second", required=True)
-        if what == "subspace":
-            w.add_argument("--keep", required=True, help="labels to keep")
-        if what == "quotient":
-            w.add_argument("--classes", required=True, help="equivalence file")
-        if what == "onepoint":
-            w.add_argument("--label", default="inf")
-
-    lc = sub.add_parser("locale", help="order-theoretic reports")
-    lcsub = lc.add_subparsers(dest="what", required=True)
-    for what in ("implication", "points", "sober", "hofmann-mislove"):
-        w = lcsub.add_parser(what)
-        w.add_argument("--in", dest="infile", required=True)
-        w.add_argument("--json", action="store_true")
-        if what == "implication":
-            w.add_argument("--a", dest="seta", required=True)
-            w.add_argument("--b", dest="setb", required=True)
-
-    mt = sub.add_parser("metric", help="pseudometric computations")
-    mtsub = mt.add_subparsers(dest="what", required=True)
-    for what in ("hausdorff", "quotient", "net", "chain", "ultrarank"):
-        w = mtsub.add_parser(what)
-        w.add_argument("--in", dest="infile", required=True)
-        w.add_argument("--json", action="store_true")
-        if what in ("hausdorff", "quotient", "net"):
-            w.add_argument("--labels", default=None)
-        if what in ("hausdorff", "ultrarank"):
-            labels = _nonempty if what == "hausdorff" else str  # a rank distance takes the empty set
-            w.add_argument("--a", dest="seta", type=labels, required=True)
-            w.add_argument("--b", dest="setb", type=labels, required=True)
-        if what == "net":
-            w.add_argument("--eps", type=_real(lambda v: v > 0.0, "a positive number"), required=True)
-
-    sv = sub.add_parser("solve", help="fixed-point solvers")
-    svsub = sv.add_subparsers(dest="what", required=True)
-    fx = svsub.add_parser("fixpoint")
-    fx.add_argument("--fn", dest="func", required=True)
-    fx.add_argument("--x0", required=True, help="comma-separated start vector")
-    fx.add_argument("--metric", default="l2", choices=("l1", "l2", "linf"))
-    fx.add_argument("--tol", type=_tolerance, default=1e-12)
-    fx.add_argument("--max-iter", type=_count(1), default=1000)
-    fx.add_argument("--json", action="store_true")
-    pr = svsub.add_parser("pagerank")
-    pr.add_argument("--in", dest="infile", required=True)
-    pr.add_argument("--tol", type=_tolerance, default=1e-9)
-    pr.add_argument("--max-iter", type=_count(1), default=200)
-    pr.add_argument("--json", action="store_true")
-
-    ap = sub.add_parser("approx", help="constructive approximation")
-    apsub = ap.add_subparsers(dest="what", required=True)
-    sq = apsub.add_parser("sqrt")
-    sq.add_argument("--n", type=_count(0), required=True)
-    sq.add_argument("--grid", required=True)
-    sq.add_argument("--json", action="store_true")
-    ws = apsub.add_parser("weierstrass")
-    ws.add_argument("--fn", dest="func", required=True)
-    ws.add_argument("--n", type=_count(1), required=True)
-    ws.add_argument("--panels", type=_panels, default=2048)
-    ws.add_argument("--grid", required=True)
-    ws.add_argument("--json", action="store_true")
-    kr = apsub.add_parser("kernel-ratio")
-    kr.add_argument("--n", type=_count(1), required=True)
-    kr.add_argument("--delta", type=_real(lambda v: 0.0 < v < 1.0, "strictly between 0 and 1"), required=True)
-    kr.add_argument("--panels", type=_panels, default=2048)
-    kr.add_argument("--json", action="store_true")
-
-    lg = sub.add_parser("logic", help="propositional workbench")
-    lgsub = lg.add_subparsers(dest="what", required=True)
-    for what in ("consistent", "model", "algebra", "stone"):
-        w = lgsub.add_parser(what)
-        w.add_argument("--in", dest="infile", required=True)
-        w.add_argument("--json", action="store_true")
-
+    for command, (help_text, common, own) in commands.items():
+        group = sub.add_parser(command, help=help_text).add_subparsers(dest="what", required=True)
+        for what, options in own.items():
+            w = group.add_parser(what, **subcommand_help.get(what, {}))
+            for flags, kw in common + options:
+                w.add_argument(*flags, **kw)
     return p
 
 

@@ -99,10 +99,30 @@ def is_continuous(f: PointMap) -> ContinuityCheck:
     return ContinuityCheck(True, None)
 
 
+def homeomorphism_fault(f: PointMap):
+    """Why f is not a homeomorphism, as a ValidationError naming a witness; None when it is one.
+
+    The first of: two points with one image, a target point with no
+    preimage, a target open whose preimage is not open, a source open
+    whose image is not open.
+    """
+    first = {}
+    for i, j in enumerate(f.assignment):
+        if j in first:
+            return ValidationError("map is not injective", {"x": f.source.points[first[j]], "y": f.source.points[i]})
+        first[j] = i
+    if len(first) < f.target.n:
+        missed = next(y for j, y in enumerate(f.target.points) if j not in first)
+        return ValidationError("map is not surjective", {"y": missed})
+    for g, what in ((f, "map"), (f.inverse(), "inverse map")):
+        check = is_continuous(g)
+        if not check.ok:
+            return ValidationError(f"{what} is not continuous", {"open": g.target.set_str(check.witness_open)})
+    return None
+
+
 def is_homeomorphism(f: PointMap) -> bool:
-    if not f.is_bijective():
-        return False
-    return is_continuous(f).ok and is_continuous(f.inverse()).ok
+    return homeomorphism_fault(f) is None
 
 
 def initial_topology(points, factors) -> FiniteSpace:
@@ -155,7 +175,8 @@ def product(a: FiniteSpace, b: FiniteSpace) -> FiniteSpace:
     """Product topology, points labelled ⟨x,y⟩, via the two projections."""
     pts = tuple(product_label(x, y) for x in a.points for y in b.points)
     if len(set(pts)) != len(pts):
-        raise ValidationError("product labels collide; rename the factor points")
+        clash = next(p for i, p in enumerate(pts) if p in pts[:i])
+        raise ValidationError("product labels collide; rename the factor points", {"label": clash})
     proj_a = {product_label(x, y): x for x in a.points for y in b.points}
     proj_b = {product_label(x, y): y for x in a.points for y in b.points}
     return initial_topology(pts, [(proj_a, a), (proj_b, b)])

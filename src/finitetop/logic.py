@@ -334,6 +334,11 @@ def is_consistent(theory: Theory) -> bool:
     return theory.truth_table() != 0
 
 
+def refuting_formula(theory: Theory):
+    """The formula at which the running conjunction of the theory becomes false; None if it never does."""
+    return theory._conjunction()[1]
+
+
 def equivalence_mod_theory(theory: Theory, a, b) -> bool:
     """Same truth value at every model of the theory."""
     return (theory.table_of(a) ^ theory.table_of(b)) & theory.truth_table() == 0

@@ -171,6 +171,7 @@ WEIERSTRASS = ["approx", "weierstrass", "--fn", "square", "--grid", "0.5"]
         (["approx", "kernel-ratio", "--n", "4", "--delta", "0.5", "--panels", str(1 << 20)], "--panels"),
         (["metric", "hausdorff", "--in", "web5.csv", "--a", "", "--b", "1"], "--a"),
         (["metric", "hausdorff", "--in", "web5.csv", "--a", "1 2", "--b", "  "], "--b"),
+        *[(["approx", "sqrt", "--n", n, "--grid", "0.5"], "--n") for n in ("65537", "1000000000")],  # never run
     ],
 )
 def test_option_values_outside_their_range_are_usage_errors(tmp_path, monkeypatch, capsys, argv, option):

@@ -5,7 +5,7 @@ import pytest
 
 import finitetop as ft
 from finitetop.bitsets import bits, is_subset, subsets
-from finitetop.construct import block_label, block_labels, product_label
+from finitetop.construct import block_label, block_labels, homeomorphism_fault, product_label
 from finitetop.errors import FormatError, ValidationError
 
 from conftest import space_of
@@ -89,6 +89,30 @@ def test_discrete_to_indiscrete_identity_is_not():
     assert ft.is_continuous(f).ok
     assert f.is_bijective()
     assert not ft.is_homeomorphism(f)
+
+
+@pytest.mark.parametrize(
+    "source, target, pairs, message, witness",
+    [
+        ("discrete", "discrete", [("a", "a"), ("b", "a")], "map is not injective", {"x": "a", "y": "b"}),
+        ("discrete", "discrete3", [("a", "a"), ("b", "b")], "map is not surjective", {"y": "c"}),
+        ("indiscrete", "sierpinski", [("a", "a"), ("b", "b")], "map is not continuous", {"open": "{b}"}),
+        ("discrete", "indiscrete", [("a", "a"), ("b", "b")], "inverse map is not continuous", {"open": "{a}"}),
+        ("discrete", "discrete", [("a", "b"), ("b", "a")], None, None),
+    ],
+)
+def test_homeomorphism_fault_names_the_first_failure(source, target, pairs, message, witness):
+    spaces = {
+        "discrete": ft.discrete_space(("a", "b")),
+        "discrete3": ft.discrete_space(("a", "b", "c")),
+        "indiscrete": ft.indiscrete_space(("a", "b")),
+        "sierpinski": space_of(("a", "b"), ["b"]),
+    }
+    fault = homeomorphism_fault(pm(spaces[source], spaces[target], pairs))
+    if message is None:
+        assert fault is None
+    else:
+        assert (str(fault), fault.witness) == (message, witness)
 
 
 def test_relabeled_divisors_homeomorphic(divisors):

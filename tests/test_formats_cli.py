@@ -509,6 +509,11 @@ WITNESSED_FAILURES = {
         ["build", "product", "--in", "{s.top}", "--with", "{s.top}"],
         "failed: carrier has 25 points, limit is 16 [{'x': '⟨d,b⟩'}]",
     ),
+    "product-labels-collide": (
+        {"a.top": "points: x,y x\n", "b.top": "points: z y,z\n"},
+        ["build", "product", "--in", "{a.top}", "--with", "{b.top}"],
+        "failed: product labels collide; rename the factor points [{'label': '⟨x,y,z⟩'}]",
+    ),
     "closure-table-over-the-cap": (
         {"w.clo": "points: " + " ".join(f"p{i}" for i in range(17)) + "\n"},
         ["check", "closure-op", "--in", "{w.clo}"],
@@ -677,14 +682,19 @@ def test_map_commands(tmp_path, capsys, div6_file):
     assert code == 0 and "yes" in out
     bad = tmp_path / "g.map"
     bad.write_text("1 -> 1\n2 -> 0\n3 -> 0\n6 -> 0\n")
-    code, out, _ = run(capsys, "map", "continuity", "--src", div6_file, "--dst", str(sierp), "--map", str(bad))
-    assert code == 1 and "witness open {1}" in out
+    code, out, err = run(capsys, "map", "continuity", "--src", div6_file, "--dst", str(sierp), "--map", str(bad))
+    assert (code, out) == (1, "continuous: no, witness open {1}\n")
+    assert err == "failed: map is not continuous [{'open': '{1}'}]\n"
     code, out, _ = run(capsys, "map", "homeo", "--src", div6_file, "--dst", div6_file, "--map", str(bad))
     assert code == 2  # map is not total on the divisors carrier... labels mismatch
     ident = tmp_path / "id.map"
     ident.write_text("1 -> 1\n2 -> 2\n3 -> 3\n6 -> 6\n")
     code, out, _ = run(capsys, "map", "homeo", "--src", div6_file, "--dst", div6_file, "--map", str(ident))
     assert code == 0 and "yes" in out
+    swap = tmp_path / "swap.map"
+    swap.write_text("1 -> 2\n2 -> 1\n3 -> 3\n6 -> 6\n")
+    code, out, err = run(capsys, "map", "homeo", "--src", div6_file, "--dst", div6_file, "--map", str(swap))
+    assert (code, out, err) == (1, "homeomorphism: no\n", "failed: map is not continuous [{'open': '{2 6}'}]\n")
 
 
 def test_build_commands(tmp_path, capsys, div6_file):
@@ -892,8 +902,13 @@ def test_logic_commands(tmp_path, capsys):
     assert code == 0 and json.loads(out)["ultrafilters"] == 1
     bad = tmp_path / "bad.thy"
     bad.write_text("p\n~p\n")
-    code, out, _ = run(capsys, "logic", "consistent", "--in", str(bad))
-    assert code == 1
+    code, out, err = run(capsys, "logic", "consistent", "--in", str(bad))
+    assert (code, out, err) == (1, "consistent: False\n", "failed: inconsistent theory [{'formula': '~p'}]\n")
+    # the witness is the formula at which the running conjunction becomes false
+    bad.write_text("a | b\n~a\nb -> a\nc\n")
+    code, out, err = run(capsys, "logic", "consistent", "--in", str(bad), "--json")
+    assert (code, json.loads(out)) == (1, {"consistent": False})
+    assert err == "failed: inconsistent theory [{'formula': '~(~~b & ~a)'}]\n"
 
 
 def test_logic_algebra_past_the_int_to_str_limit(tmp_path, capsys):

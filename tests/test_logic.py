@@ -20,6 +20,7 @@ from finitetop.logic import (
     disjunction,
     evaluate,
     implication,
+    refuting_formula,
 )
 
 
@@ -311,6 +312,10 @@ def test_models_match_valuation_sweep():
             want = oracles.models(theory)
             assert theory.models() == want
             assert ft.is_consistent(theory) == bool(want)
+            # the refuting formula ends the shortest prefix of the theory that has no model
+            prefixes = (ft.Theory.of(formulas[: i + 1], vars=tuple(names)) for i in range(len(formulas)))
+            first = next((f for f, t in zip(formulas, prefixes) if not oracles.models(t)), None)
+            assert refuting_formula(theory) == first
             if k <= 4:
                 for f in formulas:
                     for v in theory.valuations():
