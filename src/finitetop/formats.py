@@ -26,11 +26,11 @@ from .spaces import (
 
 
 def _lines(text):
-    """(lineno, line) for every line left nonblank once its `#` comment is cut off."""
+    """(lineno, line, raw) for every line left nonblank once its `#` comment is cut off."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.partition("#")[0].strip()
+        line = raw.partition("#")[0].strip() if "#" in raw else raw.strip()
         if line:
-            yield lineno, line
+            yield lineno, line, raw
 
 
 def _labelled(text, what, wants, points=None):
@@ -43,11 +43,10 @@ def _labelled(text, what, wants, points=None):
     """
     if points is not None:
         yield points, _label_bits(points)
-    for lineno, line in _lines(text):
+    for lineno, line, raw in _lines(text):
         key, colon, rest = line.partition(":")
-        if not colon:
-            raw = text.splitlines()[lineno - 1].strip()  # the message quotes the comment too
-            raise FormatError(f"line {lineno}: expected '<keyword>: ...', got {raw!r}")
+        if not colon:  # the message quotes the comment too
+            raise FormatError(f"line {lineno}: expected '<keyword>: ...', got {raw.strip()!r}")
         key, rest = key.strip(), rest.strip()
         if points is None:
             if key != "points":
@@ -127,7 +126,7 @@ def load_closure_table(text: str) -> ClosureTable:
 
 def load_map(text: str) -> dict:
     mapping = {}
-    for lineno, line in _lines(text):
+    for lineno, line, _ in _lines(text):
         if "->" not in line:
             raise FormatError(f"line {lineno}: expected '<source> -> <target>'")
         src, dst = (part.strip() for part in line.split("->", 1))
@@ -180,7 +179,7 @@ def load_matrix(text: str):
     cell fails the line with the same message, whichever is read first.
     """
     rows = []
-    for lineno, line in _lines(text):
+    for lineno, line, _ in _lines(text):
         cells = line.split(",")
         try:
             if "/" in line:
@@ -244,4 +243,4 @@ def load_ranks(text: str) -> RankedSets:
 
 
 def load_theory(text: str) -> Theory:
-    return Theory.of([parse_formula(line) for _, line in _lines(text)])
+    return Theory.of([parse_formula(line) for _, line, _ in _lines(text)])

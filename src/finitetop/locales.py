@@ -65,7 +65,7 @@ def irreducible_closed_sets(space: FiniteSpace):
     together with the sobriety verdict: sober means T0 and every irreducible
     closed set is the closure of a point, which here reduces to T0.
     """
-    irr = sorted({space.closure(1 << i) for i in range(space.n)})
+    irr = sorted(set(space.point_closures))
     return irr, space.is_poset
 
 

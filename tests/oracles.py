@@ -4,7 +4,9 @@ Each function follows a textbook definition by sweeping subsets, pairs of
 opens, families of opens, valuations, radii or triples of points, and
 shares no shortcut with the library code it is compared against: none of
 them reads `min_nbhd` or a truth table, apart from `atoms_of`, which lists
-the set bits of an algebra's top, and `stone_image`, built on it. They are
+the set bits of an algebra's top, `stone_image`, built on it, and
+`closure_table_by_scan`, which runs the kernel scan `closure` on every
+subset against the table built from the point closures. They are
 exponential and meant for carriers of up to 5 points and theories of up
 to 16 variables.
 """
@@ -108,10 +110,15 @@ def opens_from_kernels_by_subsets(n, kernels):
     )
 
 
+def table_from_function(points, fn):
+    """The closure table whose entry at every subset A of `points` is fn(A)."""
+    return ClosureTable(tuple(points), tuple(fn(a) for a in range(1 << len(points))))
+
+
 def down_set_table(order):
     """Closure table of a preorder: A |-> all points below some point of A."""
     n = order.n
-    return ClosureTable.from_function(
+    return table_from_function(
         order.points,
         lambda a: sum(1 << i for i in range(n) if any(order.le(i, j) for j in bits(a))),
     )
@@ -125,6 +132,37 @@ def closure_axioms_hold(table):
     if any(not is_subset(a, t[a]) or t[t[a]] != t[a] for a in subsets(full)):
         return False
     return all(t[a | b] == t[a] | t[b] for a in subsets(full) for b in subsets(full))
+
+
+def closure_table_by_scan(space):
+    """The induced closure table, one `closure` kernel scan per subset (2^n calls)."""
+    return table_from_function(space.points, space.closure)
+
+
+def closure_fault_by_scan(table):
+    """(message, witness) of the first Kuratowski axiom the table fails, or None.
+
+    The axioms in `ClosureTable.validate`'s order, each scanned subset by
+    subset: the empty set, the carrier, A <= cl(A) and idempotence together,
+    then additivity one point at a time, cl(A) = cl(A - {x}) | cl({x}) for
+    the lowest point x of A.
+    """
+    t = table.table
+    if t[0] != 0:
+        return "closure axiom cl(empty)=empty fails", {"value": table.labels(t[0])}
+    if t[table.full] != table.full:
+        return "closure axiom cl(X)=X fails", {"value": table.labels(t[table.full])}
+    for a in subsets(table.full):
+        if not is_subset(a, t[a]):
+            return "closure axiom A <= cl(A) fails", {"A": table.labels(a)}
+        if t[t[a]] != t[a]:
+            return "closure axiom cl(cl(A))=cl(A) fails", {"A": table.labels(a)}
+    for a in subsets(table.full):
+        low, rest = a & -a, a & (a - 1)
+        if t[a] != t[low] | t[rest]:
+            witness = {"A": table.labels(low), "B": table.labels(rest)}
+            return "closure axiom cl(A|B)=cl(A)|cl(B) fails", witness
+    return None
 
 
 # -- construct -----------------------------------------------------------------

@@ -105,12 +105,14 @@ def test_accumulation_examples(divisors):
     assert ind.closure(ft.ultrafilter_at(ind.points, "a")) == ind.full
 
 
-def test_limits_and_accumulation_match_oracles(small_spaces):
-    for sp in small_spaces:
+def test_limits_and_accumulation_match_oracles(spaces_up_to_4):
+    for sp in spaces_up_to_4:
         if sp.n == 0:
             continue
         for k in range(1, sp.full + 1):
             assert ft.limits(sp, k) == limits_oracle(sp, k)
+            # the meet of the point closures against the scan for every k_x holding k
+            assert ft.limits(sp, k) == sum(1 << i for i, ki in enumerate(sp.min_nbhd) if not k & ~ki)
             assert sp.closure(k) == accumulation_oracle(sp, k)
             # a limit is an accumulation point
             assert is_subset(ft.limits(sp, k), sp.closure(k))

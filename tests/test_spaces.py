@@ -15,12 +15,15 @@ from oracles import (
     all_topologies_by_families,
     closed_sets,
     closure_axioms_hold,
+    closure_fault_by_scan,
+    closure_table_by_scan,
     down_set_table,
     is_antisymmetric,
     is_topology,
     opens_from_kernels_by_subsets,
     separation_by_closed_sets,
     smallest_open_superset,
+    table_from_function,
 )
 
 
@@ -369,7 +372,7 @@ def test_downset_table_gives_divisors_topology(divisors):
 
 
 def test_identity_table_gives_discrete():
-    table = ft.ClosureTable.from_function(("a", "b", "c"), lambda a: a)
+    table = table_from_function(("a", "b", "c"), lambda a: a)
     sp = ft.topology_from_closure(table)
     assert sp.opens == ft.discrete_space(("a", "b", "c")).opens
 
@@ -378,7 +381,7 @@ def test_added_point_table():
     # cl(A) = A + {x0} for nonempty A: {x} open exactly for x != x0
     pts = ("a", "b", "x0")
     x0 = 0b100
-    table = ft.ClosureTable.from_function(pts, lambda a: 0 if a == 0 else a | x0)
+    table = table_from_function(pts, lambda a: 0 if a == 0 else a | x0)
     sp = ft.topology_from_closure(table)
     assert sp.is_open(0b001) and sp.is_open(0b010)
     assert not sp.is_open(0b100)
@@ -388,13 +391,13 @@ def test_added_point_table():
 
 def test_nonempty_empty_closure_rejected():
     with pytest.raises(ValidationError) as err:
-        ft.ClosureTable.from_function(("a", "b"), lambda a: a | 1).validate()
+        table_from_function(("a", "b"), lambda a: a | 1).validate()
     assert "cl(empty)=empty" in str(err.value)
 
 
 def test_shrinking_table_rejected():
     with pytest.raises(ValidationError) as err:
-        ft.ClosureTable.from_function(("a", "b"), lambda a: 0).validate()
+        table_from_function(("a", "b"), lambda a: 0).validate()
     assert "cl(X)=X" in str(err.value)
 
 
@@ -406,7 +409,7 @@ def test_non_idempotent_table_rejected():
         return grow.get(a, 0b111)
 
     with pytest.raises(ValidationError) as err:
-        ft.ClosureTable.from_function(pts, fn).validate()
+        table_from_function(pts, fn).validate()
     assert "cl(cl(A))" in str(err.value) or "cl(A|B)" in str(err.value)
 
 
@@ -419,8 +422,17 @@ def test_non_additive_table_rejected():
         return 0b111 if a.bit_count() >= 2 else a
 
     with pytest.raises(ValidationError) as err:
-        ft.ClosureTable.from_function(pts, fn).validate()
+        table_from_function(pts, fn).validate()
     assert "cl(A|B)" in str(err.value)
+
+
+def validation_fault(table):
+    """(message, witness) of the ValidationError `validate` raises, or None."""
+    try:
+        table.validate()
+    except ValidationError as err:
+        return str(err), err.witness
+    return None
 
 
 def test_closure_validation_matches_pairwise_oracle(small_spaces):
@@ -430,12 +442,44 @@ def test_closure_validation_matches_pairwise_oracle(small_spaces):
         for a in subsets(sp.full):
             for v in subsets(sp.full):
                 table = ft.ClosureTable(sp.points, base[:a] + (v,) + base[a + 1:])
-                try:
-                    table.validate()
-                    ok = True
-                except ValidationError:
-                    ok = False
-                assert ok == closure_axioms_hold(table)
+                fault = validation_fault(table)
+                assert (fault is None) == closure_axioms_hold(table)
+                assert fault == closure_fault_by_scan(table)
+
+
+def test_closure_validation_matches_scan_on_every_two_point_table():
+    tables = [ft.ClosureTable(("a", "b"), t) for t in iproduct(range(4), repeat=4)]
+    assert len(tables) == 256
+    faults = [validation_fault(table) for table in tables]
+    assert faults == [closure_fault_by_scan(table) for table in tables]
+    assert sum(f is None for f in faults) == 4  # one table per topology on two points
+
+
+def _fence(n):
+    """The zigzag order on n points: each odd point lies above its two neighbours."""
+    pts = tuple(f"f{i}" for i in range(n))
+    pairs = [(pts[i], pts[j]) for i in range(0, n, 2) for j in (i - 1, i + 1) if 0 <= j < n]
+    return ft.Preorder.from_pairs(pts, pairs)
+
+
+def _seeded_preorder(n, seed):
+    rng = random.Random(seed)
+    pts = tuple(f"r{i}" for i in range(n))
+    return ft.Preorder.from_pairs(pts, [tuple(rng.sample(pts, 2)) for _ in range(n)])
+
+
+def test_induced_closure_table_matches_scan_on_5_points(spaces_on_5):
+    for sp in spaces_on_5:
+        assert ft.induced_closure_table(sp) == closure_table_by_scan(sp)
+
+
+def test_induced_closure_table_matches_scan_at_the_cap():
+    pts = tuple(f"d{i}" for i in range(16))
+    fence, seeded = (ft.topology_from_poset(order) for order in (_fence(16), _seeded_preorder(16, 16)))
+    for sp in (ft.discrete_space(pts), fence, seeded):
+        table = ft.induced_closure_table(sp)
+        assert table == closure_table_by_scan(sp)
+        assert ft.topology_from_closure(table).rel == sp.rel
 
 
 def test_kuratowski_round_trips(small_spaces):
