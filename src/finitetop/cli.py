@@ -8,7 +8,6 @@ content. Output is deterministic: point order comes from the input file.
 
 import argparse
 import functools
-import json
 import math
 import sys
 
@@ -19,6 +18,7 @@ from .logic import lindenbaum_algebra, model_from_ultrafilter, refuting_formula
 
 CLOSURE_TABLE_LIMIT = 6  # carriers above this get their subset table elided
 SQRT_N_LIMIT = 1 << 16  # `approx sqrt --n`: the iteration costs O(n * grid points)
+MAX_ITER_LIMIT = 1 << 16  # `solve --max-iter`: each iteration is a pass over the vector or matrix
 
 
 def _read(path):
@@ -125,6 +125,8 @@ class _Report:
 
     def print(self, out):
         if self.as_json:
+            import json  # only `--json` output needs it, so a text call never loads it
+
             out.write(json.dumps(self.data, indent=2, sort_keys=True) + "\n")
         else:
             out.write("\n".join(self.lines) + "\n")
@@ -461,9 +463,8 @@ def cmd_logic(args, out):
 # -- parser wiring ------------------------------------------------------------
 
 
-@functools.cache
-def build_parser():
-    """The parser, built once per process; parsing leaves it unchanged.
+def _command_table():
+    """command: (help, options every subcommand takes first, {subcommand: its own options}).
 
     A shared option is declared once, as the flags and keywords of its
     `add_argument` call; a subcommand lists its options in help order.
@@ -488,10 +489,12 @@ def build_parser():
         return opt("--a", dest="seta", type=kind, required=True), opt("--b", dest="setb", type=kind, required=True)
 
     def iteration(tol, max_iter):
-        return opt("--tol", type=_tolerance, default=tol), opt("--max-iter", type=_count(1), default=max_iter)
+        return (
+            opt("--tol", type=_tolerance, default=tol),
+            opt("--max-iter", type=_count(1, MAX_ITER_LIMIT), default=max_iter),
+        )
 
-    # command: (help, options every subcommand takes first, {subcommand: its own options})
-    commands = {
+    return {
         "space": ("inspect a space", report, {
             "report": (opt("--emit", action="store_true", help="print the canonical space file instead"),),
         }),
@@ -536,21 +539,41 @@ def build_parser():
         }),
         "logic": ("propositional workbench", report, dict.fromkeys(("consistent", "model", "algebra", "stone"), ())),
     }
-    subcommand_help = {"report": {"help": "closure table, separation, neighborhoods"}}
 
+
+_COMMANDS = _command_table()
+
+
+@functools.cache
+def build_parser(command=None):
+    """The parser with the subcommands of `command`, or of every command if None.
+
+    Built once per process and argument; parsing leaves it unchanged. The
+    top level and every command's parser are always built, since the
+    top-level help, usage and "invalid choice" message list all commands;
+    only `command`'s parser gets its subcommands.
+    """
+    subcommand_help = {"report": {"help": "closure table, separation, neighborhoods"}}
     p = argparse.ArgumentParser(prog="finitetop", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-    for command, (help_text, common, own) in commands.items():
-        group = sub.add_parser(command, help=help_text).add_subparsers(dest="what", required=True)
-        for what, options in own.items():
-            w = group.add_parser(what, **subcommand_help.get(what, {}))
-            for flags, kw in common + options:
-                w.add_argument(*flags, **kw)
+    for name, (help_text, common, own) in _COMMANDS.items():
+        shell = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            group = shell.add_subparsers(dest="what", required=True)
+            for what, options in own.items():
+                w = group.add_parser(what, **subcommand_help.get(what, {}))
+                for flags, kw in common + options:
+                    w.add_argument(*flags, **kw)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # argparse dispatches to the first argument that names a command: the top
+    # level has no option that takes a value, and no command starts with "-";
+    # with no such argument the top level answers, and it lists every command
+    parser = build_parser(next((a for a in argv if a in _COMMANDS), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

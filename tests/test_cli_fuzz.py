@@ -99,10 +99,10 @@ def mutate(rng, text):
     return "\n".join(lines) + "\n"
 
 
-def subcommands():
-    """(command, subcommand, parser) for every leaf of the parser."""
+def subcommands(parser=None):
+    """(command, subcommand, parser) for every leaf of `parser`, by default the full one."""
     out = []
-    for action in build_parser()._actions:
+    for action in (parser or build_parser())._actions:
         if isinstance(action, argparse._SubParsersAction):
             for command, group in action.choices.items():
                 for leaf in group._actions:

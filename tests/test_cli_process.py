@@ -1,7 +1,8 @@
 """The CLI as programs run it: cold in a fresh interpreter, and many times
-in one process sharing one parser."""
+in one process sharing one parser per command."""
 
 import os
+import random
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ import finitetop as ft
 from finitetop import formats
 from finitetop.cli import build_parser, main
 
+from test_cli_fuzz import FILES, argv_for, subcommands
 from test_formats_cli import DIV6_SPACE, WEB5
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -54,6 +56,22 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded(tmp_path):
     proc = fresh(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_a_text_report_never_imports_json(tmp_path, monkeypatch, capsys):
+    # `json` loads only to print `--json` output, and the output is the one
+    # the same call prints in process
+    (tmp_path / "two.top").write_text("points: a b\nopen: a\n")
+    monkeypatch.chdir(tmp_path)
+    for extra, imports_json in (([], False), (["--json"], True)):
+        argv = ["space", "report", "--in", "two.top", *extra]
+        proc = fresh(["-X", "importtime", "-m", "finitetop.cli", *argv], tmp_path)
+        assert proc.returncode == 0
+        lines = proc.stderr.splitlines()
+        modules = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+        assert ("json" in modules) == imports_json
+        assert main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out
 
 
 def test_quotient_of_a_nontransitive_zero_exits_1(tmp_path):
@@ -140,9 +158,56 @@ def test_cached_parser_carries_no_state(tmp_path, capsys):
         build_parser.cache_clear()
         first.append(call(argv))
     assert [code for code, *_ in first] == [0, 0, 0, 0, 2, 0, 0, 0, 1, 0]
-    parser = build_parser()
+    parsers = {argv[0]: build_parser(argv[0]) for argv in calls}
     assert [call(argv) for argv in calls] == first
-    assert build_parser() is parser
+    # each command's parser is built once and reused; no other parser is built
+    assert all(build_parser(command) is parser for command, parser in parsers.items())
+    assert build_parser.cache_info().currsize == len(parsers)
+
+
+def test_a_command_parser_fills_only_its_own_subcommands():
+    full = [(command, what) for command, what, _ in subcommands()]
+    assert len(full) == 34 and len({command for command, _ in full}) == 9
+    lazy = build_parser("space")
+    assert [(command, what) for command, what, _ in subcommands(lazy)] == [("space", "report")]
+    (commands,) = lazy._subparsers._group_actions
+    assert list(commands.choices) == list(dict.fromkeys(command for command, _ in full))
+
+
+# argv around the dispatch: no command, an option or an invalid choice before
+# one, a command name as a later argument; "x.top" is never read
+EDGE_ARGV = [
+    [], ["-h"], ["--help"], ["--he"], ["bogus"], ["-1", "space"], ["-", "space", "report"], ["--"],
+    ["--", "space", "report", "--in", "x.top"], ["-x", "space", "report", "--in", "x.top"],
+    ["report", "space"], ["space", "space"], ["space", "-h"], ["-h", "space"], ["space", "report", "-h"],
+    ["space", "-h", "report"], ["space", "--in", "x.top", "report"], ["--in", "x.top", "space", "report"],
+    ["check", "space"], ["space", "report", "--in", "x.top", "check"], ["solve", "fixpoint", "-h"],
+    ["approx", "bogus"], ["logic", "--bogus"], ["-h", "bogus"], ["bogus", "-h"],
+]
+
+
+def test_the_lazy_parser_parses_as_the_full_one(tmp_path, capsys):
+    """Every fuzz argv (seeds 1 and 2) and edge argv parses alike with the
+    parser of its first argument that names a command and with the full one:
+    the same namespace, or the same exit code and output."""
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    leaves = subcommands()
+    argvs = list(EDGE_ARGV)
+    for seed in (1, 2):
+        rng = random.Random(f"cli-fuzz:{seed}")
+        argvs += [argv_for(rng, tmp_path, *leaf) for _ in range(40) for leaf in leaves]
+    names = {command for command, _, _ in leaves}
+
+    def parse(parser, argv):
+        try:
+            return parser.parse_args(argv), capsys.readouterr()
+        except SystemExit as e:
+            return e.code, capsys.readouterr()
+
+    for argv in argvs:
+        lazy = build_parser(next((a for a in argv if a in names), None))
+        assert parse(lazy, argv) == parse(build_parser(), argv), argv
 
 
 FIXPOINT = ["solve", "fixpoint", "--fn", "cos", "--x0", "1"]
@@ -172,6 +237,8 @@ WEIERSTRASS = ["approx", "weierstrass", "--fn", "square", "--grid", "0.5"]
         (["metric", "hausdorff", "--in", "web5.csv", "--a", "", "--b", "1"], "--a"),
         (["metric", "hausdorff", "--in", "web5.csv", "--a", "1 2", "--b", "  "], "--b"),
         *[(["approx", "sqrt", "--n", n, "--grid", "0.5"], "--n") for n in ("65537", "1000000000")],  # never run
+        *[(FIXPOINT + ["--max-iter", m], "--max-iter") for m in ("65537", str(1 << 40))],  # never run
+        *[(["solve", "pagerank", "--in", "web5.csv", "--max-iter", m], "--max-iter") for m in ("65537", str(1 << 40))],
     ],
 )
 def test_option_values_outside_their_range_are_usage_errors(tmp_path, monkeypatch, capsys, argv, option):
