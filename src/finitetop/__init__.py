@@ -13,7 +13,6 @@ from .spaces import (
     Preorder,
     NeighborhoodSystem,
     SeparationProfile,
-    validate_base,
     generate_topology,
     closure_interior,
     topology_from_closure,
@@ -21,10 +20,8 @@ from .spaces import (
     topology_from_poset,
     topology_from_neighborhoods,
     separation_profile,
-    specialization_order,
     is_dense,
     discrete_space,
-    indiscrete_space,
     all_topologies,
 )
 from .filters import ultrafilter_at, limits
@@ -32,7 +29,6 @@ from .construct import (
     PointMap,
     EquivalenceRelation,
     is_continuous,
-    is_homeomorphism,
     initial_topology,
     final_topology,
     product,
@@ -80,8 +76,6 @@ from .logic import (
     PropFormula,
     Theory,
     parse_formula,
-    is_consistent,
-    equivalence_mod_theory,
     lindenbaum_algebra,
     model_from_ultrafilter,
 )

@@ -506,7 +506,7 @@ def _command_table():
         ), {"continuity": (), "homeo": ()}),
         "build": ("construct a new space", (infile,), {
             "product": (second,),
-            "subspace": (opt("--keep", required=True, help="labels to keep"),),
+            "subspace": (opt("--keep", type=_nonempty, required=True, help="labels to keep"),),
             "sum": (second,),
             "quotient": (opt("--classes", required=True, help="equivalence file"),),
             "onepoint": (opt("--label", default="inf"),),

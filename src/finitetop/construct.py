@@ -31,9 +31,6 @@ class PointMap:
     def from_dict(cls, source, target, mapping):
         return cls(source, target, target.index_map(mapping, source.points))
 
-    def __call__(self, label):
-        return self.target.points[self.assignment[self.source.index(label)]]
-
     def image(self, mask: int) -> int:
         self.source._require_subset((mask,), "set")
         out = 0
@@ -44,20 +41,6 @@ class PointMap:
     def preimage(self, mask: int) -> int:
         self.target._require_subset((mask,), "set")
         return preimage(self.assignment, mask)
-
-    def is_bijective(self):
-        return (
-            self.source.n == self.target.n
-            and len(set(self.assignment)) == self.source.n
-        )
-
-    def inverse(self):
-        if not self.is_bijective():
-            raise ValidationError("only bijections can be inverted")
-        inv = [0] * self.target.n
-        for i, j in enumerate(self.assignment):
-            inv[j] = i
-        return PointMap(self.target, self.source, tuple(inv))
 
 
 @record
@@ -104,7 +87,8 @@ def homeomorphism_fault(f: PointMap):
 
     The first of: two points with one image, a target point with no
     preimage, a target open whose preimage is not open, a source open
-    whose image is not open.
+    whose image is not open. The inverse of the bijection is read off
+    `first`, the source point of each target point.
     """
     first = {}
     for i, j in enumerate(f.assignment):
@@ -114,15 +98,12 @@ def homeomorphism_fault(f: PointMap):
     if len(first) < f.target.n:
         missed = next(y for j, y in enumerate(f.target.points) if j not in first)
         return ValidationError("map is not surjective", {"y": missed})
-    for g, what in ((f, "map"), (f.inverse(), "inverse map")):
+    inverse = PointMap(f.target, f.source, tuple(first[j] for j in range(f.target.n)))
+    for g, what in ((f, "map"), (inverse, "inverse map")):
         check = is_continuous(g)
         if not check.ok:
             return ValidationError(f"{what} is not continuous", {"open": g.target.set_str(check.witness_open)})
     return None
-
-
-def is_homeomorphism(f: PointMap) -> bool:
-    return homeomorphism_fault(f) is None
 
 
 def initial_topology(points, factors) -> FiniteSpace:

@@ -112,15 +112,21 @@ def load_closure_table(text: str) -> ClosureTable:
     if len(pts) > MAX_POINTS:  # the carrier cap, before the 2^n table is allocated
         _check_labels(pts)
     table = [None] * (1 << len(pts))
+
+    def subset(m):
+        return "{" + (" ".join(pts[i] for i in bits(m)) or "(empty set)") + "}"
+
     for lineno, _, rest in records:
         if "->" not in rest:
             raise FormatError(f"line {lineno}: 'cl:' wants '<subset> -> <closure>'")
         left, right = rest.split("->", 1)
-        table[_mask_of(bit, left.split(), lineno)] = _mask_of(bit, right.split(), lineno)
+        m = _mask_of(bit, left.split(), lineno)
+        if table[m] is not None:
+            raise FormatError(f"line {lineno}: the entry for {subset(m)} is given twice")
+        table[m] = _mask_of(bit, right.split(), lineno)
     for m, v in enumerate(table):
         if v is None:
-            miss = " ".join(pts[i] for i in bits(m)) or "(empty set)"
-            raise FormatError(f"closure table is missing the entry for {{{miss}}}")
+            raise FormatError(f"closure table is missing the entry for {subset(m)}")
     return ClosureTable(pts, tuple(table))
 
 

@@ -11,9 +11,8 @@ and the algebra's ultrafilters are the single-model atoms, one per set bit.
 
 import re
 from functools import cached_property
-from operator import and_, not_, or_
+from operator import and_, or_
 
-from .bitsets import subsets
 from .errors import FormatError, ValidationError
 from .records import record
 
@@ -139,10 +138,6 @@ def variables_of(formula) -> frozenset:
 def _depth(formula) -> int:
     """Connectives on the longest path from the root to a variable or constant."""
     return _fold(formula, lambda name: 0, 0, 0, lambda a: a + 1, lambda a, b: max(a, b) + 1)
-
-
-def evaluate(formula, true_vars: frozenset) -> bool:
-    return _fold(formula, true_vars.__contains__, True, False, not_, and_)
 
 
 # -- parser -----------------------------------------------------------------
@@ -330,18 +325,9 @@ class Theory:
         return [self._valuation(m) for m, bit in enumerate(table) if bit == "1"]
 
 
-def is_consistent(theory: Theory) -> bool:
-    return theory.truth_table() != 0
-
-
 def refuting_formula(theory: Theory):
     """The formula at which the running conjunction of the theory becomes false; None if it never does."""
     return theory._conjunction()[1]
-
-
-def equivalence_mod_theory(theory: Theory, a, b) -> bool:
-    """Same truth value at every model of the theory."""
-    return (theory.table_of(a) ^ theory.table_of(b)) & theory.truth_table() == 0
 
 
 @record
@@ -349,13 +335,14 @@ class LindenbaumAlgebra:
     """Boolean algebra of formula classes, as submasks of the model truth table.
 
     Bit m of `top` is set iff the m-th valuation is a model, and the class
-    of a formula is its truth table restricted to those bits.
+    of a formula is its truth table restricted to those bits. So the
+    operations are mask expressions: bottom is 0, the meet of a and b is
+    `a & b`, their join `a | b`, the complement of a is `top ^ a`, and the
+    elements are the submasks of top, `bitsets.subsets(top)`.
     """
 
     theory: Theory
     top: int
-
-    bot = 0
 
     @property
     def model_count(self):
@@ -367,18 +354,6 @@ class LindenbaumAlgebra:
 
     def class_of(self, formula) -> int:
         return self.theory.table_of(formula) & self.top
-
-    def meet(self, a, b):
-        return a & b
-
-    def join(self, a, b):
-        return a | b
-
-    def complement(self, a):
-        return self.top & ~a
-
-    def elements(self):
-        return subsets(self.top)
 
 
 def lindenbaum_algebra(theory: Theory) -> LindenbaumAlgebra:
@@ -393,14 +368,8 @@ def lindenbaum_algebra(theory: Theory) -> LindenbaumAlgebra:
 @record
 class UltrafilterModel:
     valuation: frozenset  # set of true variables
-    atom: int  # kernel of the chosen ultrafilter, as an algebra element
+    atom: int  # kernel of the chosen ultrafilter: an element e is in it iff e & atom
     algebra: LindenbaumAlgebra
-
-    def satisfies(self, formula) -> bool:
-        return evaluate(formula, self.valuation)
-
-    def in_ultrafilter(self, element: int) -> bool:
-        return bool(element & self.atom)
 
 
 def model_from_ultrafilter(theory: Theory) -> UltrafilterModel:

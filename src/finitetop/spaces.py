@@ -411,12 +411,6 @@ class SeparationProfile:
     normal: bool
 
 
-@record
-class BaseCheck:
-    ok: bool
-    witness: dict | None
-
-
 # ---------------------------------------------------------------------------
 # operations
 
@@ -430,8 +424,8 @@ def _family_kernels(fam: SetFamily) -> list:
     return kernels
 
 
-def _check_base(fam: SetFamily, kernels) -> BaseCheck:
-    """A covering family is a base iff every kernel k_x is a member.
+def _check_base(fam: SetFamily, kernels):
+    """Raise unless the covering family is a base: every kernel k_x is a member.
 
     Folding the pairwise condition (each x in U & V lies in a member inside
     U & V) over the members that contain x gives k_x as a member; conversely
@@ -443,20 +437,15 @@ def _check_base(fam: SetFamily, kernels) -> BaseCheck:
     cover = _union(fam.members)
     if cover != fam.full:
         missing = next(bits(fam.full & ~cover))
-        return BaseCheck(False, {"uncovered": fam.points[missing]})
+        raise ValidationError("family is not a base", {"uncovered": fam.points[missing]})
     members = set(fam.members)
     for x, k in enumerate(kernels):
         if k not in members:
             around = [m for m in fam.members if m >> x & 1]
             u = min(around, key=int.bit_count)
             v = next(m for m in around if u & ~m)
-            return BaseCheck(False, {"x": fam.points[x], "U": fam.labels(u), "V": fam.labels(v)})
-    return BaseCheck(True, None)
-
-
-def validate_base(fam: SetFamily) -> BaseCheck:
-    """A family is a base iff it covers the carrier and interpolates on overlaps, in O(|B|·n)."""
-    return _check_base(fam, _family_kernels(fam))
+            witness = {"x": fam.points[x], "U": fam.labels(u), "V": fam.labels(v)}
+            raise ValidationError("family is not a base", witness)
 
 
 def generate_topology(fam: SetFamily, mode: str = "base") -> FiniteSpace:
@@ -465,14 +454,13 @@ def generate_topology(fam: SetFamily, mode: str = "base") -> FiniteSpace:
     On a finite carrier either is determined by the minimal open
     neighborhoods: the intersection of all members containing a point
     (empty intersection = carrier, which covers the subbase convention).
+    A base is checked in the same O(|B|·n) pass, by `_check_base`.
     """
     if mode not in ("base", "subbase"):
         raise FormatError(f"unknown generation mode {mode!r}")
     kernels = _family_kernels(fam)
     if mode == "base":
-        check = _check_base(fam, kernels)
-        if not check.ok:
-            raise ValidationError("family is not a base", check.witness)
+        _check_base(fam, kernels)
     return FiniteSpace(fam.points, kernels)
 
 
@@ -540,11 +528,6 @@ def separation_profile(space: FiniteSpace) -> SeparationProfile:
     return SeparationProfile(t0, t1, t2, t3, t4, regular, normal)
 
 
-def specialization_order(space: FiniteSpace) -> Preorder:
-    """x <= y iff every open containing x contains y (y is in x's kernel)."""
-    return Preorder(space.points, space.rel)
-
-
 def is_dense(space: FiniteSpace, mask: int) -> bool:
     space._require_subset((mask,), "argument")
     return space.closure(mask) == space.full
@@ -552,10 +535,6 @@ def is_dense(space: FiniteSpace, mask: int) -> bool:
 
 def discrete_space(points) -> FiniteSpace:
     return FiniteSpace(points, [1 << i for i in range(len(points))])
-
-
-def indiscrete_space(points) -> FiniteSpace:
-    return FiniteSpace(points, [(1 << len(points)) - 1] * len(points))
 
 
 def all_topologies(n, labels=None):

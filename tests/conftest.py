@@ -18,6 +18,11 @@ def space_of(points, *open_label_sets):
     return FiniteSpace.from_opens(points, opens)
 
 
+def indiscrete_space(points):
+    """The space whose only opens are the empty set and the carrier: every kernel is the carrier."""
+    return FiniteSpace(points, [(1 << len(points)) - 1] * len(points))
+
+
 @pytest.fixture(scope="session")
 def divisors():
     order = Preorder.from_pairs(

@@ -4,21 +4,24 @@ Each function follows a textbook definition by sweeping subsets, pairs of
 opens, families of opens, valuations, radii or triples of points, and
 shares no shortcut with the library code it is compared against: none of
 them reads `min_nbhd` or a truth table, apart from `atoms_of`, which lists
-the set bits of an algebra's top, `stone_image`, built on it, and
+the set bits of an algebra's top, `stone_image`, built on it,
 `closure_table_by_scan`, which runs the kernel scan `closure` on every
-subset against the table built from the point closures. They are
+subset against the table built from the point closures, and `evaluate`,
+the library's one-valuation pass, kept as the reference semantics for
+`Theory.table_of` and checked against the tree walk `truth`. They are
 exponential and meant for carriers of up to 5 points and theories of up
 to 16 variables.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+from operator import and_, not_
 
 from finitetop.approx import kernel_mass
 from finitetop.bitsets import bits, is_subset, subsets
 from finitetop.errors import FormatError, ValidationError
 from finitetop.formats import _cell
-from finitetop.logic import And, Const, Not, Var
+from finitetop.logic import And, Const, Not, Var, _fold
 from finitetop.pmetric import NonConvergence
 from finitetop.spaces import ClosureTable
 
@@ -420,6 +423,14 @@ def truth(formula, true_vars):
     return truth(formula.left, true_vars) and truth(formula.right, true_vars)
 
 
+def evaluate(formula, true_vars):
+    """The formula's value under the valuation, by the bottom-up pass `Theory.table_of` runs on tables.
+
+    Bit m of `theory.table_of(formula)` is its value at the m-th valuation.
+    """
+    return _fold(formula, true_vars.__contains__, True, False, not_, and_)
+
+
 def models(theory):
     """Valuations satisfying every formula, lexicographic with bot before top."""
     out = []
@@ -442,7 +453,7 @@ def stone_image(algebra, element):
     so the one of atom u contains the element iff u lies below it.
     """
     atoms = (1 << m for m in bits(algebra.top))  # atoms_of, one at a time
-    return _union(u for u in atoms if algebra.meet(u, element) == u)
+    return _union(u for u in atoms if u & element == u)
 
 
 # -- pmetric -------------------------------------------------------------------

@@ -17,6 +17,8 @@ from finitetop.cli import build_parser, main
 
 from test_formats_cli import DIV6_POSET, DIV6_SPACE, WEB5, time_limit
 
+CAP = "abcdefghijklmnop"  # 16 labels, the carrier cap, which the label pool's "a", "b" and "c" name
+UPSETS = [" ".join(CAP[i:]) for i in range(16)]  # the nonempty up-sets of the chain a < b < ... < p
 FILES = {  # well-formed inputs whose labels fit each other and the label pool
     "div6.top": DIV6_SPACE,
     "abc.top": "points: a b c\nopen: a\nopen: a b\n",
@@ -32,25 +34,30 @@ FILES = {  # well-formed inputs whose labels fit each other and the label pool
     "w.rnk": "rank: w1 1\nrank: w2 2\n",
     "pq.thy": "p | q\n~p\n",
     "inconsistent.thy": "a | b\n~a\nb -> a\n",
+    "chain16.top": f"points: {' '.join(CAP)}\n" + "".join(f"open: {u}\n" for u in UPSETS[1:]),
+    "chain16.pos": f"points: {' '.join(CAP)}\n" + "".join(f"le: {x} {y}\n" for x, y in zip(CAP, CAP[1:])),
+    "chain16.fam": f"points: {' '.join(CAP)}\n" + "".join(f"member: {u}\n" for u in UPSETS),
+    "wide17.top": f"points: {' '.join(CAP)} q\n",  # one point past the cap
 }
 # the files a command reads, by "command", "command subcommand" or "command
 # option", the most specific first: its file options draw from these, and
 # now and then from every file
+TOPS = ("div6.top", "abc.top", "chain16.top", "wide17.top")
 READS = {
-    "space": ("div6.top", "abc.top"),
-    "check base": ("abc.fam",),
-    "check subbase": ("abc.fam",),
+    "space": TOPS,
+    "check base": ("abc.fam", "chain16.fam"),
+    "check subbase": ("abc.fam", "chain16.fam"),
     "check closure-op": ("ab.clo",),
     "check pmetric": ("line.csv",),
     "check chain": ("abc.chn",),
     "map --map": ("swap.map", "onto.map"),
-    "map": ("div6.top", "abc.top"),
-    "build from-poset": ("div6.pos",),
-    "build scott": ("div6.pos",),
+    "map": TOPS,
+    "build from-poset": ("div6.pos", "chain16.pos"),
+    "build scott": ("div6.pos", "chain16.pos"),
     "build from-closure": ("ab.clo",),
     "build --classes": ("div6.eq",),
-    "build": ("div6.top", "abc.top"),
-    "locale": ("div6.top", "abc.top"),
+    "build": TOPS,
+    "locale": TOPS,
     "metric chain": ("abc.chn",),
     "metric ultrarank": ("w.rnk",),
     "metric": ("line.csv",),

@@ -239,6 +239,7 @@ WEIERSTRASS = ["approx", "weierstrass", "--fn", "square", "--grid", "0.5"]
         *[(["approx", "sqrt", "--n", n, "--grid", "0.5"], "--n") for n in ("65537", "1000000000")],  # never run
         *[(FIXPOINT + ["--max-iter", m], "--max-iter") for m in ("65537", str(1 << 40))],  # never run
         *[(["solve", "pagerank", "--in", "web5.csv", "--max-iter", m], "--max-iter") for m in ("65537", str(1 << 40))],
+        *[(["build", "subspace", "--in", "web5.csv", "--keep", k], "--keep") for k in ("", "  ")],  # never read
     ],
 )
 def test_option_values_outside_their_range_are_usage_errors(tmp_path, monkeypatch, capsys, argv, option):

@@ -8,6 +8,7 @@ import finitetop as ft
 from finitetop.bitsets import is_subset, subsets
 from finitetop.errors import FormatError, ValidationError
 
+from conftest import indiscrete_space
 from oracles import decides_every_set, filter_from_base, labels_by_bits, principal_members, trace_filter
 
 
@@ -90,7 +91,7 @@ def test_limits_examples(divisors):
     assert ft.limits(divisors, k) == divisors.full
     disc = ft.discrete_space(("a", "b", "c"))
     assert ft.limits(disc, ft.ultrafilter_at(disc.points, "b")) == 0b010
-    ind = ft.indiscrete_space(("a", "b", "c"))
+    ind = indiscrete_space(("a", "b", "c"))
     assert ft.limits(ind, 0b101) == ind.full
 
 
@@ -101,7 +102,7 @@ def test_accumulation_examples(divisors):
     assert accumulation_oracle(divisors, k) == divisors.closure(k)
     u = ft.ultrafilter_at(divisors.points, "3")
     assert accumulation_oracle(divisors, u) == divisors.closure(u)
-    ind = ft.indiscrete_space(("a", "b"))
+    ind = indiscrete_space(("a", "b"))
     assert ind.closure(ft.ultrafilter_at(ind.points, "a")) == ind.full
 
 

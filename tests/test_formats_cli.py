@@ -257,6 +257,16 @@ LOADER_ERRORS = {
     "closure-no-arrow": (_CLOSURE, "points: a\ncl: a\n", "line 2: 'cl:' wants '<subset> -> <closure>'"),
     "closure-unknown": (_CLOSURE, "points: a\ncl: a -> z\n", "line 2: unknown point 'z'"),
     "closure-missing": (_CLOSURE, "points: a b\ncl: -> \ncl: a -> a\n", "closure table is missing the entry for {b}"),
+    # a second entry for a subset is refused, whichever of the two would pass the axioms
+    "closure-twice": (
+        _CLOSURE, "points: a\ncl: -> a\ncl: a -> a\ncl: -> \n", "line 4: the entry for {(empty set)} is given twice"
+    ),
+    "closure-twice-swapped": (
+        _CLOSURE, "points: a\ncl: -> \ncl: a -> a\ncl: -> a\n", "line 4: the entry for {(empty set)} is given twice"
+    ),
+    "closure-twice-then-missing": (
+        _CLOSURE, "points: a b\ncl: a b -> a b\ncl: b a -> a b\n", "line 3: the entry for {a b} is given twice"
+    ),
     "closure-unknown-then-keyword": (_CLOSURE, "points: a\ncl: z -> a\nfoo: a\n", "line 2: unknown point 'z'"),
     "closure-keyword-then-unknown": (
         _CLOSURE, "points: a\nfoo: a\ncl: z -> a\n", "line 2: unexpected keyword 'foo' in closure file"

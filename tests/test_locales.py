@@ -6,7 +6,7 @@ import finitetop as ft
 from finitetop.bitsets import bits, is_subset, subsets
 from finitetop.errors import ValidationError
 
-from conftest import space_of
+from conftest import indiscrete_space, space_of
 from oracles import (
     closed_sets,
     filter_intersection,
@@ -125,7 +125,7 @@ def brute_force_points(space):
 
 
 def test_points_counts(divisors):
-    ind = ft.indiscrete_space(("a", "b"))
+    ind = indiscrete_space(("a", "b"))
     assert len(ft.points_of_locale(ind)) == 1
     disc = ft.discrete_space(("a", "b"))
     assert len(ft.points_of_locale(disc)) == 2
@@ -151,7 +151,7 @@ def test_points_match_brute_force(small_spaces, spaces_up_to_4, five_point_sampl
 def test_phi_map(divisors):
     phi = ft.phi_map(divisors)
     assert phi.injective and phi.surjective
-    assert not ft.phi_map(ft.indiscrete_space(("a", "b"))).injective
+    assert not ft.phi_map(indiscrete_space(("a", "b"))).injective
     disc = ft.phi_map(ft.discrete_space(("a", "b", "c")))
     assert disc.injective and disc.surjective
 
@@ -178,7 +178,7 @@ def test_irreducibles_of_divisors(divisors):
 
 
 def test_indiscrete_not_sober():
-    sp = ft.indiscrete_space(("a", "b"))
+    sp = indiscrete_space(("a", "b"))
     irr, sober = ft.irreducible_closed_sets(sp)
     assert irr == [sp.full]
     assert not sober

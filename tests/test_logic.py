@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finitetop as ft
+from finitetop.bitsets import subsets
 from finitetop.errors import FormatError, ValidationError
 from finitetop.logic import (
     MAX_DEPTH,
@@ -18,10 +19,10 @@ from finitetop.logic import (
     Var,
     biconditional,
     disjunction,
-    evaluate,
     implication,
     refuting_formula,
 )
+from oracles import evaluate
 
 
 def random_formula(rng, names, depth):
@@ -132,25 +133,24 @@ def test_parser_round_trips_semantics():
 
 
 def test_consistency_examples():
-    assert ft.is_consistent(ft.Theory.of([ft.parse_formula("p")]))
-    assert not ft.is_consistent(
-        ft.Theory.of([ft.parse_formula("p"), ft.parse_formula("~p")])
-    )
+    # a theory is consistent iff its model table is nonzero
+    assert ft.Theory.of([ft.parse_formula("p")]).truth_table()
+    assert not ft.Theory.of([ft.parse_formula("p"), ft.parse_formula("~p")]).truth_table()
     t = ft.Theory.of(
         [ft.parse_formula("p -> q"), ft.parse_formula("p"), ft.parse_formula("~q")]
     )
-    assert not ft.is_consistent(t)
+    assert not t.truth_table()
 
 
 def test_equivalence_examples():
-    empty = ft.Theory.of([], vars=("p",))
-    assert ft.equivalence_mod_theory(empty, ft.parse_formula("p | ~p"), TOP)
-    with_p = ft.Theory.of([ft.parse_formula("p")], vars=("p", "q"))
-    assert ft.equivalence_mod_theory(
-        with_p, ft.parse_formula("p & q"), ft.parse_formula("q")
-    )
-    f = ft.parse_formula("p -> q & r")
-    assert ft.equivalence_mod_theory(ft.Theory.of([], vars=("p", "q", "r")), f, f)
+    # equivalent modulo a theory iff the two formulas have one class
+    empty = ft.lindenbaum_algebra(ft.Theory.of([], vars=("p",)))
+    assert empty.class_of(ft.parse_formula("p | ~p")) == empty.class_of(TOP)
+    with_p = ft.lindenbaum_algebra(ft.Theory.of([ft.parse_formula("p")], vars=("p", "q")))
+    assert with_p.class_of(ft.parse_formula("p & q")) == with_p.class_of(ft.parse_formula("q"))
+    assert with_p.class_of(ft.parse_formula("q")) != with_p.class_of(ft.parse_formula("~q"))
+    alg = ft.lindenbaum_algebra(ft.Theory.of([], vars=("p", "q", "r")))
+    assert alg.class_of(ft.parse_formula("p -> q & r")) == alg.class_of(ft.parse_formula("~p | q & r"))
 
 
 def test_variable_universe_enforced():
@@ -164,7 +164,7 @@ def test_undeclared_variable_is_refused_by_every_table():
     theory = ft.Theory.of([], vars=("p",))
     q = ft.parse_formula("q")
     with pytest.raises(FormatError, match="undeclared variable 'q'"):
-        ft.equivalence_mod_theory(theory, q, BOT)
+        theory.table_of(q)
     with pytest.raises(FormatError, match="undeclared variable 'q'"):
         ft.lindenbaum_algebra(theory).class_of(q)
 
@@ -192,28 +192,29 @@ def test_class_operations_are_homomorphic():
         a = random_formula(rng, names, 3)
         b = random_formula(rng, names, 3)
         ca, cb = alg.class_of(a), alg.class_of(b)
-        assert alg.class_of(And(a, b)) == alg.meet(ca, cb)
-        assert alg.class_of(disjunction(a, b)) == alg.join(ca, cb)
-        assert alg.class_of(Not(a)) == alg.complement(ca)
+        # meet, join and complement are the mask expressions &, | and top ^
+        assert alg.class_of(And(a, b)) == ca & cb
+        assert alg.class_of(disjunction(a, b)) == ca | cb
+        assert alg.class_of(Not(a)) == alg.top ^ ca
     assert alg.class_of(TOP) == alg.top
-    assert alg.class_of(BOT) == alg.bot
+    assert alg.class_of(BOT) == 0
 
 
 def test_boolean_axioms_elementwise():
-    alg = ft.lindenbaum_algebra(ft.Theory.of([], vars=("p", "q")))
-    els = list(alg.elements())
-    for a in els:
-        assert alg.join(a, alg.complement(a)) == alg.top
-        assert alg.meet(a, alg.complement(a)) == alg.bot
-        for b in els:
-            # de Morgan
-            assert alg.complement(alg.meet(a, b)) == alg.join(
-                alg.complement(a), alg.complement(b)
-            )
-            for c in els:
-                assert alg.meet(a, alg.join(b, c)) == alg.join(
-                    alg.meet(a, b), alg.meet(a, c)
-                )
+    # the laws hold for the classes of formulas, and the classes are the submasks of top
+    rng = random.Random(7)
+    names = ["p", "q"]
+    alg = ft.lindenbaum_algebra(ft.Theory.of([], vars=tuple(names)))
+    seen = set()
+    for _ in range(300):
+        a, b, c = (random_formula(rng, names, 3) for _ in range(3))
+        seen.add(alg.class_of(a))
+        assert alg.class_of(disjunction(a, Not(a))) == alg.top
+        assert alg.class_of(And(a, Not(a))) == 0
+        # de Morgan
+        assert alg.class_of(Not(And(a, b))) == alg.class_of(disjunction(Not(a), Not(b)))
+        assert alg.class_of(And(a, disjunction(b, c))) == alg.class_of(disjunction(And(a, b), And(a, c)))
+    assert seen == set(subsets(alg.top))
 
 
 def test_equivalence_matches_class_equality():
@@ -221,10 +222,12 @@ def test_equivalence_matches_class_equality():
     names = ["p", "q"]
     theory = ft.Theory.of([ft.parse_formula("p -> q")], vars=tuple(names))
     alg = ft.lindenbaum_algebra(theory)
+    models = oracles.models(theory)
     for _ in range(100):
         a = random_formula(rng, names, 3)
         b = random_formula(rng, names, 3)
-        assert ft.equivalence_mod_theory(theory, a, b) == (
+        # equivalent modulo the theory: the same truth value at every model
+        assert all(oracles.truth(a, v) == oracles.truth(b, v) for v in models) == (
             alg.class_of(a) == alg.class_of(b)
         )
 
@@ -259,7 +262,7 @@ def test_truth_in_model_equals_membership_in_ultrafilter():
     model = ft.model_from_ultrafilter(theory)
     for _ in range(300):
         f = random_formula(rng, names, 3)
-        assert model.satisfies(f) == model.in_ultrafilter(model.algebra.class_of(f))
+        assert evaluate(f, model.valuation) == bool(model.algebra.class_of(f) & model.atom)
 
 
 def test_random_consistent_theories_are_satisfied():
@@ -272,10 +275,10 @@ def test_random_consistent_theories_are_satisfied():
             for _ in range(rng.randint(1, 5))
         ]
         theory = ft.Theory.of(formulas, vars=tuple(names))
-        if not ft.is_consistent(theory):
+        if not theory.truth_table():  # inconsistent
             continue
         model = ft.model_from_ultrafilter(theory)
-        assert all(model.satisfies(f) for f in theory.formulas)
+        assert all(evaluate(f, model.valuation) for f in theory.formulas)
         done += 1
 
 
@@ -311,15 +314,16 @@ def test_models_match_valuation_sweep():
             theory = ft.Theory.of(formulas, vars=tuple(names))
             want = oracles.models(theory)
             assert theory.models() == want
-            assert ft.is_consistent(theory) == bool(want)
+            assert bool(theory.truth_table()) == bool(want)
             # the refuting formula ends the shortest prefix of the theory that has no model
             prefixes = (ft.Theory.of(formulas[: i + 1], vars=tuple(names)) for i in range(len(formulas)))
             first = next((f for f, t in zip(formulas, prefixes) if not oracles.models(t)), None)
             assert refuting_formula(theory) == first
             if k <= 4:
                 for f in formulas:
-                    for v in theory.valuations():
-                        assert evaluate(f, v) == oracles.truth(f, v)
+                    table = theory.table_of(f)
+                    for m, v in enumerate(theory.valuations()):
+                        assert evaluate(f, v) == oracles.truth(f, v) == bool(table >> m & 1)
 
 
 def test_models_match_valuation_sweep_on_16_variables():
@@ -342,24 +346,24 @@ def test_stone_extremes():
     alg = ft.lindenbaum_algebra(ft.Theory.of([], vars=("p",)))
     assert oracles.atoms_of(alg) == [0b01, 0b10]
     assert oracles.stone_image(alg, alg.top) == alg.top == sum(oracles.atoms_of(alg))
-    assert oracles.stone_image(alg, alg.bot) == 0
+    assert oracles.stone_image(alg, 0) == 0
 
 
 def test_stone_is_injective_homomorphism():
     for vars in (("p",), ("p", "q")):
         alg = ft.lindenbaum_algebra(ft.Theory.of([], vars=vars))
         images = {}
-        for a in alg.elements():
+        for a in subsets(alg.top):  # the elements
             images[a] = oracles.stone_image(alg, a)
             assert images[a] == a  # the image, as a mask of single-model bits, is the element
             # the ultrafilter of an atom u contains a iff u lies below a
-            assert images[a] == sum(u for u in oracles.atoms_of(alg) if alg.meet(u, a) == u)
+            assert images[a] == sum(u for u in oracles.atoms_of(alg) if u & a == u)
         assert len(set(images.values())) == alg.size  # injective
-        for a in alg.elements():
-            for b in alg.elements():
-                assert oracles.stone_image(alg, alg.meet(a, b)) == images[a] & images[b]
-                assert oracles.stone_image(alg, alg.join(a, b)) == images[a] | images[b]
-            assert oracles.stone_image(alg, alg.complement(a)) == alg.top - images[a]
+        for a in subsets(alg.top):
+            for b in subsets(alg.top):
+                assert oracles.stone_image(alg, a & b) == images[a] & images[b]
+                assert oracles.stone_image(alg, a | b) == images[a] | images[b]
+            assert oracles.stone_image(alg, alg.top ^ a) == alg.top - images[a]
 
 
 def test_stone_and_model_on_the_16_variable_tautology_stay_small():

@@ -3,9 +3,9 @@
 import pytest
 
 from finitetop import FiniteSpace, Preorder
+from finitetop.construct import ContinuityCheck
 from finitetop.logic import And, Var, parse_formula
 from finitetop.records import record
-from finitetop.spaces import BaseCheck
 
 POINTS, REL = ("a", "b"), (0b01, 0b11)  # b <= a
 
@@ -39,7 +39,7 @@ def test_assignment_and_deletion_raise_attribute_error():
 def test_repr_names_the_class_and_the_fields():
     assert repr(FiniteSpace(POINTS, REL)) == "FiniteSpace(points=('a', 'b'), rel=(1, 3))"
     assert repr(And(Var("p"), Var("q"))) == "And(left=Var(name='p'), right=Var(name='q'))"
-    assert repr(BaseCheck(True, None)) == "BaseCheck(ok=True, witness=None)"
+    assert repr(ContinuityCheck(True, None)) == "ContinuityCheck(ok=True, witness_open=None)"
 
 
 @pytest.mark.parametrize("args", [(), (POINTS,), (POINTS, REL, 0)])

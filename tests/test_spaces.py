@@ -10,7 +10,7 @@ import finitetop as ft
 from finitetop.bitsets import bits, intransitive_triple, is_subset, subsets
 from finitetop.errors import FormatError, ValidationError
 
-from conftest import space_of
+from conftest import indiscrete_space, space_of
 from oracles import (
     all_topologies_by_families,
     closed_sets,
@@ -62,6 +62,16 @@ def base_oracle(fam):
                 ):
                     return False
     return True
+
+
+def base_witness(fam):
+    """None when the family is a base, else the witness `generate_topology` refuses it with."""
+    try:
+        ft.generate_topology(fam, "base")
+    except ValidationError as err:
+        assert str(err) == "family is not a base"
+        return err.witness
+    return None
 
 
 def assert_base_witness(fam, witness):
@@ -225,27 +235,26 @@ def test_all_topologies_by_preorders():
         ft.all_topologies(6)
 
 
-# -- validate_base ------------------------------------------------------------
+# -- base validation ------------------------------------------------------------
 
 
 def test_overlap_without_interpolant_is_not_a_base():
     fam = ft.SetFamily(("0", "1", "2"), (0b111, 0b011, 0b110, 0))
-    check = ft.validate_base(fam)
-    assert not check.ok
-    assert check.witness["x"] == "1"
-    assert sorted(check.witness["U"]) in (["0", "1"], ["1", "2"])
-    assert sorted(check.witness["V"]) in (["0", "1"], ["1", "2"])
-    assert check.witness["U"] != check.witness["V"]
+    witness = base_witness(fam)
+    assert witness["x"] == "1"
+    assert sorted(witness["U"]) in (["0", "1"], ["1", "2"])
+    assert sorted(witness["V"]) in (["0", "1"], ["1", "2"])
+    assert witness["U"] != witness["V"]
 
 
 def test_singletons_form_a_base():
     fam = ft.SetFamily(("a", "b", "c"), (0b001, 0b010, 0b100))
-    assert ft.validate_base(fam).ok
+    assert base_witness(fam) is None
 
 
 def test_overlapping_base_with_interpolant():
     fam = ft.SetFamily(("1", "2", "3"), (0b011, 0b110, 0b010))
-    assert ft.validate_base(fam).ok
+    assert base_witness(fam) is None
     assert base_oracle(fam)
 
 
@@ -258,12 +267,12 @@ def test_validate_base_matches_oracle(n, data):
         data.draw(st.integers(0, full)) for _ in range(data.draw(st.integers(1, 5)))
     )
     fam = ft.SetFamily(pts, members)
-    check = ft.validate_base(fam)
-    assert check.ok == base_oracle(fam)
-    if base_oracle(fam):
+    witness = base_witness(fam)
+    assert (witness is None) == base_oracle(fam)
+    if witness is None:
         assert set(members) <= ft.generate_topology(fam, "base").opens
     else:
-        assert_base_witness(fam, check.witness)
+        assert_base_witness(fam, witness)
 
 
 def test_validate_base_matches_oracle_on_every_family_up_to_3_points():
@@ -274,16 +283,12 @@ def test_validate_base_matches_oracle_on_every_family_up_to_3_points():
         pts = tuple(chr(97 + i) for i in range(n))
         for pick in range(1 << (1 << n)):
             fam = ft.SetFamily(pts, tuple(bits(pick)))
-            check = ft.validate_base(fam)
-            assert check.ok == base_oracle(fam)
-            if check.ok:
-                assert check.witness is None
+            witness = base_witness(fam)
+            assert (witness is None) == base_oracle(fam)
+            if witness is None:
                 assert set(fam.members) <= ft.generate_topology(fam, "base").opens
             else:
-                assert_base_witness(fam, check.witness)
-                with pytest.raises(ValidationError) as err:
-                    ft.generate_topology(fam, "base")
-                assert err.value.witness == check.witness
+                assert_base_witness(fam, witness)
             counts[n] = counts.get(n, 0) + 1
     assert counts == {0: 2, 1: 4, 2: 16, 3: 256}
 
@@ -365,8 +370,7 @@ def test_closure_interior_match_oracles(small_spaces):
 
 
 def test_downset_table_gives_divisors_topology(divisors):
-    order = ft.specialization_order(divisors)
-    table = down_set_table(order)
+    table = down_set_table(divisors)  # a space is its own specialization preorder
     table.validate()
     assert ft.topology_from_closure(table).opens == divisors.opens
 
@@ -519,11 +523,10 @@ def test_from_pairs_names_an_unknown_label():
 
 def test_poset_round_trips(spaces_up_to_4):
     for sp in spaces_up_to_4:
-        order = ft.specialization_order(sp)
+        order = ft.Preorder(sp.points, sp.rel)  # the specialization order is the space's own `rel`
         assert ft.topology_from_poset(order).opens == sp.opens
     order = ft.Preorder.from_pairs(("a", "b", "c"), [("a", "b"), ("b", "c")])
-    again = ft.specialization_order(ft.topology_from_poset(order))
-    assert again.rel == order.rel
+    assert ft.topology_from_poset(order).rel == order.rel
 
 
 # -- neighborhood systems -----------------------------------------------------------
@@ -540,7 +543,7 @@ def test_neighborhood_filter_rows(divisors):
     ]
     disc = ft.discrete_space(("x", "y"))
     assert disc.min_nbhd[disc.index("x")] == 0b01
-    ind = ft.indiscrete_space(("x", "y"))
+    ind = indiscrete_space(("x", "y"))
     assert ind.min_nbhd[ind.index("x")] == 0b11
 
 
@@ -620,7 +623,7 @@ def test_kernel_vector_checks():
 
 
 def test_indiscrete_four_points_profile():
-    sp = ft.indiscrete_space(("1", "2", "3", "4"))
+    sp = indiscrete_space(("1", "2", "3", "4"))
     prof = ft.separation_profile(sp)
     assert prof.t3 and not prof.t2 and not prof.t1
 
@@ -674,30 +677,28 @@ def test_t3_t4_shrinking_neighborhood_characterizations(spaces_up_to_4):
 
 
 def test_specialization_examples(divisors):
-    order = ft.specialization_order(divisors)
+    # a space's `rel` is its specialization order: x <= y iff y is in x's kernel
     le = {(a, b) for a in divisors.points for b in divisors.points
-          if order.le(divisors.index(a), divisors.index(b))}
+          if divisors.le(divisors.index(a), divisors.index(b))}
     divides = {(a, b) for a in divisors.points for b in divisors.points
                if int(b) % int(a) == 0}
     assert le == divides
-    assert order.is_poset
-    disc = ft.specialization_order(ft.discrete_space(("a", "b")))
-    assert disc.rel == (0b01, 0b10)
-    ind = ft.specialization_order(ft.indiscrete_space(("a", "b")))
+    assert divisors.is_poset
+    assert ft.discrete_space(("a", "b")).rel == (0b01, 0b10)
+    ind = indiscrete_space(("a", "b"))
     assert ind.rel == (0b11, 0b11)
     assert not ind.is_poset
 
 
 def test_is_poset_equals_t0(spaces_up_to_4):
     for sp in spaces_up_to_4:
-        assert ft.specialization_order(sp).is_poset == ft.separation_profile(sp).t0
+        assert sp.is_poset == ft.separation_profile(sp).t0
 
 
 def test_is_poset_matches_the_pairwise_definition(spaces_up_to_4, spaces_on_5):
     # every preorder on up to 5 points is the kernel vector of one of these spaces
     for sp in spaces_up_to_4 + spaces_on_5:
-        order = ft.specialization_order(sp)
-        assert order.is_poset == is_antisymmetric(order)
+        assert sp.is_poset == is_antisymmetric(sp)
 
 
 def test_density(divisors):
