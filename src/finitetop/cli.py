@@ -277,12 +277,9 @@ def cmd_locale(args, out):
     elif args.what == "points":
         pts = locales.points_of_locale(space)
         rep.add("count", len(pts))
-        # an open contains the kernel g iff it contains a point whose kernel is g
-        point_of = dict(zip(space.min_nbhd, space.points))
-        rows = [
-            (i, " ".join(map(space.set_str, spaces.open_neighborhoods(space, point_of[g]))))
-            for i, g in enumerate(pts)
-        ]
+        # the opens top-valued at the point g are those containing g
+        opens = space.opens_by_size
+        rows = [(i, " ".join([space.set_str(u) for u in opens if g & ~u == 0])) for i, g in enumerate(pts)]
         rep.table("morphisms", ("index", "top-valued opens"), rows)
         phi = locales.phi_map(space)
         rep.add("phi_injective", phi.injective)
@@ -406,6 +403,8 @@ def cmd_approx(args, out):
                 p, fx = ev(x), f(x)
             except OverflowError:
                 p = fx = math.inf
+            except ValueError:  # a domain error: sqrt below 0
+                raise ValidationError("f(x) is undefined", {"x": x}) from None
             if not (math.isfinite(p) and math.isfinite(fx)):
                 raise ValidationError(f"P_{args.n}(x) or f(x) leaves the float range", {"x": x})
             rows.append((f"{x:.12g}", f"{p:.12g}", f"{fx:.12g}"))

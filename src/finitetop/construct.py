@@ -3,14 +3,18 @@
 from .bitsets import bits, preimage
 from .errors import FormatError, ValidationError
 from .records import record
-from .spaces import (
-    Carrier,
-    FiniteSpace,
-    _index_map,
-    _label_bits,
-    _transitive_closure,
-    discrete_space,
-)
+from .spaces import Carrier, FiniteSpace, _transitive_closure, discrete_space
+
+
+def _assignment(sources, assignment, n):
+    """The assignment as a tuple, one image per source label, each an index below n."""
+    assignment = tuple(assignment)
+    if len(assignment) != len(sources):
+        raise FormatError("map must be total on the source carrier")
+    for p, j in zip(sources, assignment):
+        if not 0 <= j < n:
+            raise FormatError(f"map image of {p!r} is {j}, not a target point index")
+    return assignment
 
 
 @record
@@ -20,16 +24,15 @@ class PointMap:
     assignment: tuple  # assignment[i] = target index of the i-th source point
 
     def __post_init__(self):
-        object.__setattr__(self, "assignment", tuple(self.assignment))
-        if len(self.assignment) != self.source.n:
-            raise FormatError("map must be total on the source carrier")
-        for p, j in zip(self.source.points, self.assignment):
-            if not 0 <= j < self.target.n:
-                raise FormatError(f"map image of {p!r} is {j}, not a target point index")
+        object.__setattr__(self, "assignment", _assignment(self.source.points, self.assignment, self.target.n))
 
     @classmethod
     def from_dict(cls, source, target, mapping):
-        return cls(source, target, target.index_map(mapping, source.points))
+        """The map of a label -> label dict: totality first (the first source label missed), then each image."""
+        for p in source.points:
+            if p not in mapping:
+                raise FormatError(f"map is not total, missing {p!r}")
+        return cls(source, target, tuple(target.index(mapping[p]) for p in source.points))
 
     def image(self, mask: int) -> int:
         self.source._require_subset((mask,), "set")
@@ -109,17 +112,16 @@ def homeomorphism_fault(f: PointMap):
 def initial_topology(points, factors) -> FiniteSpace:
     """Smallest topology making every map of `factors` continuous.
 
-    `factors` is a list of (assignment, target) pairs where assignment maps
-    each carrier label to a target label. Generated by the subbase of all
-    preimages of target opens; on a finite carrier that topology is the one
-    whose minimal open at x is the intersection of the pulled-back minimal
-    opens at the images of x.
+    `factors` is a list of (assignment, target) pairs, assignment[i] being
+    the target index of the i-th carrier point. Generated by the subbase of
+    all preimages of target opens; on a finite carrier that topology is the
+    one whose minimal open at x is the intersection of the pulled-back
+    minimal opens at the images of x.
     """
     points = tuple(points)
-    full = (1 << len(points)) - 1
-    kernels = [full] * len(points)
-    for mapping, target in factors:
-        idx = target.index_map(mapping, points)
+    kernels = [(1 << len(points)) - 1] * len(points)
+    for assignment, target in factors:
+        idx = _assignment(points, assignment, target.n)
         for i, j in enumerate(idx):
             kernels[i] &= preimage(idx, target.min_nbhd[j])
     return FiniteSpace(points, kernels)
@@ -128,17 +130,16 @@ def initial_topology(points, factors) -> FiniteSpace:
 def final_topology(points, factors) -> FiniteSpace:
     """Largest topology making every map of `factors` continuous.
 
-    `factors` is a list of (source, assignment) pairs, assignment mapping
-    source labels to carrier labels. A set is open iff its preimage under
-    every map is open upstairs, that is an up-set of the source preorders,
-    so the opens are the up-sets of the preorder generated by f(x) <= f(x')
-    for every x' in the kernel of x.
+    `factors` is a list of (source, assignment) pairs, assignment[i] being
+    the carrier index of the i-th source point. A set is open iff its
+    preimage under every map is open upstairs, that is an up-set of the
+    source preorders, so the opens are the up-sets of the preorder generated
+    by f(x) <= f(x') for every x' in the kernel of x.
     """
     points = tuple(points)
-    bit = _label_bits(points)
     rel = [1 << i for i in range(len(points))]
-    for source, mapping in factors:
-        idx = _index_map(bit, mapping, source.points)
+    for source, assignment in factors:
+        idx = _assignment(source.points, assignment, len(points))
         for i, k in enumerate(source.min_nbhd):
             for j in bits(k):
                 rel[idx[i]] |= 1 << idx[j]
@@ -158,17 +159,15 @@ def product(a: FiniteSpace, b: FiniteSpace) -> FiniteSpace:
     if len(set(pts)) != len(pts):
         clash = next(p for i, p in enumerate(pts) if p in pts[:i])
         raise ValidationError("product labels collide; rename the factor points", {"label": clash})
-    proj_a = {product_label(x, y): x for x in a.points for y in b.points}
-    proj_b = {product_label(x, y): y for x in a.points for y in b.points}
+    proj_a = tuple(i for i in range(a.n) for _ in range(b.n))
+    proj_b = tuple(range(b.n)) * a.n
     return initial_topology(pts, [(proj_a, a), (proj_b, b)])
 
 
 def subspace(space: FiniteSpace, keep_mask: int) -> FiniteSpace:
     """Trace of the topology on a subset, via the embedding map."""
     space._require_subset((keep_mask,), "argument")
-    pts = tuple(space.points[i] for i in bits(keep_mask))
-    embed = {p: p for p in pts}
-    return initial_topology(pts, [(embed, space)])
+    return initial_topology(space.labels(keep_mask), [(bits(keep_mask), space)])
 
 
 def topological_sum(a: FiniteSpace, b: FiniteSpace) -> FiniteSpace:
@@ -177,7 +176,7 @@ def topological_sum(a: FiniteSpace, b: FiniteSpace) -> FiniteSpace:
         clash = sorted(set(a.points) & set(b.points))[0]
         raise ValidationError("sum carriers share a label", {"label": clash})
     pts = a.points + b.points
-    return final_topology(pts, [(a, {p: p for p in a.points}), (b, {p: p for p in b.points})])
+    return final_topology(pts, [(a, range(a.n)), (b, range(a.n, len(pts)))])
 
 
 def block_label(space, mask, sep=""):
@@ -207,16 +206,15 @@ def block_labels(space, blocks):
 
 
 def quotient(space: FiniteSpace, eq: EquivalenceRelation):
-    """Factor space; a block set is open iff its union is open upstairs."""
+    """Factor space and the index of each point's block; a block set is open iff its union is open upstairs."""
     if eq.points != space.points:
         raise ValidationError("equivalence relation lives on a different carrier")
-    labels = block_labels(space, eq.blocks)
-    mapping = {}
-    for lab, b in zip(labels, eq.blocks):
+    assignment = [0] * space.n
+    for c, b in enumerate(eq.blocks):
         for i in bits(b):
-            mapping[space.points[i]] = lab
-    out = final_topology(labels, [(space, mapping)])
-    return out, mapping
+            assignment[i] = c
+    assignment = tuple(assignment)
+    return final_topology(block_labels(space, eq.blocks), [(space, assignment)]), assignment
 
 
 def one_point_extension(space: FiniteSpace, infinity_label: str) -> FiniteSpace:

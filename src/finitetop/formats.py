@@ -204,7 +204,7 @@ def load_matrix(text: str):
 
 
 def load_chain(text: str) -> RelationChain:
-    records = _labelled(text, "chain", lambda key: key == "pair" or key.startswith("relation"))
+    records = _labelled(text, "chain", lambda key: key == "pair" or key.split()[:1] == ["relation"])
     pts, bit = next(records)
     relations = []
     current = None
@@ -217,10 +217,10 @@ def load_chain(text: str) -> RelationChain:
             current[i] |= 1 << j
             current[j] |= 1 << i
         else:
-            parts = key.split()
             try:
-                level = int(parts[1]) if len(parts) == 2 else int(rest)
-            except (ValueError, IndexError):
+                _, level = key.split()
+                level = int(level)
+            except ValueError:
                 raise FormatError(f"line {lineno}: 'relation <k>:' wants an integer level") from None
             if level != expect:
                 raise FormatError(f"line {lineno}: expected 'relation {expect}:'")

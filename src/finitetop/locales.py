@@ -12,6 +12,7 @@ oracles and are not rerun here.
 """
 
 from .bitsets import bits
+from .construct import PointMap
 from .errors import ValidationError
 from .records import record
 from .spaces import FiniteSpace, Preorder, topology_from_poset
@@ -91,7 +92,7 @@ def is_scott_continuous(p: Preorder, q: Preorder, assignment) -> bool:
 
     On finite posets the three coincide, so monotonicity decides.
     """
-    f = q.index_map(assignment, p.points)
+    f = PointMap.from_dict(p, q, assignment).assignment
     return all(q.le(f[i], f[j]) for i in range(p.n) for j in bits(p.rel[i]))
 
 

@@ -46,18 +46,6 @@ def _mask_of(bit, labels, lineno=None):
     return m
 
 
-def _index_map(bit, mapping, sources):
-    """Index of each source label's image under `mapping`, in source order.
-
-    Totality is checked first, naming the first source label the map
-    misses; then every image must be a label of `bit`.
-    """
-    for p in sources:
-        if p not in mapping:
-            raise FormatError(f"map is not total, missing {p!r}")
-    return tuple(_mask_of(bit, (mapping[p],)).bit_length() - 1 for p in sources)
-
-
 class Carrier:
     """Masks <-> labels for a record whose `points` tuple indexes the bits, checked by `_carrier`.
 
@@ -120,10 +108,6 @@ class Carrier:
 
     def mask(self, labels):
         return _mask_of(self._bits, labels)
-
-    def index_map(self, mapping, sources):
-        """Index of each source label's image in this carrier; see `_index_map`."""
-        return _index_map(self._bits, mapping, sources)
 
     def _carrier(self, masks=(), what=None, cap=True):
         """Store `points` as a tuple, check the labels (capped if `cap`), return the masks as a tuple."""
@@ -369,9 +353,7 @@ class FiniteSpace(Preorder):
     # -- the basic operators
 
     def is_open(self, mask):
-        """Open iff it holds the kernel of each of its points; a set lookup once `opens` is built."""
-        if "opens" in self.__dict__:
-            return mask in self.opens
+        """Open iff it holds the kernel of each of its points."""
         return 0 <= mask <= self.full and all(self.rel[i] & ~mask == 0 for i in bits(mask))
 
     def closure(self, mask):

@@ -181,15 +181,11 @@ def continuity_witness_by_opens(f):
 
 def final_opens_by_subsets(points, factors):
     """Sets whose preimage under every (source, assignment) factor is open upstairs."""
-    idx_maps = [
-        (source, tuple(points.index(mapping[p]) for p in source.points))
-        for source, mapping in factors
-    ]
     opens = set()
     for h in subsets((1 << len(points)) - 1):
         if all(
             sum(1 << i for i, j in enumerate(idx) if h >> j & 1) in source.opens
-            for source, idx in idx_maps
+            for source, idx in factors
         ):
             opens.add(h)
     return frozenset(opens)

@@ -153,14 +153,8 @@ UNKNOWN_IN_CALLS = [
     ("PointMap.from_dict", lambda: ft.PointMap.from_dict(_S2, _S2, {"a": "a", "b": "z"}), "unknown point 'z'"),
     ("PointMap.from_dict-partial", lambda: ft.PointMap.from_dict(_S2, _S2, {"a": "a"}),
      "map is not total, missing 'b'"),
-    ("initial_topology", lambda: ft.initial_topology(_AB, [({"a": "a", "b": "z"}, _S2)]), "unknown point 'z'"),
-    ("initial_topology-partial", lambda: ft.initial_topology(_AB, [({"a": "a"}, _S2)]),
-     "map is not total, missing 'b'"),
-    ("final_topology", lambda: ft.final_topology(_AB, [(_S2, {"a": "a", "b": "z"})]), "unknown point 'z'"),
-    ("final_topology-partial", lambda: ft.final_topology(_AB, [(_S2, {"a": "a"})]),
-     "map is not total, missing 'b'"),
     # a map that misses a source and has an unknown image is reported as not total
-    ("initial_topology-partial-and-unknown", lambda: ft.initial_topology(_AB, [({"a": "z"}, _S2)]),
+    ("PointMap.from_dict-partial-and-unknown", lambda: ft.PointMap.from_dict(_S2, _S2, {"a": "z"}),
      "map is not total, missing 'b'"),
 ]
 

@@ -76,8 +76,8 @@ VALUES = {
     "--eps": REALS,
     "--delta": REALS,
     "--grid": ["0,0.5,1", "0.25", "", "nan", "inf,0", "0,,1", "-1,2", "1e308", "1e400", "a"],
-    "--fn": ["cos", "halve", "damped-shift", "square", "abs-half", "poly:1,2", "constant:1e306",
-             "poly:1e308,1e308", "poly:a", "constant:nan", "nope", ""],
+    "--fn": ["cos", "halve", "damped-shift", "square", "abs-half", "sqrt", "sin-scaled", "poly:1,2",
+             "constant:1e306", "poly:1e308,1e308", "poly:a", "constant:nan", "nope", ""],
     "--a": LABELS,
     "--b": LABELS,
     "--keep": LABELS,
@@ -187,6 +187,7 @@ REGRESSIONS = [
     ["logic", "consistent", "--in", "inconsistent.thy"],
     ["map", "continuity", "--src", "div6.top", "--dst", "abc.top", "--map", "onto.map"],
     ["map", "homeo", "--src", "div6.top", "--dst", "abc.top", "--map", "onto.map"],
+    ["approx", "weierstrass", "--fn", "sqrt", "--n", "2", "--grid", "-1"],
 ]
 
 

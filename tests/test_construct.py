@@ -61,6 +61,22 @@ def test_map_range_error_names_the_source_point_and_index(sierpinski):
         ft.PointMap(sierpinski, sierpinski, (0, 5))
 
 
+@pytest.mark.parametrize(
+    "call, msg",
+    [
+        (lambda s: ft.initial_topology(s.points, [((0,), s)]), "map must be total on the source carrier"),
+        (lambda s: ft.initial_topology(s.points, [((0, 2), s)]), "map image of '1' is 2, not a target point index"),
+        (lambda s: ft.final_topology(s.points, [(s, (0, 1, 1))]), "map must be total on the source carrier"),
+        (lambda s: ft.final_topology(s.points, [(s, (-1, 0))]), "map image of '0' is -1, not a target point index"),
+    ],
+    ids=["initial-length", "initial-range", "final-length", "final-range"],
+)
+def test_construction_assignment_is_checked_like_a_point_map(sierpinski, call, msg):
+    with pytest.raises(FormatError) as err:
+        call(sierpinski)
+    assert str(err.value) == msg
+
+
 def test_image_and_preimage_check_their_mask(sierpinski, divisors):
     f = pm(sierpinski, divisors, [("0", "1"), ("1", "2")])
     assert f.image(0b11) == divisors.mask(["1", "2"])
@@ -166,7 +182,7 @@ def test_product_of_sierpinski(sierpinski):
 
 
 def test_initial_identity_returns_same_topology(divisors):
-    sp = ft.initial_topology(divisors.points, [({p: p for p in divisors.points}, divisors)])
+    sp = ft.initial_topology(divisors.points, [(range(divisors.n), divisors)])
     assert sp.opens == divisors.opens
 
 
@@ -178,12 +194,9 @@ def test_initial_universal_property(small_spaces):
     carrier = ("u", "v", "w")
     for t1 in targets:
         for t2 in targets[:2]:
-            maps = [
-                ({"u": t1.points[0], "v": t1.points[1], "w": t1.points[1]}, t1),
-                ({"u": t2.points[1], "v": t2.points[0], "w": t2.points[1]}, t2),
-            ]
+            maps = [((0, 1, 1), t1), ((1, 0, 1), t2)]
             a = ft.initial_topology(carrier, maps)
-            fs = [ft.PointMap(a, t, tuple(t.index(m[p]) for p in carrier)) for m, t in maps]
+            fs = [ft.PointMap(a, t, m) for m, t in maps]
             assert all(continuity_witness_by_opens(f) is None for f in fs)
             for z in z_pool:
                 for h in all_maps(z, a):
@@ -200,7 +213,7 @@ def test_initial_universal_property(small_spaces):
 def test_initial_is_smallest(small_spaces):
     # every topology strictly below the initial one breaks some factor
     t1 = space_of(("x", "y"), ["x"])
-    a = ft.initial_topology(("u", "v"), [({"u": "x", "v": "y"}, t1)])
+    a = ft.initial_topology(("u", "v"), [((0, 1), t1)])
     for candidate in ft.all_topologies(2, labels=("u", "v")):
         if candidate.opens < a.opens:
             f = ft.PointMap(candidate, t1, (0, 1))
@@ -215,22 +228,23 @@ def test_quotient_of_divisors(divisors):
         divisors.points,
         (divisors.mask(["1"]), divisors.mask(["2", "3"]), divisors.mask(["6"])),
     )
-    sp, mapping = ft.quotient(divisors, eq)
+    sp, assignment = ft.quotient(divisors, eq)
     assert sp.points == ("1", "23", "6")
     want = {(), ("6",), ("23", "6"), ("1", "23", "6")}
     assert {sp.labels(u) for u in sp.opens} == want
-    assert mapping["2"] == mapping["3"] == "23"
+    class_of = {p: sp.points[c] for p, c in zip(divisors.points, assignment)}
+    assert class_of["2"] == class_of["3"] == "23"
 
 
 def test_quotient_preimage_criterion(divisors):
     eq = ft.EquivalenceRelation(
         divisors.points, (divisors.mask(["1", "2"]), divisors.mask(["3", "6"]))
     )
-    sp, mapping = ft.quotient(divisors, eq)
+    sp, assignment = ft.quotient(divisors, eq)
     for u in subsets(sp.full):
         union_upstairs = 0
-        for i, p in enumerate(divisors.points):
-            if u >> sp.index(mapping[p]) & 1:
+        for i in range(divisors.n):
+            if u >> assignment[i] & 1:
                 union_upstairs |= 1 << i
         assert (u in sp.opens) == (union_upstairs in divisors.opens)
 
@@ -251,17 +265,17 @@ def test_final_topology_matches_preimage_oracle(spaces_up_to_4, small_spaces):
     for sp in spaces_up_to_4:
         for part in partitions(list(range(sp.n))):
             blocks = tuple(sum(1 << i for i in b) for b in part)
-            q, mapping = ft.quotient(sp, ft.EquivalenceRelation(sp.points, blocks))
-            assert q.opens == final_opens_by_subsets(q.points, [(sp, mapping)])
+            q, assignment = ft.quotient(sp, ft.EquivalenceRelation(sp.points, blocks))
+            assert q.opens == final_opens_by_subsets(q.points, [(sp, assignment)])
     # every sum of two spaces on up to 3 points, with a third map folding both
     for a in small_spaces:
         a2 = ft.FiniteSpace.from_opens(tuple(p.upper() for p in a.points), a.opens)
         for b in small_spaces:
             s = ft.topological_sum(a2, b)
-            factors = [(a2, {p: p for p in a2.points}), (b, {p: p for p in b.points})]
+            factors = [(a2, range(a2.n)), (b, range(a2.n, s.n))]
             assert s.opens == final_opens_by_subsets(s.points, factors)
             if a.n == b.n:
-                factors.append((b, {p: q for p, q in zip(b.points, a2.points)}))
+                factors.append((b, range(b.n)))  # b's i-th point onto a2's i-th
                 got = ft.final_topology(s.points, factors)
                 assert got.opens == final_opens_by_subsets(s.points, factors)
 
@@ -279,7 +293,7 @@ def test_sum_label_clash():
 
 
 def test_final_identity_returns_same_topology(divisors):
-    sp = ft.final_topology(divisors.points, [(divisors, {p: p for p in divisors.points})])
+    sp = ft.final_topology(divisors.points, [(divisors, range(divisors.n))])
     assert sp.opens == divisors.opens
 
 
@@ -391,8 +405,8 @@ def built_spaces(sp, rng):
     blocks = tuple(sum(1 << i for i in part) for part in (order[:cut], order[cut:]) if part)
     yield "quotient", ft.quotient(sp, ft.EquivalenceRelation(sp.points, blocks))[0]
     pts = tuple(f"y{i}" for i in range(rng.randint(1, 4)))
-    yield "initial", ft.initial_topology(pts, [({p: rng.choice(sp.points) for p in pts}, sp)])
-    yield "final", ft.final_topology(pts, [(sp, {p: rng.choice(pts) for p in sp.points})])
+    yield "initial", ft.initial_topology(pts, [([rng.randrange(n) for _ in pts], sp)])
+    yield "final", ft.final_topology(pts, [(sp, [rng.randrange(len(pts)) for _ in sp.points])])
 
 
 def test_internal_constructors_match_the_validating_constructor(spaces_up_to_4, five_point_sample):

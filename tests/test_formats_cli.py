@@ -275,6 +275,12 @@ LOADER_ERRORS = {
     "chain-no-points": (_CHAIN, "relation 1:\n", "line 1: chain file must start with a 'points:' line"),
     "chain-keyword": (_CHAIN, "points: a b\nrel 1:\n", "line 2: unexpected keyword 'rel 1' in chain file"),
     "chain-bad-level": (_CHAIN, "points: a b\nrelation x:\n", "line 2: 'relation <k>:' wants an integer level"),
+    "chain-plural-keyword": (
+        _CHAIN, "points: a b\nrelations 1:\n", "line 2: unexpected keyword 'relations 1' in chain file"
+    ),
+    "chain-level-after-colon": (
+        _CHAIN, "points: a b\nrelation: 1\n", "line 2: 'relation <k>:' wants an integer level"
+    ),
     "chain-skipped-level": (_CHAIN, "points: a b\nrelation 2:\n", "line 2: expected 'relation 1:'"),
     "chain-pair-first": (_CHAIN, "points: a b\npair: a b\n", "line 2: 'pair:' before any 'relation:' header"),
     "chain-unknown": (_CHAIN, "points: a b\nrelation 1:\npair: a z\n", "line 3: unknown point 'z'"),
