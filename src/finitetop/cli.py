@@ -114,7 +114,10 @@ class _Report:
         self.lines.append(line if line is not None else f"{key}: {value}")
 
     def table(self, key, headers, rows):
-        self.data[key] = [dict(zip(headers, r)) for r in rows]
+        """Rows under headers: a list of row dicts for `--json`, else padded columns."""
+        if self.as_json:
+            self.data[key] = [dict(zip(headers, r)) for r in rows]
+            return
         widths = [
             max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(str(h))
             for i, h in enumerate(headers)

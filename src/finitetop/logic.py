@@ -11,7 +11,7 @@ and the algebra's ultrafilters are the single-model atoms, one per set bit.
 
 import re
 from functools import cached_property
-from operator import and_, or_
+from operator import and_
 
 from .errors import FormatError, ValidationError
 from .records import record
@@ -19,10 +19,12 @@ from .records import record
 MAX_VARS = 16
 # Caps on parsed formulas that keep every recursive walk well inside
 # Python's default recursion limit of 1000 frames: the parser takes up to
-# seven frames per open '~', '(' or '->', and `==`, `repr` and `str` take one
-# to four per level of the formula tree.
+# five frames per open '~', '(' or '->', and `==`, `repr` and `str` take one
+# to four per level of the formula tree. `a <-> b` holds a and b twice, so
+# `str` of a chain of k links has 2^k copies of its first operand.
 MAX_NESTING = 64
 MAX_DEPTH = 150
+MAX_CONNECTIVES = 1 << 16  # '~' and '&' in the printed form
 
 
 class PropFormula:
@@ -131,111 +133,110 @@ def _fold(formula, var, top, bot, neg, conj):
     return memo[id(formula)]
 
 
-def variables_of(formula) -> frozenset:
-    return _fold(formula, lambda name: frozenset((name,)), frozenset(), frozenset(), lambda a: a, or_)
-
-
-def _depth(formula) -> int:
-    """Connectives on the longest path from the root to a variable or constant."""
-    return _fold(formula, lambda name: 0, 0, 0, lambda a: a + 1, lambda a, b: max(a, b) + 1)
+def variables_of(formula) -> set:
+    """The formula's variable names, from one walk that enters each distinct `&` node once."""
+    names, seen, stack = set(), set(), [formula]
+    while stack:
+        f = stack.pop()
+        while type(f) is Not:
+            f = f.arg
+        if type(f) is Var:
+            names.add(f.name)
+        elif type(f) is And and id(f) not in seen:
+            seen.add(id(f))
+            stack += (f.left, f.right)
+        elif type(f) not in (And, Const):
+            raise FormatError(f"not a formula: {f!r}")
+    return names
 
 
 # -- parser -----------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(<->|->|[()&|~]|[a-z][a-z0-9_]*)")
-
-
-def _tokenize(text):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise FormatError(f"syntax error at position {pos}: {text[pos:].strip()[:10]!r}")
-            break
-        out.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return out
-
-
-# binary connectives, loosest first: token and constructor
-_BINARY = (("<->", biconditional), ("->", implication), ("|", disjunction), ("&", And))
+_TOKEN = re.compile(r"\s*(?:(<->|->|[()&|~]|[a-z][a-z0-9_]*)|\S)")  # '' for a character no token starts
 _CONSTANTS = {"top": TOP, "bot": BOT}
+_NOT_OPERANDS = frozenset((None, ")", "&", "|", "->", "<->"))
 
 
 class _Parser:
-    """Recursive descent; precedence ~ > & > | > -> (right) > <->."""
+    """Recursive descent, one method per level; precedence ~ > & > | > -> (right) > <->.
+
+    A level takes the count n of '~', '(' and '->' open around it and returns a subformula
+    with its desugared form's connectives on the longest path (depth) and in all (size).
+    """
 
     def __init__(self, text):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.nesting = 0
-
-    def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        self.pos += 1
+        self.text, self.pos = text, 0
+        self.tokens = _TOKEN.findall(text)
+        if "" in self.tokens:
+            pos = next(m.start() for m in _TOKEN.finditer(text) if m.group(1) is None)
+            raise FormatError(f"syntax error at position {pos}: {text[pos:].strip()[:10]!r}")
+        self.tokens.append(None)  # end of input
 
     def fail(self, expected):
-        if self.pos < len(self.tokens):
-            tok, at = self.tokens[self.pos]
-            raise FormatError(f"syntax error at position {at}: unexpected {tok!r}, wanted {expected}")
-        raise FormatError(f"syntax error at end of input: wanted {expected}")
-
-    def nested(self, parse, *args):
-        """Run a parse one level of '~', '(' or '->' further in."""
-        self.nesting += 1
-        if self.nesting > MAX_NESTING:
-            raise FormatError(f"formula nests '~', '(' and '->' more than {MAX_NESTING} deep")
-        f = parse(*args)
-        self.nesting -= 1
-        return f
+        if self.tokens[self.pos] is None:
+            raise FormatError(f"syntax error at end of input: wanted {expected}")
+        m = list(_TOKEN.finditer(self.text))[self.pos]
+        raise FormatError(f"syntax error at position {m.start(1)}: unexpected {m[1]!r}, wanted {expected}")
 
     def parse(self):
-        f = self.binary()
-        if self.peek() is not None:
+        f, depth, size = self.iff(0)
+        if self.tokens[self.pos] is not None:
             self.fail("end of input")
-        if _depth(f) > MAX_DEPTH:
+        if depth > MAX_DEPTH:
             raise FormatError(f"formula is more than {MAX_DEPTH} connectives deep")
+        if size > MAX_CONNECTIVES:
+            raise FormatError(f"formula is more than {MAX_CONNECTIVES} connectives long")
         return f
 
-    def binary(self, level=0):
-        """A chain of the level's connective over operands that bind tighter.
+    def iff(self, n):
+        f, d, s = self.imp(n)
+        while self.tokens[self.pos] == "<->":
+            self.pos += 1
+            g, e, t = self.imp(n)
+            f, d, s = biconditional(f, g), max(d, e) + 5, 2 * (s + t) + 11
+        return f, d, s
 
-        '->' groups to the right, and each arrow is one nesting level.
-        """
-        if level == len(_BINARY):
-            return self.atom()
-        op, make = _BINARY[level]
-        f = self.binary(level + 1)
-        while self.peek() == op:
-            self.take()
-            if op == "->":
-                return make(f, self.nested(self.binary, level))
-            f = make(f, self.binary(level + 1))
-        return f
+    def imp(self, n):
+        f, d, s = self.disj(n)
+        if self.tokens[self.pos] != "->":
+            return f, d, s
+        self.pos += 1
+        g, e, t = self.imp(n + 1)  # '->' groups to the right
+        return implication(f, g), max(d + 1, e) + 3, s + t + 5
 
-    def atom(self):
-        tok = self.peek()
+    def disj(self, n):
+        f, d, s = self.conj(n)
+        while self.tokens[self.pos] == "|":
+            self.pos += 1
+            g, e, t = self.conj(n)
+            f, d, s = disjunction(f, g), max(d, e) + 3, s + t + 4
+        return f, d, s
+
+    def conj(self, n):
+        f, d, s = self.atom(n)
+        while self.tokens[self.pos] == "&":
+            self.pos += 1
+            g, e, t = self.atom(n)
+            f, d, s = And(f, g), max(d, e) + 1, s + t + 1
+        return f, d, s
+
+    def atom(self, n):
+        if n > MAX_NESTING:  # each '~', '(' and '->' leads here before the next token
+            raise FormatError(f"formula nests '~', '(' and '->' more than {MAX_NESTING} deep")
+        tok = self.tokens[self.pos]
+        if tok in _NOT_OPERANDS:
+            self.fail("a variable, constant, '~' or '('")
+        self.pos += 1
         if tok == "~":
-            self.take()
-            return Not(self.nested(self.atom))
+            f, d, s = self.atom(n + 1)
+            return Not(f), d + 1, s + 1
         if tok == "(":
-            self.take()
-            f = self.nested(self.binary)
-            if self.peek() != ")":
+            f = self.iff(n + 1)
+            if self.tokens[self.pos] != ")":
                 self.fail("')'")
-            self.take()
+            self.pos += 1
             return f
-        if tok in _CONSTANTS:
-            self.take()
-            return _CONSTANTS[tok]
-        if tok is not None and re.fullmatch(r"[a-z][a-z0-9_]*", tok):
-            self.take()
-            return Var(tok)
-        self.fail("a variable, constant, '~' or '('")
+        return _CONSTANTS.get(tok) or Var(tok), 0, 0
 
 
 def parse_formula(text: str) -> PropFormula:
@@ -252,10 +253,9 @@ class Theory:
 
     def __post_init__(self):
         object.__setattr__(self, "formulas", tuple(self.formulas))
-        used = [variables_of(f) for f in self.formulas]  # one fold per formula serves both uses
-        if self.vars is None:
-            object.__setattr__(self, "vars", sorted(frozenset().union(*used)))
-        object.__setattr__(self, "vars", tuple(self.vars))
+        used = [variables_of(f) for f in self.formulas]  # one walk per formula serves both uses
+        names = sorted(set().union(*used)) if self.vars is None else self.vars
+        object.__setattr__(self, "vars", tuple(names))
         if len(self.vars) > MAX_VARS:
             witness = {"x": self.vars[MAX_VARS]}  # the first variable past the cap
             raise ValidationError(f"at most {MAX_VARS} variables are supported", witness)

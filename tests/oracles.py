@@ -10,18 +10,34 @@ subset against the table built from the point closures, and `evaluate`,
 the library's one-valuation pass, kept as the reference semantics for
 `Theory.table_of` and checked against the tree walk `truth`. They are
 exponential and meant for carriers of up to 5 points and theories of up
-to 16 variables.
+to 16 variables. `parse_formula_by_descent` is the generic recursive
+descent the parser replaced, one method over a table of levels, with the
+depth and variables of its trees from the same `_fold` as `evaluate`.
 """
 
+import re
 from fractions import Fraction
 from itertools import combinations, product
-from operator import and_, not_
+from operator import and_, not_, or_
 
 from finitetop.approx import kernel_mass
 from finitetop.bitsets import bits, is_subset, subsets
 from finitetop.errors import FormatError, ValidationError
 from finitetop.formats import _cell
-from finitetop.logic import And, Const, Not, Var, _fold
+from finitetop.logic import (
+    BOT,
+    MAX_DEPTH,
+    MAX_NESTING,
+    TOP,
+    And,
+    Const,
+    Not,
+    Var,
+    _fold,
+    biconditional,
+    disjunction,
+    implication,
+)
 from finitetop.pmetric import NonConvergence
 from finitetop.spaces import ClosureTable
 
@@ -425,6 +441,124 @@ def evaluate(formula, true_vars):
     Bit m of `theory.table_of(formula)` is its value at the m-th valuation.
     """
     return _fold(formula, true_vars.__contains__, True, False, not_, and_)
+
+
+def variables_by_fold(formula) -> frozenset:
+    return _fold(formula, lambda name: frozenset((name,)), frozenset(), frozenset(), lambda a: a, or_)
+
+
+def depth_by_fold(formula) -> int:
+    """Connectives on the longest path from the root to a variable or constant."""
+    return _fold(formula, lambda name: 0, 0, 0, lambda a: a + 1, lambda a, b: max(a, b) + 1)
+
+
+def size_by_fold(formula) -> int:
+    """Connectives in the printed form, each '~' and '&' once per occurrence."""
+    return _fold(formula, lambda name: 0, 0, 0, lambda a: a + 1, lambda a, b: a + b + 1)
+
+
+_TOKEN = re.compile(r"\s*(<->|->|[()&|~]|[a-z][a-z0-9_]*)")
+
+
+def _tokenize(text):
+    pos = 0
+    out = []
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m:
+            if text[pos:].strip():
+                raise FormatError(f"syntax error at position {pos}: {text[pos:].strip()[:10]!r}")
+            break
+        out.append((m.group(1), m.start(1)))
+        pos = m.end()
+    return out
+
+
+# binary connectives, loosest first: token and constructor
+_BINARY = (("<->", biconditional), ("->", implication), ("|", disjunction), ("&", And))
+_CONSTANTS = {"top": TOP, "bot": BOT}
+
+
+class _DescentParser:
+    """Recursive descent; precedence ~ > & > | > -> (right) > <->."""
+
+    def __init__(self, text):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.nesting = 0
+
+    def peek(self):
+        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+
+    def take(self):
+        self.pos += 1
+
+    def fail(self, expected):
+        if self.pos < len(self.tokens):
+            tok, at = self.tokens[self.pos]
+            raise FormatError(f"syntax error at position {at}: unexpected {tok!r}, wanted {expected}")
+        raise FormatError(f"syntax error at end of input: wanted {expected}")
+
+    def nested(self, parse, *args):
+        """Run a parse one level of '~', '(' or '->' further in."""
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise FormatError(f"formula nests '~', '(' and '->' more than {MAX_NESTING} deep")
+        f = parse(*args)
+        self.nesting -= 1
+        return f
+
+    def parse(self):
+        f = self.binary()
+        if self.peek() is not None:
+            self.fail("end of input")
+        if depth_by_fold(f) > MAX_DEPTH:
+            raise FormatError(f"formula is more than {MAX_DEPTH} connectives deep")
+        return f
+
+    def binary(self, level=0):
+        """A chain of the level's connective over operands that bind tighter.
+
+        '->' groups to the right, and each arrow is one nesting level.
+        """
+        if level == len(_BINARY):
+            return self.atom()
+        op, make = _BINARY[level]
+        f = self.binary(level + 1)
+        while self.peek() == op:
+            self.take()
+            if op == "->":
+                return make(f, self.nested(self.binary, level))
+            f = make(f, self.binary(level + 1))
+        return f
+
+    def atom(self):
+        tok = self.peek()
+        if tok == "~":
+            self.take()
+            return Not(self.nested(self.atom))
+        if tok == "(":
+            self.take()
+            f = self.nested(self.binary)
+            if self.peek() != ")":
+                self.fail("')'")
+            self.take()
+            return f
+        if tok in _CONSTANTS:
+            self.take()
+            return _CONSTANTS[tok]
+        if tok is not None and re.fullmatch(r"[a-z][a-z0-9_]*", tok):
+            self.take()
+            return Var(tok)
+        self.fail("a variable, constant, '~' or '('")
+
+
+def parse_formula_by_descent(text):
+    """The tree, or the FormatError, of the parser before it counted depth and size as it went.
+
+    It has no cap on the printed size.
+    """
+    return _DescentParser(text).parse()
 
 
 def models(theory):

@@ -10,6 +10,7 @@ import finitetop as ft
 from finitetop.bitsets import subsets
 from finitetop.errors import FormatError, ValidationError
 from finitetop.logic import (
+    MAX_CONNECTIVES,
     MAX_DEPTH,
     MAX_NESTING,
     And,
@@ -17,12 +18,14 @@ from finitetop.logic import (
     Not,
     TOP,
     Var,
+    _Parser,
     biconditional,
     disjunction,
     implication,
     refuting_formula,
+    variables_of,
 )
-from oracles import evaluate
+from oracles import depth_by_fold, evaluate, parse_formula_by_descent, size_by_fold, variables_by_fold
 
 
 def random_formula(rng, names, depth):
@@ -42,6 +45,100 @@ def random_formula(rng, names, depth):
         "imp": implication,
         "iff": biconditional,
     }[op](a, b)
+
+
+def structure(formula):
+    """The formula as a DAG: one entry per distinct node (by identity), its kind and its children's indices.
+
+    Linear in the distinct nodes, where `==` and `str` take time exponential
+    in a chain of '<->'.
+    """
+    index, out = {}, []
+
+    def visit(f):
+        if id(f) not in index:
+            if type(f) is Not:
+                entry = ("~", visit(f.arg))
+            elif type(f) is And:
+                entry = ("&", visit(f.left), visit(f.right))
+            else:
+                entry = (type(f).__name__, f.name if type(f) is Var else f.value)
+            index[id(f)] = len(out)
+            out.append(entry)
+        return index[id(f)]
+
+    visit(formula)
+    return out
+
+
+def parsed_or_error(parse, line):
+    try:
+        return parse(line), None
+    except FormatError as e:
+        return None, str(e)
+
+
+def agrees_with_descent(line):
+    """The parser gives the oracle's tree or its FormatError, with the oracle's depth and variables.
+
+    The one difference allowed: a line the oracle accepts whose printed form
+    has more than MAX_CONNECTIVES connectives is refused. Returns whether
+    the line parsed.
+    """
+    want, want_error = parsed_or_error(parse_formula_by_descent, line)
+    got, got_error = parsed_or_error(ft.parse_formula, line)
+    if want is not None and size_by_fold(want) > MAX_CONNECTIVES:
+        assert got_error == f"formula is more than {MAX_CONNECTIVES} connectives long", line
+        return False
+    assert got_error == want_error, line
+    if got is None:
+        return False
+    assert structure(got) == structure(want), line
+    _, depth, size = _Parser(line).iff(0)
+    assert (depth, size) == (depth_by_fold(want), size_by_fold(want)), line
+    assert variables_of(got) == variables_by_fold(want), line
+    return True
+
+
+_OPERANDS = ("p", "q", "r1", "x_y", "top", "bot")
+_SPACES = ("", " ", " ", "  ", "\t")
+# tokens, and characters and fragments that start none
+_INSERTS = ("~", "(", ")", "&", "|", "->", "<->", "p", "top", "A", "1", "_", "<", "-", ">", "<-", "- >", "#", "\u00e9",
+            "\u00a0", "\x1c", "\n")
+
+
+def random_text(rng, depth):
+    """Well-formed formula text with random spacing."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(_OPERANDS)
+    gap = rng.choice(_SPACES)
+    roll = rng.random()
+    if roll < 0.15:
+        return "~" + gap + random_text(rng, depth - 1)
+    if roll < 0.3:
+        return "(" + gap + random_text(rng, depth - 1) + rng.choice(_SPACES) + ")"
+    op = rng.choice(("&", "|", "->", "<->"))
+    return random_text(rng, depth - 1) + gap + op + rng.choice(_SPACES) + random_text(rng, depth - 1)
+
+
+def random_line(rng):
+    """A formula line, at times past a cap, with up to three malformed insertions or deletions."""
+    roll = rng.random()
+    if roll < 0.03:  # long runs that reach the caps
+        k = rng.randint(1, 160)
+        text = rng.choice((
+            "~" * k + "p", "(" * k + "p" + ")" * k, " & ".join(["p"] * k), " | ".join(["p"] * k),
+            "p -> " * k + "p", " <-> ".join(["p"] * (k // 4 + 1)), "(p <-> " * (k // 8) + "p" + ")" * (k // 8),
+        ))
+    else:
+        text = rng.choice(_SPACES) + random_text(rng, rng.randint(0, 6)) + rng.choice(_SPACES)
+    for _ in range(rng.choice((0, 0, 0, 1, 1, 2, 3))):
+        i = rng.randrange(len(text) + 1)
+        if rng.random() < 0.75:
+            text = text[:i] + rng.choice(_INSERTS) + text[i:]
+        else:
+            text = text[:i] + text[i + 1:]
+    return text
 
 
 # -- parsing -------------------------------------------------------------------
@@ -92,22 +189,31 @@ def test_mixed_connectives_parse_by_precedence(text, tree):
 
 
 @pytest.mark.parametrize(
-    "build, cap",
+    "build, cap, message",
     [
-        (lambda k: "~" * k + "p", MAX_NESTING),
-        (lambda k: "(" * k + "p" + ")" * k, MAX_NESTING),
-        (lambda k: " & ".join(["p"] * (k + 1)), MAX_DEPTH),
+        (lambda k: "~" * k + "p", MAX_NESTING, "nests"),
+        (lambda k: "(" * k + "p" + ")" * k, MAX_NESTING, "nests"),
+        (lambda k: " & ".join(["p"] * (k + 1)), MAX_DEPTH, "deep"),
         # each '|' adds three levels: p | q is ~(~p & ~q)
-        (lambda k: " | ".join(["p"] * (k + 1)), MAX_DEPTH // 3),
+        (lambda k: " | ".join(["p"] * (k + 1)), MAX_DEPTH // 3, "deep"),
+        # p -> q is ~(~~p & ~q): the first arrow is 4 deep, each further one 3 more
+        (lambda k: "p -> " * k + "p", (MAX_DEPTH - 1) // 3, "deep"),
+        # k links print 11 * (2^k - 1) connectives: 12 links fit in 2^16
+        (lambda k: " <-> ".join(["p"] * (k + 1)), (MAX_CONNECTIVES // 11 + 1).bit_length() - 1, "long"),
     ],
-    ids=["negations", "parentheses", "conjunctions", "disjunctions"],
+    ids=["negations", "parentheses", "conjunctions", "disjunctions", "implications", "biconditionals"],
 )
-def test_formula_caps(build, cap):
-    """At the cap every recursive walk succeeds; one past it is refused."""
+def test_formula_caps(build, cap, message):
+    """At the cap every recursive walk succeeds; one past it is refused by that cap.
+
+    One below the cap, at it and one past it, the parser agrees with the oracle.
+    """
+    for k in (cap - 1, cap, cap + 1):
+        assert agrees_with_descent(build(k)) == (k <= cap)
     f = ft.parse_formula(build(cap))
     evaluate(f, frozenset({"p"}))
     assert f == ft.parse_formula(build(cap)) and str(f) and repr(f) and hash(f)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=message):
         ft.parse_formula(build(cap + 1))
 
 
@@ -127,6 +233,27 @@ def test_parser_round_trips_semantics():
         for bits in range(8):
             val = frozenset(n for i, n in enumerate(names) if bits >> i & 1)
             assert evaluate(f, val) == evaluate(g, val)
+
+
+def test_parser_agrees_with_descent_oracle_on_random_lines():
+    rng = random.Random(29)
+    parsed = sum(agrees_with_descent(random_line(rng)) for _ in range(20_000))
+    assert 5_000 < parsed < 15_000  # both outcomes are well represented
+
+
+def test_size_counts_the_printed_connectives():
+    rng = random.Random(31)
+    for _ in range(300):
+        line = random_text(rng, 5)
+        f, _, size = _Parser(line).iff(0)
+        if size <= 5000:
+            printed = str(f)
+            assert printed.count("~") + printed.count("&") == size
+
+
+def test_a_theory_of_non_formulas_is_refused():
+    with pytest.raises(FormatError, match="not a formula: 'p'"):
+        ft.Theory.of([Not(And(Var("a"), "p"))])
 
 
 # -- consistency and equivalence ------------------------------------------------
