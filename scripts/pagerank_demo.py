@@ -20,7 +20,7 @@ def main():
     print("stationary distribution:", np.round(p, 3))
     print("page ranking (best first):", [int(i) + 1 for i in np.argsort(-np.asarray(p))])
     # every row of a high power of the matrix is the stationary distribution
-    oracle = np.linalg.matrix_power(m.array(), 1 << 20)[0]
+    oracle = np.linalg.matrix_power(np.array(m.rows, dtype=float), 1 << 20)[0]
     print("squaring oracle max deviation:", float(np.max(np.abs(np.asarray(p) - oracle))))
 
 

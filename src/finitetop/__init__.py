@@ -11,7 +11,6 @@ from .spaces import (
     SetFamily,
     ClosureTable,
     Preorder,
-    NeighborhoodSystem,
     SeparationProfile,
     generate_topology,
     closure_interior,
@@ -70,7 +69,6 @@ from .approx import (
     sqrt_iteration,
     weierstrass_polynomial,
     kernel_ratio,
-    simpson,
 )
 from .logic import (
     PropFormula,

@@ -11,7 +11,7 @@ drives uniform convergence on interior subintervals.
 Both integrals use one composite Simpson rule (`simpson_rule`) with the
 integrand inlined in a plain loop over its node table: a kernel polynomial
 samples f once per node on its first call, not once per node and grid
-point, and no sum is compensated, so every value is the one `simpson`
+point, and no sum is compensated, so every value is the one the rule
 gives for the same integrand.
 """
 
@@ -75,15 +75,6 @@ def simpson_rule(a: float, b: float, panels: int):
     return h, nodes, weights
 
 
-def simpson(f, a: float, b: float, panels: int) -> float:
-    """Composite Simpson rule for f on [a, b]; see `simpson_rule`."""
-    h, nodes, weights = simpson_rule(a, b, panels)
-    acc = f(a) + f(b)
-    for u, w in zip(nodes, weights):
-        acc += f(u) * w
-    return acc * h / 3.0
-
-
 BUILTIN_FUNCTIONS = {
     "abs-half": lambda x: abs(x - 0.5),
     "sin-scaled": lambda x: math.sin(math.pi * x),
@@ -133,8 +124,8 @@ class KernelPolynomial:
     """Evaluator for the degree-2n kernel polynomial of a function.
 
     f is sampled once per Simpson node, on the first call; each call then
-    sums f(u) (1 - (u - x)^2)^n over the nodes in the order `simpson` does,
-    so P_n(x) is the same float as the quadrature of that integrand.
+    sums f(u) (1 - (u - x)^2)^n over the nodes in the order `simpson_rule`
+    gives, so P_n(x) is the same float as the quadrature of that integrand.
     """
 
     f: object

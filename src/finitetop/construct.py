@@ -79,7 +79,7 @@ def is_continuous(f: PointMap) -> ContinuityCheck:
     open with a non-open preimage is a kernel: testing the kernels in
     ascending order finds the same witness as testing every open.
     """
-    for k in sorted(set(f.target.min_nbhd)):  # the target's own masks: no carrier check
+    for k in sorted(set(f.target.rel)):  # the target's own masks: no carrier check
         if not f.source.is_open(preimage(f.assignment, k)):
             return ContinuityCheck(False, k)
     return ContinuityCheck(True, None)
@@ -123,7 +123,7 @@ def initial_topology(points, factors) -> FiniteSpace:
     for assignment, target in factors:
         idx = _assignment(points, assignment, target.n)
         for i, j in enumerate(idx):
-            kernels[i] &= preimage(idx, target.min_nbhd[j])
+            kernels[i] &= preimage(idx, target.rel[j])
     return FiniteSpace(points, kernels)
 
 
@@ -140,17 +140,14 @@ def final_topology(points, factors) -> FiniteSpace:
     rel = [1 << i for i in range(len(points))]
     for source, assignment in factors:
         idx = _assignment(source.points, assignment, len(points))
-        for i, k in enumerate(source.min_nbhd):
+        for i, k in enumerate(source.rel):
             for j in bits(k):
                 rel[idx[i]] |= 1 << idx[j]
     return FiniteSpace(points, _transitive_closure(rel))
 
 
-PAIR_SEP = ","
-
-
 def product_label(a, b):
-    return f"⟨{a}{PAIR_SEP}{b}⟩"
+    return f"⟨{a},{b}⟩"
 
 
 def product(a: FiniteSpace, b: FiniteSpace) -> FiniteSpace:
@@ -230,7 +227,7 @@ def one_point_extension(space: FiniteSpace, infinity_label: str) -> FiniteSpace:
         raise FormatError(f"extension label {infinity_label!r} is empty or holds whitespace or '#'")
     if infinity_label in space.points:
         raise ValidationError("extension label already names a point", {"label": infinity_label})
-    ker = space.min_nbhd
+    ker = space.rel
     for x in range(space.n):
         for y in range(x + 1, space.n):
             if ker[x] & ker[y]:

@@ -6,7 +6,7 @@ kernel k, a nonempty mask, and its members are the supersets of k. The
 other notions are mask expressions: the accumulation points of k are
 `space.closure(k)`, its limits are the meet of the point closures
 `space.point_closures[y]` over y in k, the neighborhood filter of the i-th
-point is `space.min_nbhd[i]`, the image under a map f is `f.image(k)`, k
+point is `space.rel[i]`, the image under a map f is `f.image(k)`, k
 is an ultrafilter iff `k.bit_count() == 1`, and the filters on n points
 are `range(1, 1 << n)`.
 """

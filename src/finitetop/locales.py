@@ -38,7 +38,7 @@ def points_of_locale(space: FiniteSpace) -> list:
     kernels. So each point is a distinct kernel g, and an open is
     top-valued iff it contains g.
     """
-    return sorted(set(space.min_nbhd))
+    return sorted(set(space.rel))
 
 
 @record

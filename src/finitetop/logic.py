@@ -24,7 +24,7 @@ MAX_VARS = 16
 # `str` of a chain of k links has 2^k copies of its first operand.
 MAX_NESTING = 64
 MAX_DEPTH = 150
-MAX_CONNECTIVES = 1 << 16  # '~' and '&' in the printed form
+MAX_CONNECTIVES = 1 << 16  # '~' and '&' in the printed form of a formula a witness prints
 
 
 class PropFormula:
@@ -161,7 +161,7 @@ class _Parser:
     """Recursive descent, one method per level; precedence ~ > & > | > -> (right) > <->.
 
     A level takes the count n of '~', '(' and '->' open around it and returns a subformula
-    with its desugared form's connectives on the longest path (depth) and in all (size).
+    with the number of its desugared form's connectives on the longest path (its depth).
     """
 
     def __init__(self, text):
@@ -179,46 +179,44 @@ class _Parser:
         raise FormatError(f"syntax error at position {m.start(1)}: unexpected {m[1]!r}, wanted {expected}")
 
     def parse(self):
-        f, depth, size = self.iff(0)
+        f, depth = self.iff(0)
         if self.tokens[self.pos] is not None:
             self.fail("end of input")
         if depth > MAX_DEPTH:
             raise FormatError(f"formula is more than {MAX_DEPTH} connectives deep")
-        if size > MAX_CONNECTIVES:
-            raise FormatError(f"formula is more than {MAX_CONNECTIVES} connectives long")
         return f
 
     def iff(self, n):
-        f, d, s = self.imp(n)
+        f, d = self.imp(n)
         while self.tokens[self.pos] == "<->":
             self.pos += 1
-            g, e, t = self.imp(n)
-            f, d, s = biconditional(f, g), max(d, e) + 5, 2 * (s + t) + 11
-        return f, d, s
+            g, e = self.imp(n)
+            f, d = biconditional(f, g), max(d, e) + 5
+        return f, d
 
     def imp(self, n):
-        f, d, s = self.disj(n)
+        f, d = self.disj(n)
         if self.tokens[self.pos] != "->":
-            return f, d, s
+            return f, d
         self.pos += 1
-        g, e, t = self.imp(n + 1)  # '->' groups to the right
-        return implication(f, g), max(d + 1, e) + 3, s + t + 5
+        g, e = self.imp(n + 1)  # '->' groups to the right
+        return implication(f, g), max(d + 1, e) + 3
 
     def disj(self, n):
-        f, d, s = self.conj(n)
+        f, d = self.conj(n)
         while self.tokens[self.pos] == "|":
             self.pos += 1
-            g, e, t = self.conj(n)
-            f, d, s = disjunction(f, g), max(d, e) + 3, s + t + 4
-        return f, d, s
+            g, e = self.conj(n)
+            f, d = disjunction(f, g), max(d, e) + 3
+        return f, d
 
     def conj(self, n):
-        f, d, s = self.atom(n)
+        f, d = self.atom(n)
         while self.tokens[self.pos] == "&":
             self.pos += 1
-            g, e, t = self.atom(n)
-            f, d, s = And(f, g), max(d, e) + 1, s + t + 1
-        return f, d, s
+            g, e = self.atom(n)
+            f, d = And(f, g), max(d, e) + 1
+        return f, d
 
     def atom(self, n):
         if n > MAX_NESTING:  # each '~', '(' and '->' leads here before the next token
@@ -228,15 +226,15 @@ class _Parser:
             self.fail("a variable, constant, '~' or '('")
         self.pos += 1
         if tok == "~":
-            f, d, s = self.atom(n + 1)
-            return Not(f), d + 1, s + 1
+            f, d = self.atom(n + 1)
+            return Not(f), d + 1
         if tok == "(":
             f = self.iff(n + 1)
             if self.tokens[self.pos] != ")":
                 self.fail("')'")
             self.pos += 1
             return f
-        return _CONSTANTS.get(tok) or Var(tok), 0, 0
+        return _CONSTANTS.get(tok) or Var(tok), 0
 
 
 def parse_formula(text: str) -> PropFormula:
@@ -307,13 +305,13 @@ class Theory:
         return _fold(formula, column, full, 0, full.__xor__, and_)
 
     def _conjunction(self):
-        """The running AND of the formulas' tables, and the formula that takes it to 0 (None if none does)."""
+        """The running AND of the formulas' tables, and the number (from 1) of the formula taking it to 0, or 0."""
         table = self.table_of(TOP)
-        for f in self.formulas:  # one fold per formula keeps few 2^k-bit tables alive
+        for i, f in enumerate(self.formulas, 1):  # one fold per formula keeps few 2^k-bit tables alive
             table &= self.table_of(f)
             if not table:
-                return 0, f
-        return table, None
+                return 0, i
+        return table, 0
 
     def truth_table(self):
         """The table of the conjunction of the formulas: bit m is set iff valuation m is a model."""
@@ -325,9 +323,20 @@ class Theory:
         return [self._valuation(m) for m, bit in enumerate(table) if bit == "1"]
 
 
-def refuting_formula(theory: Theory):
-    """The formula at which the running conjunction of the theory becomes false; None if it never does."""
-    return theory._conjunction()[1]
+def refutation(theory: Theory):
+    """The theory's model table and, if it is 0, the witness naming the formula that makes it 0 (else None).
+
+    The formula is printed up to MAX_CONNECTIVES '~' and '&', which one fold
+    counts; past that the witness is its number in the theory, from 1, and the count.
+    """
+    table, number = theory._conjunction()
+    if table:
+        return table, None
+    f = theory.formulas[number - 1]
+    size = _fold(f, lambda name: 0, 0, 0, lambda a: a + 1, lambda a, b: a + b + 1)
+    if size > MAX_CONNECTIVES:
+        return 0, {"formula_number": number, "connectives": size}
+    return 0, {"formula": str(f)}
 
 
 @record
@@ -357,11 +366,9 @@ class LindenbaumAlgebra:
 
 
 def lindenbaum_algebra(theory: Theory) -> LindenbaumAlgebra:
-    top, refuter = theory._conjunction()
-    if not top:
-        raise ValidationError(
-            "inconsistent theory: the algebra degenerates to top = bot", {"formula": str(refuter)}
-        )
+    top, witness = refutation(theory)
+    if witness:
+        raise ValidationError("inconsistent theory: the algebra degenerates to top = bot", witness)
     return LindenbaumAlgebra(theory, top)
 
 

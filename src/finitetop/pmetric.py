@@ -9,7 +9,7 @@ import math
 from operator import add, ne, sub
 
 from .bitsets import bits, intransitive_triple
-from .construct import block_labels
+from .construct import EquivalenceRelation, block_labels
 from .errors import FormatError, ValidationError
 from .records import record
 from .spaces import (
@@ -64,9 +64,6 @@ class PMetricSpace(Carrier):
     @property
     def is_metric(self):
         return all(v > 0 for i, row in enumerate(self.dist) for j, v in enumerate(row) if i != j)
-
-    def d(self, a, b):
-        return self.dist[self.index(a)][self.index(b)]
 
 
 def pmetric_from_matrix(points, matrix) -> PMetricSpace:
@@ -208,13 +205,7 @@ class RelationChain(Carrier):
         return len(self.relations)
 
 
-@record
-class ChainMetric:
-    space: PMetricSpace
-    units: tuple  # int distance rows, in units of 2^-(depth+1)
-
-
-def pseudometric_from_chain(chain: RelationChain) -> ChainMetric:
+def pseudometric_from_chain(chain: RelationChain) -> PMetricSpace:
     """Shortest-path pseudometric squeezed between consecutive chain levels.
 
     A pair that drops out of the chain after level m gets edge weight
@@ -244,8 +235,7 @@ def pseudometric_from_chain(chain: RelationChain) -> ChainMetric:
             dim = row_i[m]
             units[i] = [v if v <= dim + w else dim + w for v, w in zip(row_i, row_m)]
     scale = 1 << (k + 1)
-    space = PMetricSpace(chain.points, tuple(tuple(v / scale for v in row) for row in units))
-    return ChainMetric(space, tuple(map(tuple, units)))
+    return PMetricSpace(chain.points, tuple(tuple(v / scale for v in row) for row in units))
 
 
 @record
@@ -257,6 +247,7 @@ class PartitionUniformity:
 def uniformity_from_partitions(points, partitions) -> PartitionUniformity:
     """Block-square relations of finite partitions; a base for a uniformity.
 
+    Each partition, a list of label blocks, is checked as an `EquivalenceRelation`.
     Each relation is reflexive, symmetric and equal to its own square, and
     the common refinement of two partitions gives a relation inside both,
     for every valid list of partitions; test oracles check those axioms.
@@ -264,27 +255,10 @@ def uniformity_from_partitions(points, partitions) -> PartitionUniformity:
     points = tuple(points)
     _check_labels(points)
     bit = _label_bits(points)
-    n = len(points)
     rels = []
     for blocks in partitions:
-        seen = 0
-        rel = [0] * n
-        for block in blocks:
-            m = 0
-            for lab in block:
-                b = _mask_of(bit, (lab,))
-                if seen & b:
-                    raise ValidationError("partition blocks overlap", {"x": lab})
-                seen |= b
-                m |= b
-            if m == 0:
-                raise ValidationError("empty partition block")
-            for i in bits(m):
-                rel[i] = m
-        if seen != (1 << n) - 1:
-            missing = next(i for i in range(n) if not seen >> i & 1)
-            raise ValidationError("partition does not cover the carrier", {"x": points[missing]})
-        rels.append(tuple(rel))
+        eq = EquivalenceRelation(points, [_mask_of(bit, block) for block in blocks])
+        rels.append(tuple(next(b for b in eq.blocks if b >> i & 1) for i in range(len(points))))
     return PartitionUniformity(points, tuple(rels))
 
 
@@ -397,29 +371,18 @@ class StochasticMatrix:
     def n(self):
         return len(self.rows)
 
-    def array(self):
-        import numpy as np
 
-        return np.array(self.rows, dtype=float)
+def pagerank(matrix: StochasticMatrix, tol=1e-9, max_iter=200):
+    """Left power iteration from the uniform vector; L1 stopping rule.
 
-
-def pagerank(matrix: StochasticMatrix, tol=1e-9, max_iter=200, start=None):
-    """Left power iteration, uniform start by default; L1 stopping rule.
-
-    The uniform vector is invariant under every permutation matrix, so the
-    oscillating failure mode of periodic chains only shows up from a
-    non-uniform `start`.
+    The uniform vector is invariant under every permutation matrix, so a
+    periodic chain that permutes its states converges at once; from it the
+    rows 0,1,0 / 0.5,0,0.5 / 0,1,0 oscillate with period 2, as the error says.
     """
     import numpy as np
 
-    P = matrix.array()
-    n = matrix.n
-    if start is None:
-        p = np.full(n, 1.0 / n)
-    else:
-        p = np.asarray(start, dtype=float)
-        if p.shape != (n,) or np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-9:
-            raise ValidationError("start must be a probability distribution")
+    P = np.array(matrix.rows, dtype=float)
+    p = np.full(matrix.n, 1.0 / matrix.n)
     older = None
     for _ in range(max_iter):
         nxt = p @ P

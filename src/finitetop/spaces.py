@@ -327,11 +327,6 @@ class FiniteSpace(Preorder):
         space.__dict__.update(opens=opens, opens_by_size=tuple(ops))  # fills both caches
         return space
 
-    @property
-    def min_nbhd(self):
-        """Minimal open neighborhood (kernel) of every point, tuple indexed by point."""
-        return self.rel
-
     @cached_property
     def point_closures(self):
         """cl{y} for every point y, the transpose of the kernels: x is close to y iff y is in k_x."""
@@ -362,24 +357,6 @@ class FiniteSpace(Preorder):
 
     def interior(self, mask):
         return self.full & ~self.closure(self.full & ~mask)
-
-
-@record
-class NeighborhoodSystem(Carrier):
-    """One kernel set per point: the intersection of its assigned filter."""
-
-    points: tuple
-    kernels: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "kernels", self._carrier(self.kernels, "kernel"))
-        if len(self.kernels) != len(self.points):
-            raise FormatError("need exactly one kernel per point")
-        for i, k in enumerate(self.kernels):
-            if not k >> i & 1:
-                raise ValidationError(
-                    "invalid system: point not in its own kernel", {"x": self.points[i]}
-                )
 
 
 @record
@@ -475,15 +452,19 @@ def open_neighborhoods(space: FiniteSpace, label) -> list:
     return [u for u in space.opens_by_size if u >> i & 1]
 
 
-def topology_from_neighborhoods(system: NeighborhoodSystem):
-    """Space whose opens are the sets containing every member's kernel.
+def topology_from_neighborhoods(points, kernels):
+    """Space whose opens are the sets containing every member's kernel, given one kernel per point.
 
-    Those are the up-sets of the transitive closure of the given kernels,
-    which are the space's kernels. Returns the space together with a flag
-    telling whether they coincide with the given ones.
+    Those are the up-sets of the transitive closure of the kernels, which are
+    the space's kernels; the flag tells whether they are the given ones.
+    Kernels failing the space's checks (one per point, on the carrier, each
+    holding its point) are checked as given: a cycle would close x into k_x.
     """
-    kernels = _transitive_closure(system.kernels)
-    return FiniteSpace(system.points, kernels), kernels == system.kernels
+    points, kernels = tuple(points), tuple(kernels)
+    full = (1 << len(points)) - 1
+    valid = all(0 <= k <= full and k >> i & 1 for i, k in enumerate(kernels))
+    closed = _transitive_closure(kernels) if valid else kernels
+    return FiniteSpace(points, closed), closed == kernels
 
 
 def separation_profile(space: FiniteSpace) -> SeparationProfile:
@@ -499,7 +480,7 @@ def separation_profile(space: FiniteSpace) -> SeparationProfile:
     T2 is T1: pairwise disjoint kernels each hold their own point, so a y in
     k_x other than x would lie in k_x & k_y, and every kernel is a singleton.
     """
-    ker = space.min_nbhd
+    ker = space.rel
     pts = range(space.n)
     cl = space.point_closures
     t0 = space.is_poset

@@ -3,8 +3,8 @@
 Each function follows a textbook definition by sweeping subsets, pairs of
 opens, families of opens, valuations, radii or triples of points, and
 shares no shortcut with the library code it is compared against: none of
-them reads `min_nbhd` or a truth table, apart from `atoms_of`, which lists
-the set bits of an algebra's top, `stone_image`, built on it,
+them reads a space's kernel vector `rel` or a truth table, apart from
+`atoms_of`, which lists the set bits of an algebra's top, `stone_image`, built on it,
 `closure_table_by_scan`, which runs the kernel scan `closure` on every
 subset against the table built from the point closures, and `evaluate`,
 the library's one-valuation pass, kept as the reference semantics for
@@ -654,6 +654,17 @@ def chain_distances_by_fractions(chain):
     return tuple(map(tuple, d))
 
 
+def chain_units(chain, sp):
+    """The chain pseudometric's distances in units of 2^-(depth+1), as ints; each must be whole.
+
+    Scaling a float by a power of two is exact, so a distance that is not a
+    whole number of units shows as a fraction here.
+    """
+    units = [[v * (1 << (chain.depth + 1)) for v in row] for row in sp.dist]
+    assert all(u.is_integer() for row in units for u in row), units
+    return [[int(u) for u in row] for row in units]
+
+
 def squeeze_violation(chain, units):
     """The first failed squeeze V_m <= {d < 2^-m} <= V_(m-1), as (level, i, j, side), or None.
 
@@ -711,7 +722,9 @@ def hausdorff_distance_threshold(sp, c, d):
 
 def stationary_by_squaring(matrix, spread=1e-12, max_squarings=48):
     """Square the matrix until all rows agree; any row is then the stationary distribution."""
-    M = matrix.array()
+    import numpy as np
+
+    M = np.array(matrix.rows, dtype=float)
     for _ in range(max_squarings):
         M = M @ M
         if float((M.max(axis=0) - M.min(axis=0)).max()) <= spread:

@@ -25,6 +25,7 @@ from conftest import indiscrete_space
 from oracles import (
     atoms_of,
     chain_distances_by_fractions,
+    chain_units,
     hausdorff_distance_threshold,
     squeeze_violation,
     stationary_by_squaring,
@@ -254,9 +255,10 @@ def test_criterion_6_pseudometric_suite():
         for _ in range(200):
             chain = _random_chain(rng)
             result = ft.pseudometric_from_chain(chain)
-            assert squeeze_violation(chain, result.units) is None
+            units = chain_units(chain, result)
+            assert squeeze_violation(chain, units) is None
             scale = 1 << (chain.depth + 1)
-            exact = tuple(tuple(Fraction(v, scale) for v in row) for row in result.units)
+            exact = tuple(tuple(Fraction(v, scale) for v in row) for row in units)
             assert exact == chain_distances_by_fractions(chain)
             for level, rel in enumerate(chain.relations, start=1):
                 bound = Fraction(1, 2**level)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finitetop as ft
-from finitetop.approx import kernel_mass, named_function, weierstrass_polynomial
+from finitetop.approx import kernel_mass, named_function, simpson_rule, weierstrass_polynomial
 from finitetop.cli import main
 from finitetop.errors import FormatError, ValidationError
 
@@ -68,7 +68,7 @@ def test_j1_is_two_thirds():
 
 def test_closed_form_matches_simpson_at_small_n():
     for n in (2, 5, 9):
-        simpson = ft.simpson(lambda v: (1.0 - v * v) ** n, 0.0, 1.0, 2048)
+        simpson = simpson_by_index(lambda v: (1.0 - v * v) ** n, 0.0, 1.0, 2048)
         assert kernel_mass(n) == pytest.approx(simpson, rel=1e-12)
 
 
@@ -78,15 +78,19 @@ def test_j_n_exceeds_harmonic_bound():
 
 
 def test_simpson_needs_even_panels():
-    with pytest.raises(ValidationError):
-        ft.simpson(lambda x: x, 0.0, 1.0, 3)
+    for panels in (0, 1, 3, 2049):
+        with pytest.raises(ValidationError, match="^Simpson quadrature needs an even panel count >= 2$"):
+            simpson_rule(0.0, 1.0, panels)
 
 
 def test_simpson_node_table_matches_index_rule_bitwise():
-    for g in (math.exp, lambda v: 1.0 / (1.0 + v * v), lambda v: -0.0 * v):
-        for a, b in ((0.0, 1.0), (-1.5, 2.25), (0.3, 0.3000001)):
-            for panels in (2, 4, 10, 2048):
-                assert ft.simpson(g, a, b, panels) == simpson_by_index(g, a, b, panels)
+    """The table holds the step, nodes and weights `simpson_by_index` reads off each index, bit for bit."""
+    for a, b in ((0.0, 1.0), (-1.5, 2.25), (0.3, 0.3000001)):
+        for panels in (2, 4, 10, 2048):
+            h, nodes, weights = simpson_rule(a, b, panels)
+            assert h.hex() == ((b - a) / panels).hex()
+            assert [u.hex() for u in nodes] == [(a + i * h).hex() for i in range(1, panels)]
+            assert weights == [4.0 if i % 2 else 2.0 for i in range(1, panels)]
 
 
 # -- kernel polynomial ------------------------------------------------------------

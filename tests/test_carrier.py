@@ -144,7 +144,6 @@ _S2 = ft.FiniteSpace(_AB, (0b11, 0b10))
 UNKNOWN_IN_CALLS = [
     ("ultrafilter_at", lambda: ft.ultrafilter_at(_AB, "z"), "unknown point 'z'"),
     ("dist_to_set", lambda: ft.dist_to_set(_PM2, "z", 1), "unknown point 'z'"),
-    ("PMetricSpace.d", lambda: _PM2.d("a", "z"), "unknown point 'z'"),
     ("uniformity_from_partitions", lambda: ft.uniformity_from_partitions(_AB, [[["a", "z"]]]), "unknown point 'z'"),
     ("is_scott_continuous", lambda: ft.is_scott_continuous(_CHAIN2, _CHAIN2, {"a": "z", "b": "b"}),
      "unknown point 'z'"),
@@ -183,7 +182,6 @@ CARRIER_RECORDS = {
     "SetFamily": (lambda pts, bad: ft.SetFamily(pts, _units(pts, bad)), True, True),
     "ClosureTable": (lambda pts, bad: ft.ClosureTable(pts, [bad or 0, *range(1, 1 << len(pts))]), True, True),
     "Preorder": (lambda pts, bad: ft.Preorder(pts, _units(pts, bad)), True, True),
-    "NeighborhoodSystem": (lambda pts, bad: ft.NeighborhoodSystem(pts, _units(pts, bad)), True, True),
     "EquivalenceRelation": (lambda pts, bad: ft.EquivalenceRelation(pts, _units(pts, bad)), True, True),
     "PMetricSpace": (lambda pts, bad: ft.PMetricSpace(pts, [[0.0] * len(pts) for _ in pts]), False, False),
     "RelationChain": (lambda pts, bad: ft.RelationChain(pts, [_units(pts, bad)]), False, True),

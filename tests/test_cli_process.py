@@ -112,27 +112,27 @@ def test_solvers_in_a_fresh_interpreter(tmp_path):
 def test_chained_biconditional_is_linear(tmp_path):
     """`a <-> a <-> ...` uses each side twice; every walk must visit a shared node once.
 
-    Printed, the 30-operand chain has 2^29 copies of `a`, so as a line it
-    is refused (exit 2) once the parser has counted its connectives; built
-    in the library it still has a model. A fresh interpreter bounds the
-    time a regression, exponential in the chain's length, can take before
-    the test fails.
+    Printed, the 30-operand chain has 2^29 copies of `a`: `logic model`
+    answers it, and `logic consistent` names the refuted 31-operand chain by
+    its number and connective count. A fresh interpreter bounds the time a
+    regression, exponential in the chain's length, can take before the test
+    fails.
     """
     (tmp_path / "chain.thy").write_text(" <-> ".join(["a"] * 30) + "\n")
+    (tmp_path / "refuted.thy").write_text("~a\n" + " <-> ".join(["a"] * 31) + "\n")
     code = (
         "import time\n"
-        "from functools import reduce\n"
         "from finitetop.cli import main\n"
-        "from finitetop.logic import Theory, Var, biconditional, model_from_ultrafilter\n"
         "t0 = time.perf_counter()\n"
-        "code = main(['logic', 'model', '--in', 'chain.thy'])\n"
-        "model = model_from_ultrafilter(Theory.of([reduce(biconditional, [Var('a')] * 30)]))\n"
-        "print(code, len(model.valuation), time.perf_counter() - t0)\n"
+        "codes = main(['logic', 'model', '--in', 'chain.thy']), main(['logic', 'consistent', '--in', 'refuted.thy'])\n"
+        "print(*codes, time.perf_counter() - t0)\n"
     )
     proc = fresh(["-c", code], tmp_path)
-    assert proc.returncode == 0 and proc.stderr == "error: formula is more than 65536 connectives long\n"
-    code, true_vars, seconds = proc.stdout.split()
-    assert (code, true_vars) == ("2", "0") and float(seconds) < 1.0  # the model is a=bot
+    assert proc.returncode == 0
+    assert proc.stderr == "failed: inconsistent theory [{'formula_number': 2, 'connectives': 11811160053}]\n"
+    assert proc.stdout.splitlines()[:2] == ["valuation: a=bot", "consistent: False"]
+    codes, seconds = proc.stdout.split()[-3:-1], proc.stdout.split()[-1]
+    assert codes == ["0", "1"] and float(seconds) < 1.0
 
 
 def test_cached_parser_carries_no_state(tmp_path, capsys):

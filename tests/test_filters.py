@@ -87,7 +87,7 @@ def test_image_filter_carrier_mismatch(divisors, sierpinski):
 
 
 def test_limits_examples(divisors):
-    k = divisors.min_nbhd[divisors.index("6")]  # the neighborhood filter of 6
+    k = divisors.rel[divisors.index("6")]  # the neighborhood filter of 6
     assert ft.limits(divisors, k) == divisors.full
     disc = ft.discrete_space(("a", "b", "c"))
     assert ft.limits(disc, ft.ultrafilter_at(disc.points, "b")) == 0b010
@@ -113,7 +113,7 @@ def test_limits_and_accumulation_match_oracles(spaces_up_to_4):
         for k in range(1, sp.full + 1):
             assert ft.limits(sp, k) == limits_oracle(sp, k)
             # the meet of the point closures against the scan for every k_x holding k
-            assert ft.limits(sp, k) == sum(1 << i for i, ki in enumerate(sp.min_nbhd) if not k & ~ki)
+            assert ft.limits(sp, k) == sum(1 << i for i, ki in enumerate(sp.rel) if not k & ~ki)
             assert sp.closure(k) == accumulation_oracle(sp, k)
             # a limit is an accumulation point
             assert is_subset(ft.limits(sp, k), sp.closure(k))

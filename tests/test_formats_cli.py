@@ -802,7 +802,7 @@ def test_locale_point_rows_are_the_opens_above_each_kernel(spaces_up_to_4, tmp_p
         listing = sorted(sp.opens, key=lambda u: (u.bit_count(), u))
         want = [
             " ".join("{" + " ".join(sp.labels(u)) + "}" for u in listing if g & ~u == 0)
-            for g in sorted(set(sp.min_nbhd))
+            for g in sorted(set(sp.rel))
         ]
         rows = json.loads(out)["morphisms"]
         assert code == 0 and [r["top-valued opens"] for r in rows] == want

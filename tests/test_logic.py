@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finitetop as ft
+from finitetop import logic
 from finitetop.bitsets import subsets
 from finitetop.errors import FormatError, ValidationError
 from finitetop.logic import (
@@ -22,7 +23,7 @@ from finitetop.logic import (
     biconditional,
     disjunction,
     implication,
-    refuting_formula,
+    refutation,
     variables_of,
 )
 from oracles import depth_by_fold, evaluate, parse_formula_by_descent, size_by_fold, variables_by_fold
@@ -81,21 +82,15 @@ def parsed_or_error(parse, line):
 def agrees_with_descent(line):
     """The parser gives the oracle's tree or its FormatError, with the oracle's depth and variables.
 
-    The one difference allowed: a line the oracle accepts whose printed form
-    has more than MAX_CONNECTIVES connectives is refused. Returns whether
-    the line parsed.
+    Returns whether the line parsed.
     """
     want, want_error = parsed_or_error(parse_formula_by_descent, line)
     got, got_error = parsed_or_error(ft.parse_formula, line)
-    if want is not None and size_by_fold(want) > MAX_CONNECTIVES:
-        assert got_error == f"formula is more than {MAX_CONNECTIVES} connectives long", line
-        return False
     assert got_error == want_error, line
     if got is None:
         return False
     assert structure(got) == structure(want), line
-    _, depth, size = _Parser(line).iff(0)
-    assert (depth, size) == (depth_by_fold(want), size_by_fold(want)), line
+    assert _Parser(line).iff(0)[1] == depth_by_fold(want), line
     assert variables_of(got) == variables_by_fold(want), line
     return True
 
@@ -198,10 +193,8 @@ def test_mixed_connectives_parse_by_precedence(text, tree):
         (lambda k: " | ".join(["p"] * (k + 1)), MAX_DEPTH // 3, "deep"),
         # p -> q is ~(~~p & ~q): the first arrow is 4 deep, each further one 3 more
         (lambda k: "p -> " * k + "p", (MAX_DEPTH - 1) // 3, "deep"),
-        # k links print 11 * (2^k - 1) connectives: 12 links fit in 2^16
-        (lambda k: " <-> ".join(["p"] * (k + 1)), (MAX_CONNECTIVES // 11 + 1).bit_length() - 1, "long"),
     ],
-    ids=["negations", "parentheses", "conjunctions", "disjunctions", "implications", "biconditionals"],
+    ids=["negations", "parentheses", "conjunctions", "disjunctions", "implications"],
 )
 def test_formula_caps(build, cap, message):
     """At the cap every recursive walk succeeds; one past it is refused by that cap.
@@ -241,14 +234,41 @@ def test_parser_agrees_with_descent_oracle_on_random_lines():
     assert 5_000 < parsed < 15_000  # both outcomes are well represented
 
 
-def test_size_counts_the_printed_connectives():
+def refuted(f):
+    """The theory {f, ~f}, the number of its refuted formula and that formula printed."""
+    number = 2 if ft.Theory.of([f]).truth_table() else 1
+    return ft.Theory.of([f, Not(f)]), number, str(Not(f) if number == 2 else f)
+
+
+def test_size_counts_the_printed_connectives(monkeypatch):
+    """The witness prints the refuted formula up to MAX_CONNECTIVES '~' and '&', and past that counts them."""
     rng = random.Random(31)
     for _ in range(300):
-        line = random_text(rng, 5)
-        f, _, size = _Parser(line).iff(0)
-        if size <= 5000:
-            printed = str(f)
-            assert printed.count("~") + printed.count("&") == size
+        f = ft.parse_formula(random_text(rng, 5))
+        if size_by_fold(f) <= 5000:
+            theory, number, printed = refuted(f)
+            size = printed.count("~") + printed.count("&")
+            monkeypatch.setattr(logic, "MAX_CONNECTIVES", size)
+            assert refutation(theory) == (0, {"formula": printed})
+            monkeypatch.setattr(logic, "MAX_CONNECTIVES", size - 1)
+            assert refutation(theory) == (0, {"formula_number": number, "connectives": size})
+
+
+def test_witness_of_a_biconditional_chain_is_linear():
+    """k links print 11 * (2^k - 1) connectives: a witness prints 12 links and counts 13 or 30."""
+    cap = (MAX_CONNECTIVES // 11 + 1).bit_length() - 1
+    assert cap == 12
+    for k in (cap - 1, cap, cap + 1, 30):
+        f = ft.parse_formula(" <-> ".join(["p"] * (k + 1)))
+        theory = ft.Theory.of([f, Not(f)])  # p = top satisfies the chain: ~f is refuted
+        witness = refutation(theory)[1]
+        if k <= cap:
+            assert witness == {"formula": str(Not(f))}
+        else:
+            assert witness == {"formula_number": 2, "connectives": 11 * ((1 << k) - 1) + 1}
+        with pytest.raises(ValidationError) as err:
+            ft.lindenbaum_algebra(theory)
+        assert err.value.witness == witness
 
 
 def test_a_theory_of_non_formulas_is_refused():
@@ -445,7 +465,7 @@ def test_models_match_valuation_sweep():
             # the refuting formula ends the shortest prefix of the theory that has no model
             prefixes = (ft.Theory.of(formulas[: i + 1], vars=tuple(names)) for i in range(len(formulas)))
             first = next((f for f, t in zip(formulas, prefixes) if not oracles.models(t)), None)
-            assert refuting_formula(theory) == first
+            assert refutation(theory)[1] == (None if first is None else {"formula": str(first)})
             if k <= 4:
                 for f in formulas:
                     table = theory.table_of(f)

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 import finitetop as ft
 from finitetop.bitsets import bits, subsets
+from finitetop.cli import main
 from finitetop.errors import FormatError, ValidationError
 from finitetop.pmetric import NonConvergence, open_ball
 
 from oracles import (
     chain_distances_by_fractions,
+    chain_units,
     hausdorff_distance_threshold,
     squeeze_violation,
     stationary_by_squaring,
@@ -141,10 +143,10 @@ def test_bounded_transform_values():
     sp = ft.pmetric_from_matrix(("a", "b"), [[0, 1], [1, 0]])
     d1, d2 = ft.bounded_transforms(sp)
     assert d1.dist == sp.dist
-    assert d2.d("a", "b") == 0.5
+    assert d2.dist[d2.index("a")][d2.index("b")] == 0.5
     sp3 = ft.pmetric_from_matrix(("a", "b"), [[0, 3], [3, 0]])
     d1, d2 = ft.bounded_transforms(sp3)
-    assert d1.d("a", "b") == 1.0 and d2.d("a", "b") == 0.75
+    assert d1.dist[d1.index("a")][d1.index("b")] == 1.0 and d2.dist[d2.index("a")][d2.index("b")] == 0.75
 
 
 @given(pmetric_spaces())
@@ -190,7 +192,7 @@ def test_metric_quotient_example():
     sp = ft.pmetric_from_matrix(("a", "b", "c"), [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
     q, classes = ft.metric_quotient(sp)
     assert q.points == ("ab", "c")
-    assert q.d("ab", "c") == 1.0
+    assert q.dist[q.index("ab")][q.index("c")] == 1.0
     assert [sp.labels(c) for c in classes] == [("a", "b"), ("c",)]
 
 
@@ -232,8 +234,8 @@ def test_metric_quotient_refuses_a_nontransitive_zero():
     sp = ft.pmetric_from_matrix(("a", "b", "c"), [[0, 1e-10, 0], [1e-10, 0, 0], [0, 0, 0]])
     with pytest.raises(ValidationError) as err:
         ft.metric_quotient(sp)
-    w = err.value.witness
-    assert sp.d(w["x"], w["y"]) == sp.d(w["y"], w["z"]) == 0 < sp.d(w["x"], w["z"])
+    x, y, z = (sp.index(err.value.witness[v]) for v in "xyz")
+    assert sp.dist[x][y] == sp.dist[y][z] == 0 < sp.dist[x][z]
 
 
 def test_metric_quotient_moves_no_distance_between_classes():
@@ -268,9 +270,9 @@ def test_metric_quotient_classes_are_the_zero_rows():
         try:
             q, classes = ft.metric_quotient(sp)
         except ValidationError as e:
-            w = e.witness
             assert str(e) == "distance zero is not transitive"
-            assert sp.d(w["x"], w["y"]) == sp.d(w["y"], w["z"]) == 0 < sp.d(w["x"], w["z"])
+            x, y, z = (sp.index(e.witness[v]) for v in "xyz")
+            assert sp.dist[x][y] == sp.dist[y][z] == 0 < sp.dist[x][z]
             continue
         quotients += 1
         assert sum(classes) == sp.full and len(set(classes)) == len(classes)
@@ -332,7 +334,7 @@ def test_dist_to_set_lipschitz_and_closure(sp):
 
 def test_hausdorff_examples():
     sp = plane_metric([(0, 0), (1, 0), (2, 0)], labels=("0", "1", "2"))
-    assert ft.hausdorff_distance(sp, 0b001, 0b010) == sp.d("0", "1")
+    assert ft.hausdorff_distance(sp, 0b001, 0b010) == sp.dist[sp.index("0")][sp.index("1")]
     assert ft.hausdorff_distance(sp, 0b011, 0b011) == 0.0
     assert ft.hausdorff_distance(sp, 0b011, 0b101) == 1.0
 
@@ -426,30 +428,30 @@ def random_chain(rng, max_points=6, max_depth=4):
 def test_chain_all_full_gives_zero():
     chain = ft.RelationChain(("a", "b", "c"), (full_rel(3), full_rel(3)))
     res = ft.pseudometric_from_chain(chain)
-    assert all(v == 0.0 for row in res.space.dist for v in row)
+    assert all(v == 0.0 for row in res.dist for v in row)
 
 
 def test_chain_single_equivalence_level():
     chain = ft.RelationChain(("a", "b", "c"), (sym_pairs(3, [(0, 1)]),))
     res = ft.pseudometric_from_chain(chain)
-    assert res.space.d("a", "b") <= 0.5
-    assert res.space.d("a", "c") == res.space.d("b", "c") == 0.5
-    assert not res.space.is_metric
+    assert res.dist[res.index("a")][res.index("b")] <= 0.5
+    assert res.dist[res.index("a")][res.index("c")] == res.dist[res.index("b")][res.index("c")] == 0.5
+    assert not res.is_metric
 
 
 def test_chain_nontransitive_level_keeps_points_apart():
     # path a-b-c is not transitive, so nothing collapses to distance zero
     chain = ft.RelationChain(("a", "b", "c"), (sym_pairs(3, [(0, 1), (1, 2)]),))
     res = ft.pseudometric_from_chain(chain)
-    assert res.space.d("a", "b") == 0.25
-    assert res.space.d("a", "c") == 0.5  # two quarter-weight steps
-    assert res.space.is_metric
+    assert res.dist[res.index("a")][res.index("b")] == 0.25
+    assert res.dist[res.index("a")][res.index("c")] == 0.5  # two quarter-weight steps
+    assert res.is_metric
 
 
 def exact(res, chain):
-    """The chain metric's int distances as exact dyadics."""
+    """The chain metric's distances as exact dyadics, from their whole numbers of units."""
     scale = 1 << (chain.depth + 1)
-    return tuple(tuple(Fraction(v, scale) for v in row) for row in res.units)
+    return tuple(tuple(Fraction(v, scale) for v in row) for row in chain_units(chain, res))
 
 
 def test_chain_squeeze_on_adversarial_path():
@@ -461,7 +463,7 @@ def test_chain_squeeze_on_adversarial_path():
     )
     chain = ft.RelationChain(tuple("123456"), (v1, v2))
     res = ft.pseudometric_from_chain(chain)
-    assert squeeze_violation(chain, res.units) is None
+    assert squeeze_violation(chain, chain_units(chain, res)) is None
     assert exact(res, chain)[0][5] >= Fraction(1, 4)  # pair (1,6) must stay out of level 1
     assert exact(res, chain) == chain_distances_by_fractions(chain)
 
@@ -471,10 +473,10 @@ def test_chain_squeeze_on_200_random_chains():
     for _ in range(200):
         chain = random_chain(rng)
         res = ft.pseudometric_from_chain(chain)
-        assert squeeze_violation(chain, res.units) is None
+        assert squeeze_violation(chain, chain_units(chain, res)) is None
         ex = exact(res, chain)
         assert ex == chain_distances_by_fractions(chain)
-        assert res.space.dist == tuple(tuple(map(float, row)) for row in ex)
+        assert res.dist == tuple(tuple(map(float, row)) for row in ex)
         # the squeeze again, spelled out against the exact distances
         for level, rel in enumerate(chain.relations, start=1):
             bound = Fraction(1, 2**level)
@@ -509,7 +511,7 @@ def test_chain_squeeze_on_every_small_chain():
     for n, depth in [(n, d) for n in range(5) for d in range(3)] + [(3, 3)]:
         for chain in valid_chains(n, depth):
             res = ft.pseudometric_from_chain(chain)
-            assert squeeze_violation(chain, res.units) is None, chain
+            assert squeeze_violation(chain, chain_units(chain, res)) is None, chain
             assert exact(res, chain) == chain_distances_by_fractions(chain)
             count += 1
     assert count > 500
@@ -517,12 +519,12 @@ def test_chain_squeeze_on_every_small_chain():
 
 def test_squeeze_oracle_sees_a_broken_distance():
     chain = ft.RelationChain(("a", "b", "c"), (sym_pairs(3, [(0, 1)]),))
-    units = [list(row) for row in ft.pseudometric_from_chain(chain).units]
+    units = chain_units(chain, ft.pseudometric_from_chain(chain))
     assert units[0][1] == 0 and units[0][2] == 2  # depth 1: units of 1/4
     units[0][1] = 2  # a pair of V1 at distance 1/2
     assert squeeze_violation(chain, units) == (1, 0, 1, "lower")
     chain = ft.RelationChain(("a", "b", "c"), (sym_pairs(3, [(0, 1)]), sym_pairs(3, [(0, 1)])))
-    units = [list(row) for row in ft.pseudometric_from_chain(chain).units]
+    units = chain_units(chain, ft.pseudometric_from_chain(chain))
     units[0][2] = 1  # 1/8 < 1/4, but (a, c) is not in V1
     assert squeeze_violation(chain, units) == (2, 0, 2, "upper")
 
@@ -610,18 +612,18 @@ def test_uniformity_axioms_oracle_sees_a_broken_relation():
 
 
 def test_partition_labels_keep_their_messages():
-    with pytest.raises(ValidationError) as err:
-        ft.uniformity_from_partitions(("a", "b"), [[["a", "a"], ["b"]]])
-    assert str(err.value) == "partition blocks overlap" and err.value.witness == {"x": "a"}
-    with pytest.raises(ValidationError) as err:
-        ft.uniformity_from_partitions(("a", "b"), [[["a", "b"], ["b"]]])
-    assert str(err.value) == "partition blocks overlap" and err.value.witness == {"x": "b"}
-    with pytest.raises(ValidationError) as err:
-        ft.uniformity_from_partitions(("a", "b"), [[["a", "b"], []]])
-    assert str(err.value) == "empty partition block"
-    with pytest.raises(ValidationError) as err:
-        ft.uniformity_from_partitions(("a", "b", "c"), [[["a"], ["c"]]])
-    assert err.value.witness == {"x": "b"}
+    """A partition is checked as the `EquivalenceRelation` of its blocks, with that record's messages."""
+    # a label repeated inside one block counts once, as in an `.eq` file
+    assert ft.uniformity_from_partitions(("a", "b"), [[["a", "a"], ["b"]]]).relations == ((0b01, 0b10),)
+    cases = [
+        ([["a", "b"], ["b"]], "partition blocks overlap", {"x": "b"}),
+        ([["a", "b"], []], "partition blocks must be nonempty", {"block": 1}),
+        ([["a"], ["c"]], "partition does not cover the carrier", {"x": "b"}),
+    ]
+    for blocks, message, witness in cases:
+        with pytest.raises(ValidationError) as err:
+            ft.uniformity_from_partitions(("a", "b", "c"), [[["a", "b", "c"]], blocks])
+        assert (str(err.value), err.value.witness) == (message, witness)
 
 
 # -- ultrametric from ranks ------------------------------------------------------------------------
@@ -700,7 +702,7 @@ def test_pagerank_paper_matrix():
     assert abs(sum(p) - 1.0) <= 1e-9
     import numpy as np
 
-    assert float(np.abs(p @ m.array() - p).sum()) <= 2e-9
+    assert float(np.abs(p @ np.array(m.rows) - p).sum()) <= 2e-9
 
 
 def test_pagerank_symmetric_two_state():
@@ -709,15 +711,17 @@ def test_pagerank_symmetric_two_state():
     assert tuple(p) == (0.5, 0.5)
 
 
-def test_pagerank_permutation_oscillates_from_biased_start():
-    m = ft.StochasticMatrix(((0, 1), (1, 0)))
-    # uniform start is invariant under any permutation, so it converges...
-    p = ft.pagerank(m)
-    assert tuple(p) == (0.5, 0.5)
-    # ...and the oscillation shows from any other start
-    with pytest.raises(NonConvergence) as err:
-        ft.pagerank(m, start=(0.9, 0.1))
-    assert "oscillate" in str(err.value)
+def test_pagerank_bipartite_chain_oscillates_from_the_uniform_start(tmp_path, capsys):
+    # the uniform start is invariant under a permutation, so the swap converges...
+    assert tuple(ft.pagerank(ft.StochasticMatrix(((0, 1), (1, 0))))) == (0.5, 0.5)
+    # ...and a periodic chain that is not a permutation oscillates from it
+    web = tmp_path / "bipartite.csv"
+    web.write_text("0,1,0\n0.5,0,0.5\n0,1,0\n")
+    assert main(["solve", "pagerank", "--in", str(web)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(
+        "failed: power iteration did not converge in 200 iterations; iterates oscillate with period 2 [{'trace_tail': "
+    )
 
 
 def test_pagerank_matches_squaring_oracle():

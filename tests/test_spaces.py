@@ -152,7 +152,7 @@ def test_opens_closed_under_pairwise_ops(small_spaces):
 
 def test_is_open_before_and_after_the_opens_are_built(spaces_up_to_4):
     for sp in spaces_up_to_4:
-        fresh = ft.FiniteSpace(sp.points, sp.min_nbhd)  # opens not built yet
+        fresh = ft.FiniteSpace(sp.points, sp.rel)  # opens not built yet
         for m in range(-1, sp.full + 2):
             assert fresh.is_open(m) == (m in sp.opens)
         assert "opens" not in vars(fresh)
@@ -194,7 +194,7 @@ def test_validator_agrees_with_the_oracle_on_every_family_up_to_4_points():
                 sp = ft.FiniteSpace.from_opens(pts, fam)
                 accepted += 1
                 assert sp.opens == fam
-                assert sp.min_nbhd == tuple(
+                assert sp.rel == tuple(
                     functools.reduce(int.__and__, (u for u in fam if u >> x & 1)) for x in range(n)
                 )
                 assert "opens_by_size" in vars(sp)
@@ -533,7 +533,7 @@ def test_poset_round_trips(spaces_up_to_4):
 
 
 def test_neighborhood_filter_rows(divisors):
-    k = divisors.min_nbhd[divisors.index("3")]  # the neighborhood filter's kernel
+    k = divisors.rel[divisors.index("3")]  # the neighborhood filter's kernel
     assert divisors.labels(k) == ("3", "6")
     base = ft.spaces.open_neighborhoods(divisors, "3")
     assert [divisors.labels(u) for u in base] == [
@@ -542,41 +542,46 @@ def test_neighborhood_filter_rows(divisors):
         ("1", "2", "3", "6"),
     ]
     disc = ft.discrete_space(("x", "y"))
-    assert disc.min_nbhd[disc.index("x")] == 0b01
+    assert disc.rel[disc.index("x")] == 0b01
     ind = indiscrete_space(("x", "y"))
-    assert ind.min_nbhd[ind.index("x")] == 0b11
+    assert ind.rel[ind.index("x")] == 0b11
 
 
 def test_neighborhood_filter_unknown_point(divisors):
     with pytest.raises(FormatError):
-        divisors.min_nbhd[divisors.index("7")]
+        divisors.rel[divisors.index("7")]
 
 
 def test_topology_from_neighborhoods_round_trip(divisors):
-    system = ft.NeighborhoodSystem(divisors.points, divisors.min_nbhd)
-    sp, coincides = ft.topology_from_neighborhoods(system)
+    sp, coincides = ft.topology_from_neighborhoods(divisors.points, divisors.rel)
     assert sp.opens == divisors.opens
     assert coincides
 
 
 def test_topology_from_neighborhoods_discrete():
-    system = ft.NeighborhoodSystem(("a", "b"), (0b01, 0b10))
-    sp, coincides = ft.topology_from_neighborhoods(system)
+    sp, coincides = ft.topology_from_neighborhoods(("a", "b"), (0b01, 0b10))
     assert sp.opens == ft.discrete_space(("a", "b")).opens
     assert coincides
 
 
 def test_topology_from_neighborhoods_mismatch():
-    system = ft.NeighborhoodSystem(("a", "b", "c"), (0b011, 0b110, 0b100))
-    sp, coincides = ft.topology_from_neighborhoods(system)
+    sp, coincides = ft.topology_from_neighborhoods(("a", "b", "c"), (0b011, 0b110, 0b100))
     assert sp.opens == frozenset({0, 0b100, 0b110, 0b111})
     assert not coincides
-    assert sp.min_nbhd[0] == 0b111  # recomputed kernel of a is the carrier
+    assert sp.rel[0] == 0b111  # recomputed kernel of a is the carrier
 
 
 def test_neighborhood_kernel_off_the_carrier_is_a_format_error():
-    with pytest.raises(FormatError, match="^kernel 0x5 is not a subset of the carrier$"):
-        ft.NeighborhoodSystem(("a", "b"), (0b101, 0b10))
+    """The first kernel off the carrier is named as given, before it is closed over the others."""
+    for kernels, bad in [((0b101, 0b10), 0b101), ((0b11, 0b110), 0b110), ((-1, 0b10), -1), ((0b01, 0b100), 0b100)]:
+        with pytest.raises(FormatError) as err:
+            ft.topology_from_neighborhoods(("a", "b"), kernels)
+        assert str(err.value) == f"relation row {bad:#x} is not a subset of the carrier"
+    with pytest.raises(FormatError, match="^duplicate point label 'a'$"):
+        ft.topology_from_neighborhoods(("a", "a"), (0b01, 0b10))
+    wide = [f"p{i}" for i in range(17)]
+    with pytest.raises(ValidationError, match="^carrier has 17 points, limit is 16$"):
+        ft.topology_from_neighborhoods(wide, [1 << i for i in range(17)])
 
 
 def test_topology_from_neighborhoods_matches_subset_oracle():
@@ -585,14 +590,20 @@ def test_topology_from_neighborhoods_matches_subset_oracle():
         pts = tuple("abcd"[:n])
         choices = [[(1 << x) | r for r in subsets(((1 << n) - 1) & ~(1 << x))] for x in range(n)]
         for kernels in iproduct(*choices):
-            sp, coincides = ft.topology_from_neighborhoods(ft.NeighborhoodSystem(pts, kernels))
+            sp, coincides = ft.topology_from_neighborhoods(pts, kernels)
             assert sp.opens == opens_from_kernels_by_subsets(n, kernels)
-            assert coincides == (sp.min_nbhd == kernels)
+            assert coincides == (sp.rel == kernels)
 
 
 def test_invalid_neighborhood_system():
-    with pytest.raises(ValidationError):
-        ft.NeighborhoodSystem(("a", "b"), (0b10, 0b10))
+    """A kernel must hold its point, even where a cycle of kernels would close it back in."""
+    for kernels, x in [((0b10, 0b10), "a"), ((0b10, 0b01), "a"), ((0b11, 0b01), "b"), ((0b01, 0b10, 0b011), "c")]:
+        with pytest.raises(ValidationError) as err:
+            ft.topology_from_neighborhoods(("a", "b", "c")[:len(kernels)], kernels)
+        assert (str(err.value), err.value.witness) == ("relation is not reflexive", {"x": x})
+    for kernels in [(0b01,), (0b01, 0b10, 0b11)]:
+        with pytest.raises(FormatError, match="^relation must have one row per point$"):
+            ft.topology_from_neighborhoods(("a", "b"), kernels)
 
 
 def test_transitivity_scan_names_the_first_triple_on_every_relation_up_to_3_points():
@@ -610,7 +621,7 @@ def test_transitivity_scan_names_the_first_triple_on_every_relation_up_to_3_poin
 def test_kernel_vector_checks():
     # a kernel vector is checked as a preorder, and its rows must lie in the carrier
     with pytest.raises(FormatError):
-        ft.topology_from_neighborhoods(ft.NeighborhoodSystem(("a", "b"), (0b01, 0b110)))
+        ft.topology_from_neighborhoods(("a", "b"), (0b01, 0b110))
     with pytest.raises(FormatError):
         ft.FiniteSpace(("a",), (0b11,))
     with pytest.raises(ValidationError, match="not reflexive"):
