@@ -24,8 +24,8 @@ def main():
     print("\nseparation:", prof)
 
     print("\nneighborhood bases:")
-    for p in sp.points:
-        base = ft.spaces.open_neighborhoods(sp, p)
+    for i, p in enumerate(sp.points):
+        base = [u for u in sp.opens_by_size if u >> i & 1]
         print(f"  {p}: " + " ".join("{" + " ".join(sp.labels(u)) + "}" for u in base))
 
     hm = ft.hofmann_mislove_report(sp)

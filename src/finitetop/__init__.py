@@ -38,7 +38,6 @@ from .construct import (
 )
 from .locales import (
     heyting_implication,
-    heyting_negation,
     points_of_locale,
     phi_map,
     irreducible_closed_sets,
@@ -51,7 +50,6 @@ from .pmetric import (
     RelationChain,
     RankedSets,
     StochasticMatrix,
-    pmetric_from_matrix,
     bounded_transforms,
     topology_from_pmetric,
     metric_quotient,

@@ -10,6 +10,7 @@ import argparse
 import functools
 import math
 import sys
+from itertools import compress
 
 from . import approx, construct, formats, locales, pmetric, spaces
 from .bitsets import bits, subsets
@@ -142,11 +143,8 @@ def cmd_space(args, out):
     rep = _Report(args.json)
     rep.add("points", list(space.points), "points: " + " ".join(space.points))
     opens = space.opens_by_size
-    rep.add(
-        "opens",
-        [list(space.labels(u)) for u in opens],
-        "opens: " + " ".join(map(space.set_str, opens)),
-    )
+    strs = list(map(space.set_str, opens))  # each open rendered once; the rows below filter this list
+    rep.add("opens", [list(space.labels(u)) for u in opens], "opens: " + " ".join(strs))
     if space.n <= CLOSURE_TABLE_LIMIT:
         rows = []
         for m in sorted(subsets(space.full), key=lambda m: (m.bit_count(), m)):
@@ -171,10 +169,8 @@ def cmd_space(args, out):
     )
     rep.add("specialization_is_poset", space.is_poset)
     rep.lines.append("")
-    nbrows = []
-    for p in space.points:
-        base = spaces.open_neighborhoods(space, p)
-        nbrows.append((p, " ".join(map(space.set_str, base))))
+    # a point's neighbourhood base: the opens holding its bit
+    nbrows = [(p, " ".join(compress(strs, map((1 << i).__and__, opens)))) for i, p in enumerate(space.points)]
     rep.table("neighborhood_bases", ("point", "open neighborhoods"), nbrows)
     rep.print(out)
     return 0
@@ -271,14 +267,15 @@ def cmd_locale(args, out):
         b = space.mask(args.setb.split())
         c = locales.heyting_implication(space, a, b)
         rep.add("implication", list(space.labels(c)), f"implication: {space.set_str(c)}")
-        neg = locales.heyting_negation(space, a)
+        neg = locales.heyting_implication(space, a, 0)
         rep.add("negation_of_first", list(space.labels(neg)), f"negation of first: {space.set_str(neg)}")
     elif args.what == "points":
         pts = locales.points_of_locale(space)
         rep.add("count", len(pts))
         # the opens top-valued at the point g are those containing g
         opens = space.opens_by_size
-        rows = [(i, " ".join([space.set_str(u) for u in opens if g & ~u == 0])) for i, g in enumerate(pts)]
+        strs = list(map(space.set_str, opens))
+        rows = [(i, " ".join(compress(strs, map(g.__eq__, map(g.__and__, opens))))) for i, g in enumerate(pts)]
         rep.table("morphisms", ("index", "top-valued opens"), rows)
         phi = locales.phi_map(space)
         rep.add("phi_injective", phi.injective)
@@ -310,7 +307,7 @@ def cmd_locale(args, out):
 def _load_pmetric(args):
     rows = formats.load_matrix(_read(args.infile))
     labels = args.labels.split() if args.labels else [str(i + 1) for i in range(len(rows))]
-    return pmetric.pmetric_from_matrix(labels, rows)
+    return pmetric.PMetricSpace(labels, rows)
 
 
 def _distances(rep, sp):

@@ -176,10 +176,6 @@ def topological_sum(a: FiniteSpace, b: FiniteSpace) -> FiniteSpace:
     return final_topology(pts, [(a, range(a.n)), (b, range(a.n, len(pts)))])
 
 
-def block_label(space, mask, sep=""):
-    return sep.join(sorted(space.points[i] for i in bits(mask)))
-
-
 def block_labels(space, blocks):
     """One name per block of a partition of the space's carrier.
 
@@ -190,7 +186,7 @@ def block_labels(space, blocks):
     reported.
     """
     for sep in ("", "+"):
-        labels = tuple(block_label(space, b, sep) for b in blocks)
+        labels = tuple(sep.join(sorted(space.points[i] for i in bits(b))) for b in blocks)
         if len(set(labels)) == len(labels):
             return labels
     first = {}

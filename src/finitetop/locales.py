@@ -26,10 +26,6 @@ def heyting_implication(space: FiniteSpace, a: int, b: int) -> int:
     return space.interior(space.full & ~a | b)
 
 
-def heyting_negation(space: FiniteSpace, a: int) -> int:
-    return heyting_implication(space, a, 0)
-
-
 def points_of_locale(space: FiniteSpace) -> list:
     """All points of the locale (two-valued morphisms on the opens), as their kernels, ascending.
 
@@ -43,9 +39,8 @@ def points_of_locale(space: FiniteSpace) -> list:
 
 @record
 class PhiReport:
-    """phi as the kernel vector: `assignment[i]` is the i-th point's locale point, its kernel."""
+    """phi's verdicts; phi itself is the kernel vector `space.rel`."""
 
-    assignment: tuple
     injective: bool
     surjective: bool
 
@@ -56,7 +51,7 @@ def phi_map(space: FiniteSpace) -> PhiReport:
     That is the locale point of the point's kernel, so phi is the kernel
     vector, injective iff the kernels are distinct (T0) and always surjective.
     """
-    return PhiReport(space.rel, space.is_poset, True)
+    return PhiReport(space.is_poset, True)
 
 
 def irreducible_closed_sets(space: FiniteSpace):

@@ -30,15 +30,6 @@ MAX_CONNECTIVES = 1 << 16  # '~' and '&' in the printed form of a formula a witn
 class PropFormula:
     __slots__ = ()
 
-    def __and__(self, other):
-        return And(self, other)
-
-    def __invert__(self):
-        return Not(self)
-
-    def __or__(self, other):
-        return disjunction(self, other)
-
 
 @record
 class Var(PropFormula):

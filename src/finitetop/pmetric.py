@@ -66,10 +66,6 @@ class PMetricSpace(Carrier):
         return all(v > 0 for i, row in enumerate(self.dist) for j, v in enumerate(row) if i != j)
 
 
-def pmetric_from_matrix(points, matrix) -> PMetricSpace:
-    return PMetricSpace(tuple(points), tuple(tuple(row) for row in matrix))
-
-
 def bounded_transforms(sp: PMetricSpace):
     """The two standard bounded pseudometrics: min(d,1) and d/(1+d)."""
     d1 = tuple(tuple(min(v, 1.0) for v in row) for row in sp.dist)
@@ -301,7 +297,6 @@ class FixpointResult:
 class NonConvergence(ValidationError):
     def __init__(self, message, trace):
         super().__init__(message, {"trace_tail": [list(map(float, v)) for v in trace[-4:]]})
-        self.trace = trace
 
 
 def _linf(v):
@@ -336,6 +331,7 @@ def banach_fixed_point(f, x0, metric="l2", tol=1e-12, max_iter=1000) -> Fixpoint
     for it in range(1, max_iter + 1):
         nxt = list(map(float, f(x)))
         trace.append(nxt)
+        del trace[:-4]  # the witness reports the last four iterates only
         step = norm(map(sub, nxt, x))
         if prev_step is not None and prev_step > 0:
             gamma = max(gamma, step / prev_step)
@@ -367,10 +363,6 @@ class StochasticMatrix:
             if abs(total - 1.0) > 1e-12:
                 raise ValidationError("stochastic matrix rows must sum to 1", {"row": i, "sum": total})
 
-    @property
-    def n(self):
-        return len(self.rows)
-
 
 def pagerank(matrix: StochasticMatrix, tol=1e-9, max_iter=200):
     """Left power iteration from the uniform vector; L1 stopping rule.
@@ -382,7 +374,7 @@ def pagerank(matrix: StochasticMatrix, tol=1e-9, max_iter=200):
     import numpy as np
 
     P = np.array(matrix.rows, dtype=float)
-    p = np.full(matrix.n, 1.0 / matrix.n)
+    p = np.full(len(P), 1.0 / len(P))
     older = None
     for _ in range(max_iter):
         nxt = p @ P

@@ -51,9 +51,8 @@ class Carrier:
 
     Every table is built on first use and kept on the instance: `labels`
     reads one 256-entry table of label tuples per byte of the mask (a byte's
-    table is built when a mask first sets one of its bits), `set_str` builds
-    the `{a b}` string of a mask once, and `mask` and `index` read one
-    label -> bit dict.
+    table is built when a mask first sets one of its bits), and `mask` and
+    `index` read one label -> bit dict.
     """
 
     @property
@@ -88,16 +87,9 @@ class Carrier:
             k += 1
         return out
 
-    @cached_property
-    def _set_strs(self):
-        return {}
-
     def set_str(self, mask):
-        """The mask as `{a b}`, built once per mask and carrier."""
-        s = self._set_strs.get(mask)
-        if s is None:
-            s = self._set_strs[mask] = "{" + " ".join(self.labels(mask)) + "}"
-        return s
+        """The mask as `{a b}`."""
+        return "{" + " ".join(self.labels(mask)) + "}"
 
     @cached_property
     def _bits(self):
@@ -446,12 +438,6 @@ def topology_from_poset(order: Preorder) -> FiniteSpace:
     return FiniteSpace(order.points, order.rel)
 
 
-def open_neighborhoods(space: FiniteSpace, label) -> list:
-    """All opens containing the point, smallest first; a base of its filter."""
-    i = space.index(label)
-    return [u for u in space.opens_by_size if u >> i & 1]
-
-
 def topology_from_neighborhoods(points, kernels):
     """Space whose opens are the sets containing every member's kernel, given one kernel per point.
 
@@ -500,7 +486,7 @@ def discrete_space(points) -> FiniteSpace:
     return FiniteSpace(points, [1 << i for i in range(len(points))])
 
 
-def all_topologies(n, labels=None):
+def all_topologies(n):
     """Every topology on an n-point carrier, one per preorder.
 
     The kernel vectors are built point by point by backtracking: x is in
@@ -509,7 +495,7 @@ def all_topologies(n, labels=None):
     """
     if n > 5:
         raise ValidationError("exhaustive enumeration is limited to 5 points")
-    labels = tuple(labels) if labels else tuple(chr(ord("a") + i) for i in range(n))
+    labels = tuple(chr(ord("a") + i) for i in range(n))
     full = (1 << n) - 1
     out = []
     ker = []

@@ -213,7 +213,7 @@ def _random_plane_pseudometric(rng, n):
             pts.append((rng.uniform(0, 4), rng.uniform(0, 4)))
     labels = tuple(str(i + 1) for i in range(n))
     rows = [[math.dist(p, q) for q in pts] for p in pts]
-    return ft.pmetric_from_matrix(labels, rows)
+    return ft.PMetricSpace(labels, rows)
 
 
 def _random_chain(rng, max_points=6, max_depth=4):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finitetop as ft
-from finitetop.approx import kernel_mass, named_function, simpson_rule, weierstrass_polynomial
+from finitetop.approx import MAX_PANELS, kernel_mass, named_function, simpson_rule, weierstrass_polynomial
 from finitetop.cli import main
 from finitetop.errors import FormatError, ValidationError
 
@@ -53,6 +53,8 @@ def test_sqrt_rejects_negative_count():
 
 
 def test_grid_validation():
+    with pytest.raises(FormatError, match="^grid and values must have equal length$"):
+        ft.GridFunction((0.0, 0.5), (0.0,))
     with pytest.raises(FormatError):
         ft.GridFunction((0.5, 0.2), (0.0, 0.0))
     with pytest.raises(FormatError):
@@ -81,6 +83,8 @@ def test_simpson_needs_even_panels():
     for panels in (0, 1, 3, 2049):
         with pytest.raises(ValidationError, match="^Simpson quadrature needs an even panel count >= 2$"):
             simpson_rule(0.0, 1.0, panels)
+    with pytest.raises(ValidationError, match=f"^Simpson quadrature takes at most {MAX_PANELS} panels$"):
+        simpson_rule(0.0, 1.0, MAX_PANELS + 2)
 
 
 def test_simpson_node_table_matches_index_rule_bitwise():
@@ -230,6 +234,8 @@ def test_ratio_rejects_bad_delta():
     for delta in (0.0, 1.0, -0.2, 7):
         with pytest.raises(ValidationError):
             ft.kernel_ratio(3, delta)
+    with pytest.raises(ValidationError, match="^degree parameter must be at least 1$"):
+        ft.kernel_ratio(0, 0.5)
 
 
 @given(st.integers(1, 12), st.floats(0.05, 0.95))

@@ -1,12 +1,13 @@
 """Masks <-> labels on a carrier: the byte tables, the set strings and the
 label -> bit maps the loaders and the CLI share."""
 
+import json
 import random
 
 import pytest
 
 import finitetop as ft
-from finitetop import formats, spaces
+from finitetop import formats
 from finitetop.cli import main
 from finitetop.errors import FormatError
 
@@ -30,7 +31,7 @@ def test_labels_and_set_strings_on_every_mask(n):
 @pytest.mark.parametrize("n", [17, 20, 90])
 def test_labels_on_wide_pmetric_carriers(n):
     points = tuple(str(i + 1) for i in range(n))
-    sp = ft.pmetric_from_matrix(points, [[0.0] * n for _ in range(n)])
+    sp = ft.PMetricSpace(points, [[0.0] * n for _ in range(n)])
     rng = random.Random(n)
     full = (1 << n) - 1
     masks = [0, full, 1, 1 << n - 1, full & ~1, full >> 1]
@@ -44,19 +45,10 @@ def test_labels_on_wide_pmetric_carriers(n):
 
 def test_masks_off_the_carrier_have_no_labels():
     sp = ft.discrete_space(("a", "b", "c"))
-    wide = ft.pmetric_from_matrix([str(i) for i in range(12)], [[0.0] * 12 for _ in range(12)])
+    wide = ft.PMetricSpace([str(i) for i in range(12)], [[0.0] * 12 for _ in range(12)])
     for carrier, m in ((sp, 8), (sp, 1 << 9), (sp, -1), (wide, 1 << 12), (wide, 1 << 30), (wide, -5)):
         with pytest.raises(IndexError):
             carrier.labels(m)
-
-
-def test_set_string_is_built_once_per_mask(divisors):
-    sp = ft.FiniteSpace(divisors.points, divisors.rel)
-    first = [sp.set_str(u) for u in sp.opens_by_size]
-    assert all(sp.set_str(u) is s for u, s in zip(sp.opens_by_size, first))
-    # kept on the instance: an equal space builds its own
-    other = ft.FiniteSpace(divisors.points, divisors.rel)
-    assert other == sp and other.set_str(sp.full) == first[-1]
 
 
 def test_mask_and_index_read_the_labels(divisors):
@@ -73,8 +65,26 @@ def test_opens_by_size_is_the_listing_order(spaces_up_to_4):
     for sp in spaces_up_to_4:
         want = sorted(sp.opens, key=lambda u: (u.bit_count(), u))
         assert list(sp.opens_by_size) == want
-        for i, p in enumerate(sp.points):
-            assert spaces.open_neighborhoods(sp, p) == [u for u in want if u >> i & 1]
+
+
+def test_report_rows_filter_the_listing(small_spaces, tmp_path, capsys):
+    # a neighbourhood row lists the opens holding the point, a locale point's row those holding its kernel
+    top = tmp_path / "s.top"
+    for sp in small_spaces[1:]:
+        top.write_text(formats.dump_space(sp))
+        listing = sorted(sp.opens, key=lambda u: (u.bit_count(), u))
+
+        def row(keep):
+            return " ".join(_set_str(sp.points, u) for u in listing if keep(u))
+
+        assert main(["space", "report", "--in", str(top), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["neighborhood_bases"] == [
+            {"point": p, "open neighborhoods": row(lambda u: u >> i & 1)} for i, p in enumerate(sp.points)
+        ]
+        assert main(["locale", "points", "--in", str(top), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["morphisms"] == [
+            {"index": i, "top-valued opens": row(lambda u: g & ~u == 0)} for i, g in enumerate(sorted(set(sp.rel)))
+        ]
 
 
 def test_dump_load_round_trip_on_discrete_12():
@@ -139,7 +149,7 @@ def test_unknown_label_in_arguments_and_blocks(tmp_path, capsys):
 
 _AB = ("a", "b")
 _CHAIN2 = ft.Preorder(_AB, (0b11, 0b10))
-_PM2 = ft.pmetric_from_matrix(_AB, [[0, 1], [1, 0]])
+_PM2 = ft.PMetricSpace(_AB, [[0, 1], [1, 0]])
 _S2 = ft.FiniteSpace(_AB, (0b11, 0b10))
 UNKNOWN_IN_CALLS = [
     ("ultrafilter_at", lambda: ft.ultrafilter_at(_AB, "z"), "unknown point 'z'"),

@@ -5,7 +5,7 @@ import pytest
 
 import finitetop as ft
 from finitetop.bitsets import bits, is_subset, subsets
-from finitetop.construct import block_label, block_labels, homeomorphism_fault, product_label
+from finitetop.construct import block_labels, homeomorphism_fault, product_label
 from finitetop.errors import FormatError, ValidationError
 
 from conftest import indiscrete_space, space_of
@@ -214,7 +214,7 @@ def test_initial_is_smallest(small_spaces):
     # every topology strictly below the initial one breaks some factor
     t1 = space_of(("x", "y"), ["x"])
     a = ft.initial_topology(("u", "v"), [((0, 1), t1)])
-    for candidate in ft.all_topologies(2, labels=("u", "v")):
+    for candidate in (ft.FiniteSpace(("u", "v"), sp.rel) for sp in ft.all_topologies(2)):
         if candidate.opens < a.opens:
             f = ft.PointMap(candidate, t1, (0, 1))
             assert not ft.is_continuous(f).ok
@@ -234,6 +234,9 @@ def test_quotient_of_divisors(divisors):
     assert {sp.labels(u) for u in sp.opens} == want
     class_of = {p: sp.points[c] for p, c in zip(divisors.points, assignment)}
     assert class_of["2"] == class_of["3"] == "23"
+    relabelled = ft.EquivalenceRelation(("a", "b", "c", "d"), eq.blocks)
+    with pytest.raises(ValidationError, match="^equivalence relation lives on a different carrier$"):
+        ft.quotient(divisors, relabelled)
 
 
 def test_quotient_preimage_criterion(divisors):
@@ -299,7 +302,7 @@ def test_final_identity_returns_same_topology(divisors):
 
 def test_block_labels_sorted():
     sp = ft.discrete_space(("b", "a", "c"))
-    assert block_label(sp, 0b111) == "abc"
+    assert block_labels(sp, (0b111,)) == ("abc",)
 
 
 def test_block_labels_collisions():

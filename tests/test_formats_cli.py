@@ -220,6 +220,7 @@ _CLOSURE = ["check", "closure-op", "--in"]
 _CHAIN = ["check", "chain", "--in"]
 _BLOCKS = ["build", "quotient", "--in", "{s.top}", "--classes"]
 _RANKS = ["metric", "ultrarank", "--a", "w1", "--b", "w2", "--in"]
+_MAP = ["map", "continuity", "--src", "{s.top}", "--dst", "{s.top}", "--map"]
 
 # id -> (argv that the file's path completes, file text, stderr line): every labelled
 # loader's format errors, each exit 2; a file with two faults reports the earlier line
@@ -298,6 +299,7 @@ LOADER_ERRORS = {
     "blocks-keyword-then-unknown": (
         _BLOCKS, "foo: b\nblock: a z\n", "line 1: unexpected keyword 'foo' in equivalence file"
     ),
+    "map-empty": (_MAP, "# nothing mapped\n", "empty map file"),
     "ranks-keyword": (_RANKS, "points: w1 w2\n", "line 1: unexpected keyword 'points' in rank file"),
     "ranks-no-colon": (_RANKS, "rank w1 1\n", "line 1: expected '<keyword>: ...', got 'rank w1 1'"),
     "ranks-arity": (_RANKS, "rank: w1\n", "line 1: 'rank:' wants '<label> <positive int>'"),
@@ -319,6 +321,10 @@ def test_loader_format_errors_name_the_first_faulty_line(tmp_path, capsys, case)
 def test_load_map_errors():
     with pytest.raises(FormatError):
         formats.load_map("a b\n")
+    with pytest.raises(FormatError, match="^line 2: expected '<source> -> <target>'$"):
+        formats.load_map("b -> a\na ->\n")
+    with pytest.raises(FormatError, match="^empty map file$"):
+        formats.load_map("# nothing mapped\n\n")
     with pytest.raises(FormatError):
         formats.load_map("a -> b\na -> c\n")
 

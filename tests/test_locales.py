@@ -84,11 +84,6 @@ def test_heyting_adjunction(small_spaces, divisors, spaces_up_to_4):
                 assert ft.heyting_implication(sp, a, b) == heyting_by_opens(sp, a, b)
 
 
-def test_negation_is_implication_to_bottom(divisors):
-    a = divisors.mask(["2", "6"])
-    assert ft.heyting_negation(divisors, a) == ft.heyting_implication(divisors, a, 0)
-
-
 def test_opens_distribute(small_spaces, spaces_up_to_4):
     # finite meets distribute over arbitrary joins: all subfamilies on up
     # to 3 points, where the 2^|opens| sweeps stay small
@@ -160,7 +155,7 @@ def test_phi_injective_iff_t0(spaces_up_to_4, five_point_sample):
     for sp in spaces_up_to_4 + five_point_sample:
         phi = ft.phi_map(sp)
         assert phi.injective == ft.separation_profile(sp).t0
-        images = [frozenset(filter_members(sp, g)) for g in phi.assignment]
+        images = [frozenset(filter_members(sp, g)) for g in sp.rel]
         for i, fam in enumerate(images):
             assert fam == frozenset(u for u in sp.opens if u >> i & 1)
             assert preserves_lattice_structure(sp, fam)

@@ -305,6 +305,8 @@ def test_variable_universe_enforced():
         ft.Theory.of([ft.parse_formula("p")], vars=("q",))
     with pytest.raises(ValidationError):
         ft.Theory.of([], vars=tuple(f"v{i}" for i in range(17)))
+    with pytest.raises(FormatError, match="^duplicate variable in universe$"):
+        ft.Theory.of([], vars=("p", "q", "p"))
 
 
 def test_undeclared_variable_is_refused_by_every_table():
@@ -312,6 +314,8 @@ def test_undeclared_variable_is_refused_by_every_table():
     q = ft.parse_formula("q")
     with pytest.raises(FormatError, match="undeclared variable 'q'"):
         theory.table_of(q)
+    with pytest.raises(FormatError, match="^not a formula: 'p'$"):
+        theory.table_of("p")
     with pytest.raises(FormatError, match="undeclared variable 'q'"):
         ft.lindenbaum_algebra(theory).class_of(q)
 

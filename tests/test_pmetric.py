@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -30,7 +31,7 @@ def plane_metric(points_xy, labels=None):
         [math.dist(p, q) for q in points_xy]
         for p in points_xy
     ]
-    return ft.pmetric_from_matrix(labels, d)
+    return ft.PMetricSpace(labels, d)
 
 
 def random_pseudometric(rng, n):
@@ -55,18 +56,18 @@ def pmetric_spaces(draw, max_points=5):
 
 
 def test_discrete_metric_validates():
-    sp = ft.pmetric_from_matrix(("a", "b", "c"), [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    sp = ft.PMetricSpace(("a", "b", "c"), [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
     assert sp.is_metric
 
 
 def test_pseudometric_without_separation():
-    sp = ft.pmetric_from_matrix(("a", "b", "c"), [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+    sp = ft.PMetricSpace(("a", "b", "c"), [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
     assert not sp.is_metric
 
 
 def test_triangle_violation_reports_triple():
     with pytest.raises(ValidationError) as err:
-        ft.pmetric_from_matrix(("a", "b", "c"), [[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+        ft.PMetricSpace(("a", "b", "c"), [[0, 1, 5], [1, 0, 1], [5, 1, 0]])
     w = err.value.witness
     assert {w["x"], w["y"], w["z"]} == {"a", "b", "c"}
 
@@ -88,10 +89,10 @@ def test_rejection_witness_is_the_first_failing_entry():
         labels = tuple(f"p{i}" for i in range(n))
         want = oracles.first_violation(d, 0.0)  # whole distances: the 1e-9 slack cannot matter
         if want is None:
-            ft.pmetric_from_matrix(labels, d)
+            ft.PMetricSpace(labels, d)
             continue
         with pytest.raises(ValidationError) as err:
-            ft.pmetric_from_matrix(labels, d)
+            ft.PMetricSpace(labels, d)
         message, idx = want
         names = ("x", "y", "z")
         assert str(err.value) == message
@@ -115,12 +116,12 @@ def test_triangle_witness_at_larger_n():
         labels = tuple(f"p{i}" for i in range(n))
         want = oracles.first_violation(d, 0.0)
         if want is None:
-            ft.pmetric_from_matrix(labels, d)
+            ft.PMetricSpace(labels, d)
             continue
         message, (x, y, z) = want
         assert message == "triangle inequality fails"
         with pytest.raises(ValidationError) as err:
-            ft.pmetric_from_matrix(labels, d)
+            ft.PMetricSpace(labels, d)
         assert str(err.value) == message
         assert err.value.witness == {"x": labels[x], "y": labels[y], "z": labels[z]}
         rows_hit.add(x)
@@ -129,22 +130,22 @@ def test_triangle_witness_at_larger_n():
 
 def test_negative_and_asymmetric_rejected():
     with pytest.raises(ValidationError):
-        ft.pmetric_from_matrix(("a", "b"), [[0, -1], [-1, 0]])
+        ft.PMetricSpace(("a", "b"), [[0, -1], [-1, 0]])
     with pytest.raises(ValidationError):
-        ft.pmetric_from_matrix(("a", "b"), [[0, 1], [2, 0]])
+        ft.PMetricSpace(("a", "b"), [[0, 1], [2, 0]])
     with pytest.raises(ValidationError):
-        ft.pmetric_from_matrix(("a", "b"), [[0.5, 1], [1, 0]])
+        ft.PMetricSpace(("a", "b"), [[0.5, 1], [1, 0]])
 
 
 # -- bounded transforms ------------------------------------------------------------
 
 
 def test_bounded_transform_values():
-    sp = ft.pmetric_from_matrix(("a", "b"), [[0, 1], [1, 0]])
+    sp = ft.PMetricSpace(("a", "b"), [[0, 1], [1, 0]])
     d1, d2 = ft.bounded_transforms(sp)
     assert d1.dist == sp.dist
     assert d2.dist[d2.index("a")][d2.index("b")] == 0.5
-    sp3 = ft.pmetric_from_matrix(("a", "b"), [[0, 3], [3, 0]])
+    sp3 = ft.PMetricSpace(("a", "b"), [[0, 3], [3, 0]])
     d1, d2 = ft.bounded_transforms(sp3)
     assert d1.dist[d1.index("a")][d1.index("b")] == 1.0 and d2.dist[d2.index("a")][d2.index("b")] == 0.75
 
@@ -161,17 +162,17 @@ def test_bounded_transforms_preserve_topology(sp):
 
 
 def test_topology_from_discrete_metric():
-    sp = ft.pmetric_from_matrix(("a", "b", "c"), [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    sp = ft.PMetricSpace(("a", "b", "c"), [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
     assert ft.topology_from_pmetric(sp).opens == ft.discrete_space(sp.points).opens
 
 
 def test_topology_from_single_point():
-    sp = ft.pmetric_from_matrix(("a",), [[0]])
+    sp = ft.PMetricSpace(("a",), [[0]])
     assert ft.topology_from_pmetric(sp).opens == frozenset({0, 1})
 
 
 def test_topology_of_glued_pair():
-    sp = ft.pmetric_from_matrix(
+    sp = ft.PMetricSpace(
         ("a", "b", "c"), [[0, 0, 1], [0, 0, 1], [1, 1, 0]]
     )
     top = ft.topology_from_pmetric(sp)
@@ -189,7 +190,7 @@ def test_metric_iff_discrete_topology(sp):
 
 
 def test_metric_quotient_example():
-    sp = ft.pmetric_from_matrix(("a", "b", "c"), [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+    sp = ft.PMetricSpace(("a", "b", "c"), [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
     q, classes = ft.metric_quotient(sp)
     assert q.points == ("ab", "c")
     assert q.dist[q.index("ab")][q.index("c")] == 1.0
@@ -203,17 +204,17 @@ def test_metric_quotient_identity_on_metric():
 
 
 def test_metric_quotient_all_zero():
-    sp = ft.pmetric_from_matrix(("a", "b"), [[0, 0], [0, 0]])
+    sp = ft.PMetricSpace(("a", "b"), [[0, 0], [0, 0]])
     q, classes = ft.metric_quotient(sp)
     assert q.n == 1 and classes == (0b11,)
 
 
 def test_metric_quotient_colliding_names():
     line = [[0, 0, 1, 2], [0, 0, 1, 2], [1, 1, 0, 1], [2, 2, 1, 0]]
-    q, _ = ft.metric_quotient(ft.pmetric_from_matrix(("1", "2", "12", "3"), line))
+    q, _ = ft.metric_quotient(ft.PMetricSpace(("1", "2", "12", "3"), line))
     assert q.points == ("1+2", "12", "3")
     with pytest.raises(ValidationError):
-        ft.metric_quotient(ft.pmetric_from_matrix(("1", "2", "12", "1+2"), line))
+        ft.metric_quotient(ft.PMetricSpace(("1", "2", "12", "1+2"), line))
 
 
 @given(pmetric_spaces())
@@ -225,13 +226,13 @@ def test_metric_quotient_is_metric(sp):
 
 def test_metric_quotient_refuses_a_nontransitive_zero():
     # valid: the triangle test allows 1e-9 of slack, so d(1,3) = 1e-10 passes
-    sp = ft.pmetric_from_matrix(("1", "2", "3"), [[0, 0, 1e-10], [0, 0, 0], [1e-10, 0, 0]])
+    sp = ft.PMetricSpace(("1", "2", "3"), [[0, 0, 1e-10], [0, 0, 0], [1e-10, 0, 0]])
     with pytest.raises(ValidationError) as err:
         ft.metric_quotient(sp)
     assert str(err.value) == "distance zero is not transitive"
     assert err.value.witness == {"x": "1", "y": "2", "z": "3"}
     # the witness is ordered so that d(x, y) = d(y, z) = 0 < d(x, z)
-    sp = ft.pmetric_from_matrix(("a", "b", "c"), [[0, 1e-10, 0], [1e-10, 0, 0], [0, 0, 0]])
+    sp = ft.PMetricSpace(("a", "b", "c"), [[0, 1e-10, 0], [1e-10, 0, 0], [0, 0, 0]])
     with pytest.raises(ValidationError) as err:
         ft.metric_quotient(sp)
     x, y, z = (sp.index(err.value.witness[v]) for v in "xyz")
@@ -242,7 +243,7 @@ def test_metric_quotient_moves_no_distance_between_classes():
     # classes {a, b} and {c, d}; with 1e-9 of slack per triangle, d(b, d)
     # can exceed d(a, c) by 1.6e-9, more than the slack
     e = 0.8e-9
-    sp = ft.pmetric_from_matrix(
+    sp = ft.PMetricSpace(
         ("a", "b", "c", "d"),
         [[0, 0, 1, 1 + e], [0, 0, 1 + e, 1 + 2 * e], [1, 1 + e, 0, 0], [1 + e, 1 + 2 * e, 0, 0]],
     )
@@ -264,7 +265,7 @@ def test_metric_quotient_classes_are_the_zero_rows():
         for i, j in combinations(range(n), 2):
             d[i][j] = d[j][i] = rng.choice((0.0, 0.0, 1.0, 2.0, 1e-10))
         try:
-            sp = ft.pmetric_from_matrix(tuple(f"p{i}" for i in range(n)), d)
+            sp = ft.PMetricSpace(tuple(f"p{i}" for i in range(n)), d)
         except ValidationError:
             continue
         try:
@@ -288,12 +289,12 @@ def test_metric_quotient_classes_are_the_zero_rows():
 
 
 def test_dist_to_set_examples():
-    sp = ft.pmetric_from_matrix(("a", "b", "c"), [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+    sp = ft.PMetricSpace(("a", "b", "c"), [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
     assert ft.dist_to_set(sp, "a", 0b001) == 0.0
     assert ft.dist_to_set(sp, "b", 0b001) == 0.0  # b is glued to a
     top = ft.topology_from_pmetric(sp)
     assert top.closure(0b001) >> 1 & 1  # and b lies in closure({a})
-    disc = ft.pmetric_from_matrix(("a", "b"), [[0, 1], [1, 0]])
+    disc = ft.PMetricSpace(("a", "b"), [[0, 1], [1, 0]])
     assert ft.dist_to_set(disc, "a", 0b10) == 1.0
     with pytest.raises(ValidationError):
         ft.dist_to_set(disc, "a", 0)
@@ -310,7 +311,7 @@ def test_dist_to_set_examples():
     ids=["dist_to_set", "hausdorff-negative", "hausdorff-wide", "ultrametric"],
 )
 def test_set_arguments_must_lie_in_the_carrier(call, mask):
-    sp = ft.pmetric_from_matrix(("a", "b"), [[0, 1], [1, 0]])
+    sp = ft.PMetricSpace(("a", "b"), [[0, 1], [1, 0]])
     rs = ft.RankedSets(("a", "b"), (1, 2))
     with pytest.raises(FormatError, match=rf"^set {mask:#x} is not a subset of the carrier$"):
         call(sp, rs)
@@ -337,6 +338,8 @@ def test_hausdorff_examples():
     assert ft.hausdorff_distance(sp, 0b001, 0b010) == sp.dist[sp.index("0")][sp.index("1")]
     assert ft.hausdorff_distance(sp, 0b011, 0b011) == 0.0
     assert ft.hausdorff_distance(sp, 0b011, 0b101) == 1.0
+    with pytest.raises(ValidationError, match="^Hausdorff distance needs nonempty sets$"):
+        ft.hausdorff_distance(sp, 0, 0b001)
 
 
 @given(pmetric_spaces())
@@ -356,7 +359,7 @@ def test_hausdorff_is_pseudometric_on_subsets():
         rows = [
             [ft.hausdorff_distance(sp, a, b) for b in nonempty] for a in nonempty
         ]
-        hyper = ft.pmetric_from_matrix(labels, rows)  # validates the axioms
+        hyper = ft.PMetricSpace(labels, rows)  # validates the axioms
         if sp.is_metric:
             # on subsets of a metric space the Hausdorff distance separates
             assert hyper.is_metric
@@ -370,6 +373,9 @@ def test_epsilon_net_examples():
     assert ft.epsilon_net(sp, 10.0) == ["0"]
     assert ft.epsilon_net(sp, 1.5) == ["0", "2"]
     assert ft.epsilon_net(sp, 0.5) == ["0", "1", "2", "3"]
+    for eps in (0.0, -1.0):
+        with pytest.raises(ValidationError, match="^net radius must be positive$"):
+            ft.epsilon_net(sp, eps)
 
 
 @given(pmetric_spaces(), st.floats(0.1, 3.0))
@@ -541,6 +547,8 @@ def test_chain_axiom_violations():
     with pytest.raises(ValidationError) as err:
         ft.RelationChain(("a", "b", "c"), (v_coarse, v_fine))
     assert err.value.witness["level"] == 2
+    with pytest.raises(FormatError, match="^relation 2 must have one row per point$"):
+        ft.RelationChain(("a", "b", "c"), (v_coarse, v_coarse[:2]))
 
 
 # -- partition uniformities ----------------------------------------------------------------------
@@ -633,6 +641,8 @@ def test_ultrametric_examples():
     rs = ft.RankedSets(("w1", "w2"), (1, 2))
     assert ft.ultrametric_from_rank(rs, 0b01, 0b01) == 0.0
     assert ft.ultrametric_from_rank(rs, 0b01, 0b10) == 0.5
+    with pytest.raises(FormatError, match="^need one rank per point$"):
+        ft.RankedSets(("w1", "w2"), (1,))
 
 
 def test_ultrametric_strong_triangle_exhaustive():
@@ -677,12 +687,26 @@ def test_banach_cosine():
 def test_banach_divergence_carries_trace():
     with pytest.raises(NonConvergence) as err:
         ft.banach_fixed_point(lambda v: [x + 1 for x in v], [0.0], max_iter=20)
-    assert len(err.value.trace) == 21
+    assert err.value.witness["trace_tail"] == [[17.0], [18.0], [19.0], [20.0]]
+
+
+def test_banach_keeps_only_the_reported_iterates():
+    # all 1001 iterates of 1000 floats would take some 32 MB; the witness reports four
+    tracemalloc.start()
+    try:
+        with pytest.raises(NonConvergence):
+            ft.banach_fixed_point(lambda v: [x + 1.0 for x in v], [0.0] * 1000, max_iter=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_banach_rejects_bad_args():
     with pytest.raises(ValidationError):
         ft.banach_fixed_point(lambda v: v, [0.0], tol=0.0)
+    with pytest.raises(FormatError, match="^unknown metric 'l3'$"):
+        ft.banach_fixed_point(lambda v: v, [0.0], metric="l3")
 
 
 PAPER_WEB = (

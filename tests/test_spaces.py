@@ -317,6 +317,8 @@ def test_generate_rejects_invalid_base():
     with pytest.raises(ValidationError) as err:
         ft.generate_topology(fam, "base")
     assert err.value.witness["x"] == "1"
+    with pytest.raises(FormatError, match="^unknown generation mode 'basis'$"):
+        ft.generate_topology(fam, "basis")
 
 
 def test_subbase_closure_brute_force():
@@ -454,6 +456,8 @@ def test_closure_validation_matches_pairwise_oracle(small_spaces):
 def test_closure_validation_matches_scan_on_every_two_point_table():
     tables = [ft.ClosureTable(("a", "b"), t) for t in iproduct(range(4), repeat=4)]
     assert len(tables) == 256
+    with pytest.raises(FormatError, match="^closure table must have one entry per subset$"):
+        ft.ClosureTable(("a", "b"), (0, 1, 2))
     faults = [validation_fault(table) for table in tables]
     assert faults == [closure_fault_by_scan(table) for table in tables]
     assert sum(f is None for f in faults) == 4  # one table per topology on two points
@@ -535,7 +539,7 @@ def test_poset_round_trips(spaces_up_to_4):
 def test_neighborhood_filter_rows(divisors):
     k = divisors.rel[divisors.index("3")]  # the neighborhood filter's kernel
     assert divisors.labels(k) == ("3", "6")
-    base = ft.spaces.open_neighborhoods(divisors, "3")
+    base = [u for u in divisors.opens_by_size if u >> divisors.index("3") & 1]
     assert [divisors.labels(u) for u in base] == [
         ("3", "6"),
         ("2", "3", "6"),
