@@ -16,10 +16,9 @@ gives for the same integrand.
 """
 
 import math
-from functools import cached_property
 
 from .errors import FormatError, ValidationError
-from .records import record
+from .records import cached, record
 
 
 @record
@@ -133,7 +132,7 @@ class KernelPolynomial:
     panels: int
     j_value: float
 
-    @cached_property
+    @cached
     def _samples(self):
         """(h, f(0), f(1), nodes, f at each node, weights)."""
         f = self.f

@@ -107,6 +107,8 @@ class _Report:
         self.lines = []
 
     def add(self, key, value, line=None):
+        """`value` for `--json`, `line` (by default `key: value`) for text; a value
+        only `--json` prints comes as `rep.as_json and value`, unbuilt for text."""
         self.data[key] = value
         self.lines.append(line if line is not None else f"{key}: {value}")
 
@@ -144,7 +146,7 @@ def cmd_space(args, out):
     rep.add("points", list(space.points), "points: " + " ".join(space.points))
     opens = space.opens_by_size
     strs = list(map(space.set_str, opens))  # each open rendered once; the rows below filter this list
-    rep.add("opens", [list(space.labels(u)) for u in opens], "opens: " + " ".join(strs))
+    rep.add("opens", rep.as_json and [list(space.labels(u)) for u in opens], "opens: " + " ".join(strs))
     if space.n <= CLOSURE_TABLE_LIMIT:
         rows = []
         for m in sorted(subsets(space.full), key=lambda m: (m.bit_count(), m)):
@@ -164,7 +166,7 @@ def cmd_space(args, out):
     rep.lines.append("")
     rep.add(
         "specialization",
-        [list(p) for p in pairs],
+        rep.as_json and [list(p) for p in pairs],
         "specialization: " + (" ".join(f"{a}<={b}" for a, b in pairs) or "(discrete order)"),
     )
     rep.add("specialization_is_poset", space.is_poset)
@@ -266,9 +268,10 @@ def cmd_locale(args, out):
         a = space.mask(args.seta.split())
         b = space.mask(args.setb.split())
         c = locales.heyting_implication(space, a, b)
-        rep.add("implication", list(space.labels(c)), f"implication: {space.set_str(c)}")
+        rep.add("implication", rep.as_json and list(space.labels(c)), f"implication: {space.set_str(c)}")
         neg = locales.heyting_implication(space, a, 0)
-        rep.add("negation_of_first", list(space.labels(neg)), f"negation of first: {space.set_str(neg)}")
+        rep.add("negation_of_first", rep.as_json and list(space.labels(neg)),
+                f"negation of first: {space.set_str(neg)}")
     elif args.what == "points":
         pts = locales.points_of_locale(space)
         rep.add("count", len(pts))
@@ -284,7 +287,7 @@ def cmd_locale(args, out):
         irr, sober = locales.irreducible_closed_sets(space)
         rep.add(
             "irreducible_closed",
-            [list(space.labels(f)) for f in irr],
+            rep.as_json and [list(space.labels(f)) for f in irr],
             "irreducible closed: " + " ".join(map(space.set_str, irr)),
         )
         rep.add("sober", sober)

@@ -6,6 +6,8 @@ equal to the original value.
 """
 
 import math
+from itertools import compress, count, islice, repeat
+from operator import itemgetter
 
 from .bitsets import bits
 from .construct import EquivalenceRelation
@@ -34,41 +36,65 @@ def _lines(text):
 
 
 def _labelled(text, what, wants, points=None):
-    """A labelled file, read lazily: first (points, label -> bit map), then its body records.
+    """A labelled file read in bulk: (points, label -> bit map, body, records, fault).
 
     Without `points` the first record must be a nonempty `points:` line; an
     `.eq` file is read against the carrier it is given, and a `.rnk` file
-    against the empty one. Each body record comes as (lineno, key, rest) once
-    `wants(key)` accepts its keyword, so a loader meets the faults in line order.
+    against the empty one. `body` holds the (keyword, ":", rest) split of the
+    later nonblank lines before the first one refused (no colon, or a keyword
+    `wants` does not take), and `fault` is that line's error, or None.
+    `records` yields the body as (line number, keyword, rest) and then raises
+    `fault`; a loader that checks `body` in bulk raises `fault` itself. Either
+    way a file with two faults reports the earlier line.
     """
-    if points is not None:
-        yield points, _label_bits(points)
-    for lineno, line, raw in _lines(text):
-        key, colon, rest = line.partition(":")
+    raw = text.splitlines()
+    lines = list(map(str.strip, [line.partition("#")[0] for line in raw] if "#" in text else raw))
+    parts = list(map(str.partition, filter(None, lines), repeat(":")))
+    first = points is None  # parts[0] is the `points:` line
+
+    def refused(k):
+        key, colon, _ = parts[k]
+        n = next(islice(compress(count(1), lines), k, None))
         if not colon:  # the message quotes the comment too
-            raise FormatError(f"line {lineno}: expected '<keyword>: ...', got {raw.strip()!r}")
-        key, rest = key.strip(), rest.strip()
-        if points is None:
-            if key != "points":
-                raise FormatError(f"line {lineno}: {what} file must start with a 'points:' line")
-            points = tuple(rest.split())
-            if not points:
-                raise FormatError(f"line {lineno}: empty carrier")
-            yield points, _label_bits(points)
-        elif wants(key):
-            yield lineno, key, rest
+            message = f"expected '<keyword>: ...', got {raw[n - 1].strip()!r}"
+        elif k < first:
+            message = "empty carrier" if key.strip() == "points" else f"{what} file must start with a 'points:' line"
         else:  # a closure table file is a "closure file" here
-            what = what.removesuffix(" table")
-            raise FormatError(f"line {lineno}: unexpected keyword {key!r} in {what} file")
-    if points is None:
-        raise FormatError(f"empty {what} file")
+            message = f"unexpected keyword {key.strip()!r} in {what.removesuffix(' table')} file"
+        return FormatError(f"line {n}: {message}")
+
+    if first:
+        if not parts:
+            raise FormatError(f"empty {what} file")
+        key, colon, rest = parts[0]
+        points = tuple(rest.split())
+        if not (colon and key.strip() == "points" and points):
+            raise refused(0)
+    body, fault = parts[first:], None
+    if not all(map(itemgetter(1), body)) or not all(wants(key.strip()) for key in set(map(itemgetter(0), body))):
+        k = next(k for k, (key, colon, _) in enumerate(body) if not (colon and wants(key.strip())))
+        body, fault = body[:k], refused(k + first)
+
+    def records():
+        for lineno, (key, _, rest) in zip(islice(compress(count(1), lines), first, None), body):
+            yield lineno, key.strip(), rest
+        if fault:
+            raise fault
+
+    return points, _label_bits(points), body, records(), fault
 
 
 def _masks(text, what, key, points=None):
-    """The carrier and, lazily, the mask of each `<key>: <labels>` line."""
-    records = _labelled(text, what, key.__eq__, points)
-    points, bit = next(records)
-    return points, (_mask_of(bit, rest.split(), lineno) for lineno, _, rest in records)
+    """The carrier and the mask of each `<key>: <labels>` line."""
+    points, bit, body, records, fault = _labelled(text, what, key.__eq__, points)
+    try:
+        masks = [_mask_of(bit, rest.split()) for _, _, rest in body]
+    except FormatError:  # again, line by line, to name the first line with an unknown label
+        for lineno, _, rest in records:
+            _mask_of(bit, rest.split(), lineno)
+    if fault:
+        raise fault
+    return points, masks
 
 
 def _pair(bit, lineno, key, rest):
@@ -85,9 +111,9 @@ def load_space(text: str) -> FiniteSpace:
 
 
 def dump_space(space: FiniteSpace) -> str:
-    lines = ["points: " + " ".join(space.points)]
-    for u in space.opens_by_size:
-        lines.append("open: " + " ".join(space.labels(u)))
+    lo, hi = space._label_texts
+    lines = ["points: " + " ".join(space.points), "open: "]  # the empty open comes first
+    lines += ["open:" + lo[u & 255] + hi[u >> 8] for u in space.opens_by_size[1:]]
     return "\n".join(lines) + "\n"
 
 
@@ -97,8 +123,7 @@ def load_family(text: str) -> SetFamily:
 
 
 def load_poset(text: str) -> Preorder:
-    records = _labelled(text, "poset", "le".__eq__)
-    pts, bit = next(records)
+    pts, bit, _, records, _ = _labelled(text, "poset", "le".__eq__)
     rel = [1 << i for i in range(len(pts))]
     for lineno, key, rest in records:
         i, j = _pair(bit, lineno, key, rest)
@@ -107,8 +132,7 @@ def load_poset(text: str) -> Preorder:
 
 
 def load_closure_table(text: str) -> ClosureTable:
-    records = _labelled(text, "closure table", "cl".__eq__)
-    pts, bit = next(records)
+    pts, bit, _, records, _ = _labelled(text, "closure table", "cl".__eq__)
     if len(pts) > MAX_POINTS:  # the carrier cap, before the 2^n table is allocated
         _check_labels(pts)
     table = [None] * (1 << len(pts))
@@ -204,8 +228,7 @@ def load_matrix(text: str):
 
 
 def load_chain(text: str) -> RelationChain:
-    records = _labelled(text, "chain", lambda key: key == "pair" or key.split()[:1] == ["relation"])
-    pts, bit = next(records)
+    pts, bit, _, records, _ = _labelled(text, "chain", lambda key: key == "pair" or key.split()[:1] == ["relation"])
     relations = []
     current = None
     expect = 1
@@ -231,8 +254,7 @@ def load_chain(text: str) -> RelationChain:
 
 
 def load_ranks(text: str) -> RankedSets:
-    records = _labelled(text, "rank", "rank".__eq__, ())
-    next(records)  # the labels come from the records
+    _, _, _, records, _ = _labelled(text, "rank", "rank".__eq__, ())  # the labels come from the records
     pts = []
     ranks = []
     for lineno, _, rest in records:

@@ -10,11 +10,10 @@ and the algebra's ultrafilters are the single-model atoms, one per set bit.
 """
 
 import re
-from functools import cached_property
 from operator import and_
 
 from .errors import FormatError, ValidationError
-from .records import record
+from .records import cached, record
 
 MAX_VARS = 16
 # Caps on parsed formulas that keep every recursive walk well inside
@@ -269,7 +268,7 @@ class Theory:
         """Valuations in lexicographic order with bot < top on each variable."""
         yield from map(self._valuation, range(1 << len(self.vars)))
 
-    @cached_property
+    @cached
     def _columns(self):
         """Variable -> its truth table: variable i repeats 2^(k-1-i) zeros then as many ones."""
         k = len(self.vars)

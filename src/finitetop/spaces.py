@@ -10,12 +10,11 @@ operation here derives from the kernels instead of sweeping all subsets or
 all pairs of opens; the definitional routes live in the tests as oracles.
 """
 
-from functools import cached_property
 from operator import eq, or_
 
 from .bitsets import bits, intransitive_triple, is_subset, subsets
 from .errors import FormatError, ValidationError
-from .records import record
+from .records import cached, record
 
 MAX_POINTS = 16
 
@@ -63,7 +62,7 @@ class Carrier:
     def full(self):
         return (1 << len(self.points)) - 1
 
-    @cached_property
+    @cached
     def _byte_tables(self):
         return [None] * ((len(self.points) + 7) // 8)
 
@@ -91,7 +90,7 @@ class Carrier:
         """The mask as `{a b}`."""
         return "{" + " ".join(self.labels(mask)) + "}"
 
-    @cached_property
+    @cached
     def _bits(self):
         return _label_bits(self.points)
 
@@ -242,7 +241,7 @@ class Preorder(Carrier):
     def le(self, i, j):
         return bool(self.rel[i] >> j & 1)
 
-    @cached_property
+    @cached
     def is_poset(self):
         """Antisymmetric iff no two rows are equal: i <= j <= i gives rel[i] == rel[j]."""
         return len(set(self.rel)) == self.n
@@ -319,12 +318,28 @@ class FiniteSpace(Preorder):
         space.__dict__.update(opens=opens, opens_by_size=tuple(ops))  # fills both caches
         return space
 
-    @cached_property
+    @cached
+    def _label_texts(self):
+        """The label text of every value of a mask's low and high byte, each label after a space."""
+        texts = ([""], [""])
+        for x, p in enumerate(self.points):
+            t, text = texts[x >> 3], " " + p
+            t += [s + text for s in t]  # t[m | bit] = t[m] + " " + p
+        return texts
+
+    def set_str(self, mask):
+        """The mask as `{a b}`, from the label texts of its two bytes; IndexError off the carrier."""
+        if mask < 0:  # `hi` would take a negative index
+            raise IndexError(f"mask {mask} is not a subset of the carrier")
+        lo, hi = self._label_texts
+        return "{" + (lo[mask & 255] + hi[mask >> 8])[1:] + "}"
+
+    @cached
     def point_closures(self):
         """cl{y} for every point y, the transpose of the kernels: x is close to y iff y is in k_x."""
         return _transpose(self.rel)
 
-    @cached_property
+    @cached
     def opens(self):
         """Every union of kernels, built one distinct kernel at a time."""
         opens = {0}
@@ -332,7 +347,7 @@ class FiniteSpace(Preorder):
             opens |= {u | k for u in opens}
         return frozenset(opens)
 
-    @cached_property
+    @cached
     def opens_by_size(self):
         """The opens smallest first, ties by mask: the order every listing uses."""
         return tuple(sorted(sorted(self.opens), key=int.bit_count))

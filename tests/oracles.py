@@ -13,6 +13,8 @@ exponential and meant for carriers of up to 5 points and theories of up
 to 16 variables. `parse_formula_by_descent` is the generic recursive
 descent the parser replaced, one method over a table of levels, with the
 depth and variables of its trees from the same `_fold` as `evaluate`.
+`labelled_by_lines` is the line-at-a-time reader of labelled files that
+the bulk `formats._labelled` replaced, with the loaders built on it.
 """
 
 import re
@@ -38,8 +40,17 @@ from finitetop.logic import (
     disjunction,
     implication,
 )
-from finitetop.pmetric import NonConvergence
-from finitetop.spaces import ClosureTable
+from finitetop.construct import EquivalenceRelation
+from finitetop.pmetric import NonConvergence, RankedSets, RelationChain
+from finitetop.spaces import (
+    MAX_POINTS,
+    ClosureTable,
+    FiniteSpace,
+    Preorder,
+    SetFamily,
+    _check_labels,
+    _transitive_closure,
+)
 
 
 def _union(masks):
@@ -584,6 +595,158 @@ def stone_image(algebra, element):
     """
     atoms = (1 << m for m in bits(algebra.top))  # atoms_of, one at a time
     return _union(u for u in atoms if u & element == u)
+
+
+# -- labelled files --------------------------------------------------------------
+
+
+def _lines(text):
+    """(lineno, line, raw) for every line left nonblank once its `#` comment is cut off."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0].strip()
+        if line:
+            yield lineno, line, raw
+
+
+def _mask_at(bit, labels, lineno):
+    """Union of the labels' bits; an unknown label is a format error on its line."""
+    m = 0
+    for lab in labels:
+        if lab not in bit:
+            raise FormatError(f"line {lineno}: unknown point {lab!r}")
+        m |= bit[lab]
+    return m
+
+
+def labelled_by_lines(text, what, wants, points=None):
+    """A labelled file, read lazily: first (points, label -> bit map), then (lineno, key, rest) per body line.
+
+    A loader meets the faults in line order, whichever check each one meets.
+    """
+    if points is not None:
+        yield points, {p: 1 << i for i, p in reversed(tuple(enumerate(points)))}
+    for lineno, line, raw in _lines(text):
+        key, colon, rest = line.partition(":")
+        if not colon:
+            raise FormatError(f"line {lineno}: expected '<keyword>: ...', got {raw.strip()!r}")
+        key, rest = key.strip(), rest.strip()
+        if points is None:
+            if key != "points":
+                raise FormatError(f"line {lineno}: {what} file must start with a 'points:' line")
+            points = tuple(rest.split())
+            if not points:
+                raise FormatError(f"line {lineno}: empty carrier")
+            yield points, {p: 1 << i for i, p in reversed(tuple(enumerate(points)))}
+        elif wants(key):
+            yield lineno, key, rest
+        else:
+            raise FormatError(f"line {lineno}: unexpected keyword {key!r} in {what.removesuffix(' table')} file")
+    if points is None:
+        raise FormatError(f"empty {what} file")
+
+
+def _masks_by_lines(text, what, key, points=None):
+    records = labelled_by_lines(text, what, key.__eq__, points)
+    points, bit = next(records)
+    return points, [_mask_at(bit, rest.split(), lineno) for lineno, _, rest in records]
+
+
+def _pair_at(bit, lineno, key, rest):
+    parts = rest.split()
+    if len(parts) != 2:
+        raise FormatError(f"line {lineno}: '{key}:' wants exactly two labels")
+    return tuple(_mask_at(bit, [p], lineno).bit_length() - 1 for p in parts)
+
+
+def load_space_by_lines(text):
+    pts, masks = _masks_by_lines(text, "space", "open")
+    return FiniteSpace.from_opens(pts, {0, (1 << len(pts)) - 1, *masks})
+
+
+def load_family_by_lines(text):
+    pts, masks = _masks_by_lines(text, "family", "member")
+    return SetFamily(pts, tuple(masks))
+
+
+def load_equivalence_by_lines(text, space):
+    pts, masks = _masks_by_lines(text, "equivalence", "block", space.points)
+    return EquivalenceRelation(pts, tuple(masks))
+
+
+def load_poset_by_lines(text):
+    records = labelled_by_lines(text, "poset", "le".__eq__)
+    pts, bit = next(records)
+    rel = [1 << i for i in range(len(pts))]
+    for lineno, key, rest in records:
+        i, j = _pair_at(bit, lineno, key, rest)
+        rel[i] |= 1 << j
+    return Preorder(pts, _transitive_closure(rel))
+
+
+def load_closure_table_by_lines(text):
+    records = labelled_by_lines(text, "closure table", "cl".__eq__)
+    pts, bit = next(records)
+    if len(pts) > MAX_POINTS:
+        _check_labels(pts)
+    table = [None] * (1 << len(pts))
+
+    def subset(m):
+        return "{" + (" ".join(pts[i] for i in bits(m)) or "(empty set)") + "}"
+
+    for lineno, _, rest in records:
+        if "->" not in rest:
+            raise FormatError(f"line {lineno}: 'cl:' wants '<subset> -> <closure>'")
+        left, right = rest.split("->", 1)
+        m = _mask_at(bit, left.split(), lineno)
+        if table[m] is not None:
+            raise FormatError(f"line {lineno}: the entry for {subset(m)} is given twice")
+        table[m] = _mask_at(bit, right.split(), lineno)
+    for m, v in enumerate(table):
+        if v is None:
+            raise FormatError(f"closure table is missing the entry for {subset(m)}")
+    return ClosureTable(pts, tuple(table))
+
+
+def load_chain_by_lines(text):
+    records = labelled_by_lines(text, "chain", lambda key: key == "pair" or key.split()[:1] == ["relation"])
+    pts, bit = next(records)
+    relations = []
+    current = None
+    for lineno, key, rest in records:
+        if key == "pair":
+            if current is None:
+                raise FormatError(f"line {lineno}: 'pair:' before any 'relation:' header")
+            i, j = _pair_at(bit, lineno, key, rest)
+            current[i] |= 1 << j
+            current[j] |= 1 << i
+        else:
+            try:
+                _, level = key.split()
+                level = int(level)
+            except ValueError:
+                raise FormatError(f"line {lineno}: 'relation <k>:' wants an integer level") from None
+            if level != len(relations) + 1:
+                raise FormatError(f"line {lineno}: expected 'relation {len(relations) + 1}:'")
+            current = [1 << i for i in range(len(pts))]
+            relations.append(current)
+    return RelationChain(pts, tuple(tuple(rel) for rel in relations))
+
+
+def load_ranks_by_lines(text):
+    records = labelled_by_lines(text, "rank", "rank".__eq__, ())
+    next(records)
+    pts, ranks = [], []
+    for lineno, _, rest in records:
+        parts = rest.split()
+        if len(parts) != 2:
+            raise FormatError(f"line {lineno}: 'rank:' wants '<label> <positive int>'")
+        try:
+            r = int(parts[1])
+        except ValueError:
+            raise FormatError(f"line {lineno}: rank must be an integer") from None
+        pts.append(parts[0])
+        ranks.append(r)
+    return RankedSets(tuple(pts), tuple(ranks))
 
 
 # -- pmetric -------------------------------------------------------------------

@@ -46,9 +46,15 @@ def test_labels_on_wide_pmetric_carriers(n):
 def test_masks_off_the_carrier_have_no_labels():
     sp = ft.discrete_space(("a", "b", "c"))
     wide = ft.PMetricSpace([str(i) for i in range(12)], [[0.0] * 12 for _ in range(12)])
-    for carrier, m in ((sp, 8), (sp, 1 << 9), (sp, -1), (wide, 1 << 12), (wide, 1 << 30), (wide, -5)):
+    cases = [(sp, 8), (sp, 1 << 9), (sp, -1), (wide, 1 << 12), (wide, 1 << 30), (wide, -5)]
+    for n in (8, 12, 16):  # a space's set strings read two byte tables
+        sp = ft.discrete_space([f"d{i}" for i in range(n)])
+        cases += [(sp, 1 << n), (sp, -1), (sp, -(1 << 8))]
+    for carrier, m in cases:
         with pytest.raises(IndexError):
             carrier.labels(m)
+        with pytest.raises(IndexError):
+            carrier.set_str(m)
 
 
 def test_mask_and_index_read_the_labels(divisors):
@@ -85,6 +91,20 @@ def test_report_rows_filter_the_listing(small_spaces, tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["morphisms"] == [
             {"index": i, "top-valued opens": row(lambda u: g & ~u == 0)} for i, g in enumerate(sorted(set(sp.rel)))
         ]
+
+
+def test_dump_space_and_set_str_join_the_labels(spaces_up_to_4, spaces_on_5):
+    # the per-byte label texts against the joined label tuples
+    pts = tuple(f"p{i}" if i % 3 else f"long{i}" for i in range(16))
+    chain16 = ft.topology_from_poset(ft.Preorder.from_pairs(pts, zip(pts, pts[1:])))
+    zigzag = [(pts[i], pts[j]) for i in range(0, 12, 2) for j in (i - 1, i + 1) if 0 <= j < 12]
+    fence12 = ft.topology_from_poset(ft.Preorder.from_pairs(pts[:12], zigzag))
+    assert len(chain16.opens) == 17 and len(fence12.opens) == 377
+    for sp in [*spaces_up_to_4, *spaces_on_5, chain16, fence12, ft.discrete_space(pts)]:
+        joined = [" ".join(sp.labels(u)) for u in sp.opens_by_size]
+        assert formats.dump_space(sp) == "".join(f"{line}\n" for line in ["points: " + " ".join(sp.points),
+                                                                          *("open: " + j for j in joined)])
+        assert list(map(sp.set_str, sp.opens_by_size)) == ["{" + j + "}" for j in joined]
 
 
 def test_dump_load_round_trip_on_discrete_12():

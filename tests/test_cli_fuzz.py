@@ -5,10 +5,13 @@ is fuzzed without editing this file. Values are drawn from edge cases
 (`nan`, `inf`, negatives, huge counts, empty and unknown label lists) and
 from files of every format, well formed or with one line mutated. Whatever
 the input, `main` returns 0, 1 or 2, prints no traceback, names a `[{...}]`
-witness on every exit 1, and finishes within a time bound.
+witness on every exit 1, and finishes within a time bound. The seeds come
+from `CLI_FUZZ_SEEDS`, whitespace-separated, by default `1 2`; a longer list
+is a longer profile.
 """
 
 import argparse
+import os
 import random
 
 import pytest
@@ -169,7 +172,7 @@ def inputs(tmp_path):
     return tmp_path
 
 
-@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("seed", [int(s) for s in os.environ.get("CLI_FUZZ_SEEDS", "1 2").split()])
 def test_every_subcommand_keeps_the_exit_code_contract(inputs, capsys, seed):
     rng = random.Random(f"cli-fuzz:{seed}")
     leaves = subcommands()

@@ -10,8 +10,9 @@ import pytest
 import finitetop as ft
 from finitetop import formats
 from finitetop.cli import _Report, main
-from finitetop.errors import FormatError
+from finitetop.errors import FormatError, ValidationError
 
+import oracles
 from oracles import load_matrix_by_cells
 
 DIV6_POSET = """\
@@ -436,6 +437,101 @@ def test_load_matrix_matches_per_entry_reference():
         if isinstance(want, str):
             errors.add(want.partition(":")[2] or want)
     assert errors == {" bad matrix entry", "empty matrix file"}
+
+
+LABELLED = ("space", "family", "poset", "closure_table", "equivalence", "chain", "ranks")
+MUTATIONS = ("comment", "blank", "colon", "keyword", "label", "twice", "arity")
+
+
+def _labelled_file(rng, kind, pts, topologies):
+    """A well-formed file of the kind on the carrier `pts`: real topologies and closure tables half the time."""
+    n = len(pts)
+
+    def labels(m):
+        return " ".join(p for i, p in enumerate(pts) if m >> i & 1)
+
+    masks = [rng.getrandbits(n) for _ in range(rng.randint(0, 6))]
+    if rng.random() < 0.5:
+        sp = rng.choice(topologies[n])
+        masks = list(sp.opens)
+        rng.shuffle(masks)
+    else:
+        sp = ft.discrete_space(pts)
+    head = [f"points: {' '.join(pts)}"]
+    if kind == "space":
+        return head + [f"open: {labels(m)}" for m in masks]
+    if kind == "family":
+        return head + [f"member: {labels(m)}" for m in masks]
+    if kind == "equivalence":
+        return [f"block: {labels(m)}" for m in masks]
+    if kind == "closure_table":
+        subsets = list(range(1 << n))
+        rng.shuffle(subsets)
+        return head + [f"cl: {labels(a)} -> {labels(sp.closure(a))}" for a in subsets]
+    if kind == "ranks":
+        return [f"rank: w{i} {rng.randint(1, 4)}" for i in range(rng.randint(0, 4))]
+    pairs = [f" {rng.choice(pts)} {rng.choice(pts)}" for _ in range(rng.randint(0, 5))]
+    if kind == "poset":
+        return head + ["le:" + p for p in pairs]
+    body = []
+    for level in range(1, rng.randint(1, 3) + 1):
+        body += [f"relation {level}:"] + ["pair:" + p for p in rng.sample(pairs, rng.randint(0, len(pairs)))]
+    return head + body
+
+
+def _mutated(rng, lines, how):
+    """The lines with one fault or one harmless change of the kind `how`."""
+    lines = list(lines) or [""]
+    i = rng.randrange(len(lines))
+    key, colon, rest = lines[i].partition(":")
+    words = rest.split()
+    if how == "comment":
+        lines[i] += rng.choice(("  # note: a b", "#"))
+    elif how == "blank":
+        lines.insert(i, rng.choice(("", "   ", "\t", "# only a comment")))
+    elif how == "colon":
+        lines[i] = lines[i].replace(":", " ", 1)
+    elif how == "keyword":
+        lines[i] = rng.choice(("foo", "open", "points", "rel 1", "relation x", "relation 9", " le ", "")) + colon + rest
+    elif how == "label" and words:
+        words[rng.randrange(len(words))] = rng.choice(("zz", "a", "->", "1"))
+        lines[i] = key + colon + " " + " ".join(words)
+    elif how == "twice":
+        lines.insert(i, lines[i] if "->" not in lines[i] else lines[i].partition("->")[0] + "-> a")
+    elif how == "arity":
+        lines[i] = key + colon + " " + " ".join(rng.choice((words[:1], [], words + ["a", "b"])))
+    return lines
+
+
+def _loaded(load, *args):
+    try:
+        return load(*args)
+    except FormatError as e:
+        return f"error: {e}"
+    except ValidationError as e:
+        return f"failed: {e} {e.witness}"
+
+
+def test_labelled_loaders_match_the_line_reader():
+    # every loader against its line-at-a-time twin, on files with up to two faults or harmless changes
+    rng = random.Random(26)
+    topologies = {n: ft.all_topologies(n) for n in range(1, 5)}
+    seen = set()
+    for _ in range(3000):
+        kind = rng.choice(LABELLED)
+        pts = tuple("abcd"[:rng.randint(1, 4)])
+        lines = _labelled_file(rng, kind, pts, topologies)
+        for how in rng.sample(MUTATIONS, rng.randint(0, 2)):
+            lines = _mutated(rng, lines, how)
+        text = "\n".join(lines) + rng.choice(("\n", ""))
+        extra = (ft.discrete_space(pts),) if kind == "equivalence" else ()
+        want = _loaded(getattr(oracles, f"load_{kind}_by_lines"), text, *extra)
+        assert _loaded(getattr(formats, f"load_{kind}"), text, *extra) == want, text
+        seen.add(want.split(": ")[0] if isinstance(want, str) else "ok")
+        if isinstance(want, str) and want.startswith("error: line "):
+            seen.add(want.split(": ")[2].split()[0])
+    messages = {"expected", "unexpected", "unknown", "the", "empty", "'le:'", "'pair:'", "'relation", "'cl:'", "'rank:'"}
+    assert {"ok", "failed", "error", *messages} <= seen, seen
 
 
 @pytest.mark.parametrize("cell", ["1e400", "inf", "nan", "1" * 400 + "/3"], ids=_cell_id)

@@ -33,7 +33,7 @@ def test_assignment_and_deletion_raise_attribute_error():
     with pytest.raises(AttributeError):
         Var("p").name = "q"  # a record with __slots__
     assert (space.points, space.rel) == (POINTS, REL)
-    assert space.opens == frozenset({0, 0b01, 0b11}) and "opens" in vars(space)  # cached_property still fills
+    assert space.opens == frozenset({0, 0b01, 0b11}) and "opens" in vars(space)  # a cached attribute still fills
 
 
 def test_repr_names_the_class_and_the_fields():
