@@ -17,9 +17,7 @@ from .spaces import (
     topology_from_closure,
     induced_closure_table,
     topology_from_poset,
-    topology_from_neighborhoods,
     separation_profile,
-    is_dense,
     discrete_space,
     all_topologies,
 )
@@ -42,7 +40,6 @@ from .locales import (
     phi_map,
     irreducible_closed_sets,
     scott_topology,
-    is_scott_continuous,
     hofmann_mislove_report,
 )
 from .pmetric import (
@@ -50,14 +47,11 @@ from .pmetric import (
     RelationChain,
     RankedSets,
     StochasticMatrix,
-    bounded_transforms,
     topology_from_pmetric,
     metric_quotient,
-    dist_to_set,
     hausdorff_distance,
     epsilon_net,
     pseudometric_from_chain,
-    uniformity_from_partitions,
     ultrametric_from_rank,
     banach_fixed_point,
     pagerank,

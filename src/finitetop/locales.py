@@ -11,8 +11,6 @@ routes (morphism axioms, n-ary irreducibility, directed suprema) are test
 oracles and are not rerun here.
 """
 
-from .bitsets import bits
-from .construct import PointMap
 from .errors import ValidationError
 from .records import record
 from .spaces import FiniteSpace, Preorder, topology_from_poset
@@ -80,15 +78,6 @@ def scott_topology(order: Preorder) -> FiniteSpace:
         witness = {"x": order.points[x], "y": order.points[y]}
         raise ValidationError("Scott topology needs an antisymmetric order", witness)
     return topology_from_poset(order)
-
-
-def is_scott_continuous(p: Preorder, q: Preorder, assignment) -> bool:
-    """Monotone = preserves directed sups = topologically continuous.
-
-    On finite posets the three coincide, so monotonicity decides.
-    """
-    f = PointMap.from_dict(p, q, assignment).assignment
-    return all(q.le(f[i], f[j]) for i in range(p.n) for j in bits(p.rel[i]))
 
 
 @record

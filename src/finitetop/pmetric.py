@@ -9,19 +9,10 @@ import math
 from operator import add, ne, sub
 
 from .bitsets import bits, intransitive_triple
-from .construct import EquivalenceRelation, block_labels
+from .construct import block_labels
 from .errors import FormatError, ValidationError
 from .records import record
-from .spaces import (
-    Carrier,
-    FiniteSpace,
-    SetFamily,
-    _check_labels,
-    _label_bits,
-    _mask_of,
-    _union,
-    generate_topology,
-)
+from .spaces import Carrier, FiniteSpace, _union
 
 _EPS = 1e-9
 
@@ -66,42 +57,42 @@ class PMetricSpace(Carrier):
         return all(v > 0 for i, row in enumerate(self.dist) for j, v in enumerate(row) if i != j)
 
 
-def bounded_transforms(sp: PMetricSpace):
-    """The two standard bounded pseudometrics: min(d,1) and d/(1+d)."""
-    d1 = tuple(tuple(min(v, 1.0) for v in row) for row in sp.dist)
-    d2 = tuple(tuple(v / (1.0 + v) for v in row) for row in sp.dist)
-    return PMetricSpace(sp.points, d1), PMetricSpace(sp.points, d2)
-
-
 def open_ball(sp: PMetricSpace, center: int, radius: float) -> int:
     return sum(1 << j for j in range(sp.n) if sp.dist[center][j] < radius)
 
 
-def topology_from_pmetric(sp: PMetricSpace) -> FiniteSpace:
-    """Topology with the open balls as base; only threshold radii matter."""
-    radii = sorted({v for row in sp.dist for v in row if v > 0})
-    radii.append((radii[-1] if radii else 0.0) + 1.0)
-    balls = {open_ball(sp, i, r) for i in range(sp.n) for r in radii}
-    fam = SetFamily(sp.points, tuple(sorted(balls)))
-    return generate_topology(fam, mode="base")
+def _zero_rows(sp: PMetricSpace) -> list:
+    """Row i is the mask of the points at distance zero from i, checked to be an equivalence.
 
-
-def metric_quotient(sp: PMetricSpace):
-    """Collapse the distance-zero classes; the induced distance is a metric.
-
-    Row i of `zero` is the mask of the points at distance zero from i. The
-    relation is reflexive and symmetric, so it is an equivalence iff the
-    rows of related points are equal, and then the classes are the distinct
-    rows, listed by lowest point. Distance zero need not be transitive: the
-    triangle test allows a slack of 1e-9, so the witness names x, y, z with
-    d(x, y) = d(y, z) = 0 < d(x, z).
+    The relation is reflexive and symmetric, so it is an equivalence iff the
+    rows of related points are equal. Distance zero need not be transitive:
+    the triangle test allows a slack of 1e-9, so the witness names x, y, z
+    with d(x, y) = d(y, z) = 0 < d(x, z).
     """
     zero = [sum(1 << j for j, v in enumerate(row) if v == 0.0) for row in sp.dist]
     bad = intransitive_triple(zero)
     if bad:
         x, y, z = (sp.points[i] for i in bad)
         raise ValidationError("distance zero is not transitive", {"x": x, "y": y, "z": z})
-    classes = tuple(dict.fromkeys(zero))
+    return zero
+
+
+def topology_from_pmetric(sp: PMetricSpace) -> FiniteSpace:
+    """The topology of the open balls: the partition topology of the zero classes.
+
+    On a finite carrier the smallest ball around x, of radius the least
+    positive distance, is x's zero class, so that class is the kernel k_x.
+    The definitional route, every union of open balls, is a test oracle.
+    """
+    return FiniteSpace(sp.points, _zero_rows(sp))
+
+
+def metric_quotient(sp: PMetricSpace):
+    """Collapse the distance-zero classes; the induced distance is a metric.
+
+    The classes are the distinct zero rows, listed by lowest point.
+    """
+    classes = tuple(dict.fromkeys(_zero_rows(sp)))
     labels = block_labels(sp, classes)
     members = [tuple(bits(c)) for c in classes]
     dmat = [[sp.dist[a[0]][b[0]] for b in members] for a in members]
@@ -116,14 +107,6 @@ def metric_quotient(sp: PMetricSpace):
                             {"x": sp.points[a], "y": sp.points[b]},
                         )
     return PMetricSpace(labels, tuple(map(tuple, dmat))), classes
-
-
-def dist_to_set(sp: PMetricSpace, label, mask: int) -> float:
-    sp._require_subset((mask,), "set")
-    if mask == 0:
-        raise ValidationError("distance to the empty set is undefined")
-    i = sp.index(label)
-    return min(sp.dist[i][j] for j in bits(mask))
 
 
 def hausdorff_distance(sp: PMetricSpace, c: int, d: int) -> float:
@@ -150,7 +133,7 @@ def epsilon_net(sp: PMetricSpace, eps: float):
 
 
 # ---------------------------------------------------------------------------
-# relation chains and partition uniformities
+# relation chains
 
 
 def _compose(rel_a, rel_b):
@@ -232,30 +215,6 @@ def pseudometric_from_chain(chain: RelationChain) -> PMetricSpace:
             units[i] = [v if v <= dim + w else dim + w for v, w in zip(row_i, row_m)]
     scale = 1 << (k + 1)
     return PMetricSpace(chain.points, tuple(tuple(v / scale for v in row) for row in units))
-
-
-@record
-class PartitionUniformity:
-    points: tuple
-    relations: tuple  # one symmetric relation per partition
-
-
-def uniformity_from_partitions(points, partitions) -> PartitionUniformity:
-    """Block-square relations of finite partitions; a base for a uniformity.
-
-    Each partition, a list of label blocks, is checked as an `EquivalenceRelation`.
-    Each relation is reflexive, symmetric and equal to its own square, and
-    the common refinement of two partitions gives a relation inside both,
-    for every valid list of partitions; test oracles check those axioms.
-    """
-    points = tuple(points)
-    _check_labels(points)
-    bit = _label_bits(points)
-    rels = []
-    for blocks in partitions:
-        eq = EquivalenceRelation(points, [_mask_of(bit, block) for block in blocks])
-        rels.append(tuple(next(b for b in eq.blocks if b >> i & 1) for i in range(len(points))))
-    return PartitionUniformity(points, tuple(rels))
 
 
 @record

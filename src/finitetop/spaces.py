@@ -453,21 +453,6 @@ def topology_from_poset(order: Preorder) -> FiniteSpace:
     return FiniteSpace(order.points, order.rel)
 
 
-def topology_from_neighborhoods(points, kernels):
-    """Space whose opens are the sets containing every member's kernel, given one kernel per point.
-
-    Those are the up-sets of the transitive closure of the kernels, which are
-    the space's kernels; the flag tells whether they are the given ones.
-    Kernels failing the space's checks (one per point, on the carrier, each
-    holding its point) are checked as given: a cycle would close x into k_x.
-    """
-    points, kernels = tuple(points), tuple(kernels)
-    full = (1 << len(points)) - 1
-    valid = all(0 <= k <= full and k >> i & 1 for i, k in enumerate(kernels))
-    closed = _transitive_closure(kernels) if valid else kernels
-    return FiniteSpace(points, closed), closed == kernels
-
-
 def separation_profile(space: FiniteSpace) -> SeparationProfile:
     """Evaluate the separation axioms on the kernels k_x in O(n^2).
 
@@ -490,11 +475,6 @@ def separation_profile(space: FiniteSpace) -> SeparationProfile:
     t4 = all(ker[x] & ker[y] == 0 for x in pts for y in pts if cl[x] & cl[y] == 0)
     regular, normal = t1 and t3, t1 and t4
     return SeparationProfile(t0, t1, t2, t3, t4, regular, normal)
-
-
-def is_dense(space: FiniteSpace, mask: int) -> bool:
-    space._require_subset((mask,), "argument")
-    return space.closure(mask) == space.full
 
 
 def discrete_space(points) -> FiniteSpace:

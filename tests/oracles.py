@@ -15,6 +15,8 @@ descent the parser replaced, one method over a table of levels, with the
 depth and variables of its trees from the same `_fold` as `evaluate`.
 `labelled_by_lines` is the line-at-a-time reader of labelled files that
 the bulk `formats._labelled` replaced, with the loaders built on it.
+`opens_from_balls` is the open-ball route to a pseudometric's topology
+that the zero classes of `topology_from_pmetric` replaced.
 """
 
 import re
@@ -844,33 +846,17 @@ def squeeze_violation(chain, units):
     return None
 
 
-def uniformity_axioms(uni):
-    """The four axioms of a base of entourages, pair by pair and triple by triple.
+def opens_from_balls(sp):
+    """The pseudometric topology by its definition: every union of open balls {y : d(x, y) < r}.
 
-    Every relation holds the diagonal, is symmetric and contains its own
-    square; the common refinement of any two (their intersection) lies in
-    both and is transitive, so it is the block-square of a partition too.
+    A ball changes only where r passes a distance, so the radii are the
+    positive distances and one past the largest.
     """
-    n = len(uni.points)
-    pairs = list(product(range(n), repeat=2))
-    triples = list(product(range(n), repeat=3))
-
-    def has(rel, i, j):
-        return bool(rel[i] >> j & 1)
-
-    def transitive(rel):
-        return all(has(rel, i, l) for i, j, l in triples if has(rel, i, j) and has(rel, j, l))
-
-    refined = [tuple(a & b for a, b in zip(ra, rb)) for ra in uni.relations for rb in uni.relations]
-    return {
-        "diagonal": all(has(rel, i, i) for rel in uni.relations for i in range(n)),
-        "symmetric": all(has(rel, i, j) == has(rel, j, i) for rel in uni.relations for i, j in pairs),
-        "compose_within": all(transitive(rel) for rel in uni.relations),
-        "refinement": all(
-            transitive(r) and all(not has(r, i, j) or has(ra, i, j) and has(rb, i, j) for i, j in pairs)
-            for r, (ra, rb) in zip(refined, product(uni.relations, repeat=2))
-        ),
-    }
+    n = sp.n
+    radii = sorted({v for row in sp.dist for v in row if v > 0})
+    radii.append((radii[-1] if radii else 0.0) + 1.0)
+    balls = {_union(1 << j for j in range(n) if sp.dist[i][j] < r) for i in range(n) for r in radii}
+    return frozenset(u for u in subsets((1 << n) - 1) if _union(b for b in balls if is_subset(b, u)) == u)
 
 
 def hausdorff_distance_threshold(sp, c, d):

@@ -280,9 +280,9 @@ def test_criterion_6_pseudometric_suite():
             for i in range(sp.n):
                 for j in range(sp.n):
                     assert abs(sp.dist[i][j] - q.dist[rep_of[i]][rep_of[j]]) <= 1e-9
-            # Lipschitz bound for dist_to_set on the same space
+            # Lipschitz bound for d(x, A) = min over a in A of d(x, a) on the same space
             for a in range(1, 1 << sp.n):
-                dvals = [ft.dist_to_set(sp, p, a) for p in sp.points]
+                dvals = [min(row[j] for j in bits(a)) for row in sp.dist]
                 for i in range(sp.n):
                     for j in range(sp.n):
                         assert abs(dvals[i] - dvals[j]) <= sp.dist[i][j] + 1e-12

@@ -168,17 +168,9 @@ def test_unknown_label_in_arguments_and_blocks(tmp_path, capsys):
 
 
 _AB = ("a", "b")
-_CHAIN2 = ft.Preorder(_AB, (0b11, 0b10))
-_PM2 = ft.PMetricSpace(_AB, [[0, 1], [1, 0]])
 _S2 = ft.FiniteSpace(_AB, (0b11, 0b10))
 UNKNOWN_IN_CALLS = [
     ("ultrafilter_at", lambda: ft.ultrafilter_at(_AB, "z"), "unknown point 'z'"),
-    ("dist_to_set", lambda: ft.dist_to_set(_PM2, "z", 1), "unknown point 'z'"),
-    ("uniformity_from_partitions", lambda: ft.uniformity_from_partitions(_AB, [[["a", "z"]]]), "unknown point 'z'"),
-    ("is_scott_continuous", lambda: ft.is_scott_continuous(_CHAIN2, _CHAIN2, {"a": "z", "b": "b"}),
-     "unknown point 'z'"),
-    ("is_scott_continuous-partial", lambda: ft.is_scott_continuous(_CHAIN2, _CHAIN2, {"a": "a"}),
-     "map is not total, missing 'b'"),
     ("PointMap.from_dict", lambda: ft.PointMap.from_dict(_S2, _S2, {"a": "a", "b": "z"}), "unknown point 'z'"),
     ("PointMap.from_dict-partial", lambda: ft.PointMap.from_dict(_S2, _S2, {"a": "a"}),
      "map is not total, missing 'b'"),

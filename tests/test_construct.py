@@ -396,7 +396,6 @@ def built_spaces(sp, rng):
     yield "indiscrete", indiscrete_space(sp.points)
     yield "poset", ft.topology_from_poset(ft.Preorder(sp.points, sp.rel))
     yield "closure", ft.topology_from_closure(ft.induced_closure_table(sp))
-    yield "neighbourhoods", ft.topology_from_neighborhoods(sp.points, sp.rel)[0]
     yield "base", ft.generate_topology(ft.SetFamily(sp.points, tuple(sorted(sp.opens))))
     yield "product", ft.product(sp, two)
     yield "sum", ft.topological_sum(sp, two)
@@ -422,4 +421,4 @@ def test_internal_constructors_match_the_validating_constructor(spaces_up_to_4, 
             assert back == built, name
             assert back.rel == built.rel, name
             assert built.opens == opens_from_kernels_by_subsets(built.n, back.rel), name
-    assert len(seen) == 13
+    assert len(seen) == 12

@@ -19,9 +19,9 @@ from oracles import (
     chain_distances_by_fractions,
     chain_units,
     hausdorff_distance_threshold,
+    opens_from_balls,
     squeeze_violation,
     stationary_by_squaring,
-    uniformity_axioms,
 )
 
 
@@ -137,28 +137,19 @@ def test_negative_and_asymmetric_rejected():
         ft.PMetricSpace(("a", "b"), [[0.5, 1], [1, 0]])
 
 
-# -- bounded transforms ------------------------------------------------------------
-
-
-def test_bounded_transform_values():
-    sp = ft.PMetricSpace(("a", "b"), [[0, 1], [1, 0]])
-    d1, d2 = ft.bounded_transforms(sp)
-    assert d1.dist == sp.dist
-    assert d2.dist[d2.index("a")][d2.index("b")] == 0.5
-    sp3 = ft.PMetricSpace(("a", "b"), [[0, 3], [3, 0]])
-    d1, d2 = ft.bounded_transforms(sp3)
-    assert d1.dist[d1.index("a")][d1.index("b")] == 1.0 and d2.dist[d2.index("a")][d2.index("b")] == 0.75
+# -- induced topology ----------------------------------------------------------------
 
 
 @given(pmetric_spaces())
 @settings(max_examples=40, deadline=None)
 def test_bounded_transforms_preserve_topology(sp):
-    base = ft.topology_from_pmetric(sp)
-    for t in ft.bounded_transforms(sp):
-        assert ft.topology_from_pmetric(t).opens == base.opens
-
-
-# -- induced topology ----------------------------------------------------------------
+    """The bounded equivalents min(d, 1) and d/(1+d) give d's topology, every union of d's open balls."""
+    want = opens_from_balls(sp)
+    for f in (lambda v: min(v, 1.0), lambda v: v / (1.0 + v)):
+        bounded = ft.PMetricSpace(sp.points, [[f(v) for v in row] for row in sp.dist])
+        assert opens_from_balls(bounded) == want
+        assert ft.topology_from_pmetric(bounded).opens == want
+    assert ft.topology_from_pmetric(sp).opens == want
 
 
 def test_topology_from_discrete_metric():
@@ -225,18 +216,20 @@ def test_metric_quotient_is_metric(sp):
 
 
 def test_metric_quotient_refuses_a_nontransitive_zero():
-    # valid: the triangle test allows 1e-9 of slack, so d(1,3) = 1e-10 passes
-    sp = ft.PMetricSpace(("1", "2", "3"), [[0, 0, 1e-10], [0, 0, 0], [1e-10, 0, 0]])
-    with pytest.raises(ValidationError) as err:
-        ft.metric_quotient(sp)
-    assert str(err.value) == "distance zero is not transitive"
-    assert err.value.witness == {"x": "1", "y": "2", "z": "3"}
-    # the witness is ordered so that d(x, y) = d(y, z) = 0 < d(x, z)
-    sp = ft.PMetricSpace(("a", "b", "c"), [[0, 1e-10, 0], [1e-10, 0, 0], [0, 0, 0]])
-    with pytest.raises(ValidationError) as err:
-        ft.metric_quotient(sp)
-    x, y, z = (sp.index(err.value.witness[v]) for v in "xyz")
-    assert sp.dist[x][y] == sp.dist[y][z] == 0 < sp.dist[x][z]
+    """The quotient and the topology read the same zero classes, and refuse them alike."""
+    for fn in (ft.metric_quotient, ft.topology_from_pmetric):
+        # valid: the triangle test allows 1e-9 of slack, so d(1,3) = 1e-10 passes
+        sp = ft.PMetricSpace(("1", "2", "3"), [[0, 0, 1e-10], [0, 0, 0], [1e-10, 0, 0]])
+        with pytest.raises(ValidationError) as err:
+            fn(sp)
+        assert str(err.value) == "distance zero is not transitive"
+        assert err.value.witness == {"x": "1", "y": "2", "z": "3"}
+        # the witness is ordered so that d(x, y) = d(y, z) = 0 < d(x, z)
+        sp = ft.PMetricSpace(("a", "b", "c"), [[0, 1e-10, 0], [1e-10, 0, 0], [0, 0, 0]])
+        with pytest.raises(ValidationError) as err:
+            fn(sp)
+        x, y, z = (sp.index(err.value.witness[v]) for v in "xyz")
+        assert sp.dist[x][y] == sp.dist[y][z] == 0 < sp.dist[x][z]
 
 
 def test_metric_quotient_moves_no_distance_between_classes():
@@ -256,7 +249,8 @@ def test_metric_quotient_moves_no_distance_between_classes():
 def test_metric_quotient_classes_are_the_zero_rows():
     """On 3000 small matrices with many zeros: the classes partition the points,
     each class's members are at distance zero from each other and from no one
-    else, classes are listed by lowest point, and the quotient is a metric."""
+    else, classes are listed by lowest point, and the quotient is a metric.
+    The topology is every union of open balls, or refused like the quotient."""
     rng = random.Random(77)
     quotients = 0
     for _ in range(3000):
@@ -274,7 +268,11 @@ def test_metric_quotient_classes_are_the_zero_rows():
             assert str(e) == "distance zero is not transitive"
             x, y, z = (sp.index(e.witness[v]) for v in "xyz")
             assert sp.dist[x][y] == sp.dist[y][z] == 0 < sp.dist[x][z]
+            with pytest.raises(ValidationError) as err:
+                ft.topology_from_pmetric(sp)
+            assert (str(err.value), err.value.witness) == (str(e), e.witness)
             continue
+        assert ft.topology_from_pmetric(sp).opens == opens_from_balls(sp)
         quotients += 1
         assert sum(classes) == sp.full and len(set(classes)) == len(classes)
         assert [c & -c for c in classes] == sorted(c & -c for c in classes)
@@ -288,27 +286,14 @@ def test_metric_quotient_classes_are_the_zero_rows():
 # -- point-to-set distance ---------------------------------------------------------------
 
 
-def test_dist_to_set_examples():
-    sp = ft.PMetricSpace(("a", "b", "c"), [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
-    assert ft.dist_to_set(sp, "a", 0b001) == 0.0
-    assert ft.dist_to_set(sp, "b", 0b001) == 0.0  # b is glued to a
-    top = ft.topology_from_pmetric(sp)
-    assert top.closure(0b001) >> 1 & 1  # and b lies in closure({a})
-    disc = ft.PMetricSpace(("a", "b"), [[0, 1], [1, 0]])
-    assert ft.dist_to_set(disc, "a", 0b10) == 1.0
-    with pytest.raises(ValidationError):
-        ft.dist_to_set(disc, "a", 0)
-
-
 @pytest.mark.parametrize(
     "call, mask",
     [
-        (lambda sp, rs: ft.dist_to_set(sp, "a", 4), 4),
         (lambda sp, rs: ft.hausdorff_distance(sp, -1, 1), -1),
         (lambda sp, rs: ft.hausdorff_distance(sp, 1, 0b110), 0b110),
         (lambda sp, rs: ft.ultrametric_from_rank(rs, 4, 1), 4),
     ],
-    ids=["dist_to_set", "hausdorff-negative", "hausdorff-wide", "ultrametric"],
+    ids=["hausdorff-negative", "hausdorff-wide", "ultrametric"],
 )
 def test_set_arguments_must_lie_in_the_carrier(call, mask):
     sp = ft.PMetricSpace(("a", "b"), [[0, 1], [1, 0]])
@@ -320,14 +305,14 @@ def test_set_arguments_must_lie_in_the_carrier(call, mask):
 @given(pmetric_spaces())
 @settings(max_examples=30, deadline=None)
 def test_dist_to_set_lipschitz_and_closure(sp):
+    """d(x, A), the least distance from x to a point of A, is 1-Lipschitz in x and 0 exactly on cl A."""
     top = ft.topology_from_pmetric(sp)
     for a in range(1, 1 << sp.n):
+        dist = [min(row[j] for j in bits(a)) for row in sp.dist]
         for x in range(sp.n):
-            dx = ft.dist_to_set(sp, sp.points[x], a)
             for z in range(sp.n):
-                dz = ft.dist_to_set(sp, sp.points[z], a)
-                assert abs(dx - dz) <= sp.dist[x][z] + 1e-12
-            assert (dx == 0.0) == bool(top.closure(a) >> x & 1)
+                assert abs(dist[x] - dist[z]) <= sp.dist[x][z] + 1e-12
+            assert (dist[x] == 0.0) == bool(top.closure(a) >> x & 1)
 
 
 # -- Hausdorff distance ---------------------------------------------------------------------
@@ -549,89 +534,6 @@ def test_chain_axiom_violations():
     assert err.value.witness["level"] == 2
     with pytest.raises(FormatError, match="^relation 2 must have one row per point$"):
         ft.RelationChain(("a", "b", "c"), (v_coarse, v_coarse[:2]))
-
-
-# -- partition uniformities ----------------------------------------------------------------------
-
-
-def test_partition_uniformity_extremes():
-    uni = ft.uniformity_from_partitions(("a", "b", "c"), [[["a", "b", "c"]]])
-    assert uni.relations[0] == full_rel(3)
-    assert all(uniformity_axioms(uni).values())
-    uni = ft.uniformity_from_partitions(("a", "b", "c"), [[["a"], ["b"], ["c"]]])
-    assert uni.relations[0] == (0b001, 0b010, 0b100)
-    assert all(uniformity_axioms(uni).values())
-
-
-def test_partition_uniformity_refinement():
-    uni = ft.uniformity_from_partitions(
-        ("1", "2", "3", "4"),
-        [[["1", "2"], ["3", "4"]], [["1", "3"], ["2", "4"]]],
-    )
-    assert all(uniformity_axioms(uni).values())
-    meet = tuple(a & b for a, b in zip(uni.relations[0], uni.relations[1]))
-    assert meet == (0b0001, 0b0010, 0b0100, 0b1000)  # common refinement is discrete
-
-
-def test_partition_must_cover():
-    with pytest.raises(ValidationError):
-        ft.uniformity_from_partitions(("a", "b"), [[["a"]]])
-
-
-def set_partitions(items):
-    """Every partition of the list into blocks, blocks ordered by first member."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in set_partitions(rest):
-        yield [[first]] + part
-        for b in range(len(part)):
-            yield part[:b] + [[first] + part[b]] + part[b + 1:]
-
-
-def test_uniformity_axioms_on_every_small_partition_list():
-    """Every list of at most two partitions of at most 4 points."""
-    count = 0
-    for n in range(5):
-        points = tuple("abcd"[:n])
-        parts = list(set_partitions(list(points)))
-        for k in range(3):
-            for chosen in product(parts, repeat=k):
-                uni = ft.uniformity_from_partitions(points, chosen)
-                assert uniformity_axioms(uni) == dict.fromkeys(
-                    ("diagonal", "symmetric", "compose_within", "refinement"), True
-                )
-                for rel, blocks in zip(uni.relations, chosen):
-                    same = {(points.index(a), points.index(b)) for blk in blocks for a in blk for b in blk}
-                    assert {(i, j) for i in range(n) for j in bits(rel[i])} == same
-                count += 1
-    assert count == sum(1 + b + b * b for b in (1, 1, 2, 5, 15))
-
-
-def test_uniformity_axioms_oracle_sees_a_broken_relation():
-    uni = ft.uniformity_from_partitions(("a", "b", "c"), [[["a", "b"], ["c"]]])
-    broken = type(uni)(uni.points, ((0b011, 0b111, 0b110),))  # a-b-c, not transitive
-    flags = uniformity_axioms(broken)
-    assert not flags["compose_within"] and not flags["refinement"]
-    assert flags["diagonal"] and flags["symmetric"]
-    assert not uniformity_axioms(type(uni)(uni.points, ((0b011, 0b010, 0b100),)))["symmetric"]
-    assert not uniformity_axioms(type(uni)(uni.points, ((0b010, 0b011, 0b100),)))["diagonal"]
-
-
-def test_partition_labels_keep_their_messages():
-    """A partition is checked as the `EquivalenceRelation` of its blocks, with that record's messages."""
-    # a label repeated inside one block counts once, as in an `.eq` file
-    assert ft.uniformity_from_partitions(("a", "b"), [[["a", "a"], ["b"]]]).relations == ((0b01, 0b10),)
-    cases = [
-        ([["a", "b"], ["b"]], "partition blocks overlap", {"x": "b"}),
-        ([["a", "b"], []], "partition blocks must be nonempty", {"block": 1}),
-        ([["a"], ["c"]], "partition does not cover the carrier", {"x": "b"}),
-    ]
-    for blocks, message, witness in cases:
-        with pytest.raises(ValidationError) as err:
-            ft.uniformity_from_partitions(("a", "b", "c"), [[["a", "b", "c"]], blocks])
-        assert (str(err.value), err.value.witness) == (message, witness)
 
 
 # -- ultrametric from ranks ------------------------------------------------------------------------

@@ -8,6 +8,13 @@ from finitetop.logic import And, Var, parse_formula
 from finitetop.records import record
 
 POINTS, REL = ("a", "b"), (0b01, 0b11)  # b <= a
+FIELDS = ("a", "b", "c")
+
+
+def make(n, hook):
+    """A record class of the first n FIELDS, with `hook` as its `__post_init__`."""
+    cls = type(f"R{n}", (), {"__annotations__": dict.fromkeys(FIELDS[:n], int), "__post_init__": hook})
+    return record(cls)
 
 
 def test_equal_fields_in_different_classes_are_unequal():
@@ -42,10 +49,16 @@ def test_repr_names_the_class_and_the_fields():
     assert repr(ContinuityCheck(True, None)) == "ContinuityCheck(ok=True, witness_open=None)"
 
 
-@pytest.mark.parametrize("args", [(), (POINTS,), (POINTS, REL, 0)])
+@pytest.mark.parametrize("args", [(), (POINTS,), (POINTS, REL, 0), (POINTS, REL, 0, 0)])
 def test_wrong_argument_count_raises_type_error(args):
+    """For `FiniteSpace`, and for records of one field, as `Var` and `Not` have, and of three."""
     with pytest.raises(TypeError, match=f"FiniteSpace\\(\\) takes 2 arguments but {len(args)} were given"):
         FiniteSpace(*args)
+    for n in (1, 3):
+        if len(args) != n:
+            with pytest.raises(TypeError) as err:
+                make(n, lambda self: None)(*args)
+            assert str(err.value) == f"R{n}() takes {n} arguments but {len(args)} were given"
 
 
 def test_a_slot_is_not_a_default():
@@ -54,19 +67,18 @@ def test_a_slot_is_not_a_default():
 
 
 def test_post_init_replaced_after_decoration_runs():
-    @record
-    class Pair:
-        left: int
-        right: int
+    """At each construction, as the benchmark's tracer needs; for records of one, two and three fields."""
 
-        def __post_init__(self):
-            raise AssertionError("replaced below")
+    def refuse(self):
+        raise AssertionError("replaced below")
 
-    seen = []
-    Pair.__post_init__ = lambda self: seen.append((self.left, self.right))
-    Pair(1, 2)
-    Pair(3, 4)
-    assert seen == [(1, 2), (3, 4)]
+    for n in (1, 2, 3):
+        cls = make(n, refuse)
+        seen = []
+        cls.__post_init__ = lambda self: seen.append(tuple(getattr(self, f) for f in FIELDS[:n]))
+        cls(*range(n))
+        cls(*range(1, n + 1))
+        assert seen == [tuple(range(n)), tuple(range(1, n + 1))]
 
 
 class _LazyAnnotations(type):

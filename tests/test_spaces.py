@@ -556,58 +556,23 @@ def test_neighborhood_filter_unknown_point(divisors):
         divisors.rel[divisors.index("7")]
 
 
-def test_topology_from_neighborhoods_round_trip(divisors):
-    sp, coincides = ft.topology_from_neighborhoods(divisors.points, divisors.rel)
-    assert sp.opens == divisors.opens
-    assert coincides
-
-
-def test_topology_from_neighborhoods_discrete():
-    sp, coincides = ft.topology_from_neighborhoods(("a", "b"), (0b01, 0b10))
-    assert sp.opens == ft.discrete_space(("a", "b")).opens
-    assert coincides
-
-
-def test_topology_from_neighborhoods_mismatch():
-    sp, coincides = ft.topology_from_neighborhoods(("a", "b", "c"), (0b011, 0b110, 0b100))
-    assert sp.opens == frozenset({0, 0b100, 0b110, 0b111})
-    assert not coincides
-    assert sp.rel[0] == 0b111  # recomputed kernel of a is the carrier
-
-
-def test_neighborhood_kernel_off_the_carrier_is_a_format_error():
-    """The first kernel off the carrier is named as given, before it is closed over the others."""
-    for kernels, bad in [((0b101, 0b10), 0b101), ((0b11, 0b110), 0b110), ((-1, 0b10), -1), ((0b01, 0b100), 0b100)]:
-        with pytest.raises(FormatError) as err:
-            ft.topology_from_neighborhoods(("a", "b"), kernels)
-        assert str(err.value) == f"relation row {bad:#x} is not a subset of the carrier"
-    with pytest.raises(FormatError, match="^duplicate point label 'a'$"):
-        ft.topology_from_neighborhoods(("a", "a"), (0b01, 0b10))
-    wide = [f"p{i}" for i in range(17)]
-    with pytest.raises(ValidationError, match="^carrier has 17 points, limit is 16$"):
-        ft.topology_from_neighborhoods(wide, [1 << i for i in range(17)])
-
-
-def test_topology_from_neighborhoods_matches_subset_oracle():
-    # every system of kernels on up to 4 points
+def test_kernel_systems_match_the_subset_oracle():
+    """Every reflexive kernel system on up to 4 points. A transitive one, each kernel
+    holding its members' kernels, is a space whose opens are the sets holding their
+    points' kernels; any other is refused with a triple y in k_x, z in k_y, z not in k_x."""
     for n in range(5):
         pts = tuple("abcd"[:n])
         choices = [[(1 << x) | r for r in subsets(((1 << n) - 1) & ~(1 << x))] for x in range(n)]
         for kernels in iproduct(*choices):
-            sp, coincides = ft.topology_from_neighborhoods(pts, kernels)
-            assert sp.opens == opens_from_kernels_by_subsets(n, kernels)
-            assert coincides == (sp.rel == kernels)
-
-
-def test_invalid_neighborhood_system():
-    """A kernel must hold its point, even where a cycle of kernels would close it back in."""
-    for kernels, x in [((0b10, 0b10), "a"), ((0b10, 0b01), "a"), ((0b11, 0b01), "b"), ((0b01, 0b10, 0b011), "c")]:
-        with pytest.raises(ValidationError) as err:
-            ft.topology_from_neighborhoods(("a", "b", "c")[:len(kernels)], kernels)
-        assert (str(err.value), err.value.witness) == ("relation is not reflexive", {"x": x})
-    for kernels in [(0b01,), (0b01, 0b10, 0b11)]:
-        with pytest.raises(FormatError, match="^relation must have one row per point$"):
-            ft.topology_from_neighborhoods(("a", "b"), kernels)
+            opens = opens_from_kernels_by_subsets(n, kernels)
+            if all(k in opens for k in kernels):
+                assert ft.FiniteSpace(pts, kernels).opens == opens
+                continue
+            with pytest.raises(ValidationError) as err:
+                ft.FiniteSpace(pts, kernels)
+            assert str(err.value) == "relation is not transitive"
+            x, y, z = (pts.index(err.value.witness[v]) for v in "xyz")
+            assert kernels[x] >> y & 1 and kernels[y] >> z & 1 and not kernels[x] >> z & 1
 
 
 def test_transitivity_scan_names_the_first_triple_on_every_relation_up_to_3_points():
@@ -623,13 +588,26 @@ def test_transitivity_scan_names_the_first_triple_on_every_relation_up_to_3_poin
 
 
 def test_kernel_vector_checks():
-    # a kernel vector is checked as a preorder, and its rows must lie in the carrier
-    with pytest.raises(FormatError):
-        ft.topology_from_neighborhoods(("a", "b"), (0b01, 0b110))
+    """A kernel vector is checked as a preorder on a carrier of at most 16 distinct
+    labels, and its rows must lie in the carrier; the first row off it is named."""
+    for kernels, bad in [((0b101, 0b10), 0b101), ((0b11, 0b110), 0b110), ((-1, 0b10), -1), ((0b01, 0b100), 0b100)]:
+        with pytest.raises(FormatError) as err:
+            ft.FiniteSpace(("a", "b"), kernels)
+        assert str(err.value) == f"relation row {bad:#x} is not a subset of the carrier"
     with pytest.raises(FormatError):
         ft.FiniteSpace(("a",), (0b11,))
-    with pytest.raises(ValidationError, match="not reflexive"):
-        ft.FiniteSpace(("a", "b"), (0b10, 0b10))
+    with pytest.raises(FormatError, match="^duplicate point label 'a'$"):
+        ft.FiniteSpace(("a", "a"), (0b01, 0b10))
+    wide = [f"p{i}" for i in range(17)]
+    with pytest.raises(ValidationError, match="^carrier has 17 points, limit is 16$"):
+        ft.FiniteSpace(wide, [1 << i for i in range(17)])
+    for kernels, x in [((0b10, 0b10), "a"), ((0b10, 0b01), "a"), ((0b11, 0b01), "b"), ((0b01, 0b10, 0b011), "c")]:
+        with pytest.raises(ValidationError) as err:
+            ft.FiniteSpace(("a", "b", "c")[:len(kernels)], kernels)
+        assert (str(err.value), err.value.witness) == ("relation is not reflexive", {"x": x})
+    for kernels in [(0b01,), (0b01, 0b10, 0b11)]:
+        with pytest.raises(FormatError, match="^relation must have one row per point$"):
+            ft.FiniteSpace(("a", "b"), kernels)
     with pytest.raises(ValidationError, match="not transitive"):
         ft.FiniteSpace(("a", "b", "c"), (0b011, 0b110, 0b100))
 
@@ -714,10 +692,3 @@ def test_is_poset_matches_the_pairwise_definition(spaces_up_to_4, spaces_on_5):
     # every preorder on up to 5 points is the kernel vector of one of these spaces
     for sp in spaces_up_to_4 + spaces_on_5:
         assert sp.is_poset == is_antisymmetric(sp)
-
-
-def test_density(divisors):
-    assert ft.is_dense(divisors, divisors.mask(["6"]))
-    assert ft.is_dense(divisors, divisors.full)
-    assert not ft.is_dense(divisors, divisors.mask(["1"]))
-
