@@ -44,11 +44,11 @@ def sqrt_iteration(n: int, grid) -> GridFunction:
     """
     if n < 0:
         raise ValidationError("iteration count must be nonnegative")
-    grid = tuple(float(x) for x in grid)
-    vals = [0.0] * len(grid)
+    f = GridFunction(grid := tuple(grid), (0.0,) * len(grid))  # f_0, on the grid converted and checked
+    vals = f.values
     for _ in range(n):
-        vals = [v + 0.5 * (t - v * v) for t, v in zip(grid, vals)]
-    return GridFunction(grid, tuple(vals))
+        vals = [v + 0.5 * (t - v * v) for t, v in zip(f.grid, vals)]
+    return GridFunction(f.grid, vals)
 
 
 MAX_PANELS = 1 << 16  # the node table of a Simpson rule is O(panels) floats

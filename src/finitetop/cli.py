@@ -42,53 +42,39 @@ def _numbers_arg(text, what):
     return values
 
 
-def _count(low, high=math.inf):
-    """argparse type: an int from `low` to `high`; a value outside them is a usage error."""
+def _checked(kind, *rules):
+    """argparse type: the text converted by `kind`, then checked by each `(ok, message)` rule in order.
 
-    def count(text):
+    A failed conversion reports `invalid <kind> value: '<text>'`, a failed rule its message with
+    `{value}` and `{text}` filled in; nan fails every rule, since every comparison with it is false.
+    """
+
+    def check(text):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        if value > high:
-            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        for ok, message in rules:
+            if not ok(value):
+                raise argparse.ArgumentTypeError(message.format(value=value, text=text))
         return value
 
-    return count
+    return check
 
 
-def _panels(text):
-    """argparse type: a Simpson panel count, even, at least 2 and at most `approx.MAX_PANELS`."""
-    value = _count(2, approx.MAX_PANELS)(text)
-    if value % 2:
-        raise argparse.ArgumentTypeError(f"must be even, got {value}")
-    return value
-
-
-def _nonempty(text):
-    """argparse type: a label list that names at least one point."""
-    if not text.split():
-        raise argparse.ArgumentTypeError("must name at least one point")
-    return text
+def _count(low, high=math.inf, *rules):
+    """argparse type: an int from `low` to `high` that meets `rules`; any other value is a usage error."""
+    at_least, at_most = f"must be at least {low}, got {{value}}", f"must be at most {high}, got {{value}}"
+    return _checked(int, (lambda v: v >= low, at_least), (lambda v: v <= high, at_most), *rules)
 
 
 def _real(ok, what):
     """argparse type: a float for which `ok` holds; any other value, nan included, is a usage error."""
-
-    def real(text):
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-        if not ok(value):  # comparisons with nan are false
-            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
-        return value
-
-    return real
+    return _checked(float, (ok, f"must be {what}, got {{text}}"))
 
 
+_panels = _count(2, approx.MAX_PANELS, (lambda v: v % 2 == 0, "must be even, got {value}"))  # Simpson panels
+_nonempty = _checked(str, (str.split, "must name at least one point"))  # a label list naming a point
 _tolerance = _real(lambda v: 0.0 < v < math.inf, "a finite positive number")
 
 

@@ -3,7 +3,7 @@
 from .bitsets import bits, preimage
 from .errors import FormatError, ValidationError
 from .records import record
-from .spaces import Carrier, FiniteSpace, _transitive_closure, discrete_space
+from .spaces import Carrier, FiniteSpace, _reads_back, _transitive_closure, discrete_space
 
 
 def _assignment(sources, assignment, n):
@@ -219,7 +219,7 @@ def one_point_extension(space: FiniteSpace, infinity_label: str) -> FiniteSpace:
     back as one point of the space format: nonempty, with no whitespace
     and no '#'.
     """
-    if infinity_label.split() != [infinity_label] or "#" in infinity_label:
+    if not _reads_back((infinity_label,)):
         raise FormatError(f"extension label {infinity_label!r} is empty or holds whitespace or '#'")
     if infinity_label in space.points:
         raise ValidationError("extension label already names a point", {"label": infinity_label})

@@ -23,16 +23,17 @@ from .spaces import (
     _check_labels,
     _label_bits,
     _mask_of,
+    _reads_back,
     _transitive_closure,
 )
 
 
 def _lines(text):
-    """(lineno, line, raw) for every line left nonblank once its `#` comment is cut off."""
+    """(lineno, line) for every line left nonblank once its `#` comment is cut off."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].strip() if "#" in raw else raw.strip()
         if line:
-            yield lineno, line, raw
+            yield lineno, line
 
 
 def _labelled(text, what, wants, points=None):
@@ -111,6 +112,9 @@ def load_space(text: str) -> FiniteSpace:
 
 
 def dump_space(space: FiniteSpace) -> str:
+    if not _reads_back(space.points):
+        bad = next(p for p in space.points if not _reads_back((p,)))
+        raise FormatError(f"point label {bad!r} is empty or holds whitespace or '#'")
     lo, hi = space._label_texts
     lines = ["points: " + " ".join(space.points), "open: "]  # the empty open comes first
     lines += ["open:" + lo[u & 255] + hi[u >> 8] for u in space.opens_by_size[1:]]
@@ -156,7 +160,7 @@ def load_closure_table(text: str) -> ClosureTable:
 
 def load_map(text: str) -> dict:
     mapping = {}
-    for lineno, line, _ in _lines(text):
+    for lineno, line in _lines(text):
         if "->" not in line:
             raise FormatError(f"line {lineno}: expected '<source> -> <target>'")
         src, dst = (part.strip() for part in line.split("->", 1))
@@ -209,7 +213,7 @@ def load_matrix(text: str):
     cell fails the line with the same message, whichever is read first.
     """
     rows = []
-    for lineno, line, _ in _lines(text):
+    for lineno, line in _lines(text):
         cells = line.split(",")
         try:
             if "/" in line:
@@ -271,4 +275,4 @@ def load_ranks(text: str) -> RankedSets:
 
 
 def load_theory(text: str) -> Theory:
-    return Theory.of([parse_formula(line) for _, line, _ in _lines(text)])
+    return Theory.of([parse_formula(line) for _, line in _lines(text)])

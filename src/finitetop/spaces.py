@@ -28,6 +28,11 @@ def _check_labels(points, cap=True):
         raise FormatError(f"duplicate point label {dup!r}")
 
 
+def _reads_back(labels):
+    """Whether each label of the tuple reads back as one point: nonempty, no whitespace, no '#'."""
+    return "#" not in "".join(labels) and tuple(" ".join(labels).split()) == labels
+
+
 def _label_bits(points):
     """label -> bit of a carrier's labels; a repeated label keeps its first bit."""
     return {p: 1 << i for i, p in reversed(tuple(enumerate(points)))}
@@ -48,10 +53,9 @@ def _mask_of(bit, labels, lineno=None):
 class Carrier:
     """Masks <-> labels for a record whose `points` tuple indexes the bits, checked by `_carrier`.
 
-    Every table is built on first use and kept on the instance: `labels`
-    reads one 256-entry table of label tuples per byte of the mask (a byte's
-    table is built when a mask first sets one of its bits), and `mask` and
-    `index` read one label -> bit dict.
+    Every table is built whole on first use and kept on the instance:
+    `labels` reads one 256-entry table of label tuples per byte of the mask,
+    and `mask` and `index` read one label -> bit dict.
     """
 
     @property
@@ -64,14 +68,11 @@ class Carrier:
 
     @cached
     def _byte_tables(self):
-        return [None] * ((len(self.points) + 7) // 8)
-
-    def _byte_table(self, k):
-        table = [()]
-        for p in self.points[8 * k:8 * k + 8]:
-            table += [t + (p,) for t in table]  # table[m | bit] = table[m] + (p,)
-        self._byte_tables[k] = table
-        return table
+        tables = [[()] for _ in range(0, len(self.points), 8)]
+        for x, p in enumerate(self.points):
+            t = tables[x >> 3]
+            t += [s + (p,) for s in t]  # t[m | bit] = t[m] + (p,)
+        return tables
 
     def labels(self, mask):
         """The labels of the mask's points in carrier order; IndexError off the carrier."""
@@ -79,9 +80,7 @@ class Carrier:
         out = ()
         k = 0
         while mask:
-            byte = mask & 255
-            if byte:
-                out += (tables[k] or self._byte_table(k))[byte]
+            out += tables[k][mask & 255]
             mask >>= 8
             k += 1
         return out
@@ -237,9 +236,6 @@ class Preorder(Carrier):
         if bad:
             x, y, z = (points[i] for i in bad)
             raise ValidationError("relation is not transitive", {"x": x, "y": y, "z": z})
-
-    def le(self, i, j):
-        return bool(self.rel[i] >> j & 1)
 
     @cached
     def is_poset(self):

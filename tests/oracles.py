@@ -131,7 +131,7 @@ def separation_by_closed_sets(space):
 def is_antisymmetric(order):
     """No two distinct points lie below each other, over all pairs."""
     return all(
-        not (order.le(i, j) and order.le(j, i)) for i in range(order.n) for j in range(order.n) if i != j
+        not (order.rel[i] >> j & order.rel[j] >> i & 1) for i in range(order.n) for j in range(order.n) if i != j
     )
 
 
@@ -152,7 +152,7 @@ def down_set_table(order):
     n = order.n
     return table_from_function(
         order.points,
-        lambda a: sum(1 << i for i in range(n) if any(order.le(i, j) for j in bits(a))),
+        lambda a: sum(1 << i for i in range(n) if any(order.rel[i] >> j & 1 for j in bits(a))),
     )
 
 
@@ -409,7 +409,7 @@ def directed_subsets(order):
 def sup_of_directed(order, members):
     """The member above all the others, or None."""
     for c in members:
-        if all(order.le(m, c) for m in members):
+        if all(order.rel[m] >> c & 1 for m in members):
             return c
     return None
 

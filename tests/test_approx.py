@@ -1,4 +1,5 @@
 import math
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +51,25 @@ def test_sqrt_iterates_monotone_and_dominated():
 def test_sqrt_rejects_negative_count():
     with pytest.raises(ValidationError):
         ft.sqrt_iteration(-1, GRID)
+
+
+def test_sqrt_grid_is_checked_before_any_step():
+    """A bad grid fails before the n steps run; SIGALRM fails the test if they run first."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the steps ran before the grid check")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(1)
+    try:
+        with pytest.raises(FormatError, match=r"^grid points must lie in \[0, 1\]$"):
+            ft.sqrt_iteration(10**9, [2.0])
+        with pytest.raises(FormatError, match="^grid must be strictly increasing$"):
+            ft.sqrt_iteration(10**9, iter([0.5, 0.2]))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert ft.sqrt_iteration(2, (t for t in (0.0, 1.0))).values == (0.0, 7 / 8)  # any iterable is a grid
 
 
 def test_grid_validation():

@@ -219,38 +219,58 @@ FIXPOINT = ["solve", "fixpoint", "--fn", "cos", "--x0", "1"]
 WEIERSTRASS = ["approx", "weierstrass", "--fn", "square", "--grid", "0.5"]
 
 
+# (argv, option, the message after "argument <option>: "); a count's message shows the
+# converted value (`+03` as 3), a real's the text as given (`1e0`, not 1.0)
+USAGE_CASES = [
+    (FIXPOINT + ["--max-iter", "-5"], "--max-iter", "must be at least 1, got -5"),
+    (FIXPOINT + ["--max-iter", "0"], "--max-iter", "must be at least 1, got 0"),
+    (FIXPOINT + ["--tol", "nan"], "--tol", "must be a finite positive number, got nan"),
+    (FIXPOINT + ["--tol", "0"], "--tol", "must be a finite positive number, got 0"),
+    (FIXPOINT + ["--tol", "-1e-9"], "--tol", "expected one argument"),  # argparse reads `-1e-9` as a flag
+    (["solve", "pagerank", "--in", "web5.csv", "--max-iter", "-5"], "--max-iter", "must be at least 1, got -5"),
+    (["solve", "pagerank", "--in", "web5.csv", "--tol", "inf"], "--tol", "must be a finite positive number, got inf"),
+    (WEIERSTRASS + ["--n", "4", "--panels", "3"], "--panels", "must be even, got 3"),
+    (WEIERSTRASS + ["--n", "4", "--panels", "0"], "--panels", "must be at least 2, got 0"),
+    (WEIERSTRASS + ["--n", "0"], "--n", "must be at least 1, got 0"),
+    (["approx", "kernel-ratio", "--n", "0", "--delta", "0.5"], "--n", "must be at least 1, got 0"),
+    (["approx", "kernel-ratio", "--n", "4", "--delta", "0.5", "--panels", "7"], "--panels", "must be even, got 7"),
+    (["approx", "sqrt", "--n", "-1", "--grid", "0.5"], "--n", "must be at least 0, got -1"),
+    *[(["metric", "net", "--in", "web5.csv", "--eps", eps], "--eps", f"must be a positive number, got {eps}")
+      for eps in ("0", "-1", "nan")],
+    *[(["approx", "kernel-ratio", "--n", "4", "--delta", d], "--delta", f"must be strictly between 0 and 1, got {d}")
+      for d in ("0", "1", "3", "nan")],
+    (WEIERSTRASS + ["--n", "4", "--panels", "65538"], "--panels", "must be at most 65536, got 65538"),  # never run
+    (["approx", "kernel-ratio", "--n", "4", "--delta", "0.5", "--panels", str(1 << 20)], "--panels",
+     "must be at most 65536, got 1048576"),
+    (["metric", "hausdorff", "--in", "web5.csv", "--a", "", "--b", "1"], "--a", "must name at least one point"),
+    (["metric", "hausdorff", "--in", "web5.csv", "--a", "1 2", "--b", "  "], "--b", "must name at least one point"),
+    *[(["approx", "sqrt", "--n", n, "--grid", "0.5"], "--n", f"must be at most 65536, got {n}")
+      for n in ("65537", "1000000000")],  # never run
+    *[(FIXPOINT + ["--max-iter", m], "--max-iter", f"must be at most 65536, got {m}")
+      for m in ("65537", str(1 << 40))],  # never run
+    *[(["solve", "pagerank", "--in", "web5.csv", "--max-iter", m], "--max-iter", f"must be at most 65536, got {m}")
+      for m in ("65537", str(1 << 40))],
+    *[(["build", "subspace", "--in", "web5.csv", "--keep", k], "--keep", "must name at least one point")
+      for k in ("", "  ")],  # never read
+    (["approx", "sqrt", "--n", "1e3", "--grid", "0.5"], "--n", "invalid int value: '1e3'"),
+    (["metric", "net", "--in", "web5.csv", "--eps", "x"], "--eps", "invalid float value: 'x'"),
+    (FIXPOINT + ["--tol", "x"], "--tol", "invalid float value: 'x'"),
+    (WEIERSTRASS + ["--n", "4", "--panels", "two"], "--panels", "invalid int value: 'two'"),
+    (FIXPOINT + ["--max-iter", "+0"], "--max-iter", "must be at least 1, got 0"),
+    (["approx", "sqrt", "--n", "070000", "--grid", "0.5"], "--n", "must be at most 65536, got 70000"),
+    (WEIERSTRASS + ["--n", "4", "--panels", "+03"], "--panels", "must be even, got 3"),
+    (["approx", "kernel-ratio", "--n", "4", "--delta", "1e0"], "--delta", "must be strictly between 0 and 1, got 1e0"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv, option",
-    [
-        (FIXPOINT + ["--max-iter", "-5"], "--max-iter"),
-        (FIXPOINT + ["--max-iter", "0"], "--max-iter"),
-        (FIXPOINT + ["--tol", "nan"], "--tol"),
-        (FIXPOINT + ["--tol", "0"], "--tol"),
-        (FIXPOINT + ["--tol", "-1e-9"], "--tol"),
-        (["solve", "pagerank", "--in", "web5.csv", "--max-iter", "-5"], "--max-iter"),
-        (["solve", "pagerank", "--in", "web5.csv", "--tol", "inf"], "--tol"),
-        (WEIERSTRASS + ["--n", "4", "--panels", "3"], "--panels"),
-        (WEIERSTRASS + ["--n", "4", "--panels", "0"], "--panels"),
-        (WEIERSTRASS + ["--n", "0"], "--n"),
-        (["approx", "kernel-ratio", "--n", "0", "--delta", "0.5"], "--n"),
-        (["approx", "kernel-ratio", "--n", "4", "--delta", "0.5", "--panels", "7"], "--panels"),
-        (["approx", "sqrt", "--n", "-1", "--grid", "0.5"], "--n"),
-        *[(["metric", "net", "--in", "web5.csv", "--eps", eps], "--eps") for eps in ("0", "-1", "nan")],
-        *[(["approx", "kernel-ratio", "--n", "4", "--delta", d], "--delta") for d in ("0", "1", "3", "nan")],
-        (WEIERSTRASS + ["--n", "4", "--panels", "65538"], "--panels"),  # above the cap; never run
-        (["approx", "kernel-ratio", "--n", "4", "--delta", "0.5", "--panels", str(1 << 20)], "--panels"),
-        (["metric", "hausdorff", "--in", "web5.csv", "--a", "", "--b", "1"], "--a"),
-        (["metric", "hausdorff", "--in", "web5.csv", "--a", "1 2", "--b", "  "], "--b"),
-        *[(["approx", "sqrt", "--n", n, "--grid", "0.5"], "--n") for n in ("65537", "1000000000")],  # never run
-        *[(FIXPOINT + ["--max-iter", m], "--max-iter") for m in ("65537", str(1 << 40))],  # never run
-        *[(["solve", "pagerank", "--in", "web5.csv", "--max-iter", m], "--max-iter") for m in ("65537", str(1 << 40))],
-        *[(["build", "subspace", "--in", "web5.csv", "--keep", k], "--keep") for k in ("", "  ")],  # never read
-    ],
+    "argv, option, message", [pytest.param(*case, id=f"argv{i}-{case[1]}") for i, case in enumerate(USAGE_CASES)]
 )
-def test_option_values_outside_their_range_are_usage_errors(tmp_path, monkeypatch, capsys, argv, option):
+def test_option_values_outside_their_range_are_usage_errors(tmp_path, monkeypatch, capsys, argv, option, message):
     """A count, panel number, tolerance, radius, delta or empty set outside its range exits 2 before anything runs."""
     (tmp_path / "web5.csv").write_text(WEB5)
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     out, err = capsys.readouterr()
-    assert out == "" and f"error: argument {option}: " in err and "Traceback" not in err
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines()[-1] == f"finitetop {argv[0]} {argv[1]}: error: argument {option}: {message}"
