@@ -9,6 +9,7 @@ content. Output is deterministic: point order comes from the input file.
 import argparse
 import functools
 import math
+import re
 import sys
 from itertools import compress
 
@@ -526,44 +527,78 @@ def _command_table():
 
 
 _COMMANDS = _command_table()
+# a value that starts "-", then an optional ".", then a digit is a number, not a flag: Python
+# 3.13's rule, under which `-1e-3` and `-1,2` are values too; older argparse reads them as flags
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+
+def _fill(parser, command, what):
+    """`parser` as the parser of `command what`: its options from `_COMMANDS`, and both names as defaults."""
+    # the one private argparse attribute the CLI sets; no option of ours looks like a number
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
+    _, common, own = _COMMANDS[command]
+    for flags, kw in common + own[what]:
+        parser.add_argument(*flags, **kw)
+    parser.set_defaults(command=command, what=what)
+    return parser
+
+
+@functools.cache
+def _leaf(command, what):
+    """The parser of `command what` alone, built once per process; it parses what follows the two names."""
+    return _fill(argparse.ArgumentParser(prog=f"finitetop {command} {what}"), command, what)
 
 
 @functools.cache
 def build_parser(command=None):
     """The parser with the subcommands of `command`, or of every command if None.
 
-    Built once per process and argument; parsing leaves it unchanged. The
-    top level and every command's parser are always built, since the
-    top-level help, usage and "invalid choice" message list all commands;
-    only `command`'s parser gets its subcommands.
+    Built once per process and argument; parsing leaves it unchanged. `main`
+    builds it only for an argv that does not start with a command and one of
+    its subcommands, and to refuse a leftover. The top level and every
+    command's parser are always built, since the top-level help, usage and
+    "invalid choice" message list all commands; only `command`'s parser gets
+    its subcommands.
     """
     subcommand_help = {"report": {"help": "closure table, separation, neighborhoods"}}
     p = argparse.ArgumentParser(prog="finitetop", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (help_text, common, own) in _COMMANDS.items():
+    for name, (help_text, _, own) in _COMMANDS.items():
         shell = sub.add_parser(name, help=help_text)
         if command is None or command == name:
             group = shell.add_subparsers(dest="what", required=True)
-            for what, options in own.items():
-                w = group.add_parser(what, **subcommand_help.get(what, {}))
-                for flags, kw in common + options:
-                    w.add_argument(*flags, **kw)
+            for what in own:
+                _fill(group.add_parser(what, **subcommand_help.get(what, {})), name, what)
     return p
+
+
+def _parse(argv):
+    """The namespace of a call; help, usage and errors exit as argparse does.
+
+    An argv that starts with a command and one of its subcommands is parsed
+    by that subcommand's parser alone, as the tree would hand it the rest;
+    leftovers are refused in the top level's words. Any other argv goes to
+    the tree, which dispatches to the first argument that names a command:
+    the top level has no option that takes a value, and no command starts
+    with "-"; with no such argument the top level answers, listing every command.
+    """
+    if len(argv) > 1 and argv[0] in _COMMANDS and argv[1] in _COMMANDS[argv[0]][2]:
+        args, extras = _leaf(argv[0], argv[1]).parse_known_args(argv[2:])
+        if extras:
+            build_parser(argv[0]).error(f"unrecognized arguments: {' '.join(extras)}")
+        return args
+    return build_parser(next((a for a in argv if a in _COMMANDS), None)).parse_args(argv)
 
 
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    # argparse dispatches to the first argument that names a command: the top
-    # level has no option that takes a value, and no command starts with "-";
-    # with no such argument the top level answers, and it lists every command
-    parser = build_parser(next((a for a in argv if a in _COMMANDS), None))
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     # the handler is looked up by name on each call, not bound into the
-    # cached parser, so a handler rebound in this module takes effect
+    # cached parsers, so a handler rebound in this module takes effect
     handler = globals()[f"cmd_{args.command}"]
     try:
         return handler(args, sys.stdout)

@@ -268,12 +268,13 @@ class FiniteSpace(Preorder):
 
         With the empty set and the carrier present, the family is a topology
         iff c_x, the first member around x in `opens_by_size` order, is a
-        preorder (checked in O(n^2)) whose up-sets, the distinct c_x folded
-        into their unions in ascending order, are exactly the family. A
-        failure names two members whose intersection or union is missing: c_x
-        and c_y for y in c_x with c_y not inside c_x; u and c_x for a fold step
-        u | c_x outside the family; c_x and the first member u the fold misses,
-        for x in u with c_x not inside u. The family is kept as the `opens`.
+        preorder (checked once, by the constructor) whose up-sets, the
+        distinct c_x folded into their unions in ascending order, are exactly
+        the family. A failure names two members whose intersection or union
+        is missing: c_x and c_y for y in c_x with c_y not inside c_x; u and
+        c_x for a fold step u | c_x outside the family; c_x and the first
+        member u the fold misses, for x in u with c_x not inside u. The family
+        is kept as the `opens`.
         """
         points, opens = tuple(points), frozenset(opens)
         _check_labels(points)
@@ -298,10 +299,11 @@ class FiniteSpace(Preorder):
                 todo &= ~u
                 if not todo:
                     break
-        bad = intransitive_triple(ker)  # y in c_x, but c_y is not inside c_x
-        if bad:
-            raise gap("intersection", ker[bad[0]], ker[bad[1]])
-        space = cls(points, ker)
+        try:
+            space = cls(points, ker)
+        except ValidationError:  # every c_x holds x, so only transitivity fails: y in c_x, c_y not inside c_x
+            x, y, _ = intransitive_triple(ker)
+            raise gap("intersection", ker[x], ker[y]) from None
         reached = {0}
         for k in sorted(set(ker)):
             step = {u | k for u in reached}

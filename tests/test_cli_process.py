@@ -1,6 +1,7 @@
 """The CLI as programs run it: cold in a fresh interpreter, and many times
-in one process sharing one parser per command."""
+in one process sharing one parser per subcommand."""
 
+import argparse
 import os
 import random
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import finitetop as ft
 from finitetop import formats
-from finitetop.cli import build_parser, main
+from finitetop.cli import _leaf, _parse, build_parser, main
 
 from test_cli_fuzz import FILES, argv_for, subcommands
 from test_formats_cli import DIV6_SPACE, WEB5
@@ -135,7 +136,7 @@ def test_chained_biconditional_is_linear(tmp_path):
     assert codes == ["0", "1"] and float(seconds) < 1.0
 
 
-def test_cached_parser_carries_no_state(tmp_path, capsys):
+def test_cached_parser_carries_no_state(tmp_path, monkeypatch, capsys):
     space = tmp_path / "div6.top"
     space.write_text(DIV6_SPACE)
     thy = tmp_path / "t.thy"
@@ -150,24 +151,48 @@ def test_cached_parser_carries_no_state(tmp_path, capsys):
         ["logic", "model", "--in", str(thy)],
         ["approx", "sqrt", "--n", "2", "--grid", "0,1"],
         ["locale", "implication", "--in", str(space), "--a", "2", "--b", "6", "--json"],  # {2} is not open
+        ["space", "report", "--in", str(space), "extra"],  # usage error: the top level refuses the leftover
         ["space", "report", "--in", str(space)],
     ]
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
 
     def call(argv):
         code = main(argv)
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
-    first = []
-    for argv in calls:
+    def reset():
+        _leaf.cache_clear()
         build_parser.cache_clear()
+        built.clear()
+
+    first, builds = [], []
+    for argv in calls:
+        reset()
         first.append(call(argv))
-    assert [code for code, *_ in first] == [0, 0, 0, 0, 2, 0, 0, 0, 1, 0]
-    parsers = {argv[0]: build_parser(argv[0]) for argv in calls}
+        builds.append(list(built))
+    assert [code for code, *_ in first] == [0, 0, 0, 0, 2, 0, 0, 0, 1, 2, 0]
+    # a cold call builds its own subcommand's parser alone, also when that parser refuses the call
+    assert all(b == [f"finitetop {argv[0]} {argv[1]}"] for argv, b in zip(calls, builds) if "extra" not in argv)
+    # a leftover is refused in the top level's words, which only the tree holds
+    assert builds[-2][:2] == ["finitetop space report", "finitetop"]
+    assert first[-2][2].splitlines()[-1] == "finitetop: error: unrecognized arguments: extra"
+    reset()
+    ok = [argv for argv, (code, *_) in zip(calls, first) if code != 2]
+    assert [call(argv) for argv in ok] == [result for result in first if result[0] != 2]
+    # each subcommand's parser is built once and reused, and no tree is built
+    leaves = {(argv[0], argv[1]): _leaf(argv[0], argv[1]) for argv in ok}
+    assert len(built) == len(leaves) == _leaf.cache_info().currsize
+    assert build_parser.cache_info().currsize == 0
     assert [call(argv) for argv in calls] == first
-    # each command's parser is built once and reused; no other parser is built
-    assert all(build_parser(command) is parser for command, parser in parsers.items())
-    assert build_parser.cache_info().currsize == len(parsers)
+    assert all(_leaf(*leaf) is parser for leaf, parser in leaves.items())
 
 
 def test_a_command_parser_fills_only_its_own_subcommands():
@@ -188,13 +213,26 @@ EDGE_ARGV = [
     ["space", "-h", "report"], ["space", "--in", "x.top", "report"], ["--in", "x.top", "space", "report"],
     ["check", "space"], ["space", "report", "--in", "x.top", "check"], ["solve", "fixpoint", "-h"],
     ["approx", "bogus"], ["logic", "--bogus"], ["-h", "bogus"], ["bogus", "-h"],
+    # after a command and its subcommand: leftovers, "--", abbreviations, `--opt=value`, negative values
+    ["space", "report", "--in", "x.top", "extra"], ["space", "report", "extra", "--in", "x.top", "more"],
+    ["space", "report", "--in", "x.top", "--", "extra"], ["space", "report", "--", "--in", "x.top"],
+    ["space", "report", "--in", "x.top", "--"], ["space", "report", "--jso", "--in", "x.top"],
+    ["space", "report", "--e", "--in", "x.top"], ["space", "report", "--in=x.top", "--json"],
+    ["space", "report", "--in", "x.top", "--bogus"], ["space", "report", "--in", "x.top", "-h", "extra"],
+    ["space", "report", "--in", "x.top", "report"], ["space", "report", "--in"],
+    ["solve", "fixpoint", "--fn", "cos", "--x0", "-1e-3"], ["solve", "fixpoint", "--fn=cos", "--x0=-1e-3"],
+    ["solve", "fixpoint", "--fn", "cos", "--x0", "-.5", "--tol", "-1e-9"],
+    ["approx", "weierstrass", "--fn", "square", "--n", "4", "--grid", "-1e-3,0.5"],
+    ["approx", "sqrt", "--n", "-1", "--grid", "-inf"],
 ]
 
 
 def test_the_lazy_parser_parses_as_the_full_one(tmp_path, capsys):
     """Every fuzz argv (seeds 1 and 2) and edge argv parses alike with the
-    parser of its first argument that names a command and with the full one:
-    the same namespace, or the same exit code and output."""
+    full parser, with the parser of its first argument that names a command,
+    and through `main`'s dispatch, which hands an argv that starts with a
+    command and its subcommand to that subcommand's parser alone: the same
+    namespace, or the same exit code and output."""
     for name, text in FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     leaves = subcommands()
@@ -204,15 +242,16 @@ def test_the_lazy_parser_parses_as_the_full_one(tmp_path, capsys):
         argvs += [argv_for(rng, tmp_path, *leaf) for _ in range(40) for leaf in leaves]
     names = {command for command, _, _ in leaves}
 
-    def parse(parser, argv):
+    def parse(parse_args, argv):
         try:
-            return parser.parse_args(argv), capsys.readouterr()
+            return parse_args(argv), capsys.readouterr()
         except SystemExit as e:
             return e.code, capsys.readouterr()
 
     for argv in argvs:
-        lazy = build_parser(next((a for a in argv if a in names), None))
-        assert parse(lazy, argv) == parse(build_parser(), argv), argv
+        full = parse(build_parser().parse_args, argv)
+        assert parse(build_parser(next((a for a in argv if a in names), None)).parse_args, argv) == full, argv
+        assert parse(_parse, argv) == full, argv
 
 
 FIXPOINT = ["solve", "fixpoint", "--fn", "cos", "--x0", "1"]
@@ -226,7 +265,7 @@ USAGE_CASES = [
     (FIXPOINT + ["--max-iter", "0"], "--max-iter", "must be at least 1, got 0"),
     (FIXPOINT + ["--tol", "nan"], "--tol", "must be a finite positive number, got nan"),
     (FIXPOINT + ["--tol", "0"], "--tol", "must be a finite positive number, got 0"),
-    (FIXPOINT + ["--tol", "-1e-9"], "--tol", "expected one argument"),  # argparse reads `-1e-9` as a flag
+    (FIXPOINT + ["--tol", "-1e-9"], "--tol", "must be a finite positive number, got -1e-9"),
     (["solve", "pagerank", "--in", "web5.csv", "--max-iter", "-5"], "--max-iter", "must be at least 1, got -5"),
     (["solve", "pagerank", "--in", "web5.csv", "--tol", "inf"], "--tol", "must be a finite positive number, got inf"),
     (WEIERSTRASS + ["--n", "4", "--panels", "3"], "--panels", "must be even, got 3"),
@@ -274,3 +313,16 @@ def test_option_values_outside_their_range_are_usage_errors(tmp_path, monkeypatc
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err
     assert err.splitlines()[-1] == f"finitetop {argv[0]} {argv[1]}: error: argument {option}: {message}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "fixpoint", "--fn", "cos", "--x0", "-1e-3"],
+    ["approx", "weierstrass", "--fn", "square", "--n", "4", "--grid", "-1e-3,0.5"],
+], ids=lambda argv: argv[1])
+def test_a_negative_value_with_an_exponent_is_a_value(capsys, argv):
+    """`-1e-3` after an option is its value, not a flag, and runs as `--opt=-1e-3` does."""
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out
+    assert main(argv[:-2] + [f"{argv[-2]}={argv[-1]}"]) == 0
+    assert capsys.readouterr() == (out, "")
