@@ -99,6 +99,14 @@ class _Report:
         self.data[key] = value
         self.lines.append(line if line is not None else f"{key}: {value}")
 
+    def label_lists(self, space, masks):
+        """For `--json`, the masks, printed as lists of the space's labels; False for text."""
+        if not self.as_json:
+            return False
+        from .jsonout import LabelLists
+
+        return LabelLists(space.points, masks)
+
     def table(self, key, headers, rows):
         """Rows under headers: a list of row dicts for `--json`, else padded columns."""
         if self.as_json:
@@ -114,9 +122,9 @@ class _Report:
 
     def print(self, out):
         if self.as_json:
-            import json  # only `--json` output needs it, so a text call never loads it
+            from .jsonout import dumps  # only `--json` output needs it, so a text call never compiles it
 
-            out.write(json.dumps(self.data, indent=2, sort_keys=True) + "\n")
+            _emit(out, dumps(self.data))
         else:
             out.write("\n".join(self.lines) + "\n")
 
@@ -133,7 +141,7 @@ def cmd_space(args, out):
     rep.add("points", list(space.points), "points: " + " ".join(space.points))
     opens = space.opens_by_size
     strs = list(map(space.set_str, opens))  # each open rendered once; the rows below filter this list
-    rep.add("opens", rep.as_json and [list(space.labels(u)) for u in opens], "opens: " + " ".join(strs))
+    rep.add("opens", rep.label_lists(space, opens), "opens: " + " ".join(strs))
     if space.n <= CLOSURE_TABLE_LIMIT:
         rows = []
         for m in sorted(subsets(space.full), key=lambda m: (m.bit_count(), m)):
@@ -274,7 +282,7 @@ def cmd_locale(args, out):
         irr, sober = locales.irreducible_closed_sets(space)
         rep.add(
             "irreducible_closed",
-            rep.as_json and [list(space.labels(f)) for f in irr],
+            rep.label_lists(space, irr),
             "irreducible closed: " + " ".join(map(space.set_str, irr)),
         )
         rep.add("sober", sober)
@@ -528,8 +536,9 @@ def _command_table():
 
 _COMMANDS = _command_table()
 # a value that starts "-", then an optional ".", then a digit is a number, not a flag: Python
-# 3.13's rule, under which `-1e-3` and `-1,2` are values too; older argparse reads them as flags
-_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+# 3.13's rule, under which `-1e-3` and `-1,2` are values too; older argparse reads them as flags.
+# So is one that starts "-inf" or "-nan" in any case, as `float` reads them (`-Infinity` too)
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d|-(?:inf|nan)", re.IGNORECASE)
 
 
 def _fill(parser, command, what):

@@ -50,6 +50,18 @@ def _mask_of(bit, labels, lineno=None):
     return m
 
 
+def _tables_by_byte(parts, empty):
+    """Per byte of a mask, its points' parts concatenated in carrier order, built by doubling:
+    entry b of table k is the parts of the points 8k + i for the bits i of b. There are two
+    tables at least, so both bytes of a mask below 2^16 can be read.
+    """
+    tables = [[empty] for _ in range(max(2, (len(parts) + 7) >> 3))]
+    for x, part in enumerate(parts):
+        t = tables[x >> 3]
+        t += [s + part for s in t]  # t[m | bit] = t[m] + part
+    return tables
+
+
 class Carrier:
     """Masks <-> labels for a record whose `points` tuple indexes the bits, checked by `_carrier`.
 
@@ -68,11 +80,7 @@ class Carrier:
 
     @cached
     def _byte_tables(self):
-        tables = [[()] for _ in range(0, len(self.points), 8)]
-        for x, p in enumerate(self.points):
-            t = tables[x >> 3]
-            t += [s + (p,) for s in t]  # t[m | bit] = t[m] + (p,)
-        return tables
+        return _tables_by_byte([(p,) for p in self.points], ())
 
     def labels(self, mask):
         """The labels of the mask's points in carrier order; IndexError off the carrier."""
@@ -268,7 +276,7 @@ class FiniteSpace(Preorder):
 
         With the empty set and the carrier present, the family is a topology
         iff c_x, the first member around x in `opens_by_size` order, is a
-        preorder (checked once, by the constructor) whose up-sets, the
+        preorder (checked once, here) whose up-sets, the
         distinct c_x folded into their unions in ascending order, are exactly
         the family. A failure names two members whose intersection or union
         is missing: c_x and c_y for y in c_x with c_y not inside c_x; u and
@@ -299,11 +307,9 @@ class FiniteSpace(Preorder):
                 todo &= ~u
                 if not todo:
                     break
-        try:
-            space = cls(points, ker)
-        except ValidationError:  # every c_x holds x, so only transitivity fails: y in c_x, c_y not inside c_x
-            x, y, _ = intransitive_triple(ker)
-            raise gap("intersection", ker[x], ker[y]) from None
+        bad = intransitive_triple(ker)  # every c_x holds x: y in c_x, c_y not inside c_x
+        if bad:
+            raise gap("intersection", ker[bad[0]], ker[bad[1]])
         reached = {0}
         for k in sorted(set(ker)):
             step = {u | k for u in reached}
@@ -313,17 +319,15 @@ class FiniteSpace(Preorder):
         if len(reached) < len(opens):
             u = next(u for u in ops if u not in reached)
             raise gap("intersection", next(ker[x] for x in bits(u) if ker[x] & ~u), u)
-        space.__dict__.update(opens=opens, opens_by_size=tuple(ops))  # fills both caches
+        # built past the constructor, whose checks (the labels', the carrier's, the preorder's) all ran above
+        space = object.__new__(cls)
+        space.__dict__.update(points=points, rel=tuple(ker), opens=opens, opens_by_size=tuple(ops))  # and both caches
         return space
 
     @cached
     def _label_texts(self):
         """The label text of every value of a mask's low and high byte, each label after a space."""
-        texts = ([""], [""])
-        for x, p in enumerate(self.points):
-            t, text = texts[x >> 3], " " + p
-            t += [s + text for s in t]  # t[m | bit] = t[m] + " " + p
-        return texts
+        return _tables_by_byte([" " + p for p in self.points], "")
 
     def set_str(self, mask):
         """The mask as `{a b}`, from the label texts of its two bytes; IndexError off the carrier."""

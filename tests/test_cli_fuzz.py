@@ -5,12 +5,14 @@ is fuzzed without editing this file. Values are drawn from edge cases
 (`nan`, `inf`, negatives, huge counts, empty and unknown label lists) and
 from files of every format, well formed or with one line mutated. Whatever
 the input, `main` returns 0, 1 or 2, prints no traceback, names a `[{...}]`
-witness on every exit 1, and finishes within a time bound. The seeds come
-from `CLI_FUZZ_SEEDS`, whitespace-separated, by default `1 2`; a longer list
-is a longer profile.
+witness on every exit 1, finishes within a time bound, and prints `--json`
+output as `json.dumps(indent=2, sort_keys=True)` would. The seeds come from
+`CLI_FUZZ_SEEDS`, whitespace-separated, by default `1 2`; a longer list is a
+longer profile.
 """
 
 import argparse
+import json
 import os
 import random
 
@@ -161,6 +163,8 @@ def check_contract(capsys, argv):
     if code == 1:
         last = err.rstrip("\n").rsplit("\n", 1)[-1]
         assert last.startswith("failed: ") and last.endswith("}]") and " [{" in last, (argv, err)
+    if "--json" in argv and not {"-h", "--emit"} & set(argv) and out:  # a report, not help or a space file
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
     return code, out, err
 
 

@@ -60,17 +60,19 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded(tmp_path):
 
 
 def test_a_text_report_never_imports_json(tmp_path, monkeypatch, capsys):
-    # `json` loads only to print `--json` output, and the output is the one
+    # a text call loads no JSON code; a `--json` call loads only the C string
+    # encoder of `_json`, not the `json` package, and the output is the one
     # the same call prints in process
     (tmp_path / "two.top").write_text("points: a b\nopen: a\n")
     monkeypatch.chdir(tmp_path)
-    for extra, imports_json in (([], False), (["--json"], True)):
+    for extra, module, imported in (([], "json", False), (["--json"], "_json", True)):
         argv = ["space", "report", "--in", "two.top", *extra]
         proc = fresh(["-X", "importtime", "-m", "finitetop.cli", *argv], tmp_path)
         assert proc.returncode == 0
         lines = proc.stderr.splitlines()
         modules = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
-        assert ("json" in modules) == imports_json
+        assert (module in modules) == imported
+        assert "json" not in modules
         assert main(argv) == 0
         assert proc.stdout == capsys.readouterr().out
 
@@ -224,6 +226,8 @@ EDGE_ARGV = [
     ["solve", "fixpoint", "--fn", "cos", "--x0", "-.5", "--tol", "-1e-9"],
     ["approx", "weierstrass", "--fn", "square", "--n", "4", "--grid", "-1e-3,0.5"],
     ["approx", "sqrt", "--n", "-1", "--grid", "-inf"],
+    ["solve", "fixpoint", "--fn", "cos", "--x0", "1", "--tol", "-inf"], ["metric", "net", "--in", "x", "--eps", "-NaN"],
+    ["approx", "weierstrass", "--fn", "square", "--n", "4", "--grid", "-Infinity,0"],
 ]
 
 
@@ -326,3 +330,23 @@ def test_a_negative_value_with_an_exponent_is_a_value(capsys, argv):
     assert err == "" and out
     assert main(argv[:-2] + [f"{argv[-2]}={argv[-1]}"]) == 0
     assert capsys.readouterr() == (out, "")
+
+
+@pytest.mark.parametrize("argv", [
+    FIXPOINT + ["--tol", "-inf"],
+    FIXPOINT + ["--tol", "-NaN"],
+    ["solve", "fixpoint", "--fn", "cos", "--x0", "-inf"],
+    ["metric", "net", "--in", "web5.csv", "--eps", "-Infinity"],
+    ["approx", "kernel-ratio", "--n", "4", "--delta", "-nan"],
+    ["approx", "weierstrass", "--fn", "square", "--n", "4", "--grid", "-inf,0"],
+], ids=lambda argv: " ".join(argv[1:]))
+def test_a_value_that_starts_minus_inf_or_nan_is_a_value(tmp_path, monkeypatch, capsys, argv):
+    """`-inf`, `-infinity` and `-nan`, in any case, are read by `float`, so after an option they are
+    its value, not a flag: each call exits and prints as its `--opt=value` form does."""
+    (tmp_path / "web5.csv").write_text(WEB5)
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and "expected one argument" not in err
+    assert main(argv[:-2] + [f"{argv[-2]}={argv[-1]}"]) == code
+    assert capsys.readouterr() == (out, err)

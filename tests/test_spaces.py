@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finitetop as ft
+from finitetop import formats, spaces
 from finitetop.bitsets import bits, intransitive_triple, is_subset, subsets
 from finitetop.errors import FormatError, ValidationError
 
@@ -140,6 +141,27 @@ def test_carrier_limit():
     pts = tuple(f"p{i}" for i in range(17))
     with pytest.raises(ValidationError):
         ft.FiniteSpace.from_opens(pts, {0, (1 << 17) - 1})
+
+
+@pytest.mark.parametrize("points, err, message, witness", [
+    (tuple(f"p{i}" for i in range(17)), ValidationError, "carrier has 17 points, limit is 16", {"x": "p16"}),
+    (("a", "b", "a"), FormatError, "duplicate point label 'a'", None),
+], ids=["17-points", "duplicate"])
+def test_a_family_checks_its_labels_once_and_first(monkeypatch, points, err, message, witness):
+    """Read from a file or given as masks, a family's labels are checked once, before its
+    members: an off-carrier member and a missing empty set are not what gets reported."""
+    calls = []
+    check = spaces._check_labels
+    monkeypatch.setattr(spaces, "_check_labels", lambda *args: calls.append(args) or check(*args))
+    text = f"points: {' '.join(points)}\nopen: {points[1]}\n"
+    for load in (lambda: formats.load_space(text), lambda: ft.FiniteSpace.from_opens(points, {0b10, 1 << 20})):
+        calls.clear()
+        with pytest.raises(err, match=f"^{message}$") as e:
+            load()
+        assert len(calls) == 1 and getattr(e.value, "witness", None) == witness
+    calls.clear()
+    assert formats.load_space("points: a b\nopen: a\n").opens == {0, 0b01, 0b11}
+    assert len(calls) == 1
 
 
 def test_opens_closed_under_pairwise_ops(small_spaces):
