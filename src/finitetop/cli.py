@@ -470,7 +470,7 @@ def _command_table():
     as_json = opt("--json", action="store_true")
     report = (infile, as_json)
     second = opt("--with", dest="second", required=True)
-    labels = opt("--labels", default=None)
+    labels = opt("--labels", type=_nonempty, default=None)
     func = opt("--fn", dest="func", required=True)
     grid = opt("--grid", required=True)
     panels = opt("--panels", type=_panels, default=2048)

@@ -3,10 +3,15 @@
 Distances are floats except in the chain construction, whose path lengths
 are whole multiples of 2^-(k+1) for a chain of depth k: they are summed as
 ints in those units and divided once, so every distance is exact.
+The triangle test costs n^2/2 big-int sums over rows packed into lanes, and
+n float sums only for the pairs those cannot clear (`_triangle_suspects`).
 """
 
 import math
+import struct
+from itertools import combinations
 from operator import add, ne, sub
+from sys import byteorder
 
 from .bitsets import bits, intransitive_triple
 from .construct import block_labels
@@ -15,6 +20,7 @@ from .records import record
 from .spaces import Carrier, FiniteSpace, _union
 
 _EPS = 1e-9
+_LANES_FROM = 11  # fewer points check every pair: packing them costs more than it saves
 
 
 @record
@@ -43,18 +49,79 @@ class PMetricSpace(Carrier):
         # d is symmetric now, so row j stands in for column j, and the pair
         # (j, i) sums the same floats as (i, j): the upper triangle decides,
         # and the first failing pair in row-major order lies in it.
-        for i in range(n):
-            for j in range(i + 1, n):
-                if d[i][j] > min(map(add, d[i], d[j])) + _EPS:
-                    k = next(k for k in range(n) if d[i][j] > d[i][k] + d[k][j] + _EPS)
-                    raise ValidationError(
-                        "triangle inequality fails",
-                        {"x": self.points[i], "z": self.points[k], "y": self.points[j]},
-                    )
+        for i, j in _triangle_suspects(d):
+            if d[i][j] > min(map(add, d[i], d[j])) + _EPS:
+                k = next(k for k in range(n) if d[i][j] > d[i][k] + d[k][j] + _EPS)
+                raise ValidationError(
+                    "triangle inequality fails",
+                    {"x": self.points[i], "z": self.points[k], "y": self.points[j]},
+                )
 
     @property
     def is_metric(self):
         return all(v > 0 for i, row in enumerate(self.dist) for j, v in enumerate(row) if i != j)
+
+
+def _triangle_suspects(d):
+    """The pairs i < j, in row-major order, on which the float triangle test can fail.
+
+    Every entry becomes an int q = d 2^s, rounded, on one scale: the low 52
+    bits of the float d + 2^(52-s) count d in units 2^-s while d < 2^(52-s).
+    Each row packs the low bytes of its q into one int of w-bit lanes, and
+    for a pair, lane k of P_i + G + P_j - t*ONES keeps its guard bit (G holds
+    the top bit of every lane) iff q_ik + q_jk >= t. Every q is below
+    2^(w-2), so no lane borrows from or carries into the next. A pair whose
+    guard bits all survive passes the float test, so it is skipped:
+    - whole numbers (s = 0, so q = d, and t = q_ij): d_ik + d_kj >= d_ij
+      exactly, and rounding to nearest is monotone while d_ij is a float;
+    - fractions below 2^12 (s >= 33, t = q_ij + 2 - m, m = floor(2^s eps/2)
+      >= 4): d_ik + d_kj >= (t - 1) 2^-s > d_ij - eps/2, and the two float
+      additions lose at most 2u(d_ik + d_kj) + u eps < 2^-39 + u eps < eps/2
+      (u = 2^-53). Lane k = i holds q_ij itself, so without the margin m
+      no rounded pair would pass.
+    Whole numbers from 2^46 and fractions from 2^12 would need lanes past the
+    48 bits below the float's exponent; they, an inf, and carriers too small
+    to pay for the packing keep every pair.
+    """
+    n = len(d)
+    if n < _LANES_FROM:
+        return combinations(range(n), 2)
+    whole = all(all(map(float.is_integer, row)) for row in d)
+    top = 0.0
+    for most in map(max, d):  # row by row: an entry out of reach, or an inf, ends the scan
+        if not most < (2**46 if whole else 2**12):
+            return combinations(range(n), 2)
+        top = max(top, most)
+    e = max(math.frexp(top)[1], -900)  # top < 2^e; the bound keeps 2^(52-s) normal
+    if whole:  # bytes for lanes of e bits, a carry and the guard
+        size, s, lift = (e + 9) // 8, 0, 0
+    else:  # bytes for 33 or more bits below the point and e above it, a spare bit, a carry and the guard
+        size = max((e + 43) // 8, 1)
+        s = 8 * size - 3 - e
+        lift = 2 - int(math.ldexp(_EPS / 2, s))
+    big = math.ldexp(1.0, 52 - s)
+    raw = struct.pack(f"{n * n}d", *[v + big for row in d for v in row])
+    lanes = bytearray(size * n * n)
+    for k in range(size):  # the low bytes of each q, least significant first
+        lanes[k::size] = raw[k if byteorder == "little" else 7 - k :: 8]
+    step = size * n
+    packed = [int.from_bytes(lanes[i : i + step], "little") for i in range(0, step * n, step)]
+    cells = memoryview(raw).cast("Q")  # q plus the bits of big, the diagonal's 0 + big
+    q = [cells[i : i + n] for i in range(0, n * n, n)]
+    return _lane_suspects(packed, q, size, lift - cells[0])
+
+
+def _lane_suspects(packed, q, size, lift):
+    """The pairs i < j whose lanes of `size` bytes in P_i + G + P_j - (q_ij + lift)*ONES lose a guard bit."""
+    n = len(packed)
+    ones = int.from_bytes(b"\1".ljust(size, b"\0") * n, "little")
+    guard = ones << 8 * size - 1
+    for i, qi in enumerate(q):
+        a = packed[i] + guard
+        for j in range(i + 1, n):
+            t = qi[j] + lift
+            if t > 0 and (a + packed[j] - t * ones) & guard != guard:
+                yield i, j
 
 
 def open_ball(sp: PMetricSpace, center: int, radius: float) -> int:
@@ -106,7 +173,11 @@ def metric_quotient(sp: PMetricSpace):
                             "quotient distance is not well defined",
                             {"x": sp.points[a], "y": sp.points[b]},
                         )
-    return PMetricSpace(labels, tuple(map(tuple, dmat))), classes
+    # built past the constructor: the representatives' distances are a principal
+    # submatrix of a matrix that passed, and `block_labels` names are distinct
+    q = object.__new__(PMetricSpace)
+    q.__dict__.update(points=labels, dist=tuple(map(tuple, dmat)))
+    return q, classes
 
 
 def hausdorff_distance(sp: PMetricSpace, c: int, d: int) -> float:

@@ -996,6 +996,22 @@ def test_net_radius_must_be_a_positive_number(tmp_path, capsys):
     assert code == 0 and out == "centers: 1\n"
 
 
+@pytest.mark.parametrize("labels", ["", "  "])
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "pmetric"], ["metric", "hausdorff", "--a", "1", "--b", "2"], ["metric", "quotient"],
+     ["metric", "net", "--eps", "1"]],
+    ids=["check-pmetric", "hausdorff", "quotient", "net"],
+)
+def test_a_label_list_that_names_no_point_is_a_usage_error(tmp_path, capsys, argv, labels):
+    """`--labels` with no label in it exits 2 in either spelling, not with the default labels 1..n."""
+    m = tmp_path / "two.csv"
+    m.write_text("0,1\n1,0\n")
+    code, out, err = run(capsys, *argv, "--in", str(m), "--labels", labels)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"finitetop {argv[0]} {argv[1]}: error: argument --labels: must name at least one point"
+
+
 def test_solve_commands(tmp_path, capsys):
     web = tmp_path / "web5.csv"
     web.write_text(WEB5)

@@ -13,7 +13,8 @@ import finitetop as ft
 from finitetop.bitsets import bits, subsets
 from finitetop.cli import main
 from finitetop.errors import FormatError, ValidationError
-from finitetop.pmetric import NonConvergence, open_ball
+from finitetop.formats import load_matrix
+from finitetop.pmetric import NonConvergence, _triangle_suspects, open_ball
 
 from oracles import (
     chain_distances_by_fractions,
@@ -126,6 +127,177 @@ def test_triangle_witness_at_larger_n():
         assert err.value.witness == {"x": labels[x], "y": labels[y], "z": labels[z]}
         rows_hit.add(x)
     assert len(rows_hit) >= 10
+
+
+def _triangle_verdict(d):
+    """The constructor's verdict on matrix d, held to `first_violation(d, 1e-9)`; the witness row, or None."""
+    labels = tuple(f"p{i}" for i in range(len(d)))
+    want = oracles.first_violation(d, 1e-9)
+    if want is None:
+        ft.PMetricSpace(labels, d)
+        return None
+    with pytest.raises(ValidationError) as err:
+        ft.PMetricSpace(labels, d)
+    message, idx = want
+    assert str(err.value) == message
+    assert err.value.witness == {name: labels[i] for name, i in zip(("x", "y", "z"), idx)}
+    return idx[0]
+
+
+def _l1(points):
+    return [[float(sum(abs(a - b) for a, b in zip(p, q))) for q in points] for p in points]
+
+
+def _plant(rng, d, values):
+    """Set up to three symmetric pairs of d to values drawn from `values(v)`, v the pair's old distance."""
+    n = len(d)
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.sample(range(n), 2)
+        d[i][j] = d[j][i] = rng.choice(values(d[i][j]))
+    return d
+
+
+def _whole(rng, n, span):
+    pts = [tuple(rng.randrange(span) for _ in range(3)) for _ in range(n - n // 10)]
+    pts += rng.sample(pts, n // 10)  # repeated points: a pseudometric
+    rng.shuffle(pts)
+    return _plant(rng, _l1(pts), lambda v: (0.0, v // 2, v + 1, v * 3 + 1, v * 5 + 7))
+
+
+def _tenths(rng, n):
+    pts = [tuple(rng.randrange(60) for _ in range(2)) for _ in range(n)]
+    text = "".join(",".join(str(v / 10) for v in row) + "\n" for row in _l1(pts))
+    return _plant(rng, load_matrix(text), lambda v: (0.0, v + 0.1, round(v * 2 + 0.3, 1), v + 9.9))
+
+
+def _euclid(rng, n):
+    pts = [(rng.uniform(0, 4), rng.uniform(0, 4)) for _ in range(n)]
+    d = [[math.dist(p, q) for q in pts] for p in pts]
+    return _plant(rng, d, lambda v: (0.0, v / 3, v * 1.5 + 0.01, v + 4.0, v + 1e-6))
+
+
+def _chain(rng):
+    chain = random_chain(rng, max_points=40, max_depth=5)
+    while chain.n < 12:
+        chain = random_chain(rng, max_points=40, max_depth=5)
+    d = [list(row) for row in ft.pseudometric_from_chain(chain).dist]
+    return _plant(rng, d, lambda v: (0.0, v / 4, v + 0.25, v + 0.75))
+
+
+def _boundary(rng, n):
+    """Points on a line, so most triangles are tight, with one pair pushed out by under or over the slack."""
+    xs = sorted(rng.sample(range(1000), n))
+    d = [[float(abs(x - y)) for y in xs] for x in xs]
+    i = rng.randrange(n - 2)
+    j = rng.randrange(i + 2, n)
+    d[i][j] = d[j][i] = d[i][j] + rng.choice((0.5e-9, 1e-9, 1.5e-9, 2e-9))
+    return d
+
+
+def _into_binade(d, x):
+    """d times the power of two that puts its largest entry in the binade of x."""
+    k = math.frexp(x)[1] - math.frexp(max(map(max, d)))[1]
+    return [[math.ldexp(v, k) for v in row] for row in d]
+
+
+def _two_clusters(rng, n, near, far):
+    """Points of two clusters: `near(i, j)` inside one, `far` across."""
+    side = [rng.randrange(2) for _ in range(n)]
+    return [[0.0 if i == j else near(i, j) if side[i] == side[j] else far for j in range(n)] for i in range(n)]
+
+
+MATRIX_CLASSES = {
+    "whole-byte": lambda rng: _whole(rng, rng.randint(17, 70), 12),
+    "whole-wide": lambda rng: _whole(rng, rng.randint(17, 50), 400),
+    "whole-large": lambda rng: _into_binade(_whole(rng, 20, 12), 2.0**45),
+    "whole-beyond-lanes": lambda rng: _into_binade(_whole(rng, 20, 12), 2.0**46),
+    "fraction-large": lambda rng: _into_binade(_euclid(rng, 20), 2.0**11),
+    "fraction-beyond-lanes": lambda rng: _into_binade(_euclid(rng, 20), 2.0**12),
+    "chain": _chain,
+    "tenths": lambda rng: _tenths(rng, rng.randint(12, 50)),
+    "euclid": lambda rng: _euclid(rng, rng.randint(12, 50)),
+    "boundary": lambda rng: _boundary(rng, rng.randint(12, 40)),
+    "inf": lambda rng: _plant(rng, _two_clusters(rng, rng.randint(12, 30), lambda i, j: 1.0 + (i + j) % 2, math.inf),
+                              lambda v: (math.inf, 0.0, 5.0)),
+    "mixed": lambda rng: _plant(rng, _two_clusters(rng, rng.randint(12, 30), lambda i, j: 5e-324, 1e300),
+                                lambda v: (1e300, 1e300, 0.0)),
+    "subnormal": lambda rng: _two_clusters(rng, rng.randint(12, 30), lambda i, j: 5e-324 * (1 + (i ^ j) % 3), 1e-310),
+}
+
+
+@pytest.mark.parametrize("kind", MATRIX_CLASSES)
+def test_triangle_test_matches_the_entry_by_entry_oracle(kind):
+    """Verdict, message and witness against the float sweep over (i, j, k), with the 1e-9 slack."""
+    rng = random.Random(kind)
+    verdicts = [_triangle_verdict(MATRIX_CLASSES[kind](rng)) for _ in range(25)]
+    if kind != "subnormal":  # every distance there is below the slack
+        assert None in verdicts and len(set(verdicts)) >= 4
+
+
+def test_triangle_test_on_edge_cases():
+    """Tiny carriers, the inf a library caller can pass, a pair 0.5e-9 and 2e-9 past a tight triangle,
+    and violations at 200 points in rows far apart."""
+    for d in ([], [[0.0]], [[0.0, 1.0], [1.0, 0.0]]):
+        assert _triangle_verdict(d) is None
+    inf = math.inf
+    assert _triangle_verdict([[0.0, 1.0, inf], [1.0, 0.0, 1.0], [inf, 1.0, 0.0]]) == 0
+    with pytest.raises(ValidationError) as err:
+        ft.PMetricSpace(("a", "b", "c"), [[0, 1, inf], [1, 0, 1], [inf, 1, 0]])
+    assert err.value.witness == {"x": "a", "z": "b", "y": "c"}
+    xs = range(0, 60, 2)  # 30 points on a line: d(0, 58) = d(0, k) + d(k, 58) for every k
+    for bump, verdict in ((0.5e-9, None), (2e-9, 0)):
+        d = [[float(abs(x - y)) for y in xs] for x in xs]
+        d[0][-1] = d[-1][0] = 58 + bump
+        assert _triangle_verdict(d) == verdict
+    rng = random.Random(200)
+    pts = [tuple(rng.randrange(12) for _ in range(3)) for _ in range(200)]
+    rows = set()
+    for _ in range(3):
+        d = _l1(pts)
+        i, j = sorted(rng.sample(range(200), 2))
+        d[i][j] = d[j][i] = 40.0
+        rows.add(_triangle_verdict(d))
+    assert len(rows) == 3
+
+
+@pytest.mark.parametrize(
+    "kind", ["whole-byte", "whole-wide", "whole-large", "fraction-large", "chain", "tenths", "euclid", "subnormal"]
+)
+def test_lanes_clear_every_pair_of_a_valid_matrix(kind):
+    """On valid matrices of at least 12 points the integer lanes leave no pair to the float test."""
+    rng = random.Random(kind)
+    checked = 0
+    while checked < 10:
+        d = MATRIX_CLASSES[kind](rng)
+        if oracles.first_violation(d, 1e-9) is None:
+            sp = ft.PMetricSpace(tuple(map(str, range(len(d)))), d)
+            assert list(_triangle_suspects(sp.dist)) == []
+            checked += 1
+
+
+@pytest.mark.parametrize("span", [12, 22, 40, 400, 2**20])
+def test_lanes_flag_exactly_the_failing_pairs_of_a_whole_matrix(span):
+    """On whole numbers below 2^46 the lanes are exact: a pair is flagged iff some k has d_ik + d_kj < d_ij.
+
+    Span 22 puts the largest L1 distance at 63, the last one byte lanes hold;
+    the planted distances and the larger spans take wider lanes."""
+    rng = random.Random(span)
+    flagged = 0
+    for _ in range(20):
+        d = _whole(rng, rng.randint(12, 40), span)
+        n = len(d)
+        want = [(i, j) for i, j in combinations(range(n), 2) if min(map(sum, zip(d[i], d[j]))) < d[i][j]]
+        assert list(_triangle_suspects(tuple(map(tuple, d)))) == want
+        flagged += len(want)
+    assert flagged
+
+
+@pytest.mark.parametrize("kind", ["whole-beyond-lanes", "fraction-beyond-lanes", "inf", "mixed"])
+def test_lanes_fall_back_to_every_pair(kind):
+    """An inf, whole numbers from 2^46 or fractions from 2^12 leave every pair to the float test, in order."""
+    d = MATRIX_CLASSES[kind](random.Random(kind))
+    n = len(d)
+    assert list(_triangle_suspects(tuple(map(tuple, d)))) == list(combinations(range(n), 2))
 
 
 def test_negative_and_asymmetric_rejected():
@@ -249,7 +421,8 @@ def test_metric_quotient_moves_no_distance_between_classes():
 def test_metric_quotient_classes_are_the_zero_rows():
     """On 3000 small matrices with many zeros: the classes partition the points,
     each class's members are at distance zero from each other and from no one
-    else, classes are listed by lowest point, and the quotient is a metric.
+    else, classes are listed by lowest point, and the quotient is a metric that
+    the constructor would build alike.
     The topology is every union of open balls, or refused like the quotient."""
     rng = random.Random(77)
     quotients = 0
@@ -280,6 +453,7 @@ def test_metric_quotient_classes_are_the_zero_rows():
             for i in bits(c):
                 assert {j for j in range(n) if d[i][j] == 0.0} == set(bits(c))
         assert q.is_metric and q.n == len(classes)
+        assert q == ft.PMetricSpace(q.points, q.dist)  # the checks it skips would pass, on the same fields
     assert quotients > 1000
 
 
