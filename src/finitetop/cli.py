@@ -85,6 +85,12 @@ def _emit(out, text):
         out.write("\n")
 
 
+def _set_strs(space, masks):
+    """The masks of a space as `{a b}`, from two per-byte tables of label text built once for the call."""
+    lo, hi = spaces._tables_by_byte([" " + p for p in space.points])
+    return ["{" + (lo[m & 255] + hi[m >> 8])[1:] + "}" for m in masks]  # less the first label's space
+
+
 class _Report:
     """Collects rows so the same data can print as text or JSON."""
 
@@ -140,15 +146,15 @@ def cmd_space(args, out):
     rep = _Report(args.json)
     rep.add("points", list(space.points), "points: " + " ".join(space.points))
     opens = space.opens_by_size
-    strs = list(map(space.set_str, opens))  # each open rendered once; the rows below filter this list
+    strs = _set_strs(space, opens)  # each open rendered once; the rows below filter this list
     rep.add("opens", rep.label_lists(space, opens), "opens: " + " ".join(strs))
     if space.n <= CLOSURE_TABLE_LIMIT:
-        rows = []
-        for m in sorted(subsets(space.full), key=lambda m: (m.bit_count(), m)):
-            if m == 0:
-                continue
+        masks = []
+        for m in sorted(subsets(space.full), key=lambda m: (m.bit_count(), m))[1:]:  # the empty set sorts first
             r = spaces.closure_interior(space, m)
-            rows.append(tuple(map(space.set_str, (m, r["closure"], r["interior"], r["boundary"]))))
+            masks += (m, r["closure"], r["interior"], r["boundary"])
+        cells = iter(_set_strs(space, masks))
+        rows = list(zip(cells, cells, cells, cells))  # four cells a row
         rep.lines.append("")
         rep.table("subsets", ("set", "closure", "interior", "boundary"), rows)
     else:
@@ -272,7 +278,7 @@ def cmd_locale(args, out):
         rep.add("count", len(pts))
         # the opens top-valued at the point g are those containing g
         opens = space.opens_by_size
-        strs = list(map(space.set_str, opens))
+        strs = _set_strs(space, opens)
         rows = [(i, " ".join(compress(strs, map(g.__eq__, map(g.__and__, opens))))) for i, g in enumerate(pts)]
         rep.table("morphisms", ("index", "top-valued opens"), rows)
         phi = locales.phi_map(space)
@@ -283,7 +289,7 @@ def cmd_locale(args, out):
         rep.add(
             "irreducible_closed",
             rep.label_lists(space, irr),
-            "irreducible closed: " + " ".join(map(space.set_str, irr)),
+            "irreducible closed: " + " ".join(_set_strs(space, irr)),
         )
         rep.add("sober", sober)
     else:  # hofmann-mislove
@@ -293,7 +299,7 @@ def cmd_locale(args, out):
         rep.add("filter_count", len(hm.saturated_compacts))
         rep.add("saturated_compact_count", len(hm.saturated_compacts))
         rep.add("bijection_holds", hm.bijection_holds)
-        rows = [(space.set_str(g),) * 2 for g in hm.saturated_compacts]
+        rows = [(s, s) for s in _set_strs(space, hm.saturated_compacts)]
         rep.table("correspondence", ("filter generator", "intersection"), rows)
     rep.print(out)
     return 0
@@ -559,25 +565,20 @@ def _leaf(command, what):
 
 
 @functools.cache
-def build_parser(command=None):
-    """The parser with the subcommands of `command`, or of every command if None.
+def build_parser():
+    """The parser of every command and its subcommands, built once per process; parsing leaves it unchanged.
 
-    Built once per process and argument; parsing leaves it unchanged. `main`
-    builds it only for an argv that does not start with a command and one of
-    its subcommands, and to refuse a leftover. The top level and every
-    command's parser are always built, since the top-level help, usage and
-    "invalid choice" message list all commands; only `command`'s parser gets
-    its subcommands.
+    `main` builds it only for an argv that does not start with a command and
+    one of its subcommands, and to refuse a leftover: it answers help and
+    usage errors, and its top level lists every command.
     """
     subcommand_help = {"report": {"help": "closure table, separation, neighborhoods"}}
     p = argparse.ArgumentParser(prog="finitetop", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
     for name, (help_text, _, own) in _COMMANDS.items():
-        shell = sub.add_parser(name, help=help_text)
-        if command is None or command == name:
-            group = shell.add_subparsers(dest="what", required=True)
-            for what in own:
-                _fill(group.add_parser(what, **subcommand_help.get(what, {})), name, what)
+        group = sub.add_parser(name, help=help_text).add_subparsers(dest="what", required=True)
+        for what in own:
+            _fill(group.add_parser(what, **subcommand_help.get(what, {})), name, what)
     return p
 
 
@@ -587,16 +588,14 @@ def _parse(argv):
     An argv that starts with a command and one of its subcommands is parsed
     by that subcommand's parser alone, as the tree would hand it the rest;
     leftovers are refused in the top level's words. Any other argv goes to
-    the tree, which dispatches to the first argument that names a command:
-    the top level has no option that takes a value, and no command starts
-    with "-"; with no such argument the top level answers, listing every command.
+    the tree.
     """
     if len(argv) > 1 and argv[0] in _COMMANDS and argv[1] in _COMMANDS[argv[0]][2]:
         args, extras = _leaf(argv[0], argv[1]).parse_known_args(argv[2:])
         if extras:
-            build_parser(argv[0]).error(f"unrecognized arguments: {' '.join(extras)}")
+            build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
         return args
-    return build_parser(next((a for a in argv if a in _COMMANDS), None)).parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None):

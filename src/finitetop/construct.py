@@ -186,7 +186,7 @@ def block_labels(space, blocks):
     reported.
     """
     for sep in ("", "+"):
-        labels = tuple(sep.join(sorted(space.points[i] for i in bits(b))) for b in blocks)
+        labels = tuple(sep.join(sorted(space.labels(b))) for b in blocks)
         if len(set(labels)) == len(labels):
             return labels
     first = {}

@@ -9,7 +9,6 @@ import math
 from itertools import compress, count, islice, repeat
 from operator import itemgetter
 
-from .bitsets import bits
 from .construct import EquivalenceRelation
 from .errors import FormatError
 from .logic import Theory, parse_formula
@@ -22,8 +21,10 @@ from .spaces import (
     SetFamily,
     _check_labels,
     _label_bits,
+    _labels,
     _mask_of,
     _reads_back,
+    _tables_by_byte,
     _transitive_closure,
 )
 
@@ -115,7 +116,7 @@ def dump_space(space: FiniteSpace) -> str:
     if not _reads_back(space.points):
         bad = next(p for p in space.points if not _reads_back((p,)))
         raise FormatError(f"point label {bad!r} is empty or holds whitespace or '#'")
-    lo, hi = space._label_texts
+    lo, hi = _tables_by_byte([" " + p for p in space.points])
     lines = ["points: " + " ".join(space.points), "open: "]  # the empty open comes first
     lines += ["open:" + lo[u & 255] + hi[u >> 8] for u in space.opens_by_size[1:]]
     return "\n".join(lines) + "\n"
@@ -142,7 +143,7 @@ def load_closure_table(text: str) -> ClosureTable:
     table = [None] * (1 << len(pts))
 
     def subset(m):
-        return "{" + (" ".join(pts[i] for i in bits(m)) or "(empty set)") + "}"
+        return "{" + (" ".join(_labels(pts, m)) or "(empty set)") + "}"
 
     for lineno, _, rest in records:
         if "->" not in rest:

@@ -54,7 +54,7 @@ def _label_lists(v, ind, put):
         put("[]")
         return
     inner = ind + "  "
-    lo, hi = _tables_by_byte(["," + inner + "  " + _string(p) for p in v.points], "")
+    lo, hi = _tables_by_byte(["," + inner + "  " + _string(p) for p in v.points])
     close = inner + "]"
     put("[" + inner)
     # a mask's text is its two bytes' label texts, less the first label's leading comma

@@ -8,6 +8,10 @@ specialization preorder y in k_x. So a space stores only its kernel
 vector, which is that preorder, and builds its opens on demand. Every
 operation here derives from the kernels instead of sweeping all subsets or
 all pairs of opens; the definitional routes live in the tests as oracles.
+
+A mask's labels are the points at its bits (`Carrier.labels`); a call that
+lists many masks reads their label texts from two per-byte tables instead,
+built once for that call (`_tables_by_byte`).
 """
 
 from operator import eq, or_
@@ -50,24 +54,30 @@ def _mask_of(bit, labels, lineno=None):
     return m
 
 
-def _tables_by_byte(parts, empty):
-    """Per byte of a mask, its points' parts concatenated in carrier order, built by doubling:
-    entry b of table k is the parts of the points 8k + i for the bits i of b. There are two
-    tables at least, so both bytes of a mask below 2^16 can be read.
+def _labels(points, mask):
+    """The labels of the mask's points in carrier order; IndexError off the carrier."""
+    if mask < 0:  # `bits` never ends on a negative int
+        raise IndexError(f"mask {mask} is not a subset of the carrier")
+    return tuple(points[i] for i in bits(mask))
+
+
+def _tables_by_byte(parts):
+    """The parts of the points of every value of a mask's low and high byte, concatenated in
+    carrier order: entry b of `lo` joins the parts of the points i, of `hi` those of the points
+    8 + i, for the bits i of b. Built by doubling, for a carrier of at most 16 points.
     """
-    tables = [[empty] for _ in range(max(2, (len(parts) + 7) >> 3))]
+    lo, hi = [""], [""]
     for x, part in enumerate(parts):
-        t = tables[x >> 3]
+        t = hi if x >> 3 else lo
         t += [s + part for s in t]  # t[m | bit] = t[m] + part
-    return tables
+    return lo, hi
 
 
 class Carrier:
     """Masks <-> labels for a record whose `points` tuple indexes the bits, checked by `_carrier`.
 
-    Every table is built whole on first use and kept on the instance:
-    `labels` reads one 256-entry table of label tuples per byte of the mask,
-    and `mask` and `index` read one label -> bit dict.
+    `labels` reads the points at the mask's bits, and `set_str` joins them;
+    `mask` and `index` read one label -> bit dict, built on first use.
     """
 
     @property
@@ -78,20 +88,9 @@ class Carrier:
     def full(self):
         return (1 << len(self.points)) - 1
 
-    @cached
-    def _byte_tables(self):
-        return _tables_by_byte([(p,) for p in self.points], ())
-
     def labels(self, mask):
         """The labels of the mask's points in carrier order; IndexError off the carrier."""
-        tables = self._byte_tables
-        out = ()
-        k = 0
-        while mask:
-            out += tables[k][mask & 255]
-            mask >>= 8
-            k += 1
-        return out
+        return _labels(self.points, mask)
 
     def set_str(self, mask):
         """The mask as `{a b}`."""
@@ -295,8 +294,7 @@ class FiniteSpace(Preorder):
             raise ValidationError("a topology must contain the empty set and the carrier")
 
         def gap(how, u, v):
-            u, v = (tuple(points[i] for i in bits(m)) for m in (u, v))
-            return ValidationError(f"not closed under {how}", {"U": u, "V": v})
+            return ValidationError(f"not closed under {how}", {"U": _labels(points, u), "V": _labels(points, v)})
 
         ops.sort(key=int.bit_count)
         ker, todo = [full] * len(points), full
@@ -323,18 +321,6 @@ class FiniteSpace(Preorder):
         space = object.__new__(cls)
         space.__dict__.update(points=points, rel=tuple(ker), opens=opens, opens_by_size=tuple(ops))  # and both caches
         return space
-
-    @cached
-    def _label_texts(self):
-        """The label text of every value of a mask's low and high byte, each label after a space."""
-        return _tables_by_byte([" " + p for p in self.points], "")
-
-    def set_str(self, mask):
-        """The mask as `{a b}`, from the label texts of its two bytes; IndexError off the carrier."""
-        if mask < 0:  # `hi` would take a negative index
-            raise IndexError(f"mask {mask} is not a subset of the carrier")
-        lo, hi = self._label_texts
-        return "{" + (lo[mask & 255] + hi[mask >> 8])[1:] + "}"
 
     @cached
     def point_closures(self):

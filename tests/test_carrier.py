@@ -1,5 +1,6 @@
-"""Masks <-> labels on a carrier: the byte tables, the set strings and the
-label -> bit maps the loaders and the CLI share."""
+"""Masks <-> labels on a carrier: the labels read by bit, the set strings,
+the per-byte label tables of the listings and the label -> bit maps the
+loaders and the CLI share."""
 
 import json
 import random
@@ -8,7 +9,7 @@ import pytest
 
 import finitetop as ft
 from finitetop import formats
-from finitetop.cli import main
+from finitetop.cli import _set_strs, main
 from finitetop.errors import FormatError
 
 from oracles import labels_by_bits
@@ -22,10 +23,12 @@ def _set_str(points, mask):
 def test_labels_and_set_strings_on_every_mask(n):
     points = tuple(f"p{i}" if i % 3 else f"long{i}" for i in range(n))
     sp = ft.discrete_space(points)
-    for m in range(1 << n):
+    masks = range(1 << n)
+    for m in masks:
         got = sp.labels(m)
         assert type(got) is tuple and got == labels_by_bits(points, m)
         assert sp.set_str(m) == _set_str(points, m)
+    assert _set_strs(sp, masks) == [_set_str(points, m) for m in masks]
 
 
 @pytest.mark.parametrize("n", [17, 20, 90])
@@ -47,7 +50,7 @@ def test_masks_off_the_carrier_have_no_labels():
     sp = ft.discrete_space(("a", "b", "c"))
     wide = ft.PMetricSpace([str(i) for i in range(12)], [[0.0] * 12 for _ in range(12)])
     cases = [(sp, 8), (sp, 1 << 9), (sp, -1), (wide, 1 << 12), (wide, 1 << 30), (wide, -5)]
-    for n in (8, 12, 16):  # a space's set strings read two byte tables
+    for n in (8, 12, 16):  # carriers whose masks reach a second byte
         sp = ft.discrete_space([f"d{i}" for i in range(n)])
         cases += [(sp, 1 << n), (sp, -1), (sp, -(1 << 8))]
     for carrier, m in cases:

@@ -111,10 +111,10 @@ def mutate(rng, text):
     return "\n".join(lines) + "\n"
 
 
-def subcommands(parser=None):
-    """(command, subcommand, parser) for every leaf of `parser`, by default the full one."""
+def subcommands():
+    """(command, subcommand, parser) for every leaf of the full parser."""
     out = []
-    for action in (parser or build_parser())._actions:
+    for action in build_parser()._actions:
         if isinstance(action, argparse._SubParsersAction):
             for command, group in action.choices.items():
                 for leaf in group._actions:
