@@ -276,4 +276,10 @@ def load_ranks(text: str) -> RankedSets:
 
 
 def load_theory(text: str) -> Theory:
-    return Theory.of([parse_formula(line) for _, line in _lines(text)])
+    formulas = []
+    for lineno, line in _lines(text):
+        try:
+            formulas.append(parse_formula(line))
+        except FormatError as err:  # a syntax error, or the depth or nesting cap
+            raise FormatError(f"line {lineno}: {err}") from None
+    return Theory.of(formulas)

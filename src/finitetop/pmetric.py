@@ -9,8 +9,8 @@ n float sums only for the pairs those cannot clear (`_triangle_suspects`).
 
 import math
 import struct
-from itertools import combinations
-from operator import add, ne, sub
+from itertools import combinations, repeat
+from operator import add, gt, itemgetter, ne, sub
 from sys import byteorder
 
 from .bitsets import bits, intransitive_triple
@@ -154,29 +154,41 @@ def topology_from_pmetric(sp: PMetricSpace) -> FiniteSpace:
     return FiniteSpace(sp.points, _zero_rows(sp))
 
 
+def _picker(idx):
+    """row -> the tuple of row's entries at the indices idx."""
+    get = itemgetter(*idx)
+    return get if len(idx) > 1 else lambda row: (get(row),)
+
+
 def metric_quotient(sp: PMetricSpace):
     """Collapse the distance-zero classes; the induced distance is a metric.
 
     The classes are the distinct zero rows, listed by lowest point.
     """
-    classes = tuple(dict.fromkeys(_zero_rows(sp)))
+    zero = _zero_rows(sp)
+    classes = tuple(dict.fromkeys(zero))
     labels = block_labels(sp, classes)
-    members = [tuple(bits(c)) for c in classes]
-    dmat = [[sp.dist[a[0]][b[0]] for b in members] for a in members]
+    lowest = _picker([(z & -z).bit_length() - 1 for z in zero])  # entries at each point's class's lowest point
+    reps = _picker([(c & -c).bit_length() - 1 for c in classes])
+    dist, dmat = sp.dist, []
     # the slack lets two classes' members lie up to 2e-9 further apart than their lowest points
-    for ci, drow in zip(members, dmat):
-        for cj, v in zip(members, drow):
-            for a in ci:
-                for b in cj:
-                    if abs(sp.dist[a][b] - v) > _EPS:
-                        raise ValidationError(
-                            "quotient distance is not well defined",
-                            {"x": sp.points[a], "y": sp.points[b]},
-                        )
+    for c in classes:
+        members = tuple(bits(c))
+        want = lowest(dist[members[0]])  # the row every member must have, up to the slack
+        if any(dist[a] != want and any(map(gt, map(abs, map(sub, dist[a], want)), repeat(_EPS))) for a in members):
+            for cj in classes:  # the first failing pair, in the order of the classes
+                for a in members:
+                    for b in bits(cj):
+                        if abs(dist[a][b] - want[b]) > _EPS:
+                            raise ValidationError(
+                                "quotient distance is not well defined",
+                                {"x": sp.points[a], "y": sp.points[b]},
+                            )
+        dmat.append(reps(want))
     # built past the constructor: the representatives' distances are a principal
     # submatrix of a matrix that passed, and `block_labels` names are distinct
     q = object.__new__(PMetricSpace)
-    q.__dict__.update(points=labels, dist=tuple(map(tuple, dmat)))
+    q.__dict__.update(points=labels, dist=tuple(dmat))
     return q, classes
 
 

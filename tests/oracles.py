@@ -16,7 +16,9 @@ depth and variables of its trees from the same `_fold` as `evaluate`.
 `labelled_by_lines` is the line-at-a-time reader of labelled files that
 the bulk `formats._labelled` replaced, with the loaders built on it.
 `opens_from_balls` is the open-ball route to a pseudometric's topology
-that the zero classes of `topology_from_pmetric` replaced.
+that the zero classes of `topology_from_pmetric` replaced, and
+`quotient_fault` the pair-by-pair check of a quotient distance that
+`metric_quotient`'s row tests replaced.
 """
 
 import re
@@ -857,6 +859,25 @@ def opens_from_balls(sp):
     radii.append((radii[-1] if radii else 0.0) + 1.0)
     balls = {_union(1 << j for j in range(n) if sp.dist[i][j] < r) for i in range(n) for r in radii}
     return frozenset(u for u in subsets((1 << n) - 1) if _union(b for b in balls if is_subset(b, u)) == u)
+
+
+def quotient_fault(sp):
+    """The first pair that moves a quotient distance, by the four loops `metric_quotient` once ran.
+
+    Class by class in order of lowest point, then class by class again: the
+    first members a, b whose distance differs from their classes' lowest
+    points' distance by more than 1e-9, as {"x": a, "y": b}, or None.
+    """
+    classes = dict.fromkeys(sum(1 << j for j, v in enumerate(row) if v == 0.0) for row in sp.dist)
+    members = [list(bits(c)) for c in classes]
+    for ci in members:
+        for cj in members:
+            v = sp.dist[ci[0]][cj[0]]
+            for a in ci:
+                for b in cj:
+                    if abs(sp.dist[a][b] - v) > 1e-9:
+                        return {"x": sp.points[a], "y": sp.points[b]}
+    return None
 
 
 def hausdorff_distance_threshold(sp, c, d):

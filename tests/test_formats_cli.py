@@ -746,6 +746,27 @@ def test_deep_formulas_are_usage_errors(tmp_path, capsys, line):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a | b\n~c\nb & & c\n", "line 3: syntax error at position 4: unexpected '&', wanted a variable, constant, '~' or '('"),
+        ("a\n\n(b\n", "line 3: syntax error at end of input: wanted ')'"),
+        ("a\n# a comment\n\n" + "~" * 70 + "b\n", "line 4: formula nests '~', '(' and '->' more than 64 deep"),
+        ("a\nb\n" + " | ".join(["c"] * 60) + "\n", "line 3: formula is more than 150 connectives deep"),
+    ],
+    ids=["syntax", "end-of-input", "nesting-cap", "depth-cap"],
+)
+def test_a_theory_error_names_its_line(tmp_path, capsys, text, message):
+    thy = tmp_path / "t.thy"
+    thy.write_text(text)
+    for what in ("model", "consistent", "algebra", "stone"):
+        assert run(capsys, "logic", what, "--in", str(thy)) == (2, "", f"error: {message}\n")
+    # the theory's own checks name no line
+    thy.write_text("a\n" + " | ".join(f"x{i}" for i in range(17)) + "\n")
+    code, _, err = run(capsys, "logic", "model", "--in", str(thy))
+    assert (code, err) == (1, "failed: at most 16 variables are supported [{'x': 'x8'}]\n")
+
+
 # -- CLI: reports ------------------------------------------------------------------
 
 

@@ -21,6 +21,7 @@ from oracles import (
     chain_units,
     hausdorff_distance_threshold,
     opens_from_balls,
+    quotient_fault,
     squeeze_violation,
     stationary_by_squaring,
 )
@@ -416,6 +417,54 @@ def test_metric_quotient_moves_no_distance_between_classes():
         ft.metric_quotient(sp)
     assert str(err.value) == "quotient distance is not well defined"
     assert err.value.witness == {"x": "b", "y": "d"}
+
+
+@pytest.mark.parametrize("e", [0.25e-9, 0.5e-9, 0.8e-9, 1e-9])
+def test_metric_quotient_members_up_to_2e_9_apart(e):
+    """Classes {a, b} and {c, d}: d(b, d) exceeds d(a, c) by 2e; a pair fails past 1e-9 of the slack."""
+    sp = ft.PMetricSpace(
+        ("a", "b", "c", "d"),
+        [[0, 0, 1, 1 + e], [0, 0, 1 + e, 1 + 2 * e], [1, 1 + e, 0, 0], [1 + e, 1 + 2 * e, 0, 0]],
+    )
+    want = {0.25e-9: None, 0.5e-9: {"x": "b", "y": "d"}, 0.8e-9: {"x": "b", "y": "d"}, 1e-9: {"x": "a", "y": "d"}}[e]
+    assert quotient_fault(sp) == want
+    if want is None:
+        q, _ = ft.metric_quotient(sp)
+        assert (q.points, q.dist) == (("ab", "cd"), ((0.0, 1.0), (1.0, 0.0)))
+    else:
+        with pytest.raises(ValidationError) as err:
+            ft.metric_quotient(sp)
+        assert (str(err.value), err.value.witness) == ("quotient distance is not well defined", want)
+
+
+def test_metric_quotient_names_the_pair_the_four_loops_name():
+    """On random spaces of up to three classes of up to three points, each distance moved by 0 to 2e-9."""
+    rng = random.Random(93)
+    seen = {True: 0, False: 0}
+    for _ in range(3000):
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        at = [x for k, size in enumerate(sizes) for x in [rng.choice((1, 2, 5)) * k] * size]
+        rng.shuffle(at)
+        n = len(at)
+        d = [[0.0] * n for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            if at[i] != at[j]:
+                d[i][j] = d[j][i] = abs(at[i] - at[j]) + rng.choice((0.0, 0.0, 0.5e-9, 1e-9, 2e-9))
+        try:
+            sp = ft.PMetricSpace(tuple(f"p{i}" for i in range(n)), d)
+        except ValidationError:
+            continue
+        want = quotient_fault(sp)
+        seen[want is None] += 1
+        if want is None:
+            q, classes = ft.metric_quotient(sp)
+            reps = [(c & -c).bit_length() - 1 for c in classes]
+            assert q.dist == tuple(tuple(sp.dist[i][j] for j in reps) for i in reps)
+        else:
+            with pytest.raises(ValidationError) as err:
+                ft.metric_quotient(sp)
+            assert err.value.witness == want
+    assert min(seen.values()) > 200
 
 
 def test_metric_quotient_classes_are_the_zero_rows():

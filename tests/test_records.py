@@ -8,13 +8,18 @@ from finitetop.logic import And, Var, parse_formula
 from finitetop.records import record
 
 POINTS, REL = ("a", "b"), (0b01, 0b11)  # b <= a
-FIELDS = ("a", "b", "c")
+FIELDS = ("a", "b", "c", "d")
+ARITIES = (1, 2, 3, 4)  # one and two fields have their own constructors; wider records share a loop
 
 
-def make(n, hook):
-    """A record class of the first n FIELDS, with `hook` as its `__post_init__`."""
-    cls = type(f"R{n}", (), {"__annotations__": dict.fromkeys(FIELDS[:n], int), "__post_init__": hook})
-    return record(cls)
+def make(n, hook=None, slots=False):
+    """A record class of the first n FIELDS, with `hook` as its `__post_init__` if it is given."""
+    body = {"__annotations__": dict.fromkeys(FIELDS[:n], int)}
+    if hook is not None:
+        body["__post_init__"] = hook
+    if slots:
+        body["__slots__"] = FIELDS[:n]
+    return record(type(f"R{n}", (), body))
 
 
 def test_equal_fields_in_different_classes_are_unequal():
@@ -49,16 +54,24 @@ def test_repr_names_the_class_and_the_fields():
     assert repr(ContinuityCheck(True, None)) == "ContinuityCheck(ok=True, witness_open=None)"
 
 
-@pytest.mark.parametrize("args", [(), (POINTS,), (POINTS, REL, 0), (POINTS, REL, 0, 0)])
+@pytest.mark.parametrize("args", [(), (POINTS,), (POINTS, REL, 0), (POINTS, REL, 0, 0), (POINTS, REL, 0, 0, 0)])
 def test_wrong_argument_count_raises_type_error(args):
-    """For `FiniteSpace`, and for records of one field, as `Var` and `Not` have, and of three."""
+    """For `FiniteSpace`, and for records of one to four fields, with and without `__post_init__`."""
     with pytest.raises(TypeError, match=f"FiniteSpace\\(\\) takes 2 arguments but {len(args)} were given"):
         FiniteSpace(*args)
-    for n in (1, 3):
-        if len(args) != n:
-            with pytest.raises(TypeError) as err:
-                make(n, lambda self: None)(*args)
-            assert str(err.value) == f"R{n}() takes {n} arguments but {len(args)} were given"
+    for n in ARITIES:
+        for cls in (make(n), make(n, lambda self: None), make(n, slots=True)):
+            if len(args) != n:
+                with pytest.raises(TypeError) as err:
+                    cls(*args)
+                assert str(err.value) == f"R{n}() takes {n} arguments but {len(args)} were given"
+                assert err.value.__context__ is None or err.value.__suppress_context__  # no unpacking error shown
+
+
+@pytest.mark.parametrize("n", ARITIES)
+def test_keywords_are_refused(n):
+    with pytest.raises(TypeError):
+        make(n)(**dict.fromkeys(FIELDS[:n], 0))
 
 
 def test_a_slot_is_not_a_default():
@@ -67,18 +80,48 @@ def test_a_slot_is_not_a_default():
 
 
 def test_post_init_replaced_after_decoration_runs():
-    """At each construction, as the benchmark's tracer needs; for records of one, two and three fields."""
+    """At each construction, as the benchmark's tracer needs; for records of one to four fields."""
 
     def refuse(self):
         raise AssertionError("replaced below")
 
-    for n in (1, 2, 3):
+    for n in ARITIES:
         cls = make(n, refuse)
         seen = []
         cls.__post_init__ = lambda self: seen.append(tuple(getattr(self, f) for f in FIELDS[:n]))
         cls(*range(n))
         cls(*range(1, n + 1))
         assert seen == [tuple(range(n)), tuple(range(1, n + 1))]
+
+
+@pytest.mark.parametrize("n", ARITIES)
+def test_fields_are_stored_in_order_and_post_init_sees_them(n):
+    seen = []
+    for cls in (make(n), make(n, lambda self: seen.append(tuple(getattr(self, f) for f in FIELDS[:n])))):
+        r = cls(*range(10, 10 + n))
+        assert tuple(getattr(r, f) for f in FIELDS[:n]) == tuple(range(10, 10 + n))
+        assert repr(r) == f"R{n}({', '.join(f'{f}={10 + i}' for i, f in enumerate(FIELDS[:n]))})"
+    assert seen == [tuple(range(10, 10 + n))]
+
+
+@pytest.mark.parametrize("n", ARITIES)
+def test_equal_values_hash_equal(n):
+    for cls in (make(n), make(n, lambda self: None), make(n, slots=True)):
+        r, s, t = cls(*range(n)), cls(*range(n)), cls(*range(1, n + 1))
+        assert r is not s and r == s and hash(r) == hash(s) == hash(tuple(range(n)))
+        assert r != t and len({r, s, t}) == 2
+        assert r != make(n)(*range(n))  # equal fields, another class
+
+
+@pytest.mark.parametrize("n", ARITIES)
+def test_slots_hold_the_fields(n):
+    r = make(n, slots=True)(*range(n))
+    assert not hasattr(r, "__dict__") and type(r).__slots__ == FIELDS[:n]
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{FIELDS[0]}'"):
+        r.a = 5
+    with pytest.raises(AttributeError):
+        object.__setattr__(r, "e", 5)  # no slot for it
+    assert r.a == 0
 
 
 class _LazyAnnotations(type):
