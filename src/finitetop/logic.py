@@ -10,7 +10,6 @@ and the algebra's ultrafilters are the single-model atoms, one per set bit.
 """
 
 import re
-from operator import and_
 
 from .errors import FormatError, ValidationError
 from .records import cached, record
@@ -87,7 +86,7 @@ def biconditional(a, b):
 
 
 def _fold(formula, var, top, bot, neg, conj):
-    """Fold a formula bottom-up without recursion.
+    """Fold a formula bottom-up without recursion (`refutation` counts a witness's connectives with it).
 
     A variable gives `var(name)`, top gives `top` and bot `bot`; `~` gives
     `neg(a)` and `&` gives `conj(a, b)` of its arguments' values. Each
@@ -270,33 +269,63 @@ class Theory:
 
     @cached
     def _columns(self):
-        """Variable -> its truth table: variable i repeats 2^(k-1-i) zeros then as many ones."""
-        k = len(self.vars)
-        full = (1 << (1 << k)) - 1
-        columns = {}
+        """Each variable's truth table, then its complement: variable i repeats 2^(k-1-i) zeros then as many ones."""
+        n = 1 << len(self.vars)
+        full, columns, complements = (1 << n) - 1, {}, {}
         for i, name in enumerate(self.vars):
-            h = 1 << (k - 1 - i)
-            columns[name] = full // ((1 << 2 * h) - 1) * (((1 << h) - 1) << h)
-        return columns
+            h = n >> (i + 1)
+            c, width = ((1 << h) - 1) << h, 2 * h
+            while width < n:  # copy the block up to 2^k bits by doubling: linear, where a division is not
+                c |= c << width
+                width *= 2
+            columns[name], complements[name] = c, c ^ full
+        return columns, complements
 
     def table_of(self, formula) -> int:
         """The formula's truth table: bit m is its value at the m-th valuation.
 
-        A variable outside the theory's universe is a format error.
+        One pass without recursion carries each node's polarity (odd under
+        `~` or not): a run of `~` flips it, a variable reads its column or
+        its complement, and `&` under an odd number of `~` is `|`. Each
+        distinct `&` node is folded once per polarity it is reached in,
+        right operand first. A variable outside the theory's universe is a
+        format error.
         """
         columns = self._columns
-
-        def column(name):
-            if name not in columns:
-                raise FormatError(f"formula uses undeclared variable {name!r}")
-            return columns[name]
-
-        full = (1 << (1 << len(self.vars))) - 1
-        return _fold(formula, column, full, 0, full.__xor__, and_)
+        memo, values = {}, []
+        push = values.append
+        stack = [(formula, 0)]  # a node and its polarity, or an `&` node's memo key and None
+        pop = stack.pop
+        while stack:
+            f, odd = pop()
+            while type(f) is Not:
+                f = f.arg
+                odd ^= 1
+            kind = type(f)
+            if kind is And:
+                key = id(f) << 1 | odd
+                if key in memo:
+                    push(memo[key])
+                else:
+                    stack += ((key, None), (f.left, odd), (f.right, odd))
+            elif kind is Var:
+                try:
+                    push(columns[odd][f.name])
+                except KeyError:
+                    raise FormatError(f"formula uses undeclared variable {f.name!r}") from None
+            elif odd is None:  # both operands of the `&` node keyed f are folded
+                a, b = values.pop(), values.pop()
+                memo[f] = a = a | b if f & 1 else a & b
+                push(a)
+            elif kind is Const:
+                push((1 << (1 << len(self.vars))) - 1 if bool(f.value) ^ odd else 0)
+            else:
+                raise FormatError(f"not a formula: {f!r}")
+        return values[0]
 
     def _conjunction(self):
         """The running AND of the formulas' tables, and the number (from 1) of the formula taking it to 0, or 0."""
-        table = self.table_of(TOP)
+        table = (1 << (1 << len(self.vars))) - 1
         for i, f in enumerate(self.formulas, 1):  # one fold per formula keeps few 2^k-bit tables alive
             table &= self.table_of(f)
             if not table:

@@ -7,8 +7,9 @@ them reads a space's kernel vector `rel` or a truth table, apart from
 `atoms_of`, which lists the set bits of an algebra's top, `stone_image`, built on it,
 `closure_table_by_scan`, which runs the kernel scan `closure` on every
 subset against the table built from the point closures, and `evaluate`,
-the library's one-valuation pass, kept as the reference semantics for
-`Theory.table_of` and checked against the tree walk `truth`. They are
+the library's `_fold` on one valuation, a pass independent of the
+polarity-carrying fold in `Theory.table_of` and kept as the reference
+semantics for its tables, checked against the tree walk `truth`. They are
 exponential and meant for carriers of up to 5 points and theories of up
 to 16 variables. `parse_formula_by_descent` is the generic recursive
 descent the parser replaced, one method over a table of levels, with the
@@ -451,9 +452,11 @@ def truth(formula, true_vars):
 
 
 def evaluate(formula, true_vars):
-    """The formula's value under the valuation, by the bottom-up pass `Theory.table_of` runs on tables.
+    """The formula's value under the valuation, by `logic._fold` with `not` for `~` and `and` for `&`.
 
-    Bit m of `theory.table_of(formula)` is its value at the m-th valuation.
+    An independent pass: `Theory.table_of` folds tables carrying each
+    node's polarity instead. Bit m of `theory.table_of(formula)` must be
+    this value at the m-th valuation.
     """
     return _fold(formula, true_vars.__contains__, True, False, not_, and_)
 

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import oracles
@@ -320,6 +321,23 @@ def test_undeclared_variable_is_refused_by_every_table():
         ft.lindenbaum_algebra(theory).class_of(q)
 
 
+@pytest.mark.parametrize(
+    "formula, message",
+    [
+        (And(Var("q"), "x"), "not a formula: 'x'"),
+        (And("x", Var("q")), "formula uses undeclared variable 'q'"),
+        (And(Var("q"), Var("r")), "formula uses undeclared variable 'r'"),
+        (Not(And(Var("r"), Not(Var("q")))), "formula uses undeclared variable 'q'"),
+        (And(Var("p"), 5), "not a formula: 5"),
+        (Not(Not(3)), "not a formula: 3"),
+    ],
+)
+def test_a_table_names_the_fault_its_fold_meets_first(formula, message):
+    # the right operand of '&' is folded before the left, so of two faults it names the right one's
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        ft.Theory.of([], vars=("p",)).table_of(formula)
+
+
 # -- the algebra -------------------------------------------------------------------
 
 
@@ -488,6 +506,61 @@ def test_models_match_valuation_sweep_on_16_variables():
     want = oracles.models(theory)
     assert theory.models() == want
     assert 0 < len(want) < 1 << 16
+
+
+def assert_table_agrees(theory, f):
+    """Every bit of the formula's table is its value by the fold oracle and by the tree walk."""
+    table = theory.table_of(f)
+    for m, v in enumerate(theory.valuations()):
+        assert evaluate(f, v) == oracles.truth(f, v) == bool(table >> m & 1), (f, m)
+    return table
+
+
+def test_tables_agree_with_the_valuation_oracles_under_negation():
+    theory = ft.Theory.of([], vars=("a", "b", "c"))
+    a, b, c = Var("a"), Var("b"), Var("c")
+    # constants under one and two '~', and '<->' nodes whose shared operands are reached under both polarities
+    for f in (Not(TOP), Not(BOT), Not(Not(TOP)), Not(Not(BOT)), And(Not(TOP), a), disjunction(Not(Not(BOT)), b)):
+        assert_table_agrees(theory, f)
+    for text in ("~top", "~~bot", "~(a <-> b)", "~~(a <-> ~a)", "a <-> ~b <-> c <-> ~(a <-> b)",
+                 "~(~(a <-> b) <-> ~(b <-> ~~c))", "~(a <-> (b <-> (c <-> ~a)))"):
+        assert_table_agrees(theory, ft.parse_formula(text))
+    assert theory.table_of(ft.parse_formula("~~(a <-> ~a)")) == 0
+    assert theory.table_of(ft.parse_formula("~(a <-> ~a)")) == (1 << 8) - 1
+    # one formula built twice: parsed as a tree, and from the constructors with its operands shared
+    x = disjunction(a, Not(b))
+    shared = biconditional(x, And(Not(x), implication(c, Not(x))))
+    parsed = ft.parse_formula("(a | ~b) <-> ~(a | ~b) & (c -> ~(a | ~b))")
+    assert str(parsed) == str(shared)
+    assert assert_table_agrees(theory, shared) == assert_table_agrees(theory, parsed)
+    rng = random.Random(34)
+    for k in (3, 4, 5):
+        names = [f"v{i}" for i in range(k)]
+        theory = ft.Theory.of([], vars=tuple(names))
+        for _ in range(60):
+            f = shared_formula(rng, names, 5, [])
+            table = assert_table_agrees(theory, f)
+            if size_by_fold(f) <= 2000:
+                assert theory.table_of(ft.parse_formula(str(f))) == table
+            assert theory.table_of(Not(f)) == table ^ ((1 << (1 << k)) - 1)
+
+
+def test_deep_library_built_formulas_fold_without_recursion():
+    theory = ft.Theory.of([], vars=("p", "q"))
+    p, q = theory.table_of(Var("p")), theory.table_of(Var("q"))
+    f = Var("p")
+    for _ in range(100_000):
+        f = Not(f)
+    assert theory.table_of(f) == p
+    assert theory.table_of(Not(f)) == p ^ 0b1111
+    g = Var("q")
+    for _ in range(100_000):
+        g = And(g, Var("p"))
+    assert theory.table_of(g) == p & q
+    h = Var("q")
+    for _ in range(100_000):
+        h = disjunction(Not(Var("p")), h)  # '&' nodes under alternating polarity, nested in the right operand
+    assert theory.table_of(h) == (p ^ 0b1111) | q
 
 
 # -- Stone representation --------------------------------------------------------------
