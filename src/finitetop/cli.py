@@ -74,7 +74,6 @@ def _real(ok, what):
     return _checked(float, (ok, f"must be {what}, got {{text}}"))
 
 
-_panels = _count(2, approx.MAX_PANELS, (lambda v: v % 2 == 0, "must be even, got {value}"))  # Simpson panels
 _nonempty = _checked(str, (str.split, "must name at least one point"))  # a label list naming a point
 _tolerance = _real(lambda v: 0.0 < v < math.inf, "a finite positive number")
 
@@ -395,7 +394,7 @@ def cmd_approx(args, out):
         )
     elif args.what == "weierstrass":
         f = approx.named_function(args.func)
-        ev = approx.weierstrass_polynomial(f, args.n, panels=args.panels)
+        ev = approx.weierstrass_polynomial(f, args.n)
         rows = []
         for x in _numbers_arg(args.grid, "grid"):
             # finite inputs can still overflow: float `**` raises, sums reach inf or nan
@@ -410,7 +409,7 @@ def cmd_approx(args, out):
             rows.append((f"{x:.12g}", f"{p:.12g}", f"{fx:.12g}"))
         rep.table("values", ("x", f"P_{args.n}(x)", "f(x)"), rows)
     else:  # kernel-ratio
-        r = approx.kernel_ratio(args.n, args.delta, panels=args.panels)
+        r = approx.kernel_ratio(args.n, args.delta)
         rep.add("ratio", r.ratio, f"ratio: {r.ratio:.12g}")
         rep.add("bound", r.bound, f"bound: {r.bound:.12g}")
         rep.add("ratio_below_bound", r.below_bound)
@@ -479,7 +478,6 @@ def _command_table():
     labels = opt("--labels", type=_nonempty, default=None)
     func = opt("--fn", dest="func", required=True)
     grid = opt("--grid", required=True)
-    panels = opt("--panels", type=_panels, default=2048)
 
     def count(low, high=math.inf):
         return opt("--n", type=_count(low, high), required=True)
@@ -530,10 +528,10 @@ def _command_table():
         }),
         "approx": ("constructive approximation", (), {
             "sqrt": (count(0, SQRT_N_LIMIT), grid, as_json),
-            "weierstrass": (func, count(1), panels, grid, as_json),
+            "weierstrass": (func, count(1), grid, as_json),
             "kernel-ratio": (
                 count(1), opt("--delta", required=True, type=_real(lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")),
-                panels, as_json,
+                as_json,
             ),
         }),
         "logic": ("propositional workbench", report, dict.fromkeys(("consistent", "model", "algebra", "stone"), ())),

@@ -22,12 +22,13 @@ that the zero classes of `topology_from_pmetric` replaced, and
 `metric_quotient`'s row tests replaced.
 """
 
+import math
 import re
 from fractions import Fraction
 from itertools import combinations, product
 from operator import and_, not_, or_
 
-from finitetop.approx import kernel_mass
+from finitetop.approx import gauss_legendre, kernel_mass
 from finitetop.bitsets import bits, is_subset, subsets
 from finitetop.errors import FormatError, ValidationError
 from finitetop.formats import _cell
@@ -917,13 +918,114 @@ def simpson_by_index(g, a, b, panels):
     return acc * h / 3.0
 
 
-def kernel_polynomial_by_quadrature(f, n, x, panels):
-    """P_n(x): the quadrature of f(u) (1 - (u - x)^2)^n over [0, 1], over 2 J_n."""
+def kernel_polynomial_by_simpson(f, n, x, panels):
+    """P_n(x): the Simpson rule for f(u) (1 - (u - x)^2)^n over [0, 1], over 2 J_n."""
     q = simpson_by_index(lambda u: f(u) * (1.0 - (u - x) ** 2) ** n, 0.0, 1.0, panels)
     return q / (2.0 * kernel_mass(n))
 
 
-def kernel_ratio_by_quadrature(n, delta, panels):
+def kernel_ratio_by_simpson(n, delta, panels):
     """The tail mass above delta with q^n divided out, q = 1 - delta^2, times q^n, over J_n."""
     q = 1.0 - delta * delta
     return simpson_by_index(lambda v: ((1.0 - v * v) / q) ** n, delta, 1.0, panels) / kernel_mass(n) * q**n
+
+
+def kernel_polynomial_by_gauss(f, n, x):
+    """P_n(x) by the rule `approx` defines, each panel, piece and node read off its index.
+
+    2^k >= 2 dyadic panels no wider than sqrt(2/n). For x in [0, 1] only
+    those meeting [x - r, x + r], r = sqrt(41/n); for x outside, with the
+    distances a and a + 1 to the near and far end and
+    c = max(|1 - a^2|, (a + 1)^2 - 1) e^(-41/n), those starting less than
+    sqrt(1 - c) - a from the near end or less than a + 1 - sqrt(1 + c) from
+    the far end, and always the end panel where |1 - (u - x)^2| is largest.
+    The first and last panel cut at h/512, h/64 and h/8 from the end; on
+    each piece [a, b] the 16-point Gauss-Legendre nodes a + (b - a) t_i,
+    summed from -0.0 in ascending order as
+    (f(u) ((b - a) w_i)) (1 - (u - x)^2)^n. The table (t_i, w_i) is
+    `approx.gauss_legendre`, checked against numpy's apart.
+    """
+    t, w = gauss_legendre()
+    k = 1
+    while (2**k) ** 2 * 2 < n:
+        k += 1
+    count = 2**k
+    h, r = 1.0 / count, math.sqrt(41 / n)
+    near = max(-x, x - 1)
+    g_near, g_far = abs(1 - near * near), (near + 1) * (near + 1) - 1
+    c = max(g_near, g_far) * math.exp(-41 / n)
+    acc = -0.0
+    for p in range(count):
+        from_near = p if x < 0 else count - 1 - p  # panels between p and the near end
+        if 0 <= x <= 1:
+            keep = p + 1 > (x - r) * count and p < (x + r) * count
+        else:
+            keep = (
+                (c < 1 and from_near < (math.sqrt(1 - c) - near) * count)
+                or count - 1 - from_near < (near + 1 - math.sqrt(1 + c)) * count
+                or (from_near == 0 if g_near >= g_far else from_near == count - 1)
+            )
+        if not keep:
+            continue
+        if p == 0:
+            edges = [0.0, h / 512, h / 64, h / 8, h]
+        elif p == count - 1:
+            edges = [1.0 - h, 1.0 - h / 8, 1.0 - h / 64, 1.0 - h / 512, 1.0]
+        else:
+            edges = [p * h, (p + 1) * h]
+        for a, b in zip(edges, edges[1:]):
+            for i in range(16):
+                u = a + (b - a) * t[i]
+                acc += f(u) * ((b - a) * w[i]) * (1.0 - (u - x) * (u - x)) ** n
+    return acc / (2.0 * kernel_mass(n))
+
+
+def kernel_polynomial_reference(f, n, xs, panels=256):
+    """P_n at each x of xs by a rule far finer than `approx`'s, converged for the builtins up to n = 1024.
+
+    20-point Gauss-Legendre on `panels` equal panels of [0, 1/2] in u = s^2
+    (du = 2 s ds, smooth for sqrt at 0) and of [1/2, 1] (1/2, the kink of
+    abs-half, is an edge), f sampled once per node, the sums by numpy.
+    """
+    import numpy as np
+
+    t, w = np.polynomial.legendre.leggauss(20)
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    a, b = edges[:-1, None], edges[1:, None]
+    s = (a + (b - a) * (t + 1.0) / 2.0).ravel()
+    ws = ((b - a) * w / 2.0).ravel()
+    root = math.sqrt(0.5)
+    u = np.concatenate([(root * s) ** 2, 0.5 + s / 2.0])
+    weight = np.concatenate([ws * root * 2.0 * root * s, ws / 2.0])
+    fw = np.array([f(v) for v in u]) * weight
+    return [float(np.sum(fw * (1.0 - (u - x) ** 2) ** n)) / (2.0 * kernel_mass(n)) for x in xs]
+
+
+def kernel_mass_exact(n):
+    """J_n = (2n)!! / (2n+1)!! = 4^n (n!)^2 / (2n+1)!, exactly."""
+    return Fraction(4**n * math.factorial(n) ** 2, math.factorial(2 * n + 1))
+
+
+def kernel_polynomial_exact(coeffs, n, x):
+    """P_n(x) for the polynomial c0 + c1 u + ..., in exact arithmetic at the float x.
+
+    (1 - (u - x)^2)^n = ((1 - x^2) + 2x u - u^2)^n expanded in u, times f,
+    integrated term by term over [0, 1], over 2 J_n.
+    """
+    x = Fraction(x)
+    base = (1 - x * x, 2 * x, Fraction(-1))
+    poly = [Fraction(c) for c in coeffs]
+    for _ in range(n):
+        out = [Fraction(0)] * (len(poly) + 2)
+        for i, c in enumerate(poly):
+            for j, b in enumerate(base):
+                out[i + j] += c * b
+        poly = out
+    return sum(c / (k + 1) for k, c in enumerate(poly)) / (2 * kernel_mass_exact(n))
+
+
+def kernel_ratio_exact(n, delta):
+    """The tail of (1 - v^2)^n over [delta, 1] over J_n, from the binomial expansion, exactly."""
+    d = Fraction(delta)
+    tail = sum(math.comb(n, k) * (-1) ** k * (1 - d ** (2 * k + 1)) / (2 * k + 1) for k in range(n + 1))
+    return tail / kernel_mass_exact(n)

@@ -1,16 +1,33 @@
 import math
 import signal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finitetop as ft
-from finitetop.approx import MAX_PANELS, kernel_mass, named_function, simpson_rule, weierstrass_polynomial
+from finitetop.approx import (
+    SERIES_FROM,
+    gauss_legendre,
+    kernel_mass,
+    named_function,
+    panel_count,
+    weierstrass_polynomial,
+)
 from finitetop.cli import main
 from finitetop.errors import FormatError, ValidationError
 
-from oracles import kernel_polynomial_by_quadrature, kernel_ratio_by_quadrature, simpson_by_index
+from oracles import (
+    kernel_mass_exact,
+    kernel_polynomial_by_gauss,
+    kernel_polynomial_by_simpson,
+    kernel_polynomial_exact,
+    kernel_polynomial_reference,
+    kernel_ratio_by_simpson,
+    kernel_ratio_exact,
+    simpson_by_index,
+)
 
 GRID = tuple(i / 32 for i in range(33))
 INTERIOR = tuple(0.1 + i * 0.8 / 32 for i in range(33))
@@ -99,22 +116,28 @@ def test_j_n_exceeds_harmonic_bound():
         assert kernel_mass(n) > 1.0 / (n + 1)
 
 
-def test_simpson_needs_even_panels():
-    for panels in (0, 1, 3, 2049):
-        with pytest.raises(ValidationError, match="^Simpson quadrature needs an even panel count >= 2$"):
-            simpson_rule(0.0, 1.0, panels)
-    with pytest.raises(ValidationError, match=f"^Simpson quadrature takes at most {MAX_PANELS} panels$"):
-        simpson_rule(0.0, 1.0, MAX_PANELS + 2)
+def test_kernel_mass_is_exact_on_both_sides_of_the_series_crossover():
+    """J_n against (2n)!!/(2n+1)!!: the `lgamma` difference below SERIES_FROM, the series from there on."""
+    for n, rel in ((1, 1e-15), (1024, 1e-11), (SERIES_FROM - 1, 5e-11), (SERIES_FROM, 1e-15), (2 * SERIES_FROM, 1e-15)):
+        exact = kernel_mass_exact(n)
+        assert abs(Fraction(kernel_mass(n)) - exact) <= rel * exact, n
 
 
-def test_simpson_node_table_matches_index_rule_bitwise():
-    """The table holds the step, nodes and weights `simpson_by_index` reads off each index, bit for bit."""
-    for a, b in ((0.0, 1.0), (-1.5, 2.25), (0.3, 0.3000001)):
-        for panels in (2, 4, 10, 2048):
-            h, nodes, weights = simpson_rule(a, b, panels)
-            assert h.hex() == ((b - a) / panels).hex()
-            assert [u.hex() for u in nodes] == [(a + i * h).hex() for i in range(1, panels)]
-            assert weights == [4.0 if i % 2 else 2.0 for i in range(1, panels)]
+def test_gauss_node_table_matches_numpy():
+    """The pure-Python table is numpy's 16-point Gauss-Legendre rule moved onto [0, 1]."""
+    import numpy as np
+
+    t, w = np.polynomial.legendre.leggauss(16)
+    nodes, weights = gauss_legendre()
+    assert len(nodes) == len(weights) == 16 and list(nodes) == sorted(nodes)
+    assert max(abs(u - (1.0 + v) / 2.0) for u, v in zip(nodes, t)) <= 1e-15
+    assert max(abs(u - v / 2.0) for u, v in zip(weights, w)) <= 1e-15
+
+
+def test_panel_count_is_the_fewest_dyadic_panels_narrower_than_the_kernel():
+    for n, count in ((1, 2), (8, 2), (9, 4), (16, 4), (1024, 32), (10**5, 256), (10**9, 32768)):
+        assert panel_count(n) == count
+        assert 1.0 / count <= math.sqrt(2.0 / n) and (count == 2 or 2.0 / count > math.sqrt(2.0 / n))
 
 
 # -- kernel polynomial ------------------------------------------------------------
@@ -164,7 +187,7 @@ def test_interior_improvement_for_other_builtins():
 # fractional, polynomial, oscillating, signed-zero and cusp integrands, at
 # grid points inside, on the ends of and outside [0, 1]
 KERNEL_FUNCTIONS = ("abs-half", "sin-scaled", "square", "sqrt", "constant:-0", "poly:1.5,-2,0.25,3")
-KERNEL_XS = (0.0, 1e-9, 0.1, 1 / 3, 0.5, 0.77, 1.0, -0.25, 1.75)
+KERNEL_XS = (0.0, 1e-9, 0.1, 1 / 3, 0.5, 0.77, 1.0, -0.25, 1.2, 1.75, -3.0)
 
 
 def _value_or_overflow(fn, *args):
@@ -179,27 +202,88 @@ def _value_or_overflow(fn, *args):
 @pytest.mark.parametrize("name", KERNEL_FUNCTIONS)
 def test_kernel_polynomial_is_its_quadrature_bitwise(name):
     f = named_function(name)
-    for n, panels in ((1, 2), (3, 6), (16, 64), (64, 2048), (1000, 512)):
-        ev = weierstrass_polynomial(f, n, panels)
-        for x in KERNEL_XS:  # at n = 1000 the kernel overflows at x = 1.75
-            want = _value_or_overflow(kernel_polynomial_by_quadrature, f, n, x, panels)
-            assert _value_or_overflow(ev, x) == want, (n, panels, x)
+    for n in (1, 3, 16, 64, 1000, 10**5):
+        ev = weierstrass_polynomial(f, n)
+        for x in KERNEL_XS:  # from n = 1000 on the kernel overflows at x = 1.75 and -3
+            want = _value_or_overflow(kernel_polynomial_by_gauss, f, n, x)
+            assert _value_or_overflow(ev, x) == want, (n, x)
 
 
 def test_kernel_polynomial_samples_f_once_per_node():
-    for panels in (2, 64, 2048):
+    """Never at construction, at most once per node, and only on the panels a call reaches."""
+    # (n, grid, nodes sampled): every node of the 2, 2 and 32 panels (the end
+    # panels have 4 pieces of 16); three windows of about 13 panels of 1024;
+    # a kernel piled up at u = 1, on the last panel alone
+    for n, xs, sampled in ((1, GRID, 128), (8, GRID, 128), (1024, GRID, 608), (10**6, (0.0, 0.5, 1.0), 544),
+                           (10**6, (1.2,), 64)):
         calls = []
 
         def f(u):
             calls.append(u)
             return u * u
 
-        ev = weierstrass_polynomial(f, 8, panels)
+        ev = weierstrass_polynomial(f, n)
         assert calls == []
-        for x in GRID:
+        for x in xs:
             ev(x)
-        assert len(calls) == panels + 1
-        assert len(set(calls)) == panels + 1  # every node once
+        assert len(set(calls)) == len(calls) == sampled, n
+
+
+def test_a_kernel_piled_up_at_an_end_is_summed_there_at_any_degree():
+    """Just outside [0, 1], P_n for f = 1 is half the tail ratio beyond the distance to the end, on a few panels."""
+    for n in (10**4, 10**6, 10**12):  # 2^20 panels at n = 10^12
+        for b in (1e-4, 1e-3, 0.01):
+            calls = []
+
+            def f(u):
+                calls.append(u)
+                return 1.0
+
+            ev = weierstrass_polynomial(f, n)
+            half_tail = ft.kernel_ratio(n, b).ratio / 2.0
+            assert ev(1.0 + b) == pytest.approx(half_tail, rel=1e-9) and ev(-b) == pytest.approx(half_tail, rel=1e-9)
+            assert len(calls) <= 16 * 24
+
+
+@pytest.mark.parametrize("coeffs", [(1.0,), (-2.5,), (1.5, -2.0, 0.25, 3.0), (0.0, 0.0, 1.0)])
+def test_kernel_polynomial_matches_exact_polynomial_integrals(coeffs):
+    """For a polynomial f, P_n(x) in exact rational arithmetic at the same float x, up to n = 64."""
+    f = named_function("poly:" + ",".join(map(str, coeffs)))
+    for n in (1, 2, 5, 16, 64):
+        ev = weierstrass_polynomial(f, n)
+        for x in (0.0, 0.3, 0.5, 0.77, 1.0):
+            exact = kernel_polynomial_exact(coeffs, n, x)
+            assert abs(Fraction(ev(x)) - exact) <= 1e-13 * max(1, abs(exact)), (n, x)
+
+
+@pytest.mark.parametrize("name", ("abs-half", "sin-scaled", "square", "sqrt"))
+def test_no_builtin_is_less_accurate_than_the_2048_panel_simpson_rule(name):
+    """Against a converged reference, at every grid point, to within a few rounding errors."""
+    f = named_function(name)
+    for n in (1, 4, 16, 64, 1024):
+        ev = weierstrass_polynomial(f, n)
+        ref = kernel_polynomial_reference(f, n, GRID)
+        ours = max(abs(ev(x) - r) for x, r in zip(GRID, ref))
+        simpson = max(abs(kernel_polynomial_by_simpson(f, n, x, 2048) - r) for x, r in zip(GRID, ref))
+        assert ours <= simpson + 1e-15, (n, ours, simpson)
+    if name == "sqrt":  # the graded end panels resolve the cusp at 0 that Simpson's rule does not
+        assert ours < 1e-9 < 1e-6 < simpson
+
+
+def test_constant_one_is_the_kernel_mass_inside_the_interval():
+    """For f = 1, P_n(x) is 1 less half the tail ratios beyond x and beyond 1 - x, at any degree.
+
+    The kernel at n = 10^9 is far narrower than any fixed panel; the rule is
+    sized to it. There each node's 1 - (u - x)^2 rounds by up to 1e-16, which
+    the power n makes 1e-7, so the sum is good to about 1e-8. At n = 1024, J_n
+    by `lgamma` is good to about 1e-12.
+    """
+    f = named_function("constant:1")
+    for n, tol in ((1, 1e-14), (16, 1e-14), (1024, 1e-11), (10**5, 1e-11), (10**7, 1e-10), (10**9, 1e-8)):
+        ev = weierstrass_polynomial(f, n)
+        for x in (0.0, 0.01, 0.3, 0.5, 0.99, 1.0):
+            tails = sum(ft.kernel_ratio(n, d).ratio if 0.0 < d < 1.0 else float(d == 0.0) for d in (x, 1.0 - x))
+            assert abs(ev(x) - (1.0 - tails / 2.0)) < tol, (n, x)
 
 
 def test_degree_parameter_validation():
@@ -243,11 +327,19 @@ def test_ratio_decreases_in_n():
             prev = r
 
 
-def test_ratio_is_its_quadrature_bitwise():
-    for n in (1, 2, 7, 64, 1000, 100_000_000):
-        for delta in (1e-9, 0.1, 0.3, 0.5, 0.9, 0.999999):
-            for panels in (2, 8, 2048):
-                assert ft.kernel_ratio(n, delta, panels).ratio == kernel_ratio_by_quadrature(n, delta, panels)
+def test_ratio_is_the_exact_tail():
+    """I_{1-delta^2}(n+1, 1/2) against the binomial expansion of the tail, in exact arithmetic."""
+    for n in (1, 2, 7, 16, 64):
+        for delta in (1e-9, 0.01, 0.1, 0.3, 0.5, 0.9, 0.999999):
+            exact = float(kernel_ratio_exact(n, delta))  # 0.0 where it underflows
+            assert ft.kernel_ratio(n, delta).ratio == pytest.approx(exact, rel=1e-13, abs=0.0), (n, delta)
+
+
+def test_ratio_matches_a_fine_simpson_rule_where_the_kernel_is_narrow():
+    """Where the tail is narrower than 1/2048 of [delta, 1], against 2^20 Simpson panels."""
+    for n, delta in ((10**5, 0.01), (10**6, 0.001)):
+        want = kernel_ratio_by_simpson(n, delta, 1 << 20)
+        assert ft.kernel_ratio(n, delta).ratio == pytest.approx(want, rel=1e-9)
 
 
 def test_ratio_rejects_bad_delta():
@@ -282,9 +374,9 @@ def test_named_function_errors():
 @pytest.mark.parametrize(
     "fn, n, grid, witness",
     [
-        ("constant:1e306", 4, "0,0.5,1", 0.0),  # Simpson's running sum overflows at every x
+        ("constant:1e306", 4, "0,0.5,1,3", 3.0),  # P_4(3) is 1454.9... times f(3)
         ("poly:1e308,1e308", 4, "0,0.5,1", 0.0),
-        ("poly:" + ",".join(["0"] * 20 + ["1e307"]), 4, "0,0.5,1", 0.5),  # P_4(0) is finite, P_4(0.5) is not
+        ("poly:1e308,1.6e308", 1000, "0,0.5,1", 0.5),  # P_1000(0) is finite, f(0.5) and P_1000(0.5) are not
         ("square", 4, "0.5,1e160", 1e160),  # float ** raises OverflowError rather than return inf
         ("square", 1000, "0.5,3", 3.0),
     ],

@@ -76,7 +76,6 @@ LABELS = ["", "  ", "1", "1 2", "2 6", "3 6", "6 1", "1 1", "a", "a b", "b c", "
 VALUES = {
     "--n": COUNTS,
     "--max-iter": COUNTS,
-    "--panels": COUNTS,
     "--tol": REALS,
     "--eps": REALS,
     "--delta": REALS,

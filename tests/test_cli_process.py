@@ -260,19 +260,19 @@ USAGE_CASES = [
     (FIXPOINT + ["--tol", "-1e-9"], "--tol", "must be a finite positive number, got -1e-9"),
     (["solve", "pagerank", "--in", "web5.csv", "--max-iter", "-5"], "--max-iter", "must be at least 1, got -5"),
     (["solve", "pagerank", "--in", "web5.csv", "--tol", "inf"], "--tol", "must be a finite positive number, got inf"),
-    (WEIERSTRASS + ["--n", "4", "--panels", "3"], "--panels", "must be even, got 3"),
-    (WEIERSTRASS + ["--n", "4", "--panels", "0"], "--panels", "must be at least 2, got 0"),
+    (WEIERSTRASS + ["--n", "-3"], "--n", "must be at least 1, got -3"),
+    (["approx", "kernel-ratio", "--n", "-1", "--delta", "0.5"], "--n", "must be at least 1, got -1"),
     (WEIERSTRASS + ["--n", "0"], "--n", "must be at least 1, got 0"),
     (["approx", "kernel-ratio", "--n", "0", "--delta", "0.5"], "--n", "must be at least 1, got 0"),
-    (["approx", "kernel-ratio", "--n", "4", "--delta", "0.5", "--panels", "7"], "--panels", "must be even, got 7"),
+    (["approx", "kernel-ratio", "--n", "4", "--delta", "-0.5"], "--delta",
+     "must be strictly between 0 and 1, got -0.5"),
     (["approx", "sqrt", "--n", "-1", "--grid", "0.5"], "--n", "must be at least 0, got -1"),
     *[(["metric", "net", "--in", "web5.csv", "--eps", eps], "--eps", f"must be a positive number, got {eps}")
       for eps in ("0", "-1", "nan")],
     *[(["approx", "kernel-ratio", "--n", "4", "--delta", d], "--delta", f"must be strictly between 0 and 1, got {d}")
       for d in ("0", "1", "3", "nan")],
-    (WEIERSTRASS + ["--n", "4", "--panels", "65538"], "--panels", "must be at most 65536, got 65538"),  # never run
-    (["approx", "kernel-ratio", "--n", "4", "--delta", "0.5", "--panels", str(1 << 20)], "--panels",
-     "must be at most 65536, got 1048576"),
+    (WEIERSTRASS + ["--n", "two"], "--n", "invalid int value: 'two'"),
+    (["approx", "kernel-ratio", "--n", "4", "--delta", "x"], "--delta", "invalid float value: 'x'"),
     (["metric", "hausdorff", "--in", "web5.csv", "--a", "", "--b", "1"], "--a", "must name at least one point"),
     (["metric", "hausdorff", "--in", "web5.csv", "--a", "1 2", "--b", "  "], "--b", "must name at least one point"),
     *[(["approx", "sqrt", "--n", n, "--grid", "0.5"], "--n", f"must be at most 65536, got {n}")
@@ -286,10 +286,11 @@ USAGE_CASES = [
     (["approx", "sqrt", "--n", "1e3", "--grid", "0.5"], "--n", "invalid int value: '1e3'"),
     (["metric", "net", "--in", "web5.csv", "--eps", "x"], "--eps", "invalid float value: 'x'"),
     (FIXPOINT + ["--tol", "x"], "--tol", "invalid float value: 'x'"),
-    (WEIERSTRASS + ["--n", "4", "--panels", "two"], "--panels", "invalid int value: 'two'"),
+    (WEIERSTRASS + ["--n", "+0"], "--n", "must be at least 1, got 0"),
     (FIXPOINT + ["--max-iter", "+0"], "--max-iter", "must be at least 1, got 0"),
     (["approx", "sqrt", "--n", "070000", "--grid", "0.5"], "--n", "must be at most 65536, got 70000"),
-    (WEIERSTRASS + ["--n", "4", "--panels", "+03"], "--panels", "must be even, got 3"),
+    (["approx", "kernel-ratio", "--n", "4", "--delta", "1e-400"], "--delta",
+     "must be strictly between 0 and 1, got 1e-400"),  # underflows to 0
     (["approx", "kernel-ratio", "--n", "4", "--delta", "1e0"], "--delta", "must be strictly between 0 and 1, got 1e0"),
 ]
 
@@ -298,13 +299,24 @@ USAGE_CASES = [
     "argv, option, message", [pytest.param(*case, id=f"argv{i}-{case[1]}") for i, case in enumerate(USAGE_CASES)]
 )
 def test_option_values_outside_their_range_are_usage_errors(tmp_path, monkeypatch, capsys, argv, option, message):
-    """A count, panel number, tolerance, radius, delta or empty set outside its range exits 2 before anything runs."""
+    """A count, tolerance, radius, delta or empty set outside its range exits 2 before anything runs."""
     (tmp_path / "web5.csv").write_text(WEB5)
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err
     assert err.splitlines()[-1] == f"finitetop {argv[0]} {argv[1]}: error: argument {option}: {message}"
+
+
+@pytest.mark.parametrize("argv", [
+    WEIERSTRASS + ["--n", "4", "--panels", "8"],
+    ["approx", "kernel-ratio", "--n", "4", "--delta", "0.5", "--panels", "8"],
+], ids=lambda argv: argv[1])
+def test_panels_is_no_longer_an_option(capsys, argv):
+    """The rule is sized to the degree, so there is no panel count to choose: `--panels` is a leftover."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1] == "finitetop: error: unrecognized arguments: --panels 8"
 
 
 @pytest.mark.parametrize("argv", [
