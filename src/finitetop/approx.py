@@ -292,18 +292,22 @@ def kernel_ratio(n: int, delta: float) -> RatioReport:
     where q is past the fraction's switch point. 1 - q is delta^2 as given,
     never 1 - (1 - delta^2). Ratio and bound share the factor q^n, which is
     divided out of the ratio, so neither side of the comparison underflows at
-    any n.
+    any n; it is exp(n log q) with log q from log1p of delta^2 itself (of -delta
+    and delta past delta^2 = 1/2), so the rounding of q, which q**n would raise
+    to the n-th power, does not enter it.
     """
     if not 0.0 < delta < 1.0:
         raise ValidationError("delta must lie strictly between 0 and 1")
     if n < 1:
         raise ValidationError("degree parameter must be at least 1")
     d2 = delta * delta
-    q = 1.0 - d2 if d2 <= 0.5 else (1.0 - delta) * (1.0 + delta)  # no cancellation as delta nears 1
-    a, j = n + 1.0, kernel_mass(n)
+    if d2 <= 0.5:
+        q, log_q = 1.0 - d2, math.log1p(-d2)
+    else:  # no cancellation as delta nears 1
+        q, log_q = (1.0 - delta) * (1.0 + delta), math.log1p(-delta) + math.log1p(delta)
+    qn, a, j = math.exp(n * log_q), n + 1.0, kernel_mass(n)
     if q < (a + 1.0) / (a + 2.5):  # I_q(a, 1/2) = q^a delta / (a 2 J_n) * fraction
         scaled_ratio = q * delta * _beta_fraction(a, 0.5, q) / (a * 2.0 * j)
     else:  # 1 - I_{delta^2}(1/2, a), with I_{delta^2}(1/2, a) = delta q^a / J_n * fraction
-        qn = q**n
         scaled_ratio = (1.0 - delta * qn * q * _beta_fraction(0.5, a, d2) / j) / qn
-    return RatioReport(scaled_ratio * q**n, (n + 1) * q**n, scaled_ratio < n + 1)
+    return RatioReport(scaled_ratio * qn, (n + 1) * qn, scaled_ratio < n + 1)

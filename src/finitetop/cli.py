@@ -20,6 +20,7 @@ from .logic import lindenbaum_algebra, model_from_ultrafilter, refutation
 
 CLOSURE_TABLE_LIMIT = 6  # carriers above this get their subset table elided
 SQRT_N_LIMIT = 1 << 16  # `approx sqrt --n`: the iteration costs O(n * grid points)
+KERNEL_N_LIMIT = 1 << 53  # `approx weierstrass` and `kernel-ratio --n`: past it a float no longer holds n
 MAX_ITER_LIMIT = 1 << 16  # `solve --max-iter`: each iteration is a pass over the vector or matrix
 
 
@@ -528,9 +529,9 @@ def _command_table():
         }),
         "approx": ("constructive approximation", (), {
             "sqrt": (count(0, SQRT_N_LIMIT), grid, as_json),
-            "weierstrass": (func, count(1), grid, as_json),
+            "weierstrass": (func, count(1, KERNEL_N_LIMIT), grid, as_json),
             "kernel-ratio": (
-                count(1), opt("--delta", required=True, type=_real(lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")),
+                count(1, KERNEL_N_LIMIT), opt("--delta", required=True, type=_real(lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")),
                 as_json,
             ),
         }),

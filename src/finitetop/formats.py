@@ -276,10 +276,11 @@ def load_ranks(text: str) -> RankedSets:
 
 
 def load_theory(text: str) -> Theory:
-    formulas = []
+    """One formula per line, over the variables the parser reads, sorted."""
+    formulas, atoms = [], {}
     for lineno, line in _lines(text):
         try:
-            formulas.append(parse_formula(line))
-        except FormatError as err:  # a syntax error, or the depth or nesting cap
+            formulas.append(parse_formula(line, atoms))
+        except FormatError as err:  # a syntax error, or the depth cap
             raise FormatError(f"line {lineno}: {err}") from None
-    return Theory.of(formulas)
+    return Theory(formulas, sorted(atoms))

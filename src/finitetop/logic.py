@@ -1,32 +1,30 @@
 """Propositional formulas, theories, and the algebra of classes mod a theory.
 
-Formulas are kept over negation and conjunction only; the other
-connectives are desugared at construction time. With at most 16 variables
-every semantic question is settled by the full truth table, held like a
-subset as a 2^k-bit int (bit m is the value at the m-th valuation). The
-Lindenbaum algebra of a theory T is T's model truth table: the class of a
-formula is its table ANDed with it, so class identity is bitmask equality
-and the algebra's ultrafilters are the single-model atoms, one per set bit.
+Formulas are kept as written: a variable, a constant, or a node for one of
+the connectives `~ & | -> <->`. With at most 16 variables every semantic
+question is settled by the full truth table, held like a subset as a
+2^k-bit int (bit m is the value at the m-th valuation). The Lindenbaum
+algebra of a theory T is T's model truth table: the class of a formula is
+its table ANDed with it, so class identity is bitmask equality and the
+algebra's ultrafilters are the single-model atoms, one per set bit.
 """
 
 import re
+from operator import and_, or_, xor
 
 from .errors import FormatError, ValidationError
 from .records import cached, record
 
 MAX_VARS = 16
-# Caps on parsed formulas that keep every recursive walk well inside
-# Python's default recursion limit of 1000 frames: the parser takes up to
-# five frames per open '~', '(' or '->', and `==`, `repr` and `str` take one
-# to four per level of the formula tree. `a <-> b` holds a and b twice, so
-# `str` of a chain of k links has 2^k copies of its first operand.
-MAX_NESTING = 64
+# A parsed formula is at most MAX_DEPTH connectives deep, which keeps `==`, `repr` and `str`, one to four
+# frames per level of the tree, well inside Python's default recursion limit; the parser does not recurse.
 MAX_DEPTH = 150
-MAX_CONNECTIVES = 1 << 16  # '~' and '&' in the printed form of a formula a witness prints
+MAX_CONNECTIVES = 1 << 16  # connectives in the printed form of a formula a witness prints
 
 
 class PropFormula:
     __slots__ = ()
+    rank = 6  # how tightly the printed form binds: an atom 6, '~' 5, '&' 4, '|' 3, '->' 2, '<->' 1
 
 
 @record
@@ -51,68 +49,75 @@ class Const(PropFormula):
 class Not(PropFormula):
     __slots__ = ("arg",)
     arg: PropFormula
+    rank = 5
 
     def __str__(self):
-        return f"~{self.arg}" if isinstance(self.arg, (Var, Const, Not)) else f"~({self.arg})"
+        return f"~{self.arg}" if self.arg.rank >= 5 else f"~({self.arg})"
 
 
-@record
-class And(PropFormula):
+class _Binary(PropFormula):
     __slots__ = ("left", "right")
     left: PropFormula
     right: PropFormula
 
     def __str__(self):
-        def wrap(f):
-            return str(f) if isinstance(f, (Var, Const, Not)) else f"({f})"
-
-        return f"{wrap(self.left)} & {wrap(self.right)}"
-
-
-TOP = Const(True)
-BOT = Const(False)
+        """Operands in parentheses only where the grammar needs them ('->' groups to the right)."""
+        r, to_right = self.rank, self.rank == 2
+        left = f"({self.left})" if self.left.rank < r + to_right else str(self.left)
+        right = f"({self.right})" if self.right.rank < r + (not to_right) else str(self.right)
+        return f"{left} {self.symbol} {right}"
 
 
-def disjunction(a, b):
-    return Not(And(Not(a), Not(b)))
+@record
+class And(_Binary):
+    __slots__, rank, symbol = (), 4, "&"
 
 
-def implication(a, b):
-    return disjunction(Not(a), b)
+@record
+class Or(_Binary):
+    __slots__, rank, symbol = (), 3, "|"
 
 
-def biconditional(a, b):
-    return And(implication(a, b), implication(b, a))
+@record
+class Imp(_Binary):
+    __slots__, rank, symbol = (), 2, "->"
 
 
-def _fold(formula, var, top, bot, neg, conj):
-    """Fold a formula bottom-up without recursion (`refutation` counts a witness's connectives with it).
+@record
+class Iff(_Binary):
+    __slots__, rank, symbol = (), 1, "<->"
+
+
+TOP, BOT = Const(True), Const(False)
+
+
+def _fold(formula, var, top, bot, neg, conj, disj, imp, iff):
+    """Fold a formula bottom-up without recursion (`Theory.of` and `refutation` use it).
 
     A variable gives `var(name)`, top gives `top` and bot `bot`; `~` gives
-    `neg(a)` and `&` gives `conj(a, b)` of its arguments' values. Each
-    distinct node (by identity) is computed once, so subtrees the formula
-    shares cost nothing extra.
+    `neg(a)`, and `&`, `|`, `->` and `<->` give `conj`, `disj`, `imp` and
+    `iff` of their operands' values. Each distinct node (by identity) is
+    computed once, so subtrees the formula shares cost nothing extra.
     """
-    memo = {}
+    binary, memo, stack = {And: conj, Or: disj, Imp: imp, Iff: iff}, {}, [formula]
     get = memo.get
-    stack = [formula]
     while stack:
         f = stack.pop()
         if id(f) in memo:
             continue
-        kind = type(f)  # the four node classes, most frequent first
+        kind = type(f)
         if kind is Not:
             a = get(id(f.arg))
             if a is None:
                 stack += (f, f.arg)
             else:
                 memo[id(f)] = neg(a)
-        elif kind is And:
+        elif kind in binary:
             a, b = get(id(f.left)), get(id(f.right))
             if a is None or b is None:
                 stack += (f, f.left, f.right)
             else:
-                memo[id(f)] = conj(a, b)
+                memo[id(f)] = binary[kind](a, b)
         elif kind is Var:
             memo[id(f)] = var(f.name)
         elif kind is Const:
@@ -122,141 +127,133 @@ def _fold(formula, var, top, bot, neg, conj):
     return memo[id(formula)]
 
 
-def variables_of(formula) -> set:
-    """The formula's variable names, from one walk that enters each distinct `&` node once."""
-    names, seen, stack = set(), set(), [formula]
-    while stack:
-        f = stack.pop()
-        while type(f) is Not:
-            f = f.arg
-        if type(f) is Var:
-            names.add(f.name)
-        elif type(f) is And and id(f) not in seen:
-            seen.add(id(f))
-            stack += (f.left, f.right)
-        elif type(f) not in (And, Const):
-            raise FormatError(f"not a formula: {f!r}")
-    return names
-
-
 # -- parser -----------------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*(?:(<->|->|[()&|~]|[a-z][a-z0-9_]*)|\S)")  # '' for a character no token starts
 _CONSTANTS = {"top": TOP, "bot": BOT}
 _NOT_OPERANDS = frozenset((None, ")", "&", "|", "->", "<->"))
+# each connective's rank, node class, and the least rank of a connective waiting before it that it closes
+_BINARY = {"<->": (1, Iff, 1), "->": (2, Imp, 3), "|": (3, Or, 3), "&": (4, And, 4)}
 
 
-class _Parser:
-    """Recursive descent, one method per level; precedence ~ > & > | > -> (right) > <->.
+def _syntax_error(text, tokens, i, expected):
+    if tokens[i] is None:
+        return FormatError(f"syntax error at end of input: wanted {expected}")
+    m = list(_TOKEN.finditer(text))[i]
+    return FormatError(f"syntax error at position {m.start(1)}: unexpected {m[1]!r}, wanted {expected}")
 
-    A level takes the count n of '~', '(' and '->' open around it and returns a subformula
-    with the number of its desugared form's connectives on the longest path (its depth).
+
+def _parse(text, atoms):
+    """The formula `text` writes and its depth, from one operator-precedence pass over its tokens.
+
+    Precedence ~ > & > | > -> (right) > <->. `pending` holds, innermost
+    last, each '(' still open as the number of '~' before it, and each
+    connective waiting for its right operand as (rank, node class, left
+    operand, its depth); a connective closes the waiting ones that bind at
+    least as tightly ('->' only tighter ones). `atoms` maps each variable
+    name read to its node, which every later use shares.
     """
-
-    def __init__(self, text):
-        self.text, self.pos = text, 0
-        self.tokens = _TOKEN.findall(text)
-        if "" in self.tokens:
-            pos = next(m.start() for m in _TOKEN.finditer(text) if m.group(1) is None)
-            raise FormatError(f"syntax error at position {pos}: {text[pos:].strip()[:10]!r}")
-        self.tokens.append(None)  # end of input
-
-    def fail(self, expected):
-        if self.tokens[self.pos] is None:
-            raise FormatError(f"syntax error at end of input: wanted {expected}")
-        m = list(_TOKEN.finditer(self.text))[self.pos]
-        raise FormatError(f"syntax error at position {m.start(1)}: unexpected {m[1]!r}, wanted {expected}")
-
-    def parse(self):
-        f, depth = self.iff(0)
-        if self.tokens[self.pos] is not None:
-            self.fail("end of input")
-        if depth > MAX_DEPTH:
-            raise FormatError(f"formula is more than {MAX_DEPTH} connectives deep")
-        return f
-
-    def iff(self, n):
-        f, d = self.imp(n)
-        while self.tokens[self.pos] == "<->":
-            self.pos += 1
-            g, e = self.imp(n)
-            f, d = biconditional(f, g), max(d, e) + 5
-        return f, d
-
-    def imp(self, n):
-        f, d = self.disj(n)
-        if self.tokens[self.pos] != "->":
-            return f, d
-        self.pos += 1
-        g, e = self.imp(n + 1)  # '->' groups to the right
-        return implication(f, g), max(d + 1, e) + 3
-
-    def disj(self, n):
-        f, d = self.conj(n)
-        while self.tokens[self.pos] == "|":
-            self.pos += 1
-            g, e = self.conj(n)
-            f, d = disjunction(f, g), max(d, e) + 3
-        return f, d
-
-    def conj(self, n):
-        f, d = self.atom(n)
-        while self.tokens[self.pos] == "&":
-            self.pos += 1
-            g, e = self.atom(n)
-            f, d = And(f, g), max(d, e) + 1
-        return f, d
-
-    def atom(self, n):
-        if n > MAX_NESTING:  # each '~', '(' and '->' leads here before the next token
-            raise FormatError(f"formula nests '~', '(' and '->' more than {MAX_NESTING} deep")
-        tok = self.tokens[self.pos]
-        if tok in _NOT_OPERANDS:
-            self.fail("a variable, constant, '~' or '('")
-        self.pos += 1
-        if tok == "~":
-            f, d = self.atom(n + 1)
-            return Not(f), d + 1
-        if tok == "(":
-            f = self.iff(n + 1)
-            if self.tokens[self.pos] != ")":
-                self.fail("')'")
-            self.pos += 1
-            return f
-        return _CONSTANTS.get(tok) or Var(tok), 0
+    tokens = _TOKEN.findall(text)
+    if "" in tokens:
+        pos = next(m.start() for m in _TOKEN.finditer(text) if m.group(1) is None)
+        raise FormatError(f"syntax error at position {pos}: {text[pos:].strip()[:10]!r}")
+    tokens.append(None)  # end of input
+    pending, i = [], 0
+    push, pop, get = pending.append, pending.pop, atoms.get
+    while True:
+        nots = 0  # an operand: '~' and '(', then a variable or constant
+        while True:
+            tok = tokens[i]
+            i += 1
+            f = get(tok)
+            if f is not None:
+                break
+            if tok == "~":
+                nots += 1
+            elif tok == "(":
+                push(nots)
+                nots = 0
+            elif tok in _NOT_OPERANDS:
+                raise _syntax_error(text, tokens, i - 1, "a variable, constant, '~' or '('")
+            else:
+                f = _CONSTANTS.get(tok) or atoms.setdefault(tok, Var(tok))
+                break
+        d = nots
+        while True:  # what follows a complete operand, under `nots` '~'
+            while nots:
+                f, nots = Not(f), nots - 1
+            tok = tokens[i]
+            i += 1
+            binary = _BINARY.get(tok)
+            least = binary[2] if binary else 0  # any other token closes every connective back to the last '('
+            while pending and type(pending[-1]) is tuple and pending[-1][0] >= least:
+                _, kind, left, e = pop()
+                f, d = kind(left, f), (e if e > d else d) + 1
+            if binary:
+                push((binary[0], binary[1], f, d))
+                break
+            if not pending:
+                if tok is not None:
+                    raise _syntax_error(text, tokens, i - 1, "end of input")
+                return f, d
+            if tok != ")":
+                raise _syntax_error(text, tokens, i - 1, "')'")
+            nots = pop()
+            d += nots
 
 
-def parse_formula(text: str) -> PropFormula:
-    return _Parser(text).parse()
+def parse_formula(text: str, atoms: dict = None) -> PropFormula:
+    """The formula `text` writes, kept as written; a syntax error or a depth past MAX_DEPTH is a FormatError.
+
+    Calls given one `atoms` dict share their variable nodes, and its keys
+    are the variables they read.
+    """
+    f, depth = _parse(text, {} if atoms is None else atoms)
+    if depth > MAX_DEPTH:
+        raise FormatError(f"formula is more than {MAX_DEPTH} connectives deep")
+    return f
 
 
 # -- theories and their algebras ---------------------------------------------
+
+# a connective's table in each polarity, even then odd: the operation on its operands' tables and their polarities
+_POLARITY = {
+    And: ((and_, 0, 0), (or_, 1, 1)),  # ~(a & b) is ~a | ~b
+    Or: ((or_, 0, 0), (and_, 1, 1)),  # ~(a | b) is ~a & ~b
+    Imp: ((or_, 1, 0), (and_, 0, 1)),  # a -> b is ~a | b, and ~(a -> b) is a & ~b
+    Iff: ((xor, 1, 0), (xor, 0, 0)),  # a <-> b is ~a ^ b, and ~(a <-> b) is a ^ b
+}
 
 
 @record
 class Theory:
     formulas: tuple
-    vars: tuple  # the universe; None takes the formulas' variables, sorted
+    vars: tuple  # the universe, which holds every variable of the formulas
 
     def __post_init__(self):
         object.__setattr__(self, "formulas", tuple(self.formulas))
-        used = [variables_of(f) for f in self.formulas]  # one walk per formula serves both uses
-        names = sorted(set().union(*used)) if self.vars is None else self.vars
-        object.__setattr__(self, "vars", tuple(names))
+        object.__setattr__(self, "vars", tuple(self.vars))
         if len(self.vars) > MAX_VARS:
             witness = {"x": self.vars[MAX_VARS]}  # the first variable past the cap
             raise ValidationError(f"at most {MAX_VARS} variables are supported", witness)
         if len(set(self.vars)) != len(self.vars):
             raise FormatError("duplicate variable in universe")
-        universe = set(self.vars)
-        for u in used:
-            extra = u - universe
-            if extra:
-                raise FormatError(f"formula uses undeclared variable {sorted(extra)[0]!r}")
 
     @classmethod
     def of(cls, formulas, vars=None):
-        return cls(formulas, vars)
+        """The theory over `vars`, or if None over the formulas' variables sorted, which one fold per formula finds.
+
+        `vars` must hold them; `formats.load_theory` has them from the parser and calls `Theory` itself.
+        """
+        formulas, empty = tuple(formulas), frozenset()
+        used = [_fold(f, lambda name: frozenset((name,)), empty, empty, lambda a: a, or_, or_, or_, or_)
+                for f in formulas]
+        theory = cls(formulas, sorted(empty.union(*used)) if vars is None else vars)
+        for u in used:
+            extra = u.difference(theory.vars)
+            if extra:
+                raise FormatError(f"formula uses undeclared variable {sorted(extra)[0]!r}")
+        return theory
 
     def _valuation(self, m):
         """The m-th valuation: variable i is true iff bit k-1-i of m is set."""
@@ -286,15 +283,15 @@ class Theory:
 
         One pass without recursion carries each node's polarity (odd under
         `~` or not): a run of `~` flips it, a variable reads its column or
-        its complement, and `&` under an odd number of `~` is `|`. Each
-        distinct `&` node is folded once per polarity it is reached in,
-        right operand first. A variable outside the theory's universe is a
-        format error.
+        its complement, and a connective folds its operands' tables by its
+        `_POLARITY` rule. Each distinct connective node is folded once per
+        polarity it is reached in, right operand first. A variable outside
+        the theory's universe is a format error.
         """
         columns = self._columns
         memo, values = {}, []
         push = values.append
-        stack = [(formula, 0)]  # a node and its polarity, or an `&` node's memo key and None
+        stack = [(formula, 0)]  # a node and its polarity, or a connective's memo key and its operation
         pop = stack.pop
         while stack:
             f, odd = pop()
@@ -302,21 +299,21 @@ class Theory:
                 f = f.arg
                 odd ^= 1
             kind = type(f)
-            if kind is And:
-                key = id(f) << 1 | odd
-                if key in memo:
-                    push(memo[key])
-                else:
-                    stack += ((key, None), (f.left, odd), (f.right, odd))
-            elif kind is Var:
+            if kind is Var:
                 try:
                     push(columns[odd][f.name])
                 except KeyError:
                     raise FormatError(f"formula uses undeclared variable {f.name!r}") from None
-            elif odd is None:  # both operands of the `&` node keyed f are folded
-                a, b = values.pop(), values.pop()
-                memo[f] = a = a | b if f & 1 else a & b
+            elif type(odd) is not int:  # both operands of the connective keyed f are folded: odd is its operation
+                memo[f] = a = odd(values.pop(), values.pop())
                 push(a)
+            elif kind in _POLARITY:
+                key = id(f) << 1 | odd
+                if key in memo:
+                    push(memo[key])
+                else:
+                    op, left, right = _POLARITY[kind][odd]
+                    stack += ((key, op), (f.left, left), (f.right, right))
             elif kind is Const:
                 push((1 << (1 << len(self.vars))) - 1 if bool(f.value) ^ odd else 0)
             else:
@@ -345,14 +342,14 @@ class Theory:
 def refutation(theory: Theory):
     """The theory's model table and, if it is 0, the witness naming the formula that makes it 0 (else None).
 
-    The formula is printed up to MAX_CONNECTIVES '~' and '&', which one fold
+    The formula is printed up to MAX_CONNECTIVES connectives, which one fold
     counts; past that the witness is its number in the theory, from 1, and the count.
     """
     table, number = theory._conjunction()
     if table:
         return table, None
     f = theory.formulas[number - 1]
-    size = _fold(f, lambda name: 0, 0, 0, lambda a: a + 1, lambda a, b: a + b + 1)
+    size = _fold(f, lambda name: 0, 0, 0, lambda a: a + 1, *[lambda a, b: a + b + 1] * 4)
     if size > MAX_CONNECTIVES:
         return 0, {"formula_number": number, "connectives": size}
     return 0, {"formula": str(f)}

@@ -11,9 +11,11 @@ the library's `_fold` on one valuation, a pass independent of the
 polarity-carrying fold in `Theory.table_of` and kept as the reference
 semantics for its tables, checked against the tree walk `truth`. They are
 exponential and meant for carriers of up to 5 points and theories of up
-to 16 variables. `parse_formula_by_descent` is the generic recursive
-descent the parser replaced, one method over a table of levels, with the
-depth and variables of its trees from the same `_fold` as `evaluate`.
+to 16 variables. `parse_formula_by_descent` is a generic recursive
+descent, one method over a table of levels, where the library parser is
+one operator-precedence loop; it gives the tree as written or rewritten
+over `~` and `&` (`desugared`), with the depth and variables of its trees
+from the same `_fold` as `evaluate`.
 `labelled_by_lines` is the line-at-a-time reader of labelled files that
 the bulk `formats._labelled` replaced, with the loaders built on it.
 `opens_from_balls` is the open-ball route to a pseudometric's topology
@@ -24,9 +26,10 @@ that the zero classes of `topology_from_pmetric` replaced, and
 
 import math
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations, product
-from operator import and_, not_, or_
+from operator import and_, eq, le, not_, or_
 
 from finitetop.approx import gauss_legendre, kernel_mass
 from finitetop.bitsets import bits, is_subset, subsets
@@ -35,16 +38,15 @@ from finitetop.formats import _cell
 from finitetop.logic import (
     BOT,
     MAX_DEPTH,
-    MAX_NESTING,
     TOP,
     And,
     Const,
+    Iff,
+    Imp,
     Not,
+    Or,
     Var,
     _fold,
-    biconditional,
-    disjunction,
-    implication,
 )
 from finitetop.construct import EquivalenceRelation
 from finitetop.pmetric import NonConvergence, RankedSets, RelationChain
@@ -449,31 +451,57 @@ def truth(formula, true_vars):
         return formula.value
     if isinstance(formula, Not):
         return not truth(formula.arg, true_vars)
-    return truth(formula.left, true_vars) and truth(formula.right, true_vars)
+    a, b = truth(formula.left, true_vars), truth(formula.right, true_vars)
+    if isinstance(formula, And):
+        return a and b
+    if isinstance(formula, Or):
+        return a or b
+    if isinstance(formula, Imp):
+        return not a or b
+    return a == b
 
 
 def evaluate(formula, true_vars):
-    """The formula's value under the valuation, by `logic._fold` with `not` for `~` and `and` for `&`.
+    """The formula's value under the valuation, by `logic._fold` with `not`, `and`, `or`, `<=` and `==`.
 
     An independent pass: `Theory.table_of` folds tables carrying each
     node's polarity instead. Bit m of `theory.table_of(formula)` must be
     this value at the m-th valuation.
     """
-    return _fold(formula, true_vars.__contains__, True, False, not_, and_)
+    return _fold(formula, true_vars.__contains__, True, False, not_, and_, or_, le, eq)
 
 
 def variables_by_fold(formula) -> frozenset:
-    return _fold(formula, lambda name: frozenset((name,)), frozenset(), frozenset(), lambda a: a, or_)
+    return _fold(formula, lambda name: frozenset((name,)), frozenset(), frozenset(), lambda a: a, or_, or_, or_, or_)
 
 
 def depth_by_fold(formula) -> int:
     """Connectives on the longest path from the root to a variable or constant."""
-    return _fold(formula, lambda name: 0, 0, 0, lambda a: a + 1, lambda a, b: max(a, b) + 1)
+    deeper = lambda a, b: max(a, b) + 1
+    return _fold(formula, lambda name: 0, 0, 0, lambda a: a + 1, deeper, deeper, deeper, deeper)
 
 
 def size_by_fold(formula) -> int:
-    """Connectives in the printed form, each '~' and '&' once per occurrence."""
-    return _fold(formula, lambda name: 0, 0, 0, lambda a: a + 1, lambda a, b: a + b + 1)
+    """Connectives in the printed form, each once per occurrence."""
+    both = lambda a, b: a + b + 1
+    return _fold(formula, lambda name: 0, 0, 0, lambda a: a + 1, both, both, both, both)
+
+
+def disjunction(a, b):
+    return Not(And(Not(a), Not(b)))
+
+
+def implication(a, b):
+    return disjunction(Not(a), b)
+
+
+def biconditional(a, b):
+    return And(implication(a, b), implication(b, a))
+
+
+def desugared(formula):
+    """The formula rewritten over `~` and `&`: `p | q` is `~(~p & ~q)`, and `<->` holds each side twice."""
+    return _fold(formula, Var, TOP, BOT, Not, And, disjunction, implication, biconditional)
 
 
 _TOKEN = re.compile(r"\s*(<->|->|[()&|~]|[a-z][a-z0-9_]*)")
@@ -493,8 +521,8 @@ def _tokenize(text):
     return out
 
 
-# binary connectives, loosest first: token and constructor
-_BINARY = (("<->", biconditional), ("->", implication), ("|", disjunction), ("&", And))
+# binary connectives, loosest first: token and node class
+_BINARY = (("<->", Iff), ("->", Imp), ("|", Or), ("&", And))
 _CONSTANTS = {"top": TOP, "bot": BOT}
 
 
@@ -504,7 +532,6 @@ class _DescentParser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -518,15 +545,6 @@ class _DescentParser:
             raise FormatError(f"syntax error at position {at}: unexpected {tok!r}, wanted {expected}")
         raise FormatError(f"syntax error at end of input: wanted {expected}")
 
-    def nested(self, parse, *args):
-        """Run a parse one level of '~', '(' or '->' further in."""
-        self.nesting += 1
-        if self.nesting > MAX_NESTING:
-            raise FormatError(f"formula nests '~', '(' and '->' more than {MAX_NESTING} deep")
-        f = parse(*args)
-        self.nesting -= 1
-        return f
-
     def parse(self):
         f = self.binary()
         if self.peek() is not None:
@@ -536,10 +554,7 @@ class _DescentParser:
         return f
 
     def binary(self, level=0):
-        """A chain of the level's connective over operands that bind tighter.
-
-        '->' groups to the right, and each arrow is one nesting level.
-        """
+        """A chain of the level's connective over operands that bind tighter; '->' groups to the right."""
         if level == len(_BINARY):
             return self.atom()
         op, make = _BINARY[level]
@@ -547,7 +562,7 @@ class _DescentParser:
         while self.peek() == op:
             self.take()
             if op == "->":
-                return make(f, self.nested(self.binary, level))
+                return make(f, self.binary(level))
             f = make(f, self.binary(level + 1))
         return f
 
@@ -555,10 +570,10 @@ class _DescentParser:
         tok = self.peek()
         if tok == "~":
             self.take()
-            return Not(self.nested(self.atom))
+            return Not(self.atom())
         if tok == "(":
             self.take()
-            f = self.nested(self.binary)
+            f = self.binary()
             if self.peek() != ")":
                 self.fail("')'")
             self.take()
@@ -572,12 +587,20 @@ class _DescentParser:
         self.fail("a variable, constant, '~' or '('")
 
 
-def parse_formula_by_descent(text):
-    """The tree, or the FormatError, of the parser before it counted depth and size as it went.
+def parse_formula_by_descent(text, written=False):
+    """The tree, or the FormatError, of the recursive descent: rewritten over `~` and `&`, or with `written` as written.
 
-    It has no cap on the printed size.
+    The depth cap is on the tree as written, and there is no cap on the
+    printed size or on nesting: the descent takes up to six frames per '('
+    and runs under a recursion limit raised to match.
     """
-    return _DescentParser(text).parse()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 5000))
+    try:
+        f = _DescentParser(text).parse()
+    finally:
+        sys.setrecursionlimit(limit)
+    return f if written else desugared(f)
 
 
 def models(theory):

@@ -19,7 +19,7 @@ from finitetop.bitsets import bits, is_subset, subsets
 from finitetop.cli import main
 from finitetop.construct import product_label
 from finitetop.errors import ValidationError
-from finitetop.logic import And, Not, TOP, BOT, Var, biconditional, disjunction, implication
+from finitetop.logic import And, BOT, Iff, Imp, Not, Or, TOP, Var
 
 from conftest import indiscrete_space
 from oracles import (
@@ -325,7 +325,7 @@ def _random_formula(rng, names, depth):
     if op == "not":
         return Not(a)
     b = _random_formula(rng, names, depth - 1)
-    return {"and": And, "or": disjunction, "imp": implication, "iff": biconditional}[op](a, b)
+    return {"and": And, "or": Or, "imp": Imp, "iff": Iff}[op](a, b)
 
 
 def test_criterion_8_logic():

@@ -342,6 +342,18 @@ def test_ratio_matches_a_fine_simpson_rule_where_the_kernel_is_narrow():
         assert ft.kernel_ratio(n, delta).ratio == pytest.approx(want, rel=1e-9)
 
 
+def test_ratio_matches_mpmath_betainc_where_q_rounds():
+    """Against mpmath's I_q(n+1, 1/2), q = 1 - delta^2 in 40 digits, where n delta^2 <= 50: the factor q^n
+    comes from delta^2 itself, not from q rounded to a double (which put 1.2e-4 of error at n = 10^12)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for n in (10**3, 10**6, 10**9, 10**12):
+            for delta in (1e-6, 1e-3):
+                if n * delta * delta <= 50:
+                    want = mpmath.betainc(n + 1, 0.5, 0, 1 - mpmath.mpf(delta) ** 2, regularized=True)
+                    assert ft.kernel_ratio(n, delta).ratio == pytest.approx(float(want), rel=1e-12), (n, delta)
+
+
 def test_ratio_rejects_bad_delta():
     for delta in (0.0, 1.0, -0.2, 7):
         with pytest.raises(ValidationError):

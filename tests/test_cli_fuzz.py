@@ -70,7 +70,7 @@ READS = {
     "logic": ("pq.thy", "inconsistent.thy"),
 }
 # edge cases, and enough ordinary values that most calls get past argparse
-COUNTS = ["-1", "0", "1", "2", "4", "7", "16", "64", "2048", "65536", "65537", "1000000000", str(1 << 80), "nan", ""]
+COUNTS = ["-1", "0", "1", "2", "4", "7", "16", "64", "2048", "65536", "65537", "1000000000", str(1 << 80), str(10**400), "nan", ""]
 REALS = ["nan", "inf", "-inf", "-1", "0", "1e-300", "1e-9", "0.1", "0.25", "0.5", "0.9", "1", "3", "1e308", "x"]
 LABELS = ["", "  ", "1", "1 2", "2 6", "3 6", "6 1", "1 1", "a", "a b", "b c", "a b c", "w1", "w2", "zz", "inf"]
 VALUES = {

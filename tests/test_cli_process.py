@@ -113,13 +113,13 @@ def test_solvers_in_a_fresh_interpreter(tmp_path):
 
 
 def test_chained_biconditional_is_linear(tmp_path):
-    """`a <-> a <-> ...` uses each side twice; every walk must visit a shared node once.
+    """`a <-> a <-> ...` is kept as written, so no walk and no witness grows with 2^k for k links.
 
-    Printed, the 30-operand chain has 2^29 copies of `a`: `logic model`
-    answers it, and `logic consistent` names the refuted 31-operand chain by
-    its number and connective count. A fresh interpreter bounds the time a
-    regression, exponential in the chain's length, can take before the test
-    fails.
+    `logic model` answers the 30-operand chain, and `logic consistent` prints
+    the refuted 31-operand chain as written (rewritten over `~` and `&`, it
+    would print 11 * (2^30 - 1) connectives). A fresh interpreter bounds the
+    time a regression, exponential in the chain's length, can take before
+    the test fails.
     """
     (tmp_path / "chain.thy").write_text(" <-> ".join(["a"] * 30) + "\n")
     (tmp_path / "refuted.thy").write_text("~a\n" + " <-> ".join(["a"] * 31) + "\n")
@@ -132,7 +132,7 @@ def test_chained_biconditional_is_linear(tmp_path):
     )
     proc = fresh(["-c", code], tmp_path)
     assert proc.returncode == 0
-    assert proc.stderr == "failed: inconsistent theory [{'formula_number': 2, 'connectives': 11811160053}]\n"
+    assert proc.stderr == f"failed: inconsistent theory [{{'formula': '{' <-> '.join(['a'] * 31)}'}}]\n"
     assert proc.stdout.splitlines()[:2] == ["valuation: a=bot", "consistent: False"]
     codes, seconds = proc.stdout.split()[-3:-1], proc.stdout.split()[-1]
     assert codes == ["0", "1"] and float(seconds) < 1.0
@@ -292,6 +292,9 @@ USAGE_CASES = [
     (["approx", "kernel-ratio", "--n", "4", "--delta", "1e-400"], "--delta",
      "must be strictly between 0 and 1, got 1e-400"),  # underflows to 0
     (["approx", "kernel-ratio", "--n", "4", "--delta", "1e0"], "--delta", "must be strictly between 0 and 1, got 1e0"),
+    # past 2^53 a float no longer holds the degree; 10^400 is past the float range
+    (["approx", "kernel-ratio", "--n", str(10**400), "--delta", "0.5"], "--n", f"must be at most {1 << 53}, got {10**400}"),
+    (WEIERSTRASS + ["--n", str((1 << 53) + 1)], "--n", f"must be at most {1 << 53}, got {(1 << 53) + 1}"),
 ]
 
 

@@ -665,7 +665,7 @@ WITNESSED_FAILURES = {
     "inconsistent-theory": (
         {"t.thy": "a | b\n~a\nb -> a\nc\n"},
         ["logic", "model", "--in", "{t.thy}"],
-        "failed: inconsistent theory: the algebra degenerates to top = bot [{'formula': '~(~~b & ~a)'}]",
+        "failed: inconsistent theory: the algebra degenerates to top = bot [{'formula': 'b -> a'}]",
     ),
 }
 
@@ -732,7 +732,7 @@ def test_non_numeric_entry_keeps_its_message(capsys):
     "line",
     [
         "~" * 5000 + "a",
-        "(" * 3000 + "a" + ")" * 3000,
+        "~(" * 3000 + "a" + ")" * 3000,
         " | ".join(["a"] * 3000),
         " -> ".join(["a"] * 3000),
     ],
@@ -751,8 +751,9 @@ def test_deep_formulas_are_usage_errors(tmp_path, capsys, line):
     [
         ("a | b\n~c\nb & & c\n", "line 3: syntax error at position 4: unexpected '&', wanted a variable, constant, '~' or '('"),
         ("a\n\n(b\n", "line 3: syntax error at end of input: wanted ')'"),
-        ("a\n# a comment\n\n" + "~" * 70 + "b\n", "line 4: formula nests '~', '(' and '->' more than 64 deep"),
-        ("a\nb\n" + " | ".join(["c"] * 60) + "\n", "line 3: formula is more than 150 connectives deep"),
+        # parentheses nest without a cap; the connectives they hold count towards the depth
+        ("a\n# a comment\n\n" + "(" * 70 + "~" * 151 + "b" + ")" * 70 + "\n", "line 4: formula is more than 150 connectives deep"),
+        ("a\nb\n" + " | ".join(["c"] * 152) + "\n", "line 3: formula is more than 150 connectives deep"),
     ],
     ids=["syntax", "end-of-input", "nesting-cap", "depth-cap"],
 )
@@ -1077,7 +1078,21 @@ def test_logic_commands(tmp_path, capsys):
     bad.write_text("a | b\n~a\nb -> a\nc\n")
     code, out, err = run(capsys, "logic", "consistent", "--in", str(bad), "--json")
     assert (code, json.loads(out)) == (1, {"consistent": False})
-    assert err == "failed: inconsistent theory [{'formula': '~(~~b & ~a)'}]\n"
+    assert err == "failed: inconsistent theory [{'formula': 'b -> a'}]\n"
+
+
+def test_an_oversized_witness_is_counted_as_written(tmp_path, capsys):
+    """A line of `p` joined by `&` and `|` in 17 balanced levels is 17 deep and has 2^17 - 1 connectives."""
+
+    def balanced(level):
+        s = balanced(level - 1) if level else "p"
+        return f"({s}) {'&' if level % 2 else '|'} ({s})" if level else s
+
+    thy = tmp_path / "big.thy"
+    thy.write_text("~p\n" + balanced(17) + "\n")
+    code, out, err = run(capsys, "logic", "consistent", "--in", str(thy))
+    assert (code, out, err) == (1, "consistent: False\n",
+                                "failed: inconsistent theory [{'formula_number': 2, 'connectives': 131071}]\n")
 
 
 def test_logic_algebra_past_the_int_to_str_limit(tmp_path, capsys):

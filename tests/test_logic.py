@@ -14,20 +14,28 @@ from finitetop.errors import FormatError, ValidationError
 from finitetop.logic import (
     MAX_CONNECTIVES,
     MAX_DEPTH,
-    MAX_NESTING,
     And,
     BOT,
+    Iff,
+    Imp,
     Not,
+    Or,
     TOP,
     Var,
-    _Parser,
-    biconditional,
-    disjunction,
-    implication,
+    _fold,
+    _parse,
     refutation,
-    variables_of,
 )
-from oracles import depth_by_fold, evaluate, parse_formula_by_descent, size_by_fold, variables_by_fold
+from oracles import (
+    biconditional,
+    depth_by_fold,
+    disjunction,
+    evaluate,
+    implication,
+    parse_formula_by_descent,
+    size_by_fold,
+    variables_by_fold,
+)
 
 
 def random_formula(rng, names, depth):
@@ -41,36 +49,26 @@ def random_formula(rng, names, depth):
     if op == "not":
         return Not(a)
     b = random_formula(rng, names, depth - 1)
-    return {
-        "and": And,
-        "or": disjunction,
-        "imp": implication,
-        "iff": biconditional,
-    }[op](a, b)
+    return {"and": And, "or": Or, "imp": Imp, "iff": Iff}[op](a, b)
 
 
 def structure(formula):
-    """The formula as a DAG: one entry per distinct node (by identity), its kind and its children's indices.
+    """The formula by value: its distinct subformulas, each its kind and its operands' places, and the root's place.
 
-    Linear in the distinct nodes, where `==` and `str` take time exponential
-    in a chain of '<->'.
+    One fold, linear in the distinct nodes, where `==` and `str` take time
+    exponential in a chain of '<->' rewritten over '~' and '&'.
     """
-    index, out = {}, []
+    index = {}
 
-    def visit(f):
-        if id(f) not in index:
-            if type(f) is Not:
-                entry = ("~", visit(f.arg))
-            elif type(f) is And:
-                entry = ("&", visit(f.left), visit(f.right))
-            else:
-                entry = (type(f).__name__, f.name if type(f) is Var else f.value)
-            index[id(f)] = len(out)
-            out.append(entry)
-        return index[id(f)]
+    def node(*key):
+        return index.setdefault(key, len(index))
 
-    visit(formula)
-    return out
+    def binary(kind):
+        return lambda a, b: node(kind, a, b)
+
+    root = _fold(formula, lambda name: node("var", name), node("top"), node("bot"), lambda a: node("~", a),
+                 binary("&"), binary("|"), binary("->"), binary("<->"))
+    return list(index), root
 
 
 def parsed_or_error(parse, line):
@@ -81,18 +79,25 @@ def parsed_or_error(parse, line):
 
 
 def agrees_with_descent(line):
-    """The parser gives the oracle's tree or its FormatError, with the oracle's depth and variables.
+    """The parser gives the oracle's tree as written or its FormatError, with the oracle's depth, variables and table.
 
-    Returns whether the line parsed.
+    The table is held to the oracle's tree rewritten over '~' and '&', on
+    every valuation. Returns whether the line parsed.
     """
-    want, want_error = parsed_or_error(parse_formula_by_descent, line)
-    got, got_error = parsed_or_error(ft.parse_formula, line)
+    want, want_error = parsed_or_error(lambda text: parse_formula_by_descent(text, written=True), line)
+    atoms = {}
+    got, got_error = parsed_or_error(lambda text: ft.parse_formula(text, atoms), line)
     assert got_error == want_error, line
     if got is None:
         return False
     assert structure(got) == structure(want), line
-    assert _Parser(line).iff(0)[1] == depth_by_fold(want), line
-    assert variables_of(got) == variables_by_fold(want), line
+    assert _parse(line, {})[1] == depth_by_fold(want), line
+    rewritten = parse_formula_by_descent(line)
+    assert set(atoms) == variables_by_fold(rewritten), line
+    theory = ft.Theory.of([], vars=sorted(atoms))
+    table = theory.table_of(got)
+    for m, v in enumerate(theory.valuations()):
+        assert evaluate(rewritten, v) == bool(table >> m & 1), line
     return True
 
 
@@ -110,7 +115,7 @@ def random_text(rng, depth):
     gap = rng.choice(_SPACES)
     roll = rng.random()
     if roll < 0.15:
-        return "~" + gap + random_text(rng, depth - 1)
+        return "~" * rng.choice((1, 1, 2, 3)) + gap + random_text(rng, depth - 1)
     if roll < 0.3:
         return "(" + gap + random_text(rng, depth - 1) + rng.choice(_SPACES) + ")"
     op = rng.choice(("&", "|", "->", "<->"))
@@ -120,11 +125,11 @@ def random_text(rng, depth):
 def random_line(rng):
     """A formula line, at times past a cap, with up to three malformed insertions or deletions."""
     roll = rng.random()
-    if roll < 0.03:  # long runs that reach the caps
+    if roll < 0.03:  # long runs that reach the depth cap, and parentheses, which add no depth
         k = rng.randint(1, 160)
         text = rng.choice((
             "~" * k + "p", "(" * k + "p" + ")" * k, " & ".join(["p"] * k), " | ".join(["p"] * k),
-            "p -> " * k + "p", " <-> ".join(["p"] * (k // 4 + 1)), "(p <-> " * (k // 8) + "p" + ")" * (k // 8),
+            "p -> " * k + "p", " <-> ".join(["p"] * k), "(p <-> " * k + "p" + ")" * k,
         ))
     else:
         text = rng.choice(_SPACES) + random_text(rng, rng.randint(0, 6)) + rng.choice(_SPACES)
@@ -142,12 +147,12 @@ def random_line(rng):
 
 def test_precedence_and_over_or():
     f = ft.parse_formula("p & q | r")
-    assert f == disjunction(And(Var("p"), Var("q")), Var("r"))
+    assert f == Or(And(Var("p"), Var("q")), Var("r"))
 
 
 def test_implication_right_associative():
     f = ft.parse_formula("~p -> q -> r")
-    assert f == implication(Not(Var("p")), implication(Var("q"), Var("r")))
+    assert f == Imp(Not(Var("p")), Imp(Var("q"), Var("r")))
 
 
 def test_syntax_error_carries_position():
@@ -158,13 +163,13 @@ def test_syntax_error_carries_position():
 
 def test_parentheses_and_constants():
     f = ft.parse_formula("(p | q) & top")
-    assert f == And(disjunction(Var("p"), Var("q")), TOP)
+    assert f == And(Or(Var("p"), Var("q")), TOP)
     assert ft.parse_formula("bot") == BOT
 
 
 def test_biconditional_parses():
     f = ft.parse_formula("p <-> q")
-    assert f == biconditional(Var("p"), Var("q"))
+    assert f == Iff(Var("p"), Var("q"))
 
 
 _A, _B, _C = Var("a"), Var("b"), Var("c")
@@ -173,27 +178,61 @@ _A, _B, _C = Var("a"), Var("b"), Var("c")
 @pytest.mark.parametrize(
     "text, tree",
     [
-        ("a -> b <-> c", biconditional(implication(_A, _B), _C)),
-        ("a <-> b -> c", biconditional(_A, implication(_B, _C))),
-        ("a | b -> c", implication(disjunction(_A, _B), _C)),
-        ("~a -> b", implication(Not(_A), _B)),
-        ("a & b <-> c", biconditional(And(_A, _B), _C)),
+        ("a -> b <-> c", Iff(Imp(_A, _B), _C)),
+        ("a <-> b -> c", Iff(_A, Imp(_B, _C))),
+        ("a | b -> c", Imp(Or(_A, _B), _C)),
+        ("~a -> b", Imp(Not(_A), _B)),
+        ("a & b <-> c", Iff(And(_A, _B), _C)),
     ],
 )
 def test_mixed_connectives_parse_by_precedence(text, tree):
     assert ft.parse_formula(text) == tree
+    assert str(tree) == text  # printed as written
+
+
+def test_a_witness_prints_the_formula_as_written():
+    cases = {
+        "~p03 | ~p09 | ~p07": "~p03 | ~p09 | ~p07",
+        "((a & b)) & (c & d)": "a & b & (c & d)",
+        "(a -> b) -> c -> d": "(a -> b) -> c -> d",
+        "a <-> (b <-> c) <-> d": "a <-> (b <-> c) <-> d",
+        "~(a | b) & ~~(c -> d) | ~(e <-> top)": "~(a | b) & ~~(c -> d) | ~(e <-> top)",
+    }
+    for text, printed in cases.items():
+        theory = ft.Theory.of([ft.parse_formula(text), Not(ft.parse_formula(text))])
+        assert refutation(theory)[1] == {"formula": f"~({printed})"}  # each formula is satisfiable
+        assert str(ft.parse_formula(printed)) == printed
+
+
+def test_parentheses_add_no_depth():
+    """The parser does not recurse, so parentheses nest without a cap; only the connectives they hold count."""
+    assert ft.parse_formula("(" * 100_000 + "p" + ")" * 100_000) == Var("p")
+    assert ft.parse_formula("(" * 1000 + "~" * MAX_DEPTH + "(p)" + ")" * 1000) is not None
+    with pytest.raises(FormatError, match=f"^formula is more than {MAX_DEPTH} connectives deep$"):
+        ft.parse_formula("(" * 1000 + "~" * (MAX_DEPTH + 1) + "(p)" + ")" * 1000)
+    with pytest.raises(FormatError, match="^syntax error at end of input: wanted '\\)'$"):
+        ft.parse_formula("(" * 100_000 + "p" + ")" * 99_999)
+
+
+def test_the_parser_collects_the_variables_it_reads():
+    atoms = {}
+    f = ft.parse_formula("a | ~b -> top", atoms)
+    g = ft.parse_formula("b & c", atoms)
+    assert sorted(atoms) == ["a", "b", "c"] and g.left is atoms["b"] is f.left.right.arg
+    theory = ft.formats.load_theory("x2 | x1\n~x1 & bot\n")
+    assert theory.vars == ("x1", "x2")
 
 
 @pytest.mark.parametrize(
     "build, cap, message",
     [
-        (lambda k: "~" * k + "p", MAX_NESTING, "nests"),
-        (lambda k: "(" * k + "p" + ")" * k, MAX_NESTING, "nests"),
+        (lambda k: "~" * k + "p", MAX_DEPTH, "deep"),
+        # parentheses add no depth; the connectives they hold do
+        (lambda k: "(p & " * k + "p" + ")" * k, MAX_DEPTH, "deep"),
         (lambda k: " & ".join(["p"] * (k + 1)), MAX_DEPTH, "deep"),
-        # each '|' adds three levels: p | q is ~(~p & ~q)
-        (lambda k: " | ".join(["p"] * (k + 1)), MAX_DEPTH // 3, "deep"),
-        # p -> q is ~(~~p & ~q): the first arrow is 4 deep, each further one 3 more
-        (lambda k: "p -> " * k + "p", (MAX_DEPTH - 1) // 3, "deep"),
+        # depth is counted as written: each '|' and '->' is one level
+        (lambda k: " | ".join(["p"] * (k + 1)), MAX_DEPTH, "deep"),
+        (lambda k: "p -> " * k + "p", MAX_DEPTH, "deep"),
     ],
     ids=["negations", "parentheses", "conjunctions", "disjunctions", "implications"],
 )
@@ -242,13 +281,14 @@ def refuted(f):
 
 
 def test_size_counts_the_printed_connectives(monkeypatch):
-    """The witness prints the refuted formula up to MAX_CONNECTIVES '~' and '&', and past that counts them."""
+    """The witness prints the refuted formula up to MAX_CONNECTIVES connectives, and past that counts them."""
     rng = random.Random(31)
     for _ in range(300):
         f = ft.parse_formula(random_text(rng, 5))
         if size_by_fold(f) <= 5000:
             theory, number, printed = refuted(f)
-            size = printed.count("~") + printed.count("&")
+            # '<->' holds one '->'
+            size = printed.count("~") + printed.count("&") + printed.count("|") + printed.count("->")
             monkeypatch.setattr(logic, "MAX_CONNECTIVES", size)
             assert refutation(theory) == (0, {"formula": printed})
             monkeypatch.setattr(logic, "MAX_CONNECTIVES", size - 1)
@@ -256,11 +296,17 @@ def test_size_counts_the_printed_connectives(monkeypatch):
 
 
 def test_witness_of_a_biconditional_chain_is_linear():
-    """k links print 11 * (2^k - 1) connectives: a witness prints 12 links and counts 13 or 30."""
+    """A parsed chain of k links prints its k '<->'. Rewritten over '~' and '&', each link holds both sides
+    twice, and k links print 11 * (2^k - 1) connectives: a witness prints 12 links and counts 13 or 30.
+    """
+    f = ft.parse_formula(" <-> ".join(["p"] * (MAX_DEPTH + 1)))
+    assert refutation(ft.Theory.of([f, Not(f)]))[1] == {"formula": "~(" + " <-> ".join(["p"] * (MAX_DEPTH + 1)) + ")"}
     cap = (MAX_CONNECTIVES // 11 + 1).bit_length() - 1
     assert cap == 12
     for k in (cap - 1, cap, cap + 1, 30):
-        f = ft.parse_formula(" <-> ".join(["p"] * (k + 1)))
+        f = Var("p")
+        for _ in range(k):
+            f = biconditional(f, Var("p"))
         theory = ft.Theory.of([f, Not(f)])  # p = top satisfies the chain: ~f is refuted
         witness = refutation(theory)[1]
         if k <= cap:
@@ -363,7 +409,9 @@ def test_class_operations_are_homomorphic():
         ca, cb = alg.class_of(a), alg.class_of(b)
         # meet, join and complement are the mask expressions &, | and top ^
         assert alg.class_of(And(a, b)) == ca & cb
-        assert alg.class_of(disjunction(a, b)) == ca | cb
+        assert alg.class_of(Or(a, b)) == ca | cb
+        assert alg.class_of(Imp(a, b)) == (alg.top ^ ca) | cb
+        assert alg.class_of(Iff(a, b)) == alg.top ^ ca ^ cb
         assert alg.class_of(Not(a)) == alg.top ^ ca
     assert alg.class_of(TOP) == alg.top
     assert alg.class_of(BOT) == 0
@@ -378,11 +426,14 @@ def test_boolean_axioms_elementwise():
     for _ in range(300):
         a, b, c = (random_formula(rng, names, 3) for _ in range(3))
         seen.add(alg.class_of(a))
-        assert alg.class_of(disjunction(a, Not(a))) == alg.top
+        assert alg.class_of(Or(a, Not(a))) == alg.top
         assert alg.class_of(And(a, Not(a))) == 0
-        # de Morgan
-        assert alg.class_of(Not(And(a, b))) == alg.class_of(disjunction(Not(a), Not(b)))
-        assert alg.class_of(And(a, disjunction(b, c))) == alg.class_of(disjunction(And(a, b), And(a, c)))
+        # de Morgan, and each connective against its rewriting over '~' and '&'
+        assert alg.class_of(Not(And(a, b))) == alg.class_of(Or(Not(a), Not(b)))
+        assert alg.class_of(And(a, Or(b, c))) == alg.class_of(Or(And(a, b), And(a, c)))
+        assert alg.class_of(Or(a, b)) == alg.class_of(disjunction(a, b))
+        assert alg.class_of(Imp(a, b)) == alg.class_of(implication(a, b))
+        assert alg.class_of(Iff(a, b)) == alg.class_of(biconditional(a, b))
     assert seen == set(subsets(alg.top))
 
 
@@ -468,7 +519,10 @@ def shared_formula(rng, names, depth, pool):
         f = Not(a)
     else:
         b = shared_formula(rng, names, depth - 1, pool)
-        f = {"and": And, "or": disjunction, "imp": implication, "iff": biconditional}[op](a, b)
+        # as written, or rewritten over '~' and '&', where each '<->' holds both sides twice
+        written = rng.random() < 0.5
+        f = {"and": And, "or": Or if written else disjunction, "imp": Imp if written else implication,
+             "iff": Iff if written else biconditional}[op](a, b)
     pool.append(f)
     return f
 
@@ -520,7 +574,8 @@ def test_tables_agree_with_the_valuation_oracles_under_negation():
     theory = ft.Theory.of([], vars=("a", "b", "c"))
     a, b, c = Var("a"), Var("b"), Var("c")
     # constants under one and two '~', and '<->' nodes whose shared operands are reached under both polarities
-    for f in (Not(TOP), Not(BOT), Not(Not(TOP)), Not(Not(BOT)), And(Not(TOP), a), disjunction(Not(Not(BOT)), b)):
+    for f in (Not(TOP), Not(BOT), Not(Not(TOP)), Not(Not(BOT)), And(Not(TOP), a), Or(Not(Not(BOT)), b),
+              Imp(Not(TOP), Not(b)), Not(Iff(TOP, Not(c)))):
         assert_table_agrees(theory, f)
     for text in ("~top", "~~bot", "~(a <-> b)", "~~(a <-> ~a)", "a <-> ~b <-> c <-> ~(a <-> b)",
                  "~(~(a <-> b) <-> ~(b <-> ~~c))", "~(a <-> (b <-> (c <-> ~a)))"):
@@ -528,8 +583,8 @@ def test_tables_agree_with_the_valuation_oracles_under_negation():
     assert theory.table_of(ft.parse_formula("~~(a <-> ~a)")) == 0
     assert theory.table_of(ft.parse_formula("~(a <-> ~a)")) == (1 << 8) - 1
     # one formula built twice: parsed as a tree, and from the constructors with its operands shared
-    x = disjunction(a, Not(b))
-    shared = biconditional(x, And(Not(x), implication(c, Not(x))))
+    x = Or(a, Not(b))
+    shared = Iff(x, And(Not(x), Imp(c, Not(x))))
     parsed = ft.parse_formula("(a | ~b) <-> ~(a | ~b) & (c -> ~(a | ~b))")
     assert str(parsed) == str(shared)
     assert assert_table_agrees(theory, shared) == assert_table_agrees(theory, parsed)
@@ -561,6 +616,11 @@ def test_deep_library_built_formulas_fold_without_recursion():
     for _ in range(100_000):
         h = disjunction(Not(Var("p")), h)  # '&' nodes under alternating polarity, nested in the right operand
     assert theory.table_of(h) == (p ^ 0b1111) | q
+    i, j = Var("q"), Var("q")
+    for _ in range(100_000):
+        i, j = Imp(Var("p"), i), Iff(j, Var("p"))
+    assert theory.table_of(i) == (p ^ 0b1111) | q
+    assert theory.table_of(j) == q  # an even number of '<-> p'
 
 
 # -- Stone representation --------------------------------------------------------------
