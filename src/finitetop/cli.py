@@ -11,7 +11,7 @@ import functools
 import math
 import re
 import sys
-from itertools import compress
+from itertools import compress, repeat
 
 from . import approx, construct, formats, locales, pmetric, spaces
 from .bitsets import bits, subsets
@@ -77,6 +77,12 @@ def _real(ok, what):
 
 _nonempty = _checked(str, (str.split, "must name at least one point"))  # a label list naming a point
 _tolerance = _real(lambda v: 0.0 < v < math.inf, "a finite positive number")
+_positive = _real(lambda v: v > 0.0, "a positive number")
+
+
+def _radius(text):
+    """argparse type: a positive number, as the number its text writes (`0.1` is 1/10), or inf."""
+    return formats._exact_row(text, [text], {})[0] if _positive(text) < math.inf else math.inf
 
 
 def _emit(out, text):
@@ -309,13 +315,13 @@ def cmd_locale(args, out):
 
 
 def _load_pmetric(args):
-    rows = formats.load_matrix(_read(args.infile))
+    rows = formats.load_distances(_read(args.infile))
     labels = args.labels.split() if args.labels else [str(i + 1) for i in range(len(rows))]
     return pmetric.PMetricSpace(labels, rows)
 
 
 def _distances(rep, sp):
-    rows = [(p,) + tuple(f"{v:.12g}" for v in row) for p, row in zip(sp.points, sp.dist)]
+    rows = [(p, *map(format, map(float, row), repeat(".12g"))) for p, row in zip(sp.points, sp.dist)]
     rep.table("distances", ("",) + sp.points, rows)
 
 
@@ -325,7 +331,7 @@ def cmd_metric(args, out):
         sp = _load_pmetric(args)
         c = sp.mask(args.seta.split())
         d = sp.mask(args.setb.split())
-        v = pmetric.hausdorff_distance(sp, c, d)
+        v = float(pmetric.hausdorff_distance(sp, c, d))
         rep.add("hausdorff", v, f"hausdorff: {v:.12g}")
     elif args.what == "quotient":
         sp = _load_pmetric(args)
@@ -516,7 +522,7 @@ def _command_table():
         "metric": ("pseudometric computations", report, {
             "hausdorff": (labels, *sets(_nonempty)),
             "quotient": (labels,),
-            "net": (labels, opt("--eps", type=_real(lambda v: v > 0.0, "a positive number"), required=True)),
+            "net": (labels, opt("--eps", type=_radius, required=True)),
             "chain": (),
             "ultrarank": sets(),  # a rank distance takes the empty set
         }),

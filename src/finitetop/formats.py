@@ -202,34 +202,63 @@ def _cell(text: str) -> float:
     return v + 0.0
 
 
-def load_matrix(text: str):
-    """CSV matrix; entries may be decimals or fractions like 1/3.
-
-    A line without a slash is all decimals, so `float` reads it whole: it
-    strips the same whitespace as `str.strip`, and `_cell`'s finiteness
-    check follows in one pass. Its -0 rule needs a pass only on a line with
-    a minus sign, the one way `float` gives -0.0. A line with a slash reads
-    each distinct cell text once through `_cell` and maps its cells through
-    that table: a damped web row holds two or three distinct texts. Any bad
-    cell fails the line with the same message, whichever is read first.
-    """
+def _matrix(text, read_row):
+    """The rows `read_row(line, cells)` reads; a cell it refuses fails its line as a bad entry."""
     rows = []
     for lineno, line in _lines(text):
-        cells = line.split(",")
         try:
-            if "/" in line:
-                value = {cell: _cell(cell.strip()) for cell in set(cells)}
-                rows.append(list(map(value.__getitem__, cells)))
-            else:
-                row = list(map(float, cells))
-                if not all(map(math.isfinite, row)):
-                    raise ValueError(line)
-                rows.append([v + 0.0 for v in row] if "-" in line else row)
+            rows.append(read_row(line, line.split(",")))
         except (ValueError, ZeroDivisionError, OverflowError):
             raise FormatError(f"line {lineno}: bad matrix entry") from None
     if not rows:
         raise FormatError("empty matrix file")
     return rows
+
+
+def _float_row(line, cells):
+    """A row of nearest floats: each distinct text once through `_cell` on a line with a slash
+    (a damped web row holds two or three), and else the line through `float` at C speed, then
+    `_cell`'s finiteness check in one pass and, on a line with a minus sign, its -0 rule in one."""
+    if "/" in line:
+        value = {cell: _cell(cell.strip()) for cell in set(cells)}
+        return list(map(value.__getitem__, cells))
+    row = list(map(float, cells))
+    if not all(map(math.isfinite, row)):
+        raise ValueError(line)
+    return [v + 0.0 for v in row] if "-" in line else row
+
+
+def _exact_row(line, cells, value):
+    """The numbers the cells write, in `_cell`'s grammar: on a line with none of `. / e E n N`, whole
+    numbers, which `float` reads exactly below 2^53; else each distinct text once as a `Fraction`, or
+    its float if equal, refused past the float range but not 0 below it. An exponent past 4300, the
+    digits Python reads into an int, is refused before 10 is raised to it. `value` holds the texts read."""
+    if not ("." in line or "/" in line or "e" in line or "E" in line or "n" in line or "N" in line):
+        row = list(map(float, cells))
+        if max(row) < 2**53 and "-" not in line:
+            return row
+        row = _float_row(line, cells)  # finite, and 0 for -0; a negative entry is refused whatever its value
+        return row if max(row) < 2**53 else list(map(int, cells))
+    from fractions import Fraction
+
+    for cell in set(cells).difference(value):
+        if abs(int(cell.lower().partition("e")[2] or 0)) > 4300:
+            raise ValueError(cell)
+        v = Fraction(cell)
+        f = float(v)  # OverflowError past the float range
+        value[cell] = f if f == v else v
+    return list(map(value.__getitem__, cells))
+
+
+def load_matrix(text: str):
+    """CSV matrix of nearest floats; entries may be decimals or fractions like 1/3."""
+    return _matrix(text, _float_row)
+
+
+def load_distances(text: str):
+    """CSV distance matrix, each entry the int, float or Fraction equal to the number it writes."""
+    value = {}  # one object per distinct text in the file
+    return _matrix(text, lambda line, cells: _exact_row(line, cells, value))
 
 
 def load_chain(text: str) -> RelationChain:

@@ -155,7 +155,7 @@ def _parse(text, atoms):
     """
     tokens = _TOKEN.findall(text)
     if "" in tokens:
-        pos = next(m.start() for m in _TOKEN.finditer(text) if m.group(1) is None)
+        pos = next(m.end() - 1 for m in _TOKEN.finditer(text) if m.group(1) is None)
         raise FormatError(f"syntax error at position {pos}: {text[pos:].strip()[:10]!r}")
     tokens.append(None)  # end of input
     pending, i = [], 0

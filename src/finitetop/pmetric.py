@@ -1,16 +1,17 @@
 """Pseudometric spaces on finite point sets, plus the iterative solvers.
 
-Distances are floats except in the chain construction, whose path lengths
-are whole multiples of 2^-(k+1) for a chain of depth k: they are summed as
-ints in those units and divided once, so every distance is exact.
+A distance is kept as given, an int, a Fraction or a float at its binary
+value, and compared exactly. In the chain construction path lengths are whole
+multiples of 2^-(k+1) for a chain of depth k: they are summed as ints in those
+units and divided once, so every distance is an exact float.
 The triangle test costs n^2/2 big-int sums over rows packed into lanes, and
-n float sums only for the pairs those cannot clear (`_triangle_suspects`).
+n sums for the first pair they flag (`_triangle_suspects`).
 """
 
 import math
 import struct
-from itertools import combinations, repeat
-from operator import add, gt, itemgetter, ne, sub
+from itertools import combinations
+from operator import add, itemgetter, ne, sub
 from sys import byteorder
 
 from .bitsets import bits, intransitive_triple
@@ -19,39 +20,38 @@ from .errors import FormatError, ValidationError
 from .records import record
 from .spaces import Carrier, FiniteSpace, _union
 
-_EPS = 1e-9
 _LANES_FROM = 11  # fewer points check every pair: packing them costs more than it saves
 
 
 @record
 class PMetricSpace(Carrier):
     points: tuple
-    dist: tuple  # tuple of row tuples
+    dist: tuple  # tuple of row tuples of ints, Fractions or floats
 
     def __post_init__(self):
         self._carrier(cap=False)
-        object.__setattr__(self, "dist", tuple(tuple(map(float, row)) for row in self.dist))
+        object.__setattr__(self, "dist", tuple(map(tuple, self.dist)))
         n = len(self.points)
-        d = self.dist
-        if len(d) != n or any(len(r) != n for r in d):
+        if len(self.dist) != n or any(len(r) != n for r in self.dist):
             raise FormatError("distance matrix shape does not match the point count")
-        # Each check runs over a whole row at once; the first failing entry,
+        q = _on_one_scale(self.dist)
+        # Each check runs over a whole row of q at once; the first failing entry,
         # in row-major order, is looked up only in a row known to fail. A NaN
         # fails `!=`, so `min` decides the sign on rows of numbers only.
-        for i, col in enumerate(zip(*d)):
-            row = d[i]
-            if row[i] != 0.0:
+        for i, col in enumerate(zip(*q)):
+            row = q[i]
+            if row[i] != 0:
                 raise ValidationError("nonzero self-distance", {"x": self.points[i]})
             if min(row) < 0 or any(map(ne, row, col)):
                 j = next(j for j in range(n) if row[j] < 0 or row[j] != col[j])
                 what = "negative distance" if row[j] < 0 else "asymmetric distance"
                 raise ValidationError(what, {"x": self.points[i], "y": self.points[j]})
-        # d is symmetric now, so row j stands in for column j, and the pair
-        # (j, i) sums the same floats as (i, j): the upper triangle decides,
+        # q is symmetric now, so row j stands in for column j, and the pair
+        # (j, i) sums the same numbers as (i, j): the upper triangle decides,
         # and the first failing pair in row-major order lies in it.
-        for i, j in _triangle_suspects(d):
-            if d[i][j] > min(map(add, d[i], d[j])) + _EPS:
-                k = next(k for k in range(n) if d[i][j] > d[i][k] + d[k][j] + _EPS)
+        for i, j in _triangle_suspects(q):
+            if q[i][j] > min(map(add, q[i], q[j])):
+                k = next(k for k in range(n) if q[i][j] > q[i][k] + q[k][j])
                 raise ValidationError(
                     "triangle inequality fails",
                     {"x": self.points[i], "z": self.points[k], "y": self.points[j]},
@@ -62,65 +62,51 @@ class PMetricSpace(Carrier):
         return all(v > 0 for i, row in enumerate(self.dist) for j, v in enumerate(row) if i != j)
 
 
-def _triangle_suspects(d):
-    """The pairs i < j, in row-major order, on which the float triangle test can fail.
+def _on_one_scale(d):
+    """d with each finite entry times the lcm of their denominators, as ints (inf and nan stay), or
+    d itself if whole and below 2^53, where a float sum that rounds is past every entry."""
+    values = set().union(*d)
+    ratio = {v: v.as_integer_ratio() for v in values if v - v == 0}
+    scale = math.lcm(*[b for _, b in ratio.values()])
+    if scale == 1 and max(ratio, default=0) < 2**53:
+        return d
+    whole = {v: a * (scale // b) for v, (a, b) in ratio.items()}
+    return [list(map(whole.get, row, row)) for row in d]
 
-    Every entry becomes an int q = d 2^s, rounded, on one scale: the low 52
-    bits of the float d + 2^(52-s) count d in units 2^-s while d < 2^(52-s).
-    Each row packs the low bytes of its q into one int of w-bit lanes, and
-    for a pair, lane k of P_i + G + P_j - t*ONES keeps its guard bit (G holds
-    the top bit of every lane) iff q_ik + q_jk >= t. Every q is below
-    2^(w-2), so no lane borrows from or carries into the next. A pair whose
-    guard bits all survive passes the float test, so it is skipped:
-    - whole numbers (s = 0, so q = d, and t = q_ij): d_ik + d_kj >= d_ij
-      exactly, and rounding to nearest is monotone while d_ij is a float;
-    - fractions below 2^12 (s >= 33, t = q_ij + 2 - m, m = floor(2^s eps/2)
-      >= 4): d_ik + d_kj >= (t - 1) 2^-s > d_ij - eps/2, and the two float
-      additions lose at most 2u(d_ik + d_kj) + u eps < 2^-39 + u eps < eps/2
-      (u = 2^-53). Lane k = i holds q_ij itself, so without the margin m
-      no rounded pair would pass.
-    Whole numbers from 2^46 and fractions from 2^12 would need lanes past the
-    48 bits below the float's exponent; they, an inf, and carriers too small
-    to pay for the packing keep every pair.
+
+def _triangle_suspects(q):
+    """The pairs i < j, in row-major order, for which some k has q_ik + q_kj < q_ij.
+
+    q is whole and nonnegative (`_on_one_scale`); below 2^52 the low bits of
+    the float q + 2^52 are q. Each row packs the low bytes of its q into one
+    int of w-bit lanes, and for a pair, lane k of P_i + G + P_j - q_ij*ONES
+    keeps its guard bit (G holds the top bit of every lane) iff
+    q_ik + q_jk >= q_ij. Every q is below 2^(w-2), so no lane borrows from or
+    carries into the next. Entries from 2^46 would need lanes past the 48
+    bits below the float's exponent; they, an inf, and carriers too small to
+    pay for the packing yield every pair.
     """
-    n = len(d)
-    if n < _LANES_FROM:
-        return combinations(range(n), 2)
-    whole = all(all(map(float.is_integer, row)) for row in d)
-    top = 0.0
-    for most in map(max, d):  # row by row: an entry out of reach, or an inf, ends the scan
-        if not most < (2**46 if whole else 2**12):
-            return combinations(range(n), 2)
-        top = max(top, most)
-    e = max(math.frexp(top)[1], -900)  # top < 2^e; the bound keeps 2^(52-s) normal
-    if whole:  # bytes for lanes of e bits, a carry and the guard
-        size, s, lift = (e + 9) // 8, 0, 0
-    else:  # bytes for 33 or more bits below the point and e above it, a spare bit, a carry and the guard
-        size = max((e + 43) // 8, 1)
-        s = 8 * size - 3 - e
-        lift = 2 - int(math.ldexp(_EPS / 2, s))
-    big = math.ldexp(1.0, 52 - s)
-    raw = struct.pack(f"{n * n}d", *[v + big for row in d for v in row])
+    n = len(q)
+    top = max(map(max, q)) if n >= _LANES_FROM else math.inf
+    if not top < 2**46:
+        yield from combinations(range(n), 2)
+        return
+    size = (math.frexp(top)[1] + 9) // 8  # bytes for lanes of the bits of top, a carry and the guard
+    raw = struct.pack(f"{n * n}d", *[v + 2.0**52 for row in q for v in row])
     lanes = bytearray(size * n * n)
     for k in range(size):  # the low bytes of each q, least significant first
         lanes[k::size] = raw[k if byteorder == "little" else 7 - k :: 8]
     step = size * n
     packed = [int.from_bytes(lanes[i : i + step], "little") for i in range(0, step * n, step)]
-    cells = memoryview(raw).cast("Q")  # q plus the bits of big, the diagonal's 0 + big
-    q = [cells[i : i + n] for i in range(0, n * n, n)]
-    return _lane_suspects(packed, q, size, lift - cells[0])
-
-
-def _lane_suspects(packed, q, size, lift):
-    """The pairs i < j whose lanes of `size` bytes in P_i + G + P_j - (q_ij + lift)*ONES lose a guard bit."""
-    n = len(packed)
+    cells = memoryview(raw).cast("Q")  # q plus the bits of 2^52, which the diagonal's 0 holds alone
+    base = cells[0]
     ones = int.from_bytes(b"\1".ljust(size, b"\0") * n, "little")
     guard = ones << 8 * size - 1
-    for i, qi in enumerate(q):
+    for i in range(n):
         a = packed[i] + guard
+        row = cells[i * n : i * n + n]
         for j in range(i + 1, n):
-            t = qi[j] + lift
-            if t > 0 and (a + packed[j] - t * ones) & guard != guard:
+            if (a + packed[j] - (row[j] - base) * ones) & guard != guard:
                 yield i, j
 
 
@@ -129,19 +115,8 @@ def open_ball(sp: PMetricSpace, center: int, radius: float) -> int:
 
 
 def _zero_rows(sp: PMetricSpace) -> list:
-    """Row i is the mask of the points at distance zero from i, checked to be an equivalence.
-
-    The relation is reflexive and symmetric, so it is an equivalence iff the
-    rows of related points are equal. Distance zero need not be transitive:
-    the triangle test allows a slack of 1e-9, so the witness names x, y, z
-    with d(x, y) = d(y, z) = 0 < d(x, z).
-    """
-    zero = [sum(1 << j for j, v in enumerate(row) if v == 0.0) for row in sp.dist]
-    bad = intransitive_triple(zero)
-    if bad:
-        x, y, z = (sp.points[i] for i in bad)
-        raise ValidationError("distance zero is not transitive", {"x": x, "y": y, "z": z})
-    return zero
+    """Row i is the mask of the points at distance zero from i: an equivalence, as the triangle test is exact."""
+    return [sum(1 << j for j, v in enumerate(row) if v == 0) for row in sp.dist]
 
 
 def topology_from_pmetric(sp: PMetricSpace) -> FiniteSpace:
@@ -163,37 +138,24 @@ def _picker(idx):
 def metric_quotient(sp: PMetricSpace):
     """Collapse the distance-zero classes; the induced distance is a metric.
 
-    The classes are the distinct zero rows, listed by lowest point.
+    The classes are the distinct zero rows, listed by lowest point, at their
+    lowest points' distance: with the triangle inequality exact, any members
+    a ~ a', b ~ b' give d(a, b) <= d(a, a') + d(a', b') + d(b', b) = d(a', b').
     """
     zero = _zero_rows(sp)
     classes = tuple(dict.fromkeys(zero))
     labels = block_labels(sp, classes)
-    lowest = _picker([(z & -z).bit_length() - 1 for z in zero])  # entries at each point's class's lowest point
-    reps = _picker([(c & -c).bit_length() - 1 for c in classes])
-    dist, dmat = sp.dist, []
-    # the slack lets two classes' members lie up to 2e-9 further apart than their lowest points
-    for c in classes:
-        members = tuple(bits(c))
-        want = lowest(dist[members[0]])  # the row every member must have, up to the slack
-        if any(dist[a] != want and any(map(gt, map(abs, map(sub, dist[a], want)), repeat(_EPS))) for a in members):
-            for cj in classes:  # the first failing pair, in the order of the classes
-                for a in members:
-                    for b in bits(cj):
-                        if abs(dist[a][b] - want[b]) > _EPS:
-                            raise ValidationError(
-                                "quotient distance is not well defined",
-                                {"x": sp.points[a], "y": sp.points[b]},
-                            )
-        dmat.append(reps(want))
+    lowest = [(c & -c).bit_length() - 1 for c in classes]
+    reps = _picker(lowest)
     # built past the constructor: the representatives' distances are a principal
     # submatrix of a matrix that passed, and `block_labels` names are distinct
     q = object.__new__(PMetricSpace)
-    q.__dict__.update(points=labels, dist=tuple(dmat))
+    q.__dict__.update(points=labels, dist=tuple(reps(sp.dist[i]) for i in lowest))
     return q, classes
 
 
-def hausdorff_distance(sp: PMetricSpace, c: int, d: int) -> float:
-    """Symmetric max of the two directed point-to-set distances."""
+def hausdorff_distance(sp: PMetricSpace, c: int, d: int):
+    """Symmetric max of the two directed point-to-set distances, one of the entries of sp.dist."""
     sp._require_subset((c, d), "set")
     if c == 0 or d == 0:
         raise ValidationError("Hausdorff distance needs nonempty sets")

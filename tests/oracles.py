@@ -21,7 +21,7 @@ the bulk `formats._labelled` replaced, with the loaders built on it.
 `opens_from_balls` is the open-ball route to a pseudometric's topology
 that the zero classes of `topology_from_pmetric` replaced, and
 `quotient_fault` the pair-by-pair check of a quotient distance that
-`metric_quotient`'s row tests replaced.
+`metric_quotient` no longer makes, since an exact triangle test proves it.
 """
 
 import math
@@ -513,8 +513,9 @@ def _tokenize(text):
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
-            if text[pos:].strip():
-                raise FormatError(f"syntax error at position {pos}: {text[pos:].strip()[:10]!r}")
+            rest = text[pos:].lstrip()
+            if rest:
+                raise FormatError(f"syntax error at position {len(text) - len(rest)}: {rest.rstrip()[:10]!r}")
             break
         out.append((m.group(1), m.start(1)))
         pos = m.end()
@@ -799,12 +800,33 @@ def load_matrix_by_cells(text):
     return rows
 
 
-def first_violation(dist, eps):
+def load_distances_by_cells(text):
+    """A distance file read one stripped entry at a time as the `Fraction` it writes, refused past the float range."""
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0].strip()
+        if not line:
+            continue
+        try:
+            row = [Fraction(cell.strip()) for cell in line.split(",")]
+            for v in row:
+                float(v)  # OverflowError past the float range
+            rows.append(row)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise FormatError(f"line {lineno}: bad matrix entry") from None
+    if not rows:
+        raise FormatError("empty matrix file")
+    return rows
+
+
+def first_violation(dist):
     """The first failed pseudometric axiom, checked entry by entry, as (message, indices), or None.
 
     Each point's self-distance is checked before its row's entries, each
     entry for sign before symmetry, and the triangle inequality only on a
-    matrix that passes both, over (i, j, k) in lexicographic order.
+    matrix that passes both, over (i, j, k) in lexicographic order, on the
+    exact value of each entry (a float's binary value; an inf stays inf),
+    written as a whole number of their least common denominator.
     """
     n = len(dist)
     for i in range(n):
@@ -815,8 +837,11 @@ def first_violation(dist, eps):
                 return "negative distance", (i, j)
             if dist[i][j] != dist[j][i]:
                 return "asymmetric distance", (i, j)
+    exact = [[Fraction(v) if math.isfinite(v) else v for v in row] for row in dist]
+    den = math.lcm(*(v.denominator for row in exact for v in row if isinstance(v, Fraction)))
+    whole = [[int(v * den) if isinstance(v, Fraction) else v for v in row] for row in exact]
     for i, j, k in product(range(n), repeat=3):
-        if dist[i][j] > dist[i][k] + dist[k][j] + eps:
+        if whole[i][j] > whole[i][k] + whole[k][j]:
             return "triangle inequality fails", (i, j, k)
     return None
 
@@ -893,7 +918,8 @@ def quotient_fault(sp):
 
     Class by class in order of lowest point, then class by class again: the
     first members a, b whose distance differs from their classes' lowest
-    points' distance by more than 1e-9, as {"x": a, "y": b}, or None.
+    points' distance, as {"x": a, "y": b}, or None. An exact triangle test
+    leaves no such pair.
     """
     classes = dict.fromkeys(sum(1 << j for j, v in enumerate(row) if v == 0.0) for row in sp.dist)
     members = [list(bits(c)) for c in classes]
@@ -902,7 +928,7 @@ def quotient_fault(sp):
             v = sp.dist[ci[0]][cj[0]]
             for a in ci:
                 for b in cj:
-                    if abs(sp.dist[a][b] - v) > 1e-9:
+                    if sp.dist[a][b] != v:
                         return {"x": sp.points[a], "y": sp.points[b]}
     return None
 

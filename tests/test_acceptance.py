@@ -279,7 +279,7 @@ def test_criterion_6_pseudometric_suite():
                     rep_of[i] = ci
             for i in range(sp.n):
                 for j in range(sp.n):
-                    assert abs(sp.dist[i][j] - q.dist[rep_of[i]][rep_of[j]]) <= 1e-9
+                    assert sp.dist[i][j] == q.dist[rep_of[i]][rep_of[j]]
             # Lipschitz bound for d(x, A) = min over a in A of d(x, a) on the same space
             for a in range(1, 1 << sp.n):
                 dvals = [min(row[j] for j in bits(a)) for row in sp.dist]

@@ -35,6 +35,8 @@ FILES = {  # well-formed inputs whose labels fit each other and the label pool
     "div6.eq": "block: 1 2\nblock: 3 6\n",
     "web5.csv": WEB5,
     "line.csv": "0,1,2\n1,0,1\n2,1,0\n",
+    "thirds.csv": "0,1/3,1/2\n1/3,0,1/6\n1/2,1/6,0\n",  # a pseudometric exactly, not in binary
+    "tie.csv": "0,1e-1,8e-1\n1e-1,0,7e-1\n8e-1,7e-1,0\n",  # likewise: 0.1 + 0.7 falls short of 0.8 in binary
     "abc.chn": "points: a b c\nrelation 1:\npair: a b\nrelation 2:\npair: a b\n",
     "w.rnk": "rank: w1 1\nrank: w2 2\n",
     "pq.thy": "p | q\n~p\n",
@@ -53,7 +55,7 @@ READS = {
     "check base": ("abc.fam", "chain16.fam"),
     "check subbase": ("abc.fam", "chain16.fam"),
     "check closure-op": ("ab.clo",),
-    "check pmetric": ("line.csv",),
+    "check pmetric": ("line.csv", "thirds.csv", "tie.csv"),
     "check chain": ("abc.chn",),
     "map --map": ("swap.map", "onto.map"),
     "map": TOPS,
@@ -65,7 +67,7 @@ READS = {
     "locale": TOPS,
     "metric chain": ("abc.chn",),
     "metric ultrarank": ("w.rnk",),
-    "metric": ("line.csv",),
+    "metric": ("line.csv", "thirds.csv", "tie.csv"),
     "solve": ("web5.csv",),
     "logic": ("pq.thy", "inconsistent.thy"),
 }

@@ -42,8 +42,8 @@ def test_space_report_leaves_numpy_unloaded(tmp_path):
 
 
 def test_cli_import_leaves_fractions_unloaded(tmp_path):
-    # exact distances are ints, so no module needs `fractions` (nor the
-    # `decimal` and `numbers` modules it loads)
+    # no module needs `fractions` (nor the `decimal` and `numbers` modules it
+    # loads) until a distance file holds a decimal or p/q entry
     code = "import sys\nimport finitetop.cli\nprint(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))\n"
     proc = fresh(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
@@ -78,15 +78,25 @@ def test_a_text_report_never_imports_json(tmp_path, monkeypatch, capsys):
 
 
 def test_quotient_of_a_nontransitive_zero_exits_1(tmp_path):
-    # a valid pseudometric (1e-10 is inside the triangle test's slack) whose
-    # distance-zero relation is not transitive: 1 ~ 2 ~ 3 but d(1, 3) > 0
+    # 1 ~ 2 ~ 3 at distance zero but d(1, 3) = 1e-10 > 0: distances are exact,
+    # so every command that reads the matrix refuses it with the same witness
     (tmp_path / "eps.csv").write_text("0,0,1e-10\n0,0,0\n1e-10,0,0\n")
-    proc = fresh(["-m", "finitetop.cli", "check", "pmetric", "--in", "eps.csv"], tmp_path)
-    assert (proc.returncode, proc.stdout) == (0, "pseudometric: ok, metric: False\n"), proc.stderr
-    proc = fresh(["-m", "finitetop.cli", "metric", "quotient", "--in", "eps.csv"], tmp_path)
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("failed: distance zero is not transitive")
+    for what in (["check", "pmetric"], ["metric", "quotient"]):
+        proc = fresh(["-m", "finitetop.cli", *what, "--in", "eps.csv"], tmp_path)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "failed: triangle inequality fails [{'x': '1', 'z': '2', 'y': '3'}]\n"
+
+
+def test_whole_distances_load_no_fractions(tmp_path):
+    # a file of whole numbers is read by `float` a line at a time; only a
+    # decimal or p/q entry needs `fractions`
+    (tmp_path / "line.csv").write_text("0,1,2\n1,0,1\n2,1,0\n")
+    (tmp_path / "thirds.csv").write_text("0,1/3,1/2\n1/3,0,1/6\n1/2,1/6,0\n")
+    for name, imported in (("line.csv", False), ("thirds.csv", True)):
+        proc = fresh(["-X", "importtime", "-m", "finitetop.cli", "check", "pmetric", "--in", name], tmp_path)
+        assert (proc.returncode, proc.stdout) == (0, "pseudometric: ok, metric: True\n"), proc.stderr
+        modules = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+        assert ("fractions" in modules) == imported
 
 
 def test_base_check_on_every_subset_of_12_points_is_linear(tmp_path):

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import signal
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,7 @@ from finitetop.cli import _Report, main
 from finitetop.errors import FormatError, ValidationError
 
 import oracles
-from oracles import load_matrix_by_cells
+from oracles import load_distances_by_cells, load_matrix_by_cells
 
 DIV6_POSET = """\
 # divisibility on the divisors of 6
@@ -388,13 +389,35 @@ def _cell_id(cell):
 
 @pytest.mark.parametrize("cell, want", MATRIX_CELLS, ids=[_cell_id(c) for c, _ in MATRIX_CELLS])
 def test_matrix_cell_grammar(cell, want):
+    """`load_matrix` reads the nearest float; `load_distances` refuses the same cells and reads the exact value."""
     text = f"0, {cell}\n"
-    if want is None:
-        with pytest.raises(FormatError):
-            formats.load_matrix(text)
-    else:
+    for load in (formats.load_matrix, formats.load_distances):
+        if want is None:
+            with pytest.raises(FormatError):
+                load(text)
+    if want is not None:
         got = formats.load_matrix(text)[0][1]
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+        exact = formats.load_distances(text)[0][1]
+        assert exact == Fraction(cell) and float(exact) == want
+        assert math.copysign(1.0, float(exact)) == math.copysign(1.0, want)
+
+
+def test_load_distances_reads_each_entry_exactly():
+    rows = formats.load_distances("0,0.1,8e-1\n1/10, 0,7E-1\n0.8,0.7,0\n")
+    assert rows == [[0, Fraction(1, 10), Fraction(4, 5)], [Fraction(1, 10), 0, Fraction(7, 10)],
+                    [Fraction(4, 5), Fraction(7, 10), 0]]
+    big = 10**20 + 1  # past 2^53 a float would round it; the line is read again by `int`
+    assert formats.load_distances(f"0,{big}\n-0,{big}\n") == [[0, big], [0, big]]
+    assert [type(v) for v in formats.load_distances(f"0,{big}\n")[0]] == [int, int]
+    assert formats.load_distances("0,-0\n") == [[0.0, 0.0]] and math.copysign(1, formats.load_distances("-0\n")[0][0]) == 1
+    # below the float range a value is still positive, or negative; its float is 0
+    tiny = formats.load_distances("0,1e-400,-1e-4300\n")[0]
+    assert tiny[1] == Fraction(1, 10**400) and tiny[2] < 0 and float(tiny[2]) == 0.0
+    # past the float range, or an exponent past 4300, is a format error, as `load_matrix` refuses 1e400
+    for cell in ("1e4300", "1e-4301", "1e999999999", "1e-999999999", "9" * 400, "1" * 400 + "/3"):
+        with pytest.raises(FormatError, match="^line 1: bad matrix entry$"):
+            formats.load_distances(f"0,{cell}\n")
 
 
 GOOD_CELLS = ["0", "-0", "1", "0.25", "-3.5", "1e-400", "-1e-400", "2.5E-3", "1_0", "+.5", "5.", "7"]
@@ -442,12 +465,14 @@ def _outcome(load, text):
 
 
 def test_load_matrix_matches_per_entry_reference():
+    """Both matrix readers against their per-entry references: the nearest float, and the exact `Fraction`."""
     rng = random.Random(5)
     errors = set()
     for _ in range(2000):
         text = _matrix_file(rng)
         want = _outcome(load_matrix_by_cells, text)
         assert _outcome(formats.load_matrix, text) == want, text
+        assert _outcome(formats.load_distances, text) == _outcome(load_distances_by_cells, text), text
         if isinstance(want, str):
             errors.add(want.partition(":")[2] or want)
     assert errors == {" bad matrix entry", "empty matrix file"}
@@ -988,6 +1013,40 @@ def test_metric_commands(tmp_path, capsys):
     ranks.write_text("rank: w1 1\nrank: w2 2\n")
     code, out, _ = run(capsys, "metric", "ultrarank", "--in", str(ranks), "--a", "w1", "--b", "w2")
     assert code == 0 and "distance: 0.5" in out
+
+
+def test_metric_commands_compare_exact_distances(tmp_path, capsys):
+    """A decimal or p/q matrix is checked on the numbers it writes, and its distances print as their nearest floats."""
+    files = {
+        "thirds.csv": "0,1/3,1/2\n1/3,0,1/6\n1/2,1/6,0\n",  # tight: 1/2 = 1/3 + 1/6, not so in binary
+        "tie.csv": "0,1e-1,8e-1\n1e-1,0,7e-1\n8e-1,7e-1,0\n",  # tight: 0.1 + 0.7 falls short of 0.8 in binary
+        "slack.csv": "0,1,2.000000001\n1,0,1\n2.000000001,1,0\n",
+        "zero.csv": "0,0,0.0000000001\n0,0,0\n0.0000000001,0,0\n",
+        "tiny.csv": "0,1e-400\n1e-400,0\n",
+        "below.csv": "0,-1e-400\n-1e-400,0\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    for name, line in (("thirds.csv", "metric: True"), ("tie.csv", "metric: True"), ("tiny.csv", "metric: True")):
+        code, out, _ = run(capsys, "check", "pmetric", "--in", str(tmp_path / name))
+        assert (code, out) == (0, f"pseudometric: ok, {line}\n")
+    for name, fault in (("slack.csv", "triangle inequality fails [{'x': '1', 'z': '2', 'y': '3'}]"),
+                        ("zero.csv", "triangle inequality fails [{'x': '1', 'z': '2', 'y': '3'}]"),
+                        ("below.csv", "negative distance [{'x': '1', 'y': '2'}]")):
+        for argv in (["check", "pmetric"], ["metric", "quotient"]):
+            code, out, err = run(capsys, *argv, "--in", str(tmp_path / name))
+            assert (code, out, err) == (1, "", f"failed: {fault}\n")
+    code, out, _ = run(capsys, "metric", "hausdorff", "--in", str(tmp_path / "thirds.csv"), "--a", "2", "--b", "1 3",
+                       "--json")
+    assert code == 0 and json.loads(out)["hausdorff"] == 1 / 3
+    code, out, _ = run(capsys, "metric", "quotient", "--in", str(tmp_path / "tie.csv"))
+    assert code == 0 and out.splitlines()[-1].split() == ["3", "0.8", "0.7", "0"]
+    # the radius is the number it writes too: a ball of radius 0.8 around 1 leaves out 3, at 0.8
+    for eps, centers in (("0.1", "1 2 3"), ("8e-1", "1 3"), ("0.81", "1"), ("inf", "1")):
+        code, out, _ = run(capsys, "metric", "net", "--in", str(tmp_path / "tie.csv"), "--eps", eps)
+        assert (code, out) == (0, f"centers: {centers}\n")
+    code, out, _ = run(capsys, "metric", "quotient", "--in", str(tmp_path / "tiny.csv"), "--json")
+    assert code == 0 and json.loads(out)["classes"] == [["1"], ["2"]] and json.loads(out)["distances"][0]["2"] == "0"
 
 
 @contextlib.contextmanager

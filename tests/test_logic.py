@@ -159,6 +159,11 @@ def test_syntax_error_carries_position():
     with pytest.raises(FormatError) as err:
         ft.parse_formula("p & | q")
     assert "position 4" in str(err.value)
+    # a character no token starts is placed at itself, not at the whitespace before it
+    for text, pos in (("a é", 2), ("a  \t$b", 4), ("é", 0)):
+        with pytest.raises(FormatError) as err:
+            ft.parse_formula(text)
+        assert str(err.value) == f"syntax error at position {pos}: {text[pos:][:10]!r}"
 
 
 def test_parentheses_and_constants():

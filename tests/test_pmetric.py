@@ -13,8 +13,8 @@ import finitetop as ft
 from finitetop.bitsets import bits, subsets
 from finitetop.cli import main
 from finitetop.errors import FormatError, ValidationError
-from finitetop.formats import load_matrix
-from finitetop.pmetric import NonConvergence, _triangle_suspects, open_ball
+from finitetop.formats import load_distances
+from finitetop.pmetric import NonConvergence, _on_one_scale, _triangle_suspects, open_ball
 
 from oracles import (
     chain_distances_by_fractions,
@@ -89,7 +89,7 @@ def test_rejection_witness_is_the_first_failing_entry():
             if rng.random() < 0.5:
                 d[j][i] = v
         labels = tuple(f"p{i}" for i in range(n))
-        want = oracles.first_violation(d, 0.0)  # whole distances: the 1e-9 slack cannot matter
+        want = oracles.first_violation(d)
         if want is None:
             ft.PMetricSpace(labels, d)
             continue
@@ -116,7 +116,7 @@ def test_triangle_witness_at_larger_n():
             i, j = rng.sample(range(n), 2)
             d[i][j] = d[j][i] = rng.choice((1.0, 2.0, 19.0, 30.0))  # too short or too long
         labels = tuple(f"p{i}" for i in range(n))
-        want = oracles.first_violation(d, 0.0)
+        want = oracles.first_violation(d)
         if want is None:
             ft.PMetricSpace(labels, d)
             continue
@@ -131,9 +131,9 @@ def test_triangle_witness_at_larger_n():
 
 
 def _triangle_verdict(d):
-    """The constructor's verdict on matrix d, held to `first_violation(d, 1e-9)`; the witness row, or None."""
+    """The constructor's verdict on matrix d, held to the exact `first_violation(d)`; the witness row, or None."""
     labels = tuple(f"p{i}" for i in range(len(d)))
-    want = oracles.first_violation(d, 1e-9)
+    want = oracles.first_violation(d)
     if want is None:
         ft.PMetricSpace(labels, d)
         return None
@@ -168,7 +168,7 @@ def _whole(rng, n, span):
 def _tenths(rng, n):
     pts = [tuple(rng.randrange(60) for _ in range(2)) for _ in range(n)]
     text = "".join(",".join(str(v / 10) for v in row) + "\n" for row in _l1(pts))
-    return _plant(rng, load_matrix(text), lambda v: (0.0, v + 0.1, round(v * 2 + 0.3, 1), v + 9.9))
+    return _plant(rng, load_distances(text), lambda v: (0, v + Fraction(1, 10), v * 2 + Fraction(3, 10), v + 9.9))
 
 
 def _euclid(rng, n):
@@ -186,12 +186,12 @@ def _chain(rng):
 
 
 def _boundary(rng, n):
-    """Points on a line, so most triangles are tight, with one pair pushed out by under or over the slack."""
+    """Points on a line, so most triangles are tight, with one pair kept tight or pushed out by a hair."""
     xs = sorted(rng.sample(range(1000), n))
     d = [[float(abs(x - y)) for y in xs] for x in xs]
     i = rng.randrange(n - 2)
     j = rng.randrange(i + 2, n)
-    d[i][j] = d[j][i] = d[i][j] + rng.choice((0.5e-9, 1e-9, 1.5e-9, 2e-9))
+    d[i][j] = d[j][i] = d[i][j] + rng.choice((0.0, 0.5e-9, 1e-9, 2e-9))
     return d
 
 
@@ -222,21 +222,21 @@ MATRIX_CLASSES = {
                               lambda v: (math.inf, 0.0, 5.0)),
     "mixed": lambda rng: _plant(rng, _two_clusters(rng, rng.randint(12, 30), lambda i, j: 5e-324, 1e300),
                                 lambda v: (1e300, 1e300, 0.0)),
-    "subnormal": lambda rng: _two_clusters(rng, rng.randint(12, 30), lambda i, j: 5e-324 * (1 + (i ^ j) % 3), 1e-310),
+    "subnormal": lambda rng: _plant(rng, _two_clusters(rng, rng.randint(12, 30), lambda i, j: 5e-324 * (2 + (i ^ j) % 2),
+                                                       1e-310), lambda v: (0.0, v * 3, 1e-300)),
 }
 
 
 @pytest.mark.parametrize("kind", MATRIX_CLASSES)
 def test_triangle_test_matches_the_entry_by_entry_oracle(kind):
-    """Verdict, message and witness against the float sweep over (i, j, k), with the 1e-9 slack."""
+    """Verdict, message and witness against the exact sweep over (i, j, k)."""
     rng = random.Random(kind)
     verdicts = [_triangle_verdict(MATRIX_CLASSES[kind](rng)) for _ in range(25)]
-    if kind != "subnormal":  # every distance there is below the slack
-        assert None in verdicts and len(set(verdicts)) >= 4
+    assert None in verdicts and len(set(verdicts)) >= 4
 
 
 def test_triangle_test_on_edge_cases():
-    """Tiny carriers, the inf a library caller can pass, a pair 0.5e-9 and 2e-9 past a tight triangle,
+    """Tiny carriers, the inf a library caller can pass, a tight triangle and a pair 0.5e-9 and 2e-9 past it,
     and violations at 200 points in rows far apart."""
     for d in ([], [[0.0]], [[0.0, 1.0], [1.0, 0.0]]):
         assert _triangle_verdict(d) is None
@@ -245,8 +245,11 @@ def test_triangle_test_on_edge_cases():
     with pytest.raises(ValidationError) as err:
         ft.PMetricSpace(("a", "b", "c"), [[0, 1, inf], [1, 0, 1], [inf, 1, 0]])
     assert err.value.witness == {"x": "a", "z": "b", "y": "c"}
+    # beside entries that need a scale, an inf stays inf
+    assert _triangle_verdict([[0, 0.5, inf], [0.5, 0, Fraction(1, 3)], [inf, Fraction(1, 3), 0]]) == 0
+    assert _triangle_verdict([[0, 0.5, inf, inf], [0.5, 0, inf, inf], [inf, inf, 0, 0.1], [inf, inf, 0.1, 0]]) is None
     xs = range(0, 60, 2)  # 30 points on a line: d(0, 58) = d(0, k) + d(k, 58) for every k
-    for bump, verdict in ((0.5e-9, None), (2e-9, 0)):
+    for bump, verdict in ((0.0, None), (0.5e-9, 0), (2e-9, 0)):
         d = [[float(abs(x - y)) for y in xs] for x in xs]
         d[0][-1] = d[-1][0] = 58 + bump
         assert _triangle_verdict(d) == verdict
@@ -261,18 +264,16 @@ def test_triangle_test_on_edge_cases():
     assert len(rows) == 3
 
 
-@pytest.mark.parametrize(
-    "kind", ["whole-byte", "whole-wide", "whole-large", "fraction-large", "chain", "tenths", "euclid", "subnormal"]
-)
+@pytest.mark.parametrize("kind", ["whole-byte", "whole-wide", "whole-large", "chain", "tenths", "subnormal"])
 def test_lanes_clear_every_pair_of_a_valid_matrix(kind):
-    """On valid matrices of at least 12 points the integer lanes leave no pair to the float test."""
+    """On valid matrices of at least 12 points whose scaled entries stay below 2^46, the lanes flag no pair."""
     rng = random.Random(kind)
     checked = 0
     while checked < 10:
         d = MATRIX_CLASSES[kind](rng)
-        if oracles.first_violation(d, 1e-9) is None:
+        if oracles.first_violation(d) is None:
             sp = ft.PMetricSpace(tuple(map(str, range(len(d)))), d)
-            assert list(_triangle_suspects(sp.dist)) == []
+            assert list(_triangle_suspects(_on_one_scale(sp.dist))) == []
             checked += 1
 
 
@@ -293,12 +294,15 @@ def test_lanes_flag_exactly_the_failing_pairs_of_a_whole_matrix(span):
     assert flagged
 
 
-@pytest.mark.parametrize("kind", ["whole-beyond-lanes", "fraction-beyond-lanes", "inf", "mixed"])
+@pytest.mark.parametrize(
+    "kind", ["whole-beyond-lanes", "fraction-large", "fraction-beyond-lanes", "euclid", "inf", "mixed"]
+)
 def test_lanes_fall_back_to_every_pair(kind):
-    """An inf, whole numbers from 2^46 or fractions from 2^12 leave every pair to the float test, in order."""
+    """An inf, or entries from 2^46 on the scale of their denominators (whole numbers from 2^46, floats
+    with full 53-bit fractions), leave every pair to the exact sum, in order."""
     d = MATRIX_CLASSES[kind](random.Random(kind))
     n = len(d)
-    assert list(_triangle_suspects(tuple(map(tuple, d)))) == list(combinations(range(n), 2))
+    assert list(_triangle_suspects(_on_one_scale(d))) == list(combinations(range(n), 2))
 
 
 def test_negative_and_asymmetric_rejected():
@@ -388,57 +392,49 @@ def test_metric_quotient_is_metric(sp):
     assert q.is_metric
 
 
+def _refused_like_the_oracle(labels, d):
+    """The constructor refuses d with the message and witness of the exact `first_violation`."""
+    message, idx = oracles.first_violation(d)
+    with pytest.raises(ValidationError) as err:
+        ft.PMetricSpace(labels, d)
+    assert (str(err.value), err.value.witness) == (message, {k: labels[i] for k, i in zip("xyz", idx)})
+    return err.value.witness
+
+
 def test_metric_quotient_refuses_a_nontransitive_zero():
-    """The quotient and the topology read the same zero classes, and refuse them alike."""
-    for fn in (ft.metric_quotient, ft.topology_from_pmetric):
-        # valid: the triangle test allows 1e-9 of slack, so d(1,3) = 1e-10 passes
-        sp = ft.PMetricSpace(("1", "2", "3"), [[0, 0, 1e-10], [0, 0, 0], [1e-10, 0, 0]])
-        with pytest.raises(ValidationError) as err:
-            fn(sp)
-        assert str(err.value) == "distance zero is not transitive"
-        assert err.value.witness == {"x": "1", "y": "2", "z": "3"}
-        # the witness is ordered so that d(x, y) = d(y, z) = 0 < d(x, z)
-        sp = ft.PMetricSpace(("a", "b", "c"), [[0, 1e-10, 0], [1e-10, 0, 0], [0, 0, 0]])
-        with pytest.raises(ValidationError) as err:
-            fn(sp)
-        x, y, z = (sp.index(err.value.witness[v]) for v in "xyz")
-        assert sp.dist[x][y] == sp.dist[y][z] == 0 < sp.dist[x][z]
+    """d(x, y) = d(y, z) = 0 < d(x, z) breaks the triangle inequality, however small d(x, z) is."""
+    d = [[0, 0, 1e-10], [0, 0, 0], [1e-10, 0, 0]]
+    assert _refused_like_the_oracle(("1", "2", "3"), d) == {"x": "1", "z": "2", "y": "3"}
+    d = [[0, 1e-10, 0], [1e-10, 0, 0], [0, 0, 0]]
+    assert _refused_like_the_oracle(("a", "b", "c"), d) == {"x": "a", "z": "c", "y": "b"}
+    assert _refused_like_the_oracle(("a", "b", "c"), [[0, 0, 5e-324], [0, 0, 0], [5e-324, 0, 0]])
 
 
 def test_metric_quotient_moves_no_distance_between_classes():
-    # classes {a, b} and {c, d}; with 1e-9 of slack per triangle, d(b, d)
-    # can exceed d(a, c) by 1.6e-9, more than the slack
+    """Classes {a, b} and {c, d} whose members lie 0.8e-9 and 1.6e-9 further apart than a and c:
+    d(a, d) = d(a, c) + 0.8e-9 with d(c, d) = 0 is refused, so no quotient distance can move."""
     e = 0.8e-9
-    sp = ft.PMetricSpace(
-        ("a", "b", "c", "d"),
-        [[0, 0, 1, 1 + e], [0, 0, 1 + e, 1 + 2 * e], [1, 1 + e, 0, 0], [1 + e, 1 + 2 * e, 0, 0]],
-    )
-    with pytest.raises(ValidationError) as err:
-        ft.metric_quotient(sp)
-    assert str(err.value) == "quotient distance is not well defined"
-    assert err.value.witness == {"x": "b", "y": "d"}
+    d = [[0, 0, 1, 1 + e], [0, 0, 1 + e, 1 + 2 * e], [1, 1 + e, 0, 0], [1 + e, 1 + 2 * e, 0, 0]]
+    assert _refused_like_the_oracle(("a", "b", "c", "d"), d) == {"x": "a", "z": "c", "y": "d"}
 
 
-@pytest.mark.parametrize("e", [0.25e-9, 0.5e-9, 0.8e-9, 1e-9])
+@pytest.mark.parametrize("e", [0.0, 0.25e-9, 0.5e-9, 0.8e-9, 1e-9])
 def test_metric_quotient_members_up_to_2e_9_apart(e):
-    """Classes {a, b} and {c, d}: d(b, d) exceeds d(a, c) by 2e; a pair fails past 1e-9 of the slack."""
-    sp = ft.PMetricSpace(
-        ("a", "b", "c", "d"),
-        [[0, 0, 1, 1 + e], [0, 0, 1 + e, 1 + 2 * e], [1, 1 + e, 0, 0], [1 + e, 1 + 2 * e, 0, 0]],
-    )
-    want = {0.25e-9: None, 0.5e-9: {"x": "b", "y": "d"}, 0.8e-9: {"x": "b", "y": "d"}, 1e-9: {"x": "a", "y": "d"}}[e]
-    assert quotient_fault(sp) == want
-    if want is None:
+    """Classes {a, b} and {c, d}: d(b, d) exceeds d(a, c) by 2e; only e = 0 is a pseudometric."""
+    d = [[0, 0, 1, 1 + e], [0, 0, 1 + e, 1 + 2 * e], [1, 1 + e, 0, 0], [1 + e, 1 + 2 * e, 0, 0]]
+    if e:
+        _refused_like_the_oracle(("a", "b", "c", "d"), d)
+    else:
+        sp = ft.PMetricSpace(("a", "b", "c", "d"), d)
+        assert quotient_fault(sp) is None
         q, _ = ft.metric_quotient(sp)
         assert (q.points, q.dist) == (("ab", "cd"), ((0.0, 1.0), (1.0, 0.0)))
-    else:
-        with pytest.raises(ValidationError) as err:
-            ft.metric_quotient(sp)
-        assert (str(err.value), err.value.witness) == ("quotient distance is not well defined", want)
 
 
 def test_metric_quotient_names_the_pair_the_four_loops_name():
-    """On random spaces of up to three classes of up to three points, each distance moved by 0 to 2e-9."""
+    """On random spaces of up to three classes of up to three points, each distance moved by 0 to 2e-9:
+    the constructor refuses what the exact oracle refuses, the four loops find no pair that moves a
+    quotient distance on any space it accepts, and the quotient reads the lowest points' distances."""
     rng = random.Random(93)
     seen = {True: 0, False: 0}
     for _ in range(3000):
@@ -450,20 +446,17 @@ def test_metric_quotient_names_the_pair_the_four_loops_name():
         for i, j in combinations(range(n), 2):
             if at[i] != at[j]:
                 d[i][j] = d[j][i] = abs(at[i] - at[j]) + rng.choice((0.0, 0.0, 0.5e-9, 1e-9, 2e-9))
-        try:
-            sp = ft.PMetricSpace(tuple(f"p{i}" for i in range(n)), d)
-        except ValidationError:
+        labels = tuple(f"p{i}" for i in range(n))
+        valid = oracles.first_violation(d) is None
+        seen[valid] += 1
+        if not valid:
+            _refused_like_the_oracle(labels, d)
             continue
-        want = quotient_fault(sp)
-        seen[want is None] += 1
-        if want is None:
-            q, classes = ft.metric_quotient(sp)
-            reps = [(c & -c).bit_length() - 1 for c in classes]
-            assert q.dist == tuple(tuple(sp.dist[i][j] for j in reps) for i in reps)
-        else:
-            with pytest.raises(ValidationError) as err:
-                ft.metric_quotient(sp)
-            assert err.value.witness == want
+        sp = ft.PMetricSpace(labels, d)
+        assert quotient_fault(sp) is None
+        q, classes = ft.metric_quotient(sp)
+        reps = [(c & -c).bit_length() - 1 for c in classes]
+        assert q.dist == tuple(tuple(sp.dist[i][j] for j in reps) for i in reps)
     assert min(seen.values()) > 200
 
 
@@ -471,8 +464,8 @@ def test_metric_quotient_classes_are_the_zero_rows():
     """On 3000 small matrices with many zeros: the classes partition the points,
     each class's members are at distance zero from each other and from no one
     else, classes are listed by lowest point, and the quotient is a metric that
-    the constructor would build alike.
-    The topology is every union of open balls, or refused like the quotient."""
+    the constructor would build alike, with no distance that depends on the
+    members. The topology is every union of open balls."""
     rng = random.Random(77)
     quotients = 0
     for _ in range(3000):
@@ -484,16 +477,8 @@ def test_metric_quotient_classes_are_the_zero_rows():
             sp = ft.PMetricSpace(tuple(f"p{i}" for i in range(n)), d)
         except ValidationError:
             continue
-        try:
-            q, classes = ft.metric_quotient(sp)
-        except ValidationError as e:
-            assert str(e) == "distance zero is not transitive"
-            x, y, z = (sp.index(e.witness[v]) for v in "xyz")
-            assert sp.dist[x][y] == sp.dist[y][z] == 0 < sp.dist[x][z]
-            with pytest.raises(ValidationError) as err:
-                ft.topology_from_pmetric(sp)
-            assert (str(err.value), err.value.witness) == (str(e), e.witness)
-            continue
+        assert quotient_fault(sp) is None
+        q, classes = ft.metric_quotient(sp)
         assert ft.topology_from_pmetric(sp).opens == opens_from_balls(sp)
         quotients += 1
         assert sum(classes) == sp.full and len(set(classes)) == len(classes)
